@@ -17,6 +17,9 @@ from .errors import DivergentIntegralError, InfeasibleTaperError, NonConvergence
 from .holevo import SolverOptions, solve_holevo
 from .models import Domain, ParametricModel, embedding_loss_scale, fidelity_embedding
 
+# Rejection rounds before Prior.sample gives up: a density that is zero (or
+# far below ``peak``) on the envelope would otherwise never fill the draw.
+_MAX_REJECTION_ROUNDS = 1000
 
 # ---------------------------------------------------------------------------
 # priors
@@ -56,8 +59,14 @@ class Prior:
         out = np.empty((count, self.domain.dim))
         r0 = self.domain.radius
         p = self.domain.dim
-        got = 0
+        got = rounds = 0
         while got < count:
+            if rounds == _MAX_REJECTION_ROUNDS:
+                raise NumericalError(
+                    f"rejection sampling accepted {got} of {count} draws in "
+                    f"{rounds} rounds; the density is zero or far below its "
+                    f"peak {self.peak:g} on the support")
+            rounds += 1
             m = max(16, 2 * (count - got))
             x = rng.standard_normal((m, p))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -261,49 +270,36 @@ def fidelity_loss(model: ParametricModel) -> LossSpec:
 # quadrature grids
 
 class _BallGrid:
-    """Gauss-Legendre radial x uniform angular product grid on a ball."""
+    """Gauss-Legendre radial x angular product grid on a ball.
+
+    Directions are +-1 for p = 1, n_angular equispaced angles for p = 2,
+    and n_angular azimuths x Gauss-Legendre polar cosines for p = 3; each
+    direction is one ray of n_radial nodes, in that order.
+    """
 
     def __init__(self, p, r0, n_radial, n_angular):
         self.p, self.r0 = p, r0
         self.n_radial, self.n_angular = n_radial, n_angular
         xr, wr = np.polynomial.legendre.leggauss(n_radial)
         r = 0.5 * r0 * (xr + 1.0)
-        wr = 0.5 * r0 * wr
-        nodes, weights, rays = [], [], []
+        wr = 0.5 * r0 * wr * r ** (p - 1)
+        ang = 2.0 * math.pi * np.arange(n_angular) / n_angular
+        w_ang = np.full(n_angular, 2.0 * math.pi / n_angular)
         if p == 1:
-            for direction in (-1.0, 1.0):
-                start = len(nodes)
-                for ri, wi in zip(r, wr):
-                    nodes.append([direction * ri])
-                    weights.append(wi)
-                rays.append(slice(start, len(nodes)))
+            dirs, w_dir = np.array([[-1.0], [1.0]]), np.ones(2)
         elif p == 2:
-            for k in range(n_angular):
-                ang = 2.0 * math.pi * k / n_angular
-                u = np.array([math.cos(ang), math.sin(ang)])
-                start = len(nodes)
-                for ri, wi in zip(r, wr):
-                    nodes.append(ri * u)
-                    weights.append(wi * ri * 2.0 * math.pi / n_angular)
-                rays.append(slice(start, len(nodes)))
+            dirs, w_dir = np.stack([np.cos(ang), np.sin(ang)], axis=1), w_ang
         elif p == 3:
-            n_polar = max(4, n_angular // 2)
-            xu, wu = np.polynomial.legendre.leggauss(n_polar)
-            for k in range(n_angular):
-                ang = 2.0 * math.pi * k / n_angular
-                for cu, wcu in zip(xu, wu):
-                    su = math.sqrt(max(0.0, 1.0 - cu * cu))
-                    u = np.array([su * math.cos(ang), su * math.sin(ang), cu])
-                    start = len(nodes)
-                    for ri, wi in zip(r, wr):
-                        nodes.append(ri * u)
-                        weights.append(wi * ri * ri * wcu * 2.0 * math.pi / n_angular)
-                    rays.append(slice(start, len(nodes)))
+            cu, wcu = np.polynomial.legendre.leggauss(max(4, n_angular // 2))
+            su = np.sqrt(np.maximum(0.0, 1.0 - cu * cu))
+            dirs = np.stack([np.outer(np.cos(ang), su), np.outer(np.sin(ang), su),
+                             np.broadcast_to(cu, (n_angular, cu.size))], axis=-1)
+            dirs, w_dir = dirs.reshape(-1, 3), np.outer(w_ang, wcu).ravel()
         else:
             raise ValueError("ball grids support p <= 3")
-        self.nodes = np.array(nodes)
-        self.weights = np.array(weights)
-        self.rays = rays
+        self.nodes = (r[None, :, None] * dirs[:, None, :]).reshape(-1, p)
+        self.weights = np.outer(w_dir, wr).ravel()
+        self.rays = [slice(k * n_radial, (k + 1) * n_radial) for k in range(len(dirs))]
 
     def refined(self):
         return _BallGrid(self.p, self.r0, 2 * self.n_radial,
@@ -470,7 +466,7 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
 # ---------------------------------------------------------------------------
 # van Trees machinery
 
-def _canonical_c_fn(model, loss, grid, solver_opts, strict=True):
+def _canonical_c_fn(model, loss, grid, solver_opts):
     """C(theta) = Gtilde psi' V0(theta) tabulated on the grid nodes."""
     _, v0s, _, _ = _solve_on_grid(model, loss, grid, solver_opts, strict=True)
     table = {}

@@ -14,13 +14,14 @@ Solver design:
 
 - the affine constraints are solved once; the optimization runs in
   unconstrained null-space coordinates, so every iterate is exactly feasible;
-- initialization X_j = sum_k (H^-1)_jk L_k from the SLDs, which is feasible
-  and optimal in quasi-classical cases, plus seeded random multistarts;
+- the SLDs L_k are computed once per solve; they give both the Helstrom
+  matrix H = Re Z(L) and the initialization X_j = sum_k (H^-1)_jk L_k,
+  which is feasible and optimal in quasi-classical cases, plus seeded
+  random multistarts when the null space is not empty;
 - the nonsmooth trace-abs term is smoothed, trace|A| -> trace sqrt(A^2+eps),
   with eps continuation 1e-2 -> 1e-10; each stage is minimized by gradient
-  descent with Armijo backtracking.  Gradients are analytic by default
-  (closed form below); forward finite differences are available as
-  ``grad_mode="fd"`` and kept as a cross-check in the tests.
+  descent with Armijo backtracking, with the analytic gradient below (the
+  tests check it against finite differences).
 """
 
 import math
@@ -33,7 +34,7 @@ from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
 from .information import helstrom_matrix, sld
 from .linalg import (hermitian_basis, hermitize, min_eigenvalue,
-                     sym_sqrt_and_inv_sqrt, traceless_hermitian_basis)
+                     sym_sqrt_and_inv_sqrt)
 from .models import ParametricModel, check_density_matrix
 
 DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
@@ -84,8 +85,6 @@ class SolverOptions:
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     stage_rtol: float = 1e-9          # relative change over 5 iters ends a stage
     perturb_scale: float = 0.3
-    grad_mode: str = "analytic"       # "analytic" | "fd"
-    fd_step: float = 1e-7
     x_warm: Optional[Sequence[np.ndarray]] = None  # warm-start X collection
 
     def to_dict(self):
@@ -93,23 +92,19 @@ class SolverOptions:
                 "multistart": self.multistart,
                 "eps_schedule": list(self.eps_schedule),
                 "stage_rtol": self.stage_rtol,
-                "perturb_scale": self.perturb_scale,
-                "grad_mode": self.grad_mode, "fd_step": self.fd_step}
+                "perturb_scale": self.perturb_scale}
 
     @classmethod
     def from_dict(cls, obj):
         allowed = {"seed", "max_iters", "multistart", "eps_schedule",
-                   "stage_rtol", "perturb_scale", "grad_mode", "fd_step"}
+                   "stage_rtol", "perturb_scale"}
         unknown = set(obj) - allowed
         if unknown:
             raise ValueError(f"unknown solver option keys: {sorted(unknown)}")
         obj = dict(obj)
         if "eps_schedule" in obj:
             obj["eps_schedule"] = tuple(obj["eps_schedule"])
-        opts = cls(**obj)
-        if opts.grad_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown grad_mode {opts.grad_mode!r}")
-        return opts
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -162,11 +157,8 @@ def recover_v0(g, z):
 
 def constraint_residual(drho, xs):
     """max |trace(drho_i X_j) - delta_ij| over all i, j."""
-    res = 0.0
-    for i, dr in enumerate(drho):
-        for j, x in enumerate(xs):
-            res = max(res, abs(np.trace(dr @ x) - (1.0 if i == j else 0.0)))
-    return float(res)
+    c = np.einsum("iab,jba->ij", np.asarray(drho), np.asarray(xs))
+    return float(np.max(np.abs(c - np.eye(*c.shape))))
 
 
 def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERICS):
@@ -174,7 +166,7 @@ def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERIC
     res = constraint_residual(drho, xs)
     if res > numerics.constraint_tol:
         raise ValueError(f"constraint residual {res:.3e} exceeds tolerance")
-    centering = max(abs(np.trace(rho @ x)) for x in xs)
+    centering = float(np.max(np.abs(np.einsum("ab,jba->j", rho, np.asarray(xs)))))
     if centering > numerics.constraint_tol:
         raise ValueError(f"X collection not rho-centered (|trace(rho X)| = {centering:.3e})")
     return res
@@ -182,6 +174,12 @@ def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERIC
 
 # ---------------------------------------------------------------------------
 # feasible set in null-space coordinates
+
+def _coords(basis, mats):
+    """Real coordinates trace(B_a M) in a stacked Hermitian basis (n, d, d)
+    of one matrix (d, d) or of a stack (..., d, d); shape (..., n)."""
+    return np.einsum("acd,...dc->...a", basis, mats).real
+
 
 class _FeasibleSet:
     """Affine feasible set {X_j} in an orthonormal Hermitian operator basis.
@@ -193,10 +191,8 @@ class _FeasibleSet:
     def __init__(self, rho, drho):
         d = rho.shape[0]
         p = len(drho)
-        self.basis = hermitian_basis(d)
-        rows = [np.array([np.trace(b @ dr).real for b in self.basis]) for dr in drho]
-        rows.append(np.array([np.trace(b @ rho).real for b in self.basis]))
-        self.amat = np.vstack(rows)                      # (p+1, d^2)
+        self.basis = hermitian_basis(d)                  # (d^2, d, d)
+        self.amat = _coords(self.basis, np.concatenate([drho, rho[None]]))  # (p+1, d^2)
         u, s, vt = np.linalg.svd(self.amat)
         rank = int(np.sum(s > 1e-12 * s[0]))
         if rank < p + 1:
@@ -204,33 +200,22 @@ class _FeasibleSet:
                                  "model derivatives are linearly dependent")
         self.null = vt[rank:].T                          # (d^2, m), orthonormal
         self.m = self.null.shape[1]
-        pinv = np.linalg.pinv(self.amat)
-        rhs = np.vstack([np.eye(p), np.zeros((1, p))])   # centering row -> 0
-        self.part_coords = (pinv @ rhs).T                # (p, d^2)
-        stack = np.stack(self.basis)                     # (d^2, d, d)
-        self.pmats = np.einsum("ja,acd->jcd", self.part_coords, stack)
-        if self.m:
-            self.nmats = np.einsum("am,acd->mcd", self.null, stack)
-        else:
-            self.nmats = np.zeros((0, d, d), dtype=complex)
+        # full row rank: the pseudo-inverse is V S^-1 U^T; its last column
+        # maps the centering row, whose right-hand side is 0
+        pinv = (vt[:rank].T / s) @ u.T
+        self.part_coords = pinv[:, :p].T                 # (p, d^2)
+        self.pmats = np.einsum("ja,acd->jcd", self.part_coords, self.basis)
+        self.nmats = np.einsum("am,acd->mcd", self.null, self.basis)
         self.rho = rho
         self.rho_n = np.einsum("ab,mbc->mac", rho, self.nmats)
         self.p = p
 
     def x_mats(self, t):
-        t = t.reshape(self.p, self.m)
-        if self.m == 0:
-            return self.pmats.copy()
-        return self.pmats + np.einsum("jm,mcd->jcd", t, self.nmats)
+        return self.pmats + np.einsum("jm,mcd->jcd", t.reshape(self.p, self.m), self.nmats)
 
     def coords(self, xs):
         """Null-space coordinates of a feasible X collection."""
-        stack = np.stack(self.basis)
-        out = np.empty((self.p, self.m))
-        for j, x in enumerate(xs):
-            v = np.einsum("acd,dc->a", stack, x).real
-            out[j] = self.null.T @ (v - self.part_coords[j])
-        return out.ravel()
+        return ((_coords(self.basis, np.asarray(xs)) - self.part_coords) @ self.null).ravel()
 
 
 class _SmoothedObjective:
@@ -268,24 +253,10 @@ class _SmoothedObjective:
         grad = 2.0 * (self.g @ alpha.real.T + tmat.imag @ alpha.imag.T)
         return val, grad.ravel()
 
-    def fd_grad(self, t, eps, step):
-        f0 = self.value(t, eps)
-        grad = np.zeros_like(t)
-        for i in range(t.size):
-            tp = t.copy()
-            h = step * max(1.0, abs(t[i]))
-            tp[i] += h
-            grad[i] = (self.value(tp, eps) - f0) / h
-        return f0, grad
-
 
 def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
     """Armijo-backtracking gradient descent on the eps-smoothed objective."""
-    if opts.grad_mode == "fd":
-        fg = lambda x: obj.fd_grad(x, eps, opts.fd_step)
-    else:
-        fg = lambda x: obj.value_and_grad(x, eps)
-    f, g = fg(t)
+    f, g = obj.value_and_grad(t, eps)
     step = 1.0
     history = [f]
     iters = 0
@@ -304,7 +275,7 @@ def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
         if not accepted:
             return t, f, iters, True   # no descent possible at machine scale
         t = t_new
-        f, g = fg(t)
+        f, g = obj.value_and_grad(t, eps)
         step = min(step * 1.6, 1e6)
         history.append(f)
         if len(history) > 5:
@@ -312,18 +283,6 @@ def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
             if abs(prev - f) <= opts.stage_rtol * max(1.0, abs(f)):
                 return t, f, iters, True
     return t, f, iters, False
-
-
-def _sld_init(model, theta, fs: _FeasibleSet, h):
-    lams = sld(model, theta)
-    hinv = np.linalg.inv(h)
-    xs = []
-    for j in range(fs.p):
-        x = np.zeros_like(fs.rho)
-        for k, lam in enumerate(lams):
-            x = x + hinv[j, k] * lam
-        xs.append(hermitize(x))
-    return xs
 
 
 def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions] = None,
@@ -340,12 +299,15 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     g = np.asarray(g, dtype=float)
     problem = HolevoProblem(rho, drho, g)
 
-    hmat = helstrom_matrix(model, theta, numerics).matrix
+    lams = sld(model, theta, numerics)   # the one SLD call of the solve
+    hmat = z_matrix(problem.rho, lams).real
+    hmat = 0.5 * (hmat + hmat.T)
     h_eigs = np.linalg.eigvalsh(hmat)
     if h_eigs[0] <= numerics.weight_eig_floor:
         raise RankDeficiencyError(
             f"Helstrom matrix is singular (eigenvalue {h_eigs[0]:.3e}); "
             "the constraint set is infeasible", eigenvalue=float(h_eigs[0]))
+    hinv = np.linalg.inv(hmat)
 
     fs = _FeasibleSet(problem.rho, problem.drho)
     obj = _SmoothedObjective(fs, problem.weight)
@@ -353,12 +315,13 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     if opts.x_warm is not None:
         starts = [fs.coords(opts.x_warm)]
     else:
-        t0 = fs.coords(_sld_init(model, theta, fs, hmat))
+        t0 = fs.coords(hermitize(np.einsum("jk,kcd->jcd", hinv, lams)))
         starts = [t0]
-        rng = np.random.default_rng(opts.seed)
-        scale = opts.perturb_scale * (1.0 + float(np.linalg.norm(t0)) / max(1.0, np.sqrt(t0.size or 1)))
-        for _ in range(max(0, opts.multistart - 1)):
-            starts.append(t0 + scale * rng.standard_normal(t0.size))
+        if fs.m:  # an empty null space has a single feasible point
+            rng = np.random.default_rng(opts.seed)
+            scale = opts.perturb_scale * (1.0 + float(np.linalg.norm(t0)) / max(1.0, np.sqrt(t0.size)))
+            for _ in range(max(0, opts.multistart - 1)):
+                starts.append(t0 + scale * rng.standard_normal(t0.size))
 
     best = None
     runs = []
@@ -380,7 +343,7 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
             best = (f_exact, t, converged)
 
     value, t_best, converged = best
-    xs = tuple(hermitize(x) for x in fs.x_mats(t_best))
+    xs = tuple(hermitize(fs.x_mats(t_best)))
     zs = z_matrix(problem.rho, np.stack(xs))
     value = holevo_objective(problem.weight, zs)
     v0 = recover_v0(problem.weight, zs)
@@ -389,8 +352,8 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     gap = obj.value(t_best, eps_final) - value if fs.m else 0.0
     v0_spread = 0.0
     if len(runs) > 1:
-        v0s = [recover_v0(problem.weight, z_matrix(problem.rho, np.stack(
-            [hermitize(x) for x in fs.x_mats(t)]))) for _, t, _ in runs]
+        v0s = [recover_v0(problem.weight, z_matrix(problem.rho, hermitize(fs.x_mats(t))))
+               for _, t, _ in runs]
         vals = [r[0] for r in runs]
         vmin = min(vals)
         near = [v for v, val in zip(v0s, vals) if val <= vmin + 1e-6 * max(1.0, abs(vmin))]
@@ -407,7 +370,7 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
         "starts": len(starts),
         "v0_spread": v0_spread,
         "converged": converged,
-        "helstrom_value": float(np.trace(g @ np.linalg.inv(hmat)).real),
+        "helstrom_value": float(np.trace(g @ hinv)),
     }
 
     solution = HolevoSolution(value=value, x_star=xs, z_star=zs, v0=v0,
@@ -475,19 +438,13 @@ def full_model_collection(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
         raise RankDeficiencyError(
             f"full model needs a nonsingular state (eigenvalue {w[0]:.3e})",
             eigenvalue=float(w[0]))
-    d = rho.shape[0]
-    tbasis = traceless_hermitian_basis(d)
-    derivs = [t / np.sqrt(2.0) for t in tbasis]
-    basis = hermitian_basis(d)
-    rows = [np.array([np.trace(b @ dr).real for b in basis]) for dr in derivs]
-    rows.append(np.array([np.trace(b @ rho).real for b in basis]))
-    amat = np.vstack(rows)
+    basis = hermitian_basis(rho.shape[0])
+    derivs = basis[1:] / np.sqrt(2.0)        # the traceless part of the basis
+    amat = _coords(basis, np.concatenate([derivs, rho[None]]))
     q = len(derivs)
     rhs = np.vstack([np.eye(q), np.zeros((1, q))])
-    coords = np.linalg.solve(amat, rhs)
-    stack = np.stack(basis)
-    ys = [np.einsum("a,acd->cd", coords[:, j], stack) for j in range(q)]
-    return ys, z_matrix(rho, np.stack(ys))
+    ys = np.einsum("aj,acd->jcd", np.linalg.solve(amat, rhs), basis)
+    return list(ys), z_matrix(rho, ys)
 
 
 def full_model_z(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
@@ -527,35 +484,30 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
     q = d * d - 1
 
     basis = hermitian_basis(d)
-    stack = np.stack(basis)
-    rvec = np.array([np.trace(b @ rho).real for b in basis])
+    rvec = _coords(basis, rho)
     # euclidean-orthonormal basis of {A : trace(rho A) = 0}
     _, _, vt = np.linalg.svd(rvec[None, :])
     lcols = vt[1:].T                                        # (d^2, q)
-    lmats = np.einsum("am,acd->mcd", lcols, stack)
+    lmats = np.einsum("am,acd->mcd", lcols, basis)
     gram = np.einsum("ab,mbc,nca->mn", rho, lmats, lmats).real
     gram = 0.5 * (gram + gram.T)
-    xcoords = np.array([[np.trace(b @ x).real for b in basis] for x in xs]) @ lcols
+    xcoords = _coords(basis, np.stack(xs)) @ lcols
     # nu basis: orthocomplement of span{X*} under <A,B> = Re trace(rho A B)
     _, s, vt = np.linalg.svd(xcoords @ gram)
     rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
     ncols = vt[rank:].T                                     # (q, q - p)
     nmats = np.einsum("qm,qcd->mcd", ncols, lmats)
 
-    rows = [np.array([np.trace(b @ dr).real for b in basis]) for dr in drho]
-    for nu in nmats:
-        smat = hermitize(rho @ nu + nu @ rho) * 0.5
-        rows.append(np.array([np.trace(b @ smat).real for b in basis]))
-    rows.append(rvec)
-    amat = np.vstack(rows)                                  # (d^2, d^2)
+    smats = hermitize(rho @ nmats + nmats @ rho) * 0.5
+    amat = np.vstack([_coords(basis, np.asarray(drho)), _coords(basis, smats),
+                      rvec])                                # (d^2, d^2)
     rhs = np.vstack([np.eye(q), np.zeros((1, q))])
-    coords = np.linalg.solve(amat, rhs)
-    ys = [np.einsum("a,acd->cd", coords[:, j], stack) for j in range(q)]
+    ys = np.einsum("aj,acd->jcd", np.linalg.solve(amat, rhs), basis)
     lead_err = max(float(np.max(np.abs(ys[j] - xs[j]))) for j in range(p))
     if lead_err > 1e3 * numerics.constraint_tol:
         raise NumericalError(
             f"leading block of the full collection differs from X* by {lead_err:.3e}")
-    z_full = z_matrix(rho, np.stack(ys))
+    z_full = z_matrix(rho, ys)
 
     v_ext = np.zeros((q, q))
     v_ext[:p, :p] = v

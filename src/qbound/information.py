@@ -1,11 +1,11 @@
 """Quantum and classical information matrices.
 
 Symmetric logarithmic derivatives (SLDs) solve the Lyapunov-type equation
-rho L_i + L_i rho = 2 drho_i.  The equation is converted to a real
-d^2 x d^2 linear system in an orthonormal Hermitian operator basis, which
-is exact and cheap at the dimensions supported here.  For pure families
-rho^2 = rho makes L_i = 2 drho_i a valid solution, and that shortcut is
-used instead of pseudo-inverting a singular Lyapunov map.
+rho L_i + L_i rho = 2 drho_i.  In the eigenbasis rho = sum_m lambda_m |m><m|
+the solution is L_i = sum 2 <m|drho_i|n> / (lambda_m + lambda_n) |m><n|
+(Paris, Int. J. Quantum Inf. 7, 125 (2009)), with the entries where
+lambda_m + lambda_n vanishes set to zero.  The same expression covers mixed
+and pure states; on a pure state it reduces to L_i = 2 drho_i.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import IrregularModelError, RankDeficiencyError
-from .linalg import hermitian_basis, hermitize
+from .linalg import hermitize
 from .models import ParametricModel, Povm, born_distribution
 
 
@@ -38,60 +38,38 @@ class InfoMatrix:
 
 
 def sld(model: ParametricModel, theta, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """Symmetric logarithmic derivatives lambda_i at theta.
+    """Symmetric logarithmic derivatives lambda_i at theta, shape (p, d, d).
 
     Raises RankDeficiencyError when rho is numerically singular and the
     family is not pure.
     """
     rho = model.state(theta)
-    drho = model.derivs(theta)
-    if model.is_pure:
-        return [2.0 * dr for dr in drho]
-    w = np.linalg.eigvalsh(rho)
-    if w[0] <= numerics.rank_tol:
+    drho = np.asarray(model.derivs(theta), dtype=complex)
+    w, v = np.linalg.eigh(rho)
+    if w[0] <= numerics.rank_tol and not model.is_pure:
         raise RankDeficiencyError(
             f"state is singular (eigenvalue {w[0]:.3e} <= {numerics.rank_tol:g}); "
             "SLDs are only computed for nonsingular or pure models",
             eigenvalue=float(w[0]))
-    basis = hermitian_basis(model.dim)
-    n = len(basis)
-    # M_ab = trace(rho {B_a, B_b}), right-hand side 2 trace(B_a drho_i)
-    rb = [rho @ b for b in basis]
-    m = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            val = np.trace(rb[a] @ basis[b] + rb[b] @ basis[a]).real
-            m[a, b] = m[b, a] = val
-    out = []
-    for dr in drho:
-        rhs = 2.0 * np.array([np.trace(b @ dr).real for b in basis])
-        x = np.linalg.solve(m, rhs)
-        lam = np.zeros_like(rho)
-        for coeff, b in zip(x, basis):
-            lam = lam + coeff * b
-        out.append(hermitize(lam))
-    return out
+    denom = w[:, None] + w[None, :]
+    scale = np.where(denom > numerics.rank_tol,
+                     2.0 / np.maximum(denom, numerics.rank_tol), 0.0)
+    vh = v.conj().T
+    return hermitize(v @ (scale * (vh @ drho @ v)) @ vh)
 
 
 def sld_residual(rho, drho, lams):
     """max-entry residual of rho L + L rho - 2 drho over the collection."""
-    res = 0.0
-    for dr, lam in zip(drho, lams):
-        res = max(res, float(np.max(np.abs(rho @ lam + lam @ rho - 2.0 * dr))))
-    return res
+    lams = np.asarray(lams)
+    return float(np.max(np.abs(rho @ lams + lams @ rho - 2.0 * np.asarray(drho))))
 
 
 def helstrom_matrix(model: ParametricModel, theta,
                     numerics: NumericsConfig = DEFAULT_NUMERICS) -> InfoMatrix:
     """Helstrom quantum information matrix H_ij = Re trace(rho L_i L_j)."""
-    rho = model.state(theta)
     lams = sld(model, theta, numerics)
-    p = len(lams)
-    h = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            h[i, j] = h[j, i] = np.trace(rho @ lams[i] @ lams[j]).real
-    return InfoMatrix(h, "helstrom")
+    return InfoMatrix(np.einsum("ab,ibc,jca->ij", model.state(theta), lams, lams).real,
+                      "helstrom")
 
 
 def classical_fisher(probs, dprobs, numerics: NumericsConfig = DEFAULT_NUMERICS):

@@ -15,9 +15,9 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def hermitize(a):
-    """Project onto the Hermitian part, (A + A^H)/2."""
+    """Project onto the Hermitian part, (A + A^H)/2, of a matrix or a stack."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def is_hermitian(a, tol=DEFAULT_NUMERICS.hermitian_tol):
@@ -47,12 +47,6 @@ def psd_sqrt(a):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def hermitian_abs(a):
-    """|A| of a Hermitian matrix: eigenvalues replaced by absolute values."""
-    w, v = np.linalg.eigh(hermitize(a))
-    return (v * np.abs(w)) @ v.conj().T
-
-
 def sym_sqrt_and_inv_sqrt(g, eig_floor=DEFAULT_NUMERICS.weight_eig_floor):
     """(G^{1/2}, G^{-1/2}) for a real symmetric positive-definite matrix."""
     g = np.asarray(g, dtype=float)
@@ -63,14 +57,14 @@ def sym_sqrt_and_inv_sqrt(g, eig_floor=DEFAULT_NUMERICS.weight_eig_floor):
 
 
 def hermitian_basis(d):
-    """Orthonormal basis of d x d Hermitian matrices under trace(AB).
+    """Orthonormal basis of d x d Hermitian matrices under trace(AB), stacked
+    as a (d^2, d, d) array.
 
     Ordering: identity/sqrt(d), then the generalized Gell-Mann family
     (symmetric pairs, antisymmetric pairs, diagonal).
     """
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    mats.extend(traceless_hermitian_basis(d))
-    return mats
+    return np.stack([np.eye(d, dtype=complex) / np.sqrt(d)]
+                    + traceless_hermitian_basis(d))
 
 
 def traceless_hermitian_basis(d):
@@ -91,18 +85,6 @@ def traceless_hermitian_basis(d):
         diag[k] = -k
         mats.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
     return mats
-
-
-def vectorize(a, basis):
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    return np.array([np.trace(b @ a).real for b in basis])
-
-
-def unvectorize(x, basis):
-    out = np.zeros_like(basis[0])
-    for coeff, b in zip(x, basis):
-        out = out + coeff * b
-    return out
 
 
 def haar_unitary(d, rng):

@@ -148,6 +148,15 @@ def _sample_from_probs(probs, u):
     return np.searchsorted(cum, u, side="right").clip(0, probs.size - 1)
 
 
+def _sample_in_bases(rho, bases, idx, u):
+    """Outcomes of copies measured in bases[idx], from uniforms u."""
+    outcomes = np.empty(idx.size, dtype=np.int64)
+    for k in range(len(bases)):
+        mask = idx == k
+        outcomes[mask] = _sample_from_probs(_basis_probs(rho, bases[k]), u[mask])
+    return outcomes
+
+
 def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
                     n_copies, seed=0) -> SampleData:
     """i.i.d. Born sampling of a scheme; reproducible for a fixed seed."""
@@ -159,12 +168,8 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
 
     if scheme.kind in ("fixed_basis", "alternating_bases"):
         bases = np.stack(scheme.bases)
-        idx = np.arange(n_copies) % len(scheme.bases)
-        u = rng.random(n_copies)
-        outcomes = np.empty(n_copies, dtype=np.int64)
-        for k in range(len(scheme.bases)):
-            mask = idx == k
-            outcomes[mask] = _sample_from_probs(_basis_probs(rho, bases[k]), u[mask])
+        idx = np.arange(n_copies) % len(bases)
+        outcomes = _sample_in_bases(rho, bases, idx, rng.random(n_copies))
         return SampleData(bases, idx, outcomes, n_copies, scheme.kind)
 
     if scheme.kind == "random_basis_covariant":
@@ -183,23 +188,15 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
             n1 = n_copies - 1
         u = rng.random(n_copies)  # drawn up front: stage split cannot peek ahead
         stage1 = np.stack(scheme.bases)
-        k1 = len(scheme.bases)
+        k1 = len(stage1)
         idx1 = np.arange(n1) % k1
-        out1 = np.empty(n1, dtype=np.int64)
-        for k in range(k1):
-            mask = idx1 == k
-            out1[mask] = _sample_from_probs(_basis_probs(rho, stage1[k]), u[:n1][mask])
+        out1 = _sample_in_bases(rho, stage1, idx1, u[:n1])
         first = SampleData(stage1, idx1, out1, n1, "alternating_bases")
-        theta1 = mle_estimate(first, model).theta
-        stage2 = adapted_bases(model, theta1)
-        k2 = len(stage2)
-        idx2 = k1 + np.arange(n_copies - n1) % k2
-        out2 = np.empty(n_copies - n1, dtype=np.int64)
-        for k in range(k2):
-            mask = idx2 == k1 + k
-            out2[mask] = _sample_from_probs(_basis_probs(rho, stage2[k]), u[n1:][mask])
-        bases = np.concatenate([stage1, np.stack(stage2)])
-        return SampleData(bases, np.concatenate([idx1, idx2]),
+        stage2 = np.stack(adapted_bases(model, mle_estimate(first, model).theta))
+        idx2 = np.arange(n_copies - n1) % len(stage2)
+        out2 = _sample_in_bases(rho, stage2, idx2, u[n1:])
+        bases = np.concatenate([stage1, stage2])
+        return SampleData(bases, np.concatenate([idx1, k1 + idx2]),
                           np.concatenate([out1, out2]), n_copies,
                           scheme.kind, stage1_bases=k1, stage1_copies=n1)
 
@@ -251,21 +248,26 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
     return _mle_affine(vecs, model, tol, max_iters)
 
 
-def _mle_affine(vecs, model, tol, max_iters):
-    rho0, bmats = model.rho0, model.basis
-    a = np.einsum("ni,ij,nj->n", vecs.conj(), rho0, vecs).real
+def _affine_probs(vecs, model):
+    """(a, b) with outcome probabilities a + b @ theta in an affine family."""
+    a = np.einsum("ni,ij,nj->n", vecs.conj(), model.rho0, vecs).real
     b = np.stack([np.einsum("ni,ij,nj->n", vecs.conj(), bm, vecs).real
-                  for bm in bmats], axis=1)
+                  for bm in model.basis], axis=1)
+    return a, b
+
+
+def _affine_loglik(a, b, theta):
+    p = a + b @ theta
+    if np.any(p <= 0.0):
+        return -np.inf
+    return float(np.sum(np.log(p)))
+
+
+def _mle_affine(vecs, model, tol, max_iters):
+    a, b = _affine_probs(vecs, model)
     dom = model.domain
     theta = dom.reference_point.copy()
-
-    def loglik(t):
-        p = a + b @ t
-        if np.any(p <= 0.0):
-            return -np.inf
-        return float(np.sum(np.log(p)))
-
-    f = loglik(theta)
+    f = _affine_loglik(a, b, theta)
     step = 1.0
     converged = False
     for _ in range(max_iters):
@@ -275,7 +277,7 @@ def _mle_affine(vecs, model, tol, max_iters):
         moved = False
         while step > 1e-14:
             cand = dom.project(theta + step * grad)
-            fc = loglik(cand)
+            fc = _affine_loglik(a, b, cand)
             if fc > f + 1e-12:
                 theta, f = cand, fc
                 step = min(step * 1.8, 1e3)
@@ -376,18 +378,8 @@ def _chart_loglik(data, model):
             return float(np.sum(np.log(np.clip(p, 1e-300, None))))
 
         return loglik
-    rho0, bmats = model.rho0, model.basis
-    a = np.einsum("ni,ij,nj->n", vecs.conj(), rho0, vecs).real
-    b = np.stack([np.einsum("ni,ij,nj->n", vecs.conj(), bm, vecs).real
-                  for bm in bmats], axis=1)
-
-    def loglik(theta):
-        p = a + b @ theta
-        if np.any(p <= 0.0):
-            return -np.inf
-        return float(np.sum(np.log(p)))
-
-    return loglik
+    a, b = _affine_probs(vecs, model)
+    return lambda theta: _affine_loglik(a, b, theta)
 
 
 def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
@@ -516,17 +508,13 @@ def _prior_descriptor(prior: Prior):
     return prior_to_spec(prior)
 
 
-def _prior_from_descriptor(desc):
-    return prior_from_spec(desc)
-
-
 def _run_trials(payload):
     model = model_from_spec(payload["model_spec"])
-    prior = _prior_from_descriptor(payload["prior"])
+    prior = prior_from_spec(payload["prior"])
     scheme = MeasurementScheme(payload["scheme_kind"],
                                tuple(payload["scheme_bases"]),
                                payload["first_fraction"])
-    est_prior = _prior_from_descriptor(payload["estimator_prior"]) \
+    est_prior = prior_from_spec(payload["estimator_prior"]) \
         if payload["estimator_prior"] else None
     estimator = Estimator(payload["estimator_kind"], prior=est_prior,
                           options=payload["estimator_options"])

@@ -37,7 +37,7 @@ def _alternating_info_fn(model):
 
 
 class TestPriors:
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bump_mass_and_boundary(self, p):
         prior = bump_prior(p, 0.8)
         grid = _BallGrid(p, 0.8, 24, 24)
@@ -64,6 +64,17 @@ class TestPriors:
         er_mc = np.mean(np.linalg.norm(samples, axis=1))
         er_quad = prior_expectation(lambda t: np.linalg.norm(t), prior, QUICK)
         assert er_mc == pytest.approx(er_quad, abs=3 * 0.2 / np.sqrt(4000))
+
+    def test_zero_density_sampling_raises(self):
+        # the rejection loop is bounded: a density that is zero on the
+        # envelope raises instead of never returning
+        from qbound import Domain, Prior
+        prior = Prior(Domain("ball", radius=0.5, dim=2), lambda t: 0.0,
+                      lambda t: np.zeros(2))
+        with pytest.raises(NumericalError, match="rejection sampling"):
+            prior.sample(np.random.default_rng(0))
+        with pytest.raises(NumericalError, match="rejection sampling"):
+            prior.sample(np.random.default_rng(0), 5)
 
     def test_uniform_ball_fails_boundary_check(self):
         ok, worst = check_boundary_zero(uniform_ball_prior(2, 0.8))
@@ -224,11 +235,14 @@ class TestSerialization:
         assert np.allclose(again.g0(theta), loss.g0(theta))
 
     def test_solver_options_roundtrip(self):
-        opts = SolverOptions(seed=3, multistart=4, grad_mode="fd")
+        opts = SolverOptions(seed=3, multistart=4, perturb_scale=0.5)
         again = SolverOptions.from_dict(opts.to_dict())
         assert again == opts
         with pytest.raises(ValueError, match="unknown"):
             SolverOptions.from_dict({"seed": 1, "bogus": 2})
+        # the finite-difference gradient mode is gone: its key is unknown
+        with pytest.raises(ValueError, match="unknown"):
+            SolverOptions.from_dict({"grad_mode": "fd"})
 
     def test_quadrature_workers_match_serial(self, all_models):
         model = all_models["bloch_equatorial"]

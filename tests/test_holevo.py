@@ -184,13 +184,31 @@ class TestSolver:
         with pytest.raises(RankDeficiencyError):
             solve_holevo(model, [0.0, 0.0], np.eye(2))
 
-    def test_fd_gradient_mode_agrees(self, all_models):
+    def test_empty_null_space_runs_one_start(self, all_models):
+        # bloch_full has a single feasible X: perturbed starts would repeat it
+        model = all_models["bloch_full"]
+        theta = np.array([0.1, -0.3, 0.4])
+        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta),
+                           SolverOptions(multistart=3))
+        assert sol.diagnostics["null_dim"] == 0
+        assert sol.diagnostics["starts"] == 1
+
+    def test_one_sld_call_per_solve(self, all_models, monkeypatch):
+        import qbound.holevo
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sld(*args, **kwargs)
+
+        monkeypatch.setattr(qbound.holevo, "sld", counted)
         model = all_models["bloch_equatorial"]
-        theta = np.array([0.3, 0.0])
+        theta = np.array([0.3, 0.1])
         g = quarter_helstrom_weight(model, theta)
-        a = solve_holevo(model, theta, g, SolverOptions(grad_mode="analytic"))
-        b = solve_holevo(model, theta, g, SolverOptions(grad_mode="fd"))
-        assert a.value == pytest.approx(b.value, abs=1e-6)
+        cold = solve_holevo(model, theta, g)
+        assert len(calls) == 1
+        solve_holevo(model, theta, g, SolverOptions(x_warm=cold.x_star))
+        assert len(calls) == 2
 
     def test_analytic_gradient_matches_fd(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -201,8 +219,20 @@ class TestSolver:
         t = rng.standard_normal(fs.p * fs.m)
         for eps in (1e-2, 1e-5):
             _, ga = obj.value_and_grad(t, eps)
-            _, gf = obj.fd_grad(t, eps, 1e-7)
+            gf = _fd_grad(obj, t, eps, 1e-7)
             assert np.max(np.abs(ga - gf)) < 1e-6
+
+
+def _fd_grad(obj, t, eps, step):
+    """Forward-difference gradient of the smoothed objective (reference)."""
+    f0 = obj.value(t, eps)
+    grad = np.zeros_like(t)
+    for i in range(t.size):
+        tp = t.copy()
+        h = step * max(1.0, abs(t[i]))
+        tp[i] += h
+        grad[i] = (obj.value(tp, eps) - f0) / h
+    return grad
 
 
 def _nelder_mead(fn, x0, iters=4000, scale=0.5):

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
-from qbound import (IrregularModelError, RankDeficiencyError, affine_model,
-                    basis_povm, classical_fisher, fidelity, helstrom_matrix,
-                    pauli_basis_povm, povm_fisher, sld, sld_residual)
-from qbound.linalg import PAULIS, PAULI_Z, haar_unitary
+from qbound import (Domain, IrregularModelError, RankDeficiencyError,
+                    affine_model, basis_povm, classical_fisher, fidelity,
+                    helstrom_matrix, pauli_basis_povm, povm_fisher,
+                    pure_state_model, sld, sld_residual)
+from qbound.linalg import PAULIS, PAULI_Z, haar_unitary, random_hermitian
 
 from conftest import interior_points
+
+
+def _random_mixed_affine(d, rng):
+    """Affine family through a random full-rank state, with d^2 - 1 random
+    traceless directions scaled to keep the unit-radius domain mixed."""
+    w = rng.uniform(0.5, 1.0, d)
+    u = haar_unitary(d, rng)
+    rho0 = (u * (w / w.sum())) @ u.conj().T
+    basis = [random_hermitian(d, rng, traceless=True) for _ in range(d * d - 1)]
+    scale = 0.5 * np.min(w / w.sum()) / sum(np.linalg.norm(b, 2) for b in basis)
+    return affine_model(rho0, [scale * b for b in basis],
+                        Domain("ball", radius=1.0, dim=d * d - 1))
 
 
 class TestSld:
@@ -23,7 +36,8 @@ class TestSld:
         assert sld_residual(model.state(theta), model.derivs(theta), lams) < 1e-10
 
     def test_pure_state_shortcut(self, all_models):
-        # L = 2 drho solves the SLD equation when rho^2 = rho
+        # L = 2 drho solves the SLD equation when rho^2 = rho, and the
+        # eigenbasis formula reduces to it on pure states
         model = all_models["pure_qubit"]
         theta = [0.3, -0.2]
         lams = sld(model, theta)
@@ -34,7 +48,9 @@ class TestSld:
 
     def test_residuals_everywhere(self, all_models):
         rng = np.random.default_rng(0)
-        for model in all_models.values():
+        models = list(all_models.values()) + [pure_state_model(4),
+                                               _random_mixed_affine(3, rng)]
+        for model in models:
             for theta in interior_points(model, 10, rng):
                 lams = sld(model, theta)
                 assert sld_residual(model.state(theta), model.derivs(theta), lams) < 1e-8
