@@ -93,11 +93,17 @@ def _radial_mass(p, r0, radial_fn, n=128):
     return float(np.sum(wr * surf * r ** (p - 1) * vals))
 
 
+def _check_radius(r0):
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"prior radius must be positive and finite, got {r0}")
+
+
 def bump_prior(p, r0=0.9):
     """pi(theta) proportional to (1 - (|theta|/r0)^2)^2 on |theta| <= r0.
 
     Smooth, zero on the boundary, with analytic gradient.
     """
+    _check_radius(r0)
     mass = _radial_mass(p, r0, lambda u: (1.0 - u * u) ** 2)
     c = 1.0 / mass
 
@@ -118,6 +124,7 @@ def bump_prior(p, r0=0.9):
 
 def uniform_ball_prior(p, r0=1.0):
     """Uniform density on the ball; not boundary-zero (taper before use)."""
+    _check_radius(r0)
     c = 1.0 / _ball_volume(p, r0)
     return Prior(Domain("ball", radius=r0, dim=p),
                  lambda theta: c, lambda theta: np.zeros(p),
@@ -278,6 +285,8 @@ class _BallGrid:
     """
 
     def __init__(self, p, r0, n_radial, n_angular):
+        if n_radial < 1 or n_angular < 1:
+            raise ValueError("grids need n_radial >= 1 and n_angular >= 1")
         self.p, self.r0 = p, r0
         self.n_radial, self.n_angular = n_radial, n_angular
         xr, wr = np.polynomial.legendre.leggauss(n_radial)

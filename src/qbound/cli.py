@@ -160,9 +160,7 @@ def cmd_holevo(args):
     model = _parse_model(args)
     theta = _parse_theta(args.theta, model.num_params)
     g = _parse_weight(args.weight, model, theta)
-    opts = SolverOptions(seed=args.seed, max_iters=args.max_iters,
-                         multistart=args.multistart)
-    sol = solve_holevo(model, theta, g, opts)
+    sol = solve_holevo(model, theta, g, SolverOptions(max_iters=args.max_iters))
     k0, dual_value = dual_bound(sol, g)
     _emit({"theta": theta.tolist(), "value": sol.value, "weight": _matrix(g),
            "V0": _matrix(sol.v0), "K0": _matrix(k0), "dual_value": dual_value,
@@ -177,8 +175,7 @@ def cmd_bayes(args):
     loss = fidelity_loss(model)
     quad = QuadratureOptions(n_radial=args.n_radial, n_angular=args.n_angular,
                              levels=args.levels, workers=args.workers)
-    res = integrated_holevo(model, loss, prior, quad,
-                            SolverOptions(seed=args.seed))
+    res = integrated_holevo(model, loss, prior, quad)
     payload = res.to_dict()
     payload.update({"model": model.family, "prior": args.prior})
     _emit(payload, args)
@@ -194,19 +191,15 @@ def cmd_simulate(args):
         n_list = [int(x) for x in args.n_copies.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse --n-copies {args.n_copies!r}")
+    risks = [bayes_risk_mc(model, prior, scheme, estimator, n, args.trials,
+                           seed=args.seed, workers=args.workers) for n in n_list]
     bound = integrated_holevo(
         model, fidelity_loss(model), prior,
-        QuadratureOptions(n_radial=8, n_angular=12, levels=2),
-        SolverOptions(seed=args.seed)).value
-    rows = []
-    for n in n_list:
-        r = bayes_risk_mc(model, prior, scheme, estimator, n, args.trials,
-                          seed=args.seed, workers=args.workers)
-        rows.append({"family": model.family, "scheme": scheme.kind,
-                     "estimator": estimator.kind, "N": n,
-                     "trials": r.trials, "value": r.value,
-                     "std_error": r.std_error, "bound": bound,
-                     "slack": r.value - bound})
+        QuadratureOptions(n_radial=8, n_angular=12, levels=2)).value
+    rows = [{"family": model.family, "scheme": scheme.kind,
+             "estimator": estimator.kind, "N": n, "trials": r.trials,
+             "value": r.value, "std_error": r.std_error, "bound": bound,
+             "slack": r.value - bound} for n, r in zip(n_list, risks)]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -228,30 +221,27 @@ def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
     bf = builtin_model("bloch_full")
     for r in (0.0, 0.5, 0.8):
         theta = np.array([0.0, 0.0, r])
-        sol = solve_holevo(bf, theta, quarter_helstrom_weight(bf, theta),
-                           SolverOptions(seed=seed))
+        sol = solve_holevo(bf, theta, quarter_helstrom_weight(bf, theta))
         rows.append((f"full-qubit C_{{H/4}} at r={r}", (3 + 2 * r) / 4, sol.value,
                      closed_tol))
 
     eq = builtin_model("bloch_equatorial")
     for theta in (np.array([0.3, 0.0]), np.array([0.35, -0.45])):
-        sol = solve_holevo(eq, theta, quarter_helstrom_weight(eq, theta),
-                           SolverOptions(seed=seed))
+        sol = solve_holevo(eq, theta, quarter_helstrom_weight(eq, theta))
         rows.append((f"equatorial C_{{H/4}} at {theta.tolist()}", 0.5, sol.value,
                      closed_tol))
 
     for d, theta in ((2, np.array([0.3, -0.2])), (3, np.array([0.2, 0.1, -0.15, 0.25]))):
         model = builtin_model("pure_qubit") if d == 2 else builtin_model("pure_dim_d", dim=3)
-        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta),
-                           SolverOptions(seed=seed))
+        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
         rows.append((f"pure d={d} C_{{H/4}}", d - 1, sol.value, closed_tol))
 
     theta = np.array([0.3, 0.0])
     g = quarter_helstrom_weight(eq, theta)
-    sol = solve_holevo(eq, theta, g, SolverOptions(seed=seed))
+    sol = solve_holevo(eq, theta, g)
     k0, ck = dual_bound(sol, g)
     i0 = np.linalg.inv(sol.v0)
-    resolved = solve_holevo(eq, theta, i0 @ k0 @ i0, SolverOptions(seed=seed))
+    resolved = solve_holevo(eq, theta, i0 @ k0 @ i0)
     rows.append(("dual roundtrip equatorial |C^K - C_G'|", 0.0,
                  abs(ck - resolved.value), 1e-5))
 
@@ -282,8 +272,7 @@ def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
 
     prior = bump_prior(3, 0.9)
     quad = QuadratureOptions(n_radial=8, n_angular=8, levels=2)
-    res = integrated_holevo(bf, fidelity_loss(bf), prior, quad,
-                            SolverOptions(seed=seed))
+    res = integrated_holevo(bf, fidelity_loss(bf), prior, quad)
     er = prior_expectation(lambda t: float(np.linalg.norm(t)), prior, quad)
     rows.append(("integrated bound full qubit vs (3+2E|theta|)/4",
                  (3 + 2 * er) / 4, res.value, max(2 * res.error_estimate, 1e-8)))
@@ -333,7 +322,6 @@ def build_parser():
     p.add_argument("--weight", default="helstrom_quarter",
                    help="helstrom_quarter | identity | file:W.json")
     p.add_argument("--max-iters", type=int, default=600)
-    p.add_argument("--multistart", type=int, default=2)
     p.set_defaults(func=cmd_holevo)
 
     p = sub.add_parser("bayes", help="integrated Holevo bound over a prior")

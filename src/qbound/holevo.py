@@ -15,9 +15,11 @@ Solver design:
 - the affine constraints are solved once; the optimization runs in
   unconstrained null-space coordinates, so every iterate is exactly feasible;
 - the SLDs L_k are computed once per solve; they give both the Helstrom
-  matrix H = Re Z(L) and the initialization X_j = sum_k (H^-1)_jk L_k,
-  which is feasible and optimal in quasi-classical cases, plus seeded
-  random multistarts when the null space is not empty;
+  matrix H = Re Z(L) and the start X_j = sum_k (H^-1)_jk L_k, which is
+  feasible and optimal in quasi-classical cases;
+- the problem is convex (it is a semidefinite program), so a local minimum
+  is the global one and each solve descends once, from that start or from
+  a given warm start;
 - the nonsmooth trace-abs term is smoothed, trace|A| -> trace sqrt(A^2+eps),
   with eps continuation 1e-2 -> 1e-10; each stage is minimized by gradient
   descent with Armijo backtracking, with the analytic gradient below (the
@@ -77,28 +79,26 @@ class HolevoProblem:
 
 @dataclass
 class SolverOptions:
-    """Options for :func:`solve_holevo`; serializable via ``to_dict``."""
+    """Options for :func:`solve_holevo`; serializable via ``to_dict``.
 
-    seed: int = 0
+    Every solve descends once, from ``x_warm`` when it is given and from
+    the SLD collection otherwise; the problem is convex, so no restarts.
+    """
+
+    seed: int = 0                     # no effect; accepted for old callers
     max_iters: int = 600              # per smoothing stage
-    multistart: int = 2               # SLD start + (multistart-1) perturbations
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     stage_rtol: float = 1e-9          # relative change over 5 iters ends a stage
-    perturb_scale: float = 0.3
     x_warm: Optional[Sequence[np.ndarray]] = None  # warm-start X collection
 
     def to_dict(self):
-        return {"seed": self.seed, "max_iters": self.max_iters,
-                "multistart": self.multistart,
+        return {"max_iters": self.max_iters,
                 "eps_schedule": list(self.eps_schedule),
-                "stage_rtol": self.stage_rtol,
-                "perturb_scale": self.perturb_scale}
+                "stage_rtol": self.stage_rtol}
 
     @classmethod
     def from_dict(cls, obj):
-        allowed = {"seed", "max_iters", "multistart", "eps_schedule",
-                   "stage_rtol", "perturb_scale"}
-        unknown = set(obj) - allowed
+        unknown = set(obj) - {"max_iters", "eps_schedule", "stage_rtol"}
         if unknown:
             raise ValueError(f"unknown solver option keys: {sorted(unknown)}")
         obj = dict(obj)
@@ -132,12 +132,19 @@ def z_matrix(rho, xs):
     return np.einsum("ab,ibc,jca->ij", rho, xs, xs)
 
 
+def _value_and_v0(gh, ghinv, z):
+    """(objective value, V0) at Z from one eigendecomposition of
+    i Im(G^1/2 Z G^1/2), given G^1/2 and G^-1/2."""
+    m = gh @ np.asarray(z, dtype=complex) @ gh
+    w, v = np.linalg.eigh(1j * m.imag)
+    abs_im = ((v * np.abs(w)) @ v.conj().T).real
+    v0 = ghinv @ (m.real + abs_im) @ ghinv
+    return float(np.trace(m).real + np.sum(np.abs(w))), 0.5 * (v0 + v0.T)
+
+
 def holevo_objective(g, z):
     """trace Re(G^1/2 Z G^1/2) + trace abs Im(G^1/2 Z G^1/2)."""
-    gh, _ = sym_sqrt_and_inv_sqrt(g)
-    m = gh @ np.asarray(z, dtype=complex) @ gh
-    w = np.linalg.eigvalsh(1j * m.imag)
-    return float(np.trace(m).real + np.sum(np.abs(w)))
+    return _value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[0]
 
 
 def recover_v0(g, z):
@@ -146,13 +153,7 @@ def recover_v0(g, z):
     V0 = G^{-1/2}(Re(G^{1/2} Z G^{1/2}) + abs Im(G^{1/2} Z G^{1/2}))G^{-1/2};
     trace(G V0) equals the objective value at Z.
     """
-    gh, ghinv = sym_sqrt_and_inv_sqrt(g)
-    m = gh @ np.asarray(z, dtype=complex) @ gh
-    s = 1j * m.imag
-    w, v = np.linalg.eigh(s)
-    abs_im = ((v * np.abs(w)) @ v.conj().T).real
-    v0 = ghinv @ (m.real + abs_im) @ ghinv
-    return 0.5 * (v0 + v0.T)
+    return _value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[1]
 
 
 def constraint_residual(drho, xs):
@@ -222,7 +223,7 @@ class _SmoothedObjective:
     def __init__(self, fs: _FeasibleSet, g):
         self.fs = fs
         self.g = g
-        self.gh, _ = sym_sqrt_and_inv_sqrt(g)
+        self.gh, self.ghinv = sym_sqrt_and_inv_sqrt(g)   # once per solve
 
     def z_of(self, t):
         xs = self.fs.x_mats(t)
@@ -233,10 +234,6 @@ class _SmoothedObjective:
         m = self.gh @ z @ self.gh
         w = np.linalg.eigvalsh(1j * m.imag)
         return float(np.trace(m).real + np.sum(np.sqrt(w * w + eps)))
-
-    def value_exact(self, t):
-        z, _ = self.z_of(t)
-        return holevo_objective(self.g, z)
 
     def value_and_grad(self, t, eps):
         z, xs = self.z_of(t)
@@ -313,53 +310,26 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     obj = _SmoothedObjective(fs, problem.weight)
 
     if opts.x_warm is not None:
-        starts = [fs.coords(opts.x_warm)]
+        t_start = fs.coords(opts.x_warm)
     else:
-        t0 = fs.coords(hermitize(np.einsum("jk,kcd->jcd", hinv, lams)))
-        starts = [t0]
-        if fs.m:  # an empty null space has a single feasible point
-            rng = np.random.default_rng(opts.seed)
-            scale = opts.perturb_scale * (1.0 + float(np.linalg.norm(t0)) / max(1.0, np.sqrt(t0.size)))
-            for _ in range(max(0, opts.multistart - 1)):
-                starts.append(t0 + scale * rng.standard_normal(t0.size))
+        t_start = fs.coords(hermitize(np.einsum("jk,kcd->jcd", hinv, lams)))
 
-    best = None
-    runs = []
+    t = t_start
     total_iters = 0
-    for t_start in starts:
-        t = t_start.copy()
-        converged = True
-        if fs.m > 0:
-            for eps in opts.eps_schedule:
-                t, _, iters, ok = _minimize_stage(obj, t, eps, opts)
-                total_iters += iters
-                converged = converged and ok
-        f_exact = obj.value_exact(t)
-        f_start = obj.value_exact(t_start)
-        if f_start < f_exact:     # descent on the smoothed surrogate only
-            t, f_exact = t_start.copy(), f_start
-        runs.append((f_exact, t, converged))
-        if best is None or f_exact < best[0]:
-            best = (f_exact, t, converged)
-
-    value, t_best, converged = best
-    xs = tuple(hermitize(fs.x_mats(t_best)))
+    converged = True
+    if fs.m > 0:
+        for eps in opts.eps_schedule:
+            t, _, iters, ok = _minimize_stage(obj, t, eps, opts)
+            total_iters += iters
+            converged = converged and ok
+        if obj.value(t_start, 0.0) < obj.value(t, 0.0):
+            t = t_start   # descent on the smoothed surrogate only
+    xs = tuple(hermitize(fs.x_mats(t)))
     zs = z_matrix(problem.rho, np.stack(xs))
-    value = holevo_objective(problem.weight, zs)
-    v0 = recover_v0(problem.weight, zs)
+    value, v0 = _value_and_v0(obj.gh, obj.ghinv, zs)
 
     eps_final = opts.eps_schedule[-1] if fs.m else 0.0
-    gap = obj.value(t_best, eps_final) - value if fs.m else 0.0
-    v0_spread = 0.0
-    if len(runs) > 1:
-        v0s = [recover_v0(problem.weight, z_matrix(problem.rho, hermitize(fs.x_mats(t))))
-               for _, t, _ in runs]
-        vals = [r[0] for r in runs]
-        vmin = min(vals)
-        near = [v for v, val in zip(v0s, vals) if val <= vmin + 1e-6 * max(1.0, abs(vmin))]
-        for a in range(len(near)):
-            for b in range(a + 1, len(near)):
-                v0_spread = max(v0_spread, float(np.max(np.abs(near[a] - near[b]))))
+    gap = obj.value(t, eps_final) - value if fs.m else 0.0
 
     diagnostics = {
         "iterations": total_iters,
@@ -367,8 +337,6 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
         "constraint_residual": constraint_residual(problem.drho, xs),
         "gap_estimate": float(max(gap, 0.0)) + len(drho) * math.sqrt(eps_final or 0.0),
         "null_dim": fs.m * fs.p,
-        "starts": len(starts),
-        "v0_spread": v0_spread,
         "converged": converged,
         "helstrom_value": float(np.trace(g @ hinv)),
     }

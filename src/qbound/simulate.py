@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import Prior, prior_from_spec, prior_to_spec
+from .errors import NumericalError
 from .information import InfoMatrix, povm_fisher
 from .linalg import PAULIS, haar_unitaries
 from .models import (ParametricModel, basis_povm, fidelity, model_from_spec,
@@ -233,18 +234,19 @@ def _outcome_vectors(data: SampleData):
 
 
 def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
-                 max_iters=400, multistart=3, seed=0) -> MleResult:
+                 max_iters=400) -> MleResult:
     """Maximum likelihood estimate of theta from sampled outcomes.
 
     Affine families have a concave log-likelihood over the domain and use
     projected gradient ascent; pure families ascend on the amplitude sphere
-    (projected Riemannian gradient, 3 starts) and convert back to the chart.
-    A degenerate all-boundary likelihood sets the boundary flag instead of
-    raising.
+    (projected Riemannian gradient from the spectral start, the top
+    eigenvector of the summed outcome projectors) and convert back to the
+    chart.  A degenerate all-boundary likelihood sets the boundary flag
+    instead of raising.
     """
     vecs = _outcome_vectors(data)
     if model.is_pure:
-        return _mle_pure(vecs, model, tol, max_iters, multistart, seed)
+        return _mle_pure(vecs, model, tol, max_iters)
     return _mle_affine(vecs, model, tol, max_iters)
 
 
@@ -296,16 +298,12 @@ def _mle_affine(vecs, model, tol, max_iters):
     return MleResult(theta, boundary, converged, f)
 
 
-def _mle_pure(vecs, model, tol, max_iters, multistart, seed):
+def _mle_pure(vecs, model, tol, max_iters):
     d = model.dim
     arows = vecs.conj()
     gram = vecs.T.conj() @ vecs  # spectral start: top eigenvector of sum P_i
-    _, evecs = np.linalg.eigh(gram)
-    starts = [evecs[:, -1]]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, multistart - 1)):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append(z / np.linalg.norm(z))
+    start = np.linalg.eigh(gram)[1][:, -1]
+    start = start / np.linalg.norm(start)
 
     def loglik(phi):
         p = np.abs(arows @ phi) ** 2
@@ -313,17 +311,15 @@ def _mle_pure(vecs, model, tol, max_iters, multistart, seed):
             return -np.inf
         return float(np.sum(np.log(p)))
 
-    best = (-np.inf, starts[0] / np.linalg.norm(starts[0]), False)
-    for phi in starts:
-        phi = phi / np.linalg.norm(phi)
+    phi, f, converged = start, loglik(start), False
+    if not np.isfinite(f):  # an outcome orthogonal to the start
+        nudged = start + 1e-6 * np.ones(d)
+        phi = nudged / np.linalg.norm(nudged)
         f = loglik(phi)
-        if not np.isfinite(f):
-            phi = (phi + 1e-6 * np.ones(d)) / np.linalg.norm(phi + 1e-6 * np.ones(d))
-            f = loglik(phi)
-            if not np.isfinite(f):
-                continue
+    if not np.isfinite(f):  # no finite likelihood near the start: unconverged
+        phi = start
+    else:
         step = 1.0 / max(1.0, len(arows))
-        converged = False
         for _ in range(max_iters):
             amp = arows @ phi
             grad = arows.conj().T @ (amp / np.abs(amp) ** 2)
@@ -346,10 +342,7 @@ def _mle_pure(vecs, model, tol, max_iters, multistart, seed):
             if not moved:
                 converged = True
                 break
-        if f > best[0]:
-            best = (f, phi, converged)
 
-    f, phi, converged = best
     if abs(phi[0]) > 1e-12:
         phi = phi * (phi[0].conj() / abs(phi[0]))
     boundary = abs(phi[0].real) < 1e-6
@@ -390,7 +383,7 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     finite-difference Hessian; falls back to the MLE when the effective
     sample size degenerates.
     """
-    mle = mle_estimate(data, model, seed=seed)
+    mle = mle_estimate(data, model)
     loglik = _chart_loglik(data, model)
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
@@ -565,6 +558,8 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if n_copies < 1:
+        raise ValueError("n_copies must be >= 1")
     payload = {
         "model_spec": model_to_spec(model),
         "prior": _prior_descriptor(prior),
@@ -599,7 +594,7 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     bad = np.isnan(losses)
     failures = int(bad.sum())
     if failures > 0.01 * trials:
-        raise RuntimeError(
+        raise NumericalError(
             f"estimator failed in {failures}/{trials} trials; first errors: "
             f"{errors[:3]}")
     ok = losses[~bad]

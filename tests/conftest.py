@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qbound import (bloch_equatorial, bloch_full, pure_qubit, pure_state_model)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env():
+    """Environment for ``python -m qbound`` subprocesses: this checkout's
+    ``src`` first on PYTHONPATH, as pytest's ``pythonpath`` setting does
+    for the test process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from qbound import (Estimator, QuadratureOptions, SolverOptions,
 from qbound.linalg import haar_unitary, random_hermitian, sym_sqrt_and_inv_sqrt
 from qbound.simulate import PAULI_BASES
 
-from conftest import interior_points
+from conftest import cli_env, interior_points
 
 SEED = 2024
 WORKERS = min(4, os.cpu_count() or 1)
@@ -376,8 +376,8 @@ class TestCriterion11VerifyPaper:
     def test_exit_zero_and_deterministic(self):
         cmd = [sys.executable, "-m", "qbound", "verify-paper",
                "--seed", str(SEED), "--n-bases", "2000"]
-        a = subprocess.run(cmd, capture_output=True, text=True)
-        b = subprocess.run(cmd, capture_output=True, text=True)
+        a = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
+        b = subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
         ok = a.returncode == 0 and a.stdout == b.stdout and "FAIL" not in a.stdout
         assert report("11", ok,
                       f"exit {a.returncode}, deterministic: {a.stdout == b.stdout}"), \

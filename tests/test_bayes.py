@@ -235,14 +235,18 @@ class TestSerialization:
         assert np.allclose(again.g0(theta), loss.g0(theta))
 
     def test_solver_options_roundtrip(self):
-        opts = SolverOptions(seed=3, multistart=4, perturb_scale=0.5)
+        opts = SolverOptions(max_iters=50, eps_schedule=(1e-2, 1e-4),
+                             stage_rtol=1e-7)
         again = SolverOptions.from_dict(opts.to_dict())
         assert again == opts
         with pytest.raises(ValueError, match="unknown"):
             SolverOptions.from_dict({"seed": 1, "bogus": 2})
-        # the finite-difference gradient mode is gone: its key is unknown
-        with pytest.raises(ValueError, match="unknown"):
-            SolverOptions.from_dict({"grad_mode": "fd"})
+        # removed options (finite-difference gradient, random restarts)
+        # are unknown keys
+        for key, value in (("grad_mode", "fd"), ("multistart", 3),
+                           ("perturb_scale", 0.3)):
+            with pytest.raises(ValueError, match="unknown"):
+                SolverOptions.from_dict({key: value})
 
     def test_quadrature_workers_match_serial(self, all_models):
         model = all_models["bloch_equatorial"]

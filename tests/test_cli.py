@@ -1,22 +1,35 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbound import check_dual, povm_fisher, bloch_equatorial
+from qbound.cli import main
 from qbound.models import basis_povm
 from qbound.simulate import PAULI_BASES
 
+from conftest import cli_env
+
 
 def run_cli(*args, env_seed=None):
-    import os
-    env = dict(os.environ)
+    env = cli_env()
     if env_seed is not None:
         env["QBOUND_SEED"] = str(env_seed)
     return subprocess.run([sys.executable, "-m", "qbound", *args],
                           capture_output=True, text=True, env=env)
+
+
+def assert_usage_error(res):
+    """Exit 2 with a one-line ``error:`` message and no traceback."""
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
 
 
 class TestHelstromCommand:
@@ -93,6 +106,14 @@ class TestBayesCommand:
         res = run_cli("bayes", "--model", "bloch_equatorial", "--prior", "cauchy:1")
         assert res.returncode == 2
 
+    def test_zero_angular_nodes_rejected(self):
+        assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
+                                   "--n-angular", "0"))
+
+    def test_negative_prior_radius_rejected(self):
+        assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
+                                   "--prior", "bump:-1"))
+
 
 class TestSimulateCommand:
     def test_csv_output_and_dominance(self, tmp_path):
@@ -122,6 +143,10 @@ class TestSimulateCommand:
         vb = json.loads(b.stdout)["rows"][0]["value"]
         assert va == vb
 
+    def test_zero_copies_rejected(self):
+        assert_usage_error(run_cli("simulate", "--model", "bloch_equatorial",
+                                   "--n-copies", "0", "--trials", "4"))
+
     def test_env_seed_default(self):
         a = run_cli("simulate", "--model", "bloch_equatorial", "--scheme",
                     "alternating:x,y", "--n-copies", "100", "--trials", "40",
@@ -145,3 +170,82 @@ class TestVerifyPaper:
                       "--seed", "11", "--tol", "1e-18")
         assert res.returncode == 1
         assert "FAIL" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: bad and edge values end in a documented exit code, never in an
+# exception.  Sizes stay tiny and --workers stays 1 (the pools start one
+# process per chunk, up to --workers).
+
+def _pick(good, bad):
+    """Mostly one of the good values; one time in four a bad or edge one."""
+    return st.tuples(st.integers(0, 3), st.sampled_from(good),
+                     st.sampled_from(bad)).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_PARAMS = {"bloch_full": 3, "bloch_equatorial": 2, "pure_qubit": 2,
+           "pure_dim_d --dim 3": 4, "pure_dim_d --dim 4": 6}
+_BAD_MODELS = ["pure_dim_d --dim 1", "pure_dim_d --dim 0", "pure_dim_d --dim -2",
+               "pure_dim_d", "bogus", "missing.json"]
+_ENTRY = _pick(["0", "0.3", "-0.45"],
+               ["1", "2", "nan", "inf", "-inf", "1e400", "x", ""])
+
+
+def _model_and_theta(good):
+    """--model (with --dim) and a --theta of mostly the right length."""
+    def theta(name):
+        p = _PARAMS.get(name, 2)
+        size = _pick([p], [0, p - 1, p + 1])
+        return size.flatmap(lambda n: st.lists(_ENTRY, min_size=n, max_size=n)).map(
+            lambda xs: ["--model", *name.split(), "--theta=" + ",".join(xs)])
+    return _pick(good, _BAD_MODELS).flatmap(theta)
+
+
+def _model(good):
+    return _pick(good, _BAD_MODELS).map(lambda name: ["--model", *name.split()])
+
+
+def _flag(flag, good, bad):
+    return _pick(good, bad).map(lambda v: [f"{flag}={v}"])
+
+
+_PRIOR = _flag("--prior", ["bump:0.5", "bump:", "uniform:0.5"],
+               ["bump:0", "bump:-1", "bump:nan", "bump:inf", "bump:2", "bump:x",
+                "uniform:-0.1", "cauchy:1", ":0.5"])
+_GRID = ["1", "2", "4"], ["0", "-1"]
+# simulate integrates the bound on a fixed 8/12/2 grid once its Monte Carlo
+# part succeeds; on bloch_full that takes seconds, so it is left out
+_ARGV = st.one_of(
+    st.tuples(st.just(["helstrom"]), _model_and_theta(list(_PARAMS))),
+    st.tuples(st.just(["holevo"]), _model_and_theta(list(_PARAMS)),
+              _flag("--weight", ["helstrom_quarter", "identity"],
+                    ["file:missing.json", "bogus", ""]),
+              _flag("--max-iters", ["50", "600"], ["0", "-1", "1"])),
+    st.tuples(st.just(["bayes", "--workers", "1"]), _model(list(_PARAMS)), _PRIOR,
+              _flag("--n-radial", *_GRID), _flag("--n-angular", *_GRID),
+              _flag("--levels", ["1", "2"], ["0", "-1"])),
+    st.tuples(st.just(["simulate", "--workers", "1", "--seed", "3"]),
+              _model(["bloch_equatorial", "pure_qubit", "pure_dim_d --dim 3"]),
+              _flag("--scheme", ["random-basis", "fixed:z", "alternating:x,y",
+                                 "two-step:0.1"],
+                    ["fixed:q", "alternating:x,w", "two-step:0", "two-step:1.5",
+                     "two-step:x", "bogus"]),
+              _flag("--estimator", ["mle", "bayes-mean"], ["bayes_mean"]),
+              _PRIOR,
+              _flag("--n-copies", ["1", "20", "3,20"],
+                    ["0", "-5", "5,0", "abc", "", "3.5"]),
+              _flag("--trials", ["2", "4"], ["-1", "0", "1"])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse ends usage errors this way
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbound import (Estimator, adapted_bases, alternating_scheme,
+from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme,
                     bayes_mean_estimate, bayes_risk_mc, bump_prior,
                     empirical_fisher, fixed_basis_scheme, helstrom_matrix,
                     mle_estimate, povm_fisher, random_basis_scheme,
@@ -244,7 +244,7 @@ class TestBayesRisk:
             return real(data, m, **kw)
 
         monkeypatch.setattr(sim, "mle_estimate", flaky)
-        with pytest.raises(RuntimeError, match="failed"):
+        with pytest.raises(NumericalError, match="failed"):
             sim.bayes_risk_mc(model, bump_prior(2, 0.8),
                               alternating_scheme(PAULI_BASES[:2]),
                               Estimator("mle"), 100, trials=60, seed=13, workers=1)
