@@ -3,7 +3,8 @@
 Subcommands: helstrom, holevo, bayes, simulate, verify-paper.  Outputs are
 JSON on stdout (CSV for tabular simulate output with --format csv).  Exit
 codes: 0 ok, 1 verification failure, 2 usage error, 3 numerical failure,
-4 solver non-convergence.  QBOUND_SEED provides the default seed.
+4 solver non-convergence.  QBOUND_SEED provides the default --seed of
+simulate and verify-paper, the two commands that draw random numbers.
 """
 
 import argparse
@@ -308,7 +309,6 @@ def build_parser():
                        help="family tag (bloch_full, bloch_equatorial, pure_qubit, "
                             "pure_dim_d) or path to a model spec JSON")
         p.add_argument("--dim", type=int, default=None, help="dimension for pure_dim_d")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="also write the output to a file")
 
     p = sub.add_parser("helstrom", help="Helstrom information matrix at a point")
@@ -343,6 +343,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify-paper",
@@ -360,13 +361,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        try:
-            args.seed = _default_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (UsageError, DomainError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

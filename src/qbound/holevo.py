@@ -85,7 +85,7 @@ class SolverOptions:
     the SLD collection otherwise; the problem is convex, so no restarts.
     """
 
-    seed: int = 0                     # no effect; accepted for old callers
+    seed: int = 0                     # no effect; the benchmark workloads pass it
     max_iters: int = 600              # per smoothing stage
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     stage_rtol: float = 1e-9          # relative change over 5 iters ends a stage

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from qbound import (Estimator, QuadratureOptions, SolverOptions,
+from qbound import (Estimator, QuadratureOptions,
                     alternating_scheme, basis_povm, bayes_risk_mc, bump_prior,
                     bloch_equatorial, bloch_full, builtin_model, check_dual,
                     dual_bound, empirical_fisher, fidelity, fidelity_loss,
@@ -73,7 +73,7 @@ def closed_form_solutions():
     for name, theta, expected in CLOSED_FORM_CASES:
         model = _model(name)
         g = quarter_helstrom_weight(model, theta)
-        sol = solve_holevo(model, theta, g, SolverOptions(seed=SEED))
+        sol = solve_holevo(model, theta, g)
         out.append((name, np.asarray(theta), expected, g, sol))
     return out, time.time() - start
 
@@ -111,8 +111,7 @@ def risk_matrix():
     }
     bf_bound = integrated_holevo(
         bf, fidelity_loss(bf), prior3,
-        QuadratureOptions(n_radial=8, n_angular=8, levels=2),
-        SolverOptions(seed=SEED)).value
+        QuadratureOptions(n_radial=8, n_angular=8, levels=2)).value
     results = {}
     for key, (model, prior, scheme, estimator, n, bound) in configs.items():
         risk = bayes_risk_mc(model, prior, scheme, estimator, n, trials=2000,
@@ -140,8 +139,7 @@ class TestCriterion2DualRoundtrip:
             k0, ck = dual_bound(sol, g)
             assert ck == sol.value  # C^{K0} = C_{G0} by construction
             i0 = np.linalg.inv(sol.v0)
-            again = solve_holevo(_model(name), theta, i0 @ k0 @ i0,
-                                 SolverOptions(seed=SEED))
+            again = solve_holevo(_model(name), theta, i0 @ k0 @ i0)
             worst = max(worst, abs(again.value - sol.value) / sol.value)
         ok = worst <= 1e-5
         assert report("2", ok, f"max roundtrip rel dev {worst:.2e}"), worst
@@ -156,7 +154,7 @@ class TestCriterion3DualDominance:
         for name, theta in FAMILY_POINTS.items():
             model = _model(name)
             g = quarter_helstrom_weight(model, theta)
-            sol = solve_holevo(model, theta, g, SolverOptions(seed=SEED))
+            sol = solve_holevo(model, theta, g)
             k0, ck = dual_bound(sol, g)
             for _ in range(100):
                 info = povm_fisher(model, theta,
@@ -236,8 +234,7 @@ class TestCriterion6IntegratedBound:
         model = bloch_full()
         prior = bump_prior(3, 0.9)
         quad = QuadratureOptions(n_radial=10, n_angular=12, levels=2)
-        res = integrated_holevo(model, fidelity_loss(model), prior, quad,
-                                SolverOptions(seed=SEED))
+        res = integrated_holevo(model, fidelity_loss(model), prior, quad)
         er = prior_expectation(lambda t: float(np.linalg.norm(t)), prior, quad)
         target = (3 + 2 * er) / 4
         ok = abs(res.value - target) <= 2 * res.error_estimate
@@ -331,8 +328,7 @@ class TestCriterion9ConvexityMachinery:
         from qbound import embedding_sequence
         model = bloch_equatorial()
         theta = np.array([0.3, 0.0])
-        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta),
-                           SolverOptions(seed=SEED))
+        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
         steps = embedding_sequence(sol, model, theta, (1e-1, 1e-2, 1e-3))
         gaps = [s.gap for s in steps]
         ok = all(s.margin > 0 for s in steps) and gaps[0] > gaps[1] > gaps[2]

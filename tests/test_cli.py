@@ -53,6 +53,15 @@ class TestHelstromCommand:
         assert res.returncode == 2
         assert "theta" in res.stderr
 
+    def test_takes_no_seed(self):
+        # helstrom draws no random numbers: no --seed, and QBOUND_SEED is unread
+        res = run_cli("helstrom", "--model", "bloch_full", "--theta", "0,0,0",
+                      env_seed="not-a-number")
+        assert res.returncode == 0, res.stderr
+        res = run_cli("helstrom", "--model", "bloch_full", "--theta", "0,0,0",
+                      "--seed", "3")
+        assert res.returncode == 2
+
 
 class TestHolevoCommand:
     def test_full_bloch_value(self):

@@ -103,6 +103,19 @@ class TestMle:
         res = mle_estimate(data, model)
         assert np.linalg.norm(res.theta - theta) < 0.05
 
+    def test_pure_mle_escapes_local_maximum(self, all_models):
+        # trial 1487 of pure_qubit, bump 0.8, random bases, N = 250, seed 2024:
+        # the sphere likelihood has two local maxima and the spectral start
+        # ascends to the lower one (-133.3352); the global one is -133.2540
+        model = all_models["pure_qubit"]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=2024, spawn_key=(1487,)))
+        theta = bump_prior(2, 0.8).sample(rng)
+        data = sample_outcomes(model, theta, random_basis_scheme(), 250, seed=rng)
+        res = mle_estimate(data, model)
+        assert res.converged
+        assert res.loglik == pytest.approx(-133.2540, abs=1e-3)
+
 
 class TestBayesMean:
     def test_stays_in_domain_and_near_mle(self, all_models):
@@ -185,12 +198,12 @@ class TestEmpiricalFisher:
             assert np.linalg.eigvalsh(h - emp.matrix)[0] >= -max(slack, 1e-8)
 
     def test_dual_bound_dominates_empirical_information(self, all_models):
-        from qbound import SolverOptions, dual_bound, quarter_helstrom_weight, solve_holevo
+        from qbound import dual_bound, quarter_helstrom_weight, solve_holevo
         for name in ("pure_qubit", "bloch_equatorial"):
             model = all_models[name]
             theta = np.array([0.25, -0.1]) if name == "pure_qubit" else np.array([0.3, 0.0])
             g = quarter_helstrom_weight(model, theta)
-            k0, ck = dual_bound(solve_holevo(model, theta, g, SolverOptions(seed=17)), g)
+            k0, ck = dual_bound(solve_holevo(model, theta, g), g)
             for scheme in (random_basis_scheme(), alternating_scheme(PAULI_BASES[:2]),
                            two_step_scheme(model, 0.1) if name != "pure_dim_3" else None):
                 if scheme is None:
