@@ -17,7 +17,7 @@ from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import (DimensionMismatchError, DivergentIntegralError,
                      DomainError, InfeasibleTaperError, IrregularModelError,
                      NonConvergenceError, NumericalError, RankDeficiencyError)
-from .holevo import (EmbeddingStep, HolevoProblem, HolevoSolution,
+from .holevo import (EmbeddingStep, HolevoSolution,
                      SolverOptions, check_dual, check_x_collection, dual_bound,
                      embedding_sequence, full_model_collection, full_model_z,
                      holevo_objective, quarter_helstrom_weight, recover_v0,

@@ -2,8 +2,11 @@
 
 Quadrature uses polar/spherical product grids (Gauss-Legendre radial x
 uniform angular) on ball supports, with a Monte Carlo fallback; every
-reported bound carries a refinement-difference error estimate.  Per-node
-Holevo solves are warm-started from the neighbouring node along each ray.
+reported bound carries a refinement-difference error estimate.  The
+Holevo solves run in lockstep batches, one per radius: the nodes at
+radial index k of every ray form one batch, and each node is
+warm-started from node k-1 of its own ray.  A pool of worker processes,
+when asked for, takes chunks of rays, each chunk its own lockstep batch.
 """
 
 import math
@@ -13,10 +16,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_NUMERICS
-from .errors import DivergentIntegralError, InfeasibleTaperError, NonConvergenceError, NumericalError
-from .holevo import SolverOptions, solve_holevo
+from .errors import DivergentIntegralError, InfeasibleTaperError, NumericalError
+from .holevo import SolverOptions, _solve_batch, solve_holevo
 from .models import Domain, ParametricModel, embedding_loss_scale, fidelity_embedding
 
+# Monte Carlo quadrature nodes per batch solve; bounds the batch's memory
+# as the ray count bounds it on grids.
+_MC_BATCH = 256
 # Rejection rounds before Prior.sample gives up: a density that is zero (or
 # far below ``peak``) on the envelope would otherwise never fill the draw.
 _MAX_REJECTION_ROUNDS = 1000
@@ -222,7 +228,8 @@ class LossSpec:
     """Quadratic loss  (psi_hat - psi)^T Gtilde (psi_hat - psi).
 
     ``g0(theta) = psi'(theta)^T Gtilde psi'(theta)`` is the induced weight
-    for the underlying parameter.
+    for the underlying parameter.  ``g0`` takes one point (p,) or a stack
+    (n, p) when ``psi_jac`` and ``gtilde`` do.
     """
 
     psi: Callable = field(repr=False)
@@ -238,9 +245,9 @@ class LossSpec:
 
     def g0(self, theta):
         jac = self.psi_jac(theta)
-        g = jac.T @ self.gtilde(theta) @ jac
-        g = 0.5 * (g + g.T)
-        if np.linalg.eigvalsh(g)[0] <= DEFAULT_NUMERICS.weight_eig_floor:
+        g = np.swapaxes(jac, -1, -2) @ self.gtilde(theta) @ jac
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        if np.any(np.linalg.eigvalsh(g)[..., 0] <= DEFAULT_NUMERICS.weight_eig_floor):
             raise NumericalError("induced weight G0 is not positive-definite")
         return g
 
@@ -334,11 +341,13 @@ class BayesBoundResult:
     solver_failures: int
     levels: tuple = ()
     mass: float = 1.0
+    iterations: int = 0    # descent iterations summed over all nodes and levels
 
     def to_dict(self):
         return {"value": self.value, "error_estimate": self.error_estimate,
                 "nodes": self.nodes, "solver_failures": self.solver_failures,
-                "levels": list(self.levels), "mass": self.mass}
+                "levels": list(self.levels), "mass": self.mass,
+                "iterations": self.iterations}
 
 
 def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None):
@@ -352,80 +361,71 @@ def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None
     return float(np.sum(grid.weights * dens * vals) / mass)
 
 
-def _solve_ray(model, loss, nodes, solver_opts, strict):
-    """Warm-start chained Holevo solves along one ray of nodes."""
-    values = np.empty(len(nodes))
-    v0s = [None] * len(nodes)
-    gaps = np.empty(len(nodes))
-    failures = 0
-    warm = None
-    for k, theta in enumerate(nodes):
-        opts = replace(solver_opts, x_warm=warm)
-        try:
-            sol = solve_holevo(model, theta, loss.g0(theta), opts)
-        except NonConvergenceError as exc:
-            failures += 1
-            if strict:
-                raise NumericalError(
-                    f"Holevo solve failed at theta={np.asarray(theta).tolist()}") from exc
-            values[k] = exc.best_value
-            gaps[k] = np.inf
-            warm = None
-            continue
-        values[k] = sol.value
-        v0s[k] = sol.v0
-        gaps[k] = sol.diagnostics["gap_estimate"]
-        warm = sol.x_star
-    return values, v0s, gaps, failures
+def _solve_rays(model, loss, rays, solver_opts, strict):
+    """Holevo solves on a stack of rays (r, k, p), one lockstep batch per
+    radial index; node k of a ray is warm-started from its node k-1.
+
+    A node that does not converge raises NumericalError under ``strict``;
+    otherwise it keeps its best value with an infinite gap, its V0 is NaN
+    and the next node of its ray starts cold.  Returns (values, v0s, gaps,
+    failures, iterations), the arrays shaped (r, k, ...).
+    """
+    r, k_count, p = rays.shape
+    values = np.empty((r, k_count))
+    gaps = np.empty((r, k_count))
+    v0s = np.empty((r, k_count, p, p))
+    failures = iterations = 0
+    x_warm = warm = None
+    for k in range(k_count):
+        thetas = rays[:, k]
+        batch = _solve_batch(model, thetas, loss.g0(thetas), solver_opts,
+                             x_warm=x_warm, warm=warm)
+        diag = batch.diagnostics
+        warm = diag["converged"]
+        if strict and not warm.all():
+            i = int(np.argmin(warm))
+            raise NumericalError(
+                f"Holevo solve failed at theta={thetas[i].tolist()}"
+            ) from batch.nonconvergence(i, solver_opts)
+        values[:, k] = batch.value
+        gaps[:, k] = np.where(warm, diag["gap_estimate"], np.inf)
+        v0s[:, k] = np.where(warm[:, None, None], batch.v0, np.nan)
+        failures += int(np.sum(~warm))
+        iterations += int(np.sum(diag["iterations"]))
+        x_warm = batch.x_star
+    return values, v0s, gaps, failures, iterations
 
 
 def _ray_chunk_worker(payload):
     from .models import model_from_spec
     model = model_from_spec(payload["model_spec"])
-    loss = fidelity_loss(model)
-    opts = SolverOptions.from_dict(payload["solver_opts"])
-    out = []
-    for start, nodes in payload["rays"]:
-        values, v0s, gaps, failures = _solve_ray(model, loss, nodes, opts,
-                                                 payload["strict"])
-        out.append((start, values, v0s, gaps, failures))
-    return out
+    return _solve_rays(model, fidelity_loss(model), payload["rays"],
+                       SolverOptions.from_dict(payload["solver_opts"]), payload["strict"])
 
 
 def _solve_on_grid(model, loss, grid, solver_opts, strict, workers=1):
-    """Holevo solves on every node; rays may be distributed over workers."""
-    values = np.empty(len(grid.nodes))
-    v0s = [None] * len(grid.nodes)
-    gaps = np.empty(len(grid.nodes))
-    failures = 0
+    """Holevo solves on every node, as lockstep batches over the rays;
+    chunks of rays may be distributed over worker processes.
+
+    Returns (values, v0s, gaps, failures, iterations) in node order.
+    """
+    rays = grid.nodes.reshape(len(grid.rays), grid.n_radial, grid.p)
     parallel = workers > 1 and loss.name == "fidelity" and solver_opts.x_warm is None
     if not parallel:
-        for ray in grid.rays:
-            vals, vs, gs, fails = _solve_ray(model, loss, grid.nodes[ray],
-                                             solver_opts, strict)
-            values[ray], gaps[ray] = vals, gs
-            v0s[ray.start:ray.stop] = vs
-            failures += fails
-        return values, v0s, gaps, failures
-
-    from concurrent.futures import ProcessPoolExecutor
-    from .models import model_to_spec
-    base = {"model_spec": model_to_spec(model),
-            "solver_opts": solver_opts.to_dict(), "strict": strict}
-    chunks = []
-    per = max(1, math.ceil(len(grid.rays) / (4 * workers)))
-    for i in range(0, len(grid.rays), per):
-        payload = dict(base)
-        payload["rays"] = [(ray.start, grid.nodes[ray]) for ray in grid.rays[i:i + per]]
-        chunks.append(payload)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(_ray_chunk_worker, chunks):
-            for start, vals, vs, gs, fails in results:
-                stop = start + len(vals)
-                values[start:stop], gaps[start:stop] = vals, gs
-                v0s[start:stop] = vs
-                failures += fails
-    return values, v0s, gaps, failures
+        parts = [_solve_rays(model, loss, rays, solver_opts, strict)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from .models import model_to_spec
+        base = {"model_spec": model_to_spec(model),
+                "solver_opts": solver_opts.to_dict(), "strict": strict}
+        per = max(1, math.ceil(len(rays) / (4 * workers)))
+        chunks = [dict(base, rays=rays[i:i + per]) for i in range(0, len(rays), per)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_ray_chunk_worker, chunks))
+    values, v0s, gaps, failures, iterations = zip(*parts)
+    n = len(grid.nodes)
+    return (np.concatenate(values).reshape(n), np.concatenate(v0s).reshape(n, grid.p, grid.p),
+            np.concatenate(gaps).reshape(n), sum(failures), sum(iterations))
 
 
 def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
@@ -442,16 +442,19 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
     if quad.method == "mc":
         rng = np.random.default_rng(quad.seed)
         thetas = prior.sample(rng, quad.mc_samples)
-        vals = np.array([solve_holevo(model, t, loss.g0(t), solver_opts).value
-                         for t in thetas])
+        # each sample is a ray of one node: batches without warm starts
+        parts = [_solve_rays(model, loss, thetas[i:i + _MC_BATCH, None], solver_opts, True)
+                 for i in range(0, len(thetas), _MC_BATCH)]
+        vals = np.concatenate([part[0][:, 0] for part in parts])
+        iterations = sum(part[4] for part in parts)
         value = float(np.mean(vals))
         err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        return BayesBoundResult(value, err, len(vals), 0, (value,))
+        return BayesBoundResult(value, err, len(vals), 0, (value,), iterations=iterations)
 
     grid = _BallGrid(prior.domain.dim, prior.domain.radius,
                      quad.n_radial, quad.n_angular)
     levels = []
-    failures = 0
+    failures = iterations = 0
     gap_med = 0.0
     mass = 1.0
     for _ in range(max(1, quad.levels)):
@@ -459,9 +462,10 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
         mass = float(np.sum(grid.weights * dens))
         if abs(mass - 1.0) > 1e-3:
             raise NumericalError(f"prior mass on the grid is {mass:.6f}, not 1")
-        values, _, gaps, fails = _solve_on_grid(model, loss, grid, solver_opts,
-                                                strict, workers=quad.workers)
+        values, _, gaps, fails, iters = _solve_on_grid(model, loss, grid, solver_opts,
+                                                       strict, workers=quad.workers)
         failures += fails
+        iterations += iters
         finite = gaps[np.isfinite(gaps)]
         gap_med = float(np.median(finite)) if finite.size else 0.0
         levels.append(float(np.sum(grid.weights * dens * values) / mass))
@@ -469,7 +473,8 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
         grid = grid.refined()
     refine_err = abs(levels[-1] - levels[-2]) if len(levels) > 1 else 0.0
     err = refine_err + gap_med + 1e-10
-    return BayesBoundResult(levels[-1], err, nodes, failures, tuple(levels), mass)
+    return BayesBoundResult(levels[-1], err, nodes, failures, tuple(levels), mass,
+                            iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +482,7 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
 
 def _canonical_c_fn(model, loss, grid, solver_opts):
     """C(theta) = Gtilde psi' V0(theta) tabulated on the grid nodes."""
-    _, v0s, _, _ = _solve_on_grid(model, loss, grid, solver_opts, strict=True)
+    v0s = _solve_on_grid(model, loss, grid, solver_opts, strict=True)[1]
     table = {}
     for idx, theta in enumerate(grid.nodes):
         jac = loss.psi_jac(theta)

@@ -105,6 +105,12 @@ def _parse_prior(spec, p):
     raise UsageError(f"unknown prior family {kind!r} (use bump:R or uniform:R)")
 
 
+def _check_workers(workers):
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {workers}")
+    return workers
+
+
 def _parse_scheme(spec, model):
     kind, _, arg = spec.partition(":")
     if kind in ("random-basis", "random_basis", "random"):
@@ -175,7 +181,7 @@ def cmd_bayes(args):
     prior = _parse_prior(args.prior, model.num_params)
     loss = fidelity_loss(model)
     quad = QuadratureOptions(n_radial=args.n_radial, n_angular=args.n_angular,
-                             levels=args.levels, workers=args.workers)
+                             levels=args.levels, workers=_check_workers(args.workers))
     res = integrated_holevo(model, loss, prior, quad)
     payload = res.to_dict()
     payload.update({"model": model.family, "prior": args.prior})
@@ -184,6 +190,7 @@ def cmd_bayes(args):
 
 
 def cmd_simulate(args):
+    _check_workers(args.workers)
     model = _parse_model(args)
     prior = _parse_prior(args.prior, model.num_params)
     scheme = _parse_scheme(args.scheme, model)

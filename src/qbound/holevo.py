@@ -14,9 +14,14 @@ Solver design:
 
 - the affine constraints are solved once; the optimization runs in
   unconstrained null-space coordinates, so every iterate is exactly feasible;
-- the SLDs L_k are computed once per solve; they give both the Helstrom
-  matrix H = Re Z(L) and the start X_j = sum_k (H^-1)_jk L_k, which is
-  feasible and optimal in quasi-classical cases;
+- every stage works on a batch of n model points at once, on arrays of
+  shape (n, ...); the descent keeps a step size, a history and an
+  active flag per point, so each point makes the accept/reject decisions
+  of a solve on its own.  ``solve_holevo`` is a batch of one;
+- the states, derivatives and SLDs L_k are computed once per batch; the
+  SLDs give both the Helstrom matrix H = Re Z(L) and the start
+  X_j = sum_k (H^-1)_jk L_k, which is feasible and optimal in
+  quasi-classical cases;
 - the problem is convex (it is a semidefinite program), so a local minimum
   is the global one and each solve descends once, from that start or from
   a given warm start;
@@ -34,7 +39,9 @@ import numpy as np
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
-from .information import helstrom_matrix, sld
+# ``sld`` is not called here; it stays a name of this module because
+# perfbench/tracer.py wraps qbound.holevo.sld
+from .information import helstrom_matrix, sld, sld_from_state  # noqa: F401
 from .linalg import (hermitian_basis, hermitize, min_eigenvalue,
                      sym_sqrt_and_inv_sqrt)
 from .models import ParametricModel, check_density_matrix
@@ -45,36 +52,21 @@ DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
 # ---------------------------------------------------------------------------
 # problem data and options
 
-@dataclass(frozen=True)
-class HolevoProblem:
-    """Model-point data (rho, drho) together with the weight matrix G."""
-
-    rho: np.ndarray
-    drho: tuple
-    weight: np.ndarray
-
-    def __post_init__(self):
-        rho = check_density_matrix(self.rho)
-        drho = tuple(np.asarray(d, dtype=complex) for d in self.drho)
-        numerics = DEFAULT_NUMERICS
-        for i, dr in enumerate(drho):
-            if abs(np.trace(dr)) > numerics.deriv_trace_tol:
-                raise ValueError(f"drho[{i}] is not traceless")
-        g = np.asarray(self.weight, dtype=float)
-        if np.max(np.abs(g - g.T)) > 1e-9:
-            raise ValueError("weight matrix must be symmetric")
-        g = 0.5 * (g + g.T)
-        if np.linalg.eigvalsh(g)[0] <= numerics.weight_eig_floor:
-            raise ValueError("weight matrix must be positive-definite")
-        if g.shape[0] != len(drho):
-            raise ValueError("weight dimension != number of parameters")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "drho", drho)
-        object.__setattr__(self, "weight", g)
-
-    @property
-    def num_params(self):
-        return len(self.drho)
+def _check_problem(rho, drho, g, numerics: NumericsConfig):
+    """Validate stacks of states (n, d, d), derivatives (n, p, d, d) and
+    weights (n, p, p); returns the symmetrized weights."""
+    check_density_matrix(rho, numerics)
+    traces = np.abs(np.trace(drho, axis1=-2, axis2=-1))
+    if np.any(traces > numerics.deriv_trace_tol):
+        i = int(np.argmax(np.max(traces, axis=0)))
+        raise ValueError(f"drho[{i}] is not traceless")
+    p = drho.shape[1]
+    if g.shape[1:] != (p, p):
+        raise ValueError("weight dimension != number of parameters")
+    gt = np.swapaxes(g, 1, 2)
+    if np.max(np.abs(g - gt)) > 1e-9:
+        raise ValueError("weight matrix must be symmetric")
+    return 0.5 * (g + gt)   # sym_sqrt_and_inv_sqrt checks positive-definiteness
 
 
 @dataclass
@@ -121,30 +113,53 @@ class HolevoSolution:
 # ---------------------------------------------------------------------------
 # objective building blocks
 
+# A contraction over a batch axis must compute each point as it would
+# compute that point alone, or results would depend on how points are
+# batched.  matmul does; a two-operand einsum can change its summation
+# order with the batch size, so those contractions are matmuls.  The
+# three-operand einsum of z_matrix keeps one order for every batch size,
+# and its rounding, which the descent's stopping tests see, is the one
+# the solver has always had.  The tests compare batched and one-point
+# solves bit for bit.
+
+def _flat(a):
+    """Matrices (..., d, d) as rows (..., d*d)."""
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
+
+
+def _dagger(a):
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def z_matrix(rho, xs):
-    """Z(X)_ij = trace(rho X_i X_j); Hermitian and PSD up to rounding."""
+    """Z(X)_ij = trace(rho X_i X_j); Hermitian and PSD up to rounding.
+
+    rho (d, d) with xs (p, d, d) or one X (d, d); or stacks rho (n, d, d)
+    with xs (n, p, d, d), giving (n, p, p).
+    """
     rho = np.asarray(rho, dtype=complex)
     xs = np.asarray(xs, dtype=complex)
-    if xs.ndim == 2:
-        xs = xs[None, :, :]
-    if xs.shape[1] != rho.shape[0]:
+    if xs.ndim == rho.ndim:
+        xs = xs[..., None, :, :]
+    if xs.shape[-1] != rho.shape[-1]:
         raise ValueError("X dimension != state dimension")
-    return np.einsum("ab,ibc,jca->ij", rho, xs, xs)
+    return np.einsum("...ab,...ibc,...jca->...ij", rho, xs, xs)
 
 
 def _value_and_v0(gh, ghinv, z):
     """(objective value, V0) at Z from one eigendecomposition of
-    i Im(G^1/2 Z G^1/2), given G^1/2 and G^-1/2."""
+    i Im(G^1/2 Z G^1/2), given G^1/2 and G^-1/2; Z may be a stack."""
     m = gh @ np.asarray(z, dtype=complex) @ gh
     w, v = np.linalg.eigh(1j * m.imag)
-    abs_im = ((v * np.abs(w)) @ v.conj().T).real
+    abs_im = ((v * np.abs(w)[..., None, :]) @ _dagger(v)).real
     v0 = ghinv @ (m.real + abs_im) @ ghinv
-    return float(np.trace(m).real + np.sum(np.abs(w))), 0.5 * (v0 + v0.T)
+    value = np.trace(m, axis1=-2, axis2=-1).real + np.sum(np.abs(w), axis=-1)
+    return value, 0.5 * (v0 + np.swapaxes(v0, -1, -2))
 
 
 def holevo_objective(g, z):
     """trace Re(G^1/2 Z G^1/2) + trace abs Im(G^1/2 Z G^1/2)."""
-    return _value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[0]
+    return float(_value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[0])
 
 
 def recover_v0(g, z):
@@ -157,9 +172,10 @@ def recover_v0(g, z):
 
 
 def constraint_residual(drho, xs):
-    """max |trace(drho_i X_j) - delta_ij| over all i, j."""
-    c = np.einsum("iab,jba->ij", np.asarray(drho), np.asarray(xs))
-    return float(np.max(np.abs(c - np.eye(*c.shape))))
+    """max |trace(drho_i X_j) - delta_ij| over all i, j; one value per point
+    for stacks drho (n, p, d, d) and xs (n, p, d, d)."""
+    c = np.einsum("...iab,...jba->...ij", np.asarray(drho), np.asarray(xs))
+    return np.max(np.abs(c - np.eye(c.shape[-1])), axis=(-2, -1))
 
 
 def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERICS):
@@ -179,107 +195,227 @@ def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERIC
 def _coords(basis, mats):
     """Real coordinates trace(B_a M) in a stacked Hermitian basis (n, d, d)
     of one matrix (d, d) or of a stack (..., d, d); shape (..., n)."""
-    return np.einsum("acd,...dc->...a", basis, mats).real
+    return (_flat(np.swapaxes(mats, -1, -2)) @ _flat(basis).T).real
 
 
 class _FeasibleSet:
-    """Affine feasible set {X_j} in an orthonormal Hermitian operator basis.
+    """Affine feasible sets {X_j}, one per point of a batch, in an
+    orthonormal Hermitian operator basis.
 
-    Each X_j = P_j + sum_a t[j, a] N_a where the N_a span the common null
-    space of the constraints trace(drho_i X) = 0 and trace(rho X) = 0.
+    At point n, X_j = P_nj + sum_a t[n, j, a] N_na where the N_na span the
+    common null space of the constraints trace(drho_ni X) = 0 and
+    trace(rho_n X) = 0.  rho is (n, d, d) and drho (n, p, d, d).
     """
 
     def __init__(self, rho, drho):
-        d = rho.shape[0]
-        p = len(drho)
+        p, d = drho.shape[1], rho.shape[-1]
         self.basis = hermitian_basis(d)                  # (d^2, d, d)
-        self.amat = _coords(self.basis, np.concatenate([drho, rho[None]]))  # (p+1, d^2)
-        u, s, vt = np.linalg.svd(self.amat)
-        rank = int(np.sum(s > 1e-12 * s[0]))
-        if rank < p + 1:
+        amat = _coords(self.basis, np.concatenate([drho, rho[:, None]], axis=1))
+        u, s, vt = np.linalg.svd(amat)                   # amat: (n, p+1, d^2)
+        if np.any(s[:, -1] <= 1e-12 * s[:, 0]):
             raise NumericalError("constraint matrix is rank deficient; "
                                  "model derivatives are linearly dependent")
-        self.null = vt[rank:].T                          # (d^2, m), orthonormal
-        self.m = self.null.shape[1]
+        rank = p + 1
+        self.null = np.swapaxes(vt[:, rank:], 1, 2)      # (n, d^2, m), orthonormal
+        self.m = self.null.shape[2]
         # full row rank: the pseudo-inverse is V S^-1 U^T; its last column
         # maps the centering row, whose right-hand side is 0
-        pinv = (vt[:rank].T / s) @ u.T
-        self.part_coords = pinv[:, :p].T                 # (p, d^2)
-        self.pmats = np.einsum("ja,acd->jcd", self.part_coords, self.basis)
-        self.nmats = np.einsum("am,acd->mcd", self.null, self.basis)
+        pinv = (np.swapaxes(vt[:, :rank], 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+        self.part_coords = np.swapaxes(pinv[:, :, :p], 1, 2)   # (n, p, d^2)
+        n, b = len(rho), _flat(self.basis)
+        self.pmats = (self.part_coords @ b).reshape(n, p, d, d)
+        self.nflat = np.swapaxes(self.null, 1, 2) @ b    # (n, m, d^2): the N_a
         self.rho = rho
-        self.rho_n = np.einsum("ab,mbc->mac", rho, self.nmats)
+        # column a is rho N_a flattened: trace(rho N_a X) = flat(X^T) @ rho_n
+        self.rho_n = np.ascontiguousarray(
+            np.swapaxes(_flat(rho[:, None] @ self.nflat.reshape(n, -1, d, d)), 1, 2))
         self.p = p
 
-    def x_mats(self, t):
-        return self.pmats + np.einsum("jm,mcd->jcd", t.reshape(self.p, self.m), self.nmats)
+    def x_mats(self, t, idx=slice(None)):
+        """X collections (k, p, d, d) at coordinates t (k, p*m) of points idx."""
+        base = self.pmats[idx]
+        return base + (t.reshape(len(t), self.p, self.m) @ self.nflat[idx]).reshape(base.shape)
 
     def coords(self, xs):
-        """Null-space coordinates of a feasible X collection."""
-        return ((_coords(self.basis, np.asarray(xs)) - self.part_coords) @ self.null).ravel()
+        """Null-space coordinates (n, p*m) of feasible X collections (n, p, d, d)."""
+        t = (_coords(self.basis, xs) - self.part_coords) @ self.null
+        return t.reshape(len(t), -1)
 
 
 class _SmoothedObjective:
+    """The eps-smoothed objective of every point of a batch; ``idx``
+    selects the points that coordinates ``t`` (k, p*m) belong to."""
+
     def __init__(self, fs: _FeasibleSet, g):
         self.fs = fs
         self.g = g
-        self.gh, self.ghinv = sym_sqrt_and_inv_sqrt(g)   # once per solve
+        self.gh, self.ghinv = sym_sqrt_and_inv_sqrt(g)   # once per batch
 
-    def z_of(self, t):
-        xs = self.fs.x_mats(t)
-        return np.einsum("ab,ibc,jca->ij", self.fs.rho, xs, xs), xs
+    def _m(self, t, idx):
+        xs = self.fs.x_mats(t, idx)
+        gh = self.gh[idx]
+        return gh @ z_matrix(self.fs.rho[idx], xs) @ gh, xs
 
-    def value(self, t, eps):
-        z, _ = self.z_of(t)
-        m = self.gh @ z @ self.gh
+    def value(self, t, eps, idx=slice(None)):
+        m, _ = self._m(t, idx)
         w = np.linalg.eigvalsh(1j * m.imag)
-        return float(np.trace(m).real + np.sum(np.sqrt(w * w + eps)))
+        return np.trace(m, axis1=1, axis2=2).real + np.sum(np.sqrt(w * w + eps), axis=1)
 
-    def value_and_grad(self, t, eps):
-        z, xs = self.z_of(t)
-        m = self.gh @ z @ self.gh
-        ah = 1j * m.imag
-        w, v = np.linalg.eigh(ah)
-        val = float(np.trace(m).real + np.sum(np.sqrt(w * w + eps)))
-        if self.fs.m == 0:
-            return val, np.zeros(0)
+    def value_and_grad(self, t, eps, idx=slice(None)):
+        m, xs = self._m(t, idx)
+        w, v = np.linalg.eigh(1j * m.imag)
+        val = np.trace(m, axis1=1, axis2=2).real + np.sum(np.sqrt(w * w + eps), axis=1)
         # d trace sqrt(A^2+eps) = trace((A^2+eps)^{-1/2} A dA) with A = i Im M
-        q = (v * (w / np.sqrt(w * w + eps))) @ v.conj().T
-        tmat = self.gh @ q @ self.gh
-        alpha = np.einsum("mac,kca->mk", self.fs.rho_n, xs)   # trace(rho N_a X_k)
-        grad = 2.0 * (self.g @ alpha.real.T + tmat.imag @ alpha.imag.T)
-        return val, grad.ravel()
+        q = (v * (w / np.sqrt(w * w + eps))[:, None, :]) @ _dagger(v)
+        gh = self.gh[idx]
+        tmat = gh @ q @ gh
+        alpha = _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]   # trace(rho N_a X_j)
+        grad = 2.0 * (self.g[idx] @ alpha.real + tmat.imag @ alpha.imag)
+        return val, grad.reshape(len(val), -1)
 
 
 def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
-    """Armijo-backtracking gradient descent on the eps-smoothed objective."""
+    """Armijo-backtracking gradient descent on the eps-smoothed objective.
+
+    All points of the batch descend in lockstep, each with its own step
+    size, history and stopping test; a point that stops leaves the active
+    set.  Returns (t, iterations, converged), one entry per point.
+    """
+    n = len(t)
+    t = t.copy()
     f, g = obj.value_and_grad(t, eps)
-    step = 1.0
-    history = [f]
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        gnorm2 = float(g @ g)
-        if gnorm2 < 1e-26:
-            return t, f, iters, True
-        accepted = False
-        while step > 1e-18:
-            t_new = t - step * g
-            f_new = obj.value(t_new, eps)
-            if f_new <= f - 1e-4 * step * gnorm2:
-                accepted = True
+    step = np.ones(n)
+    history = np.empty((6, n))    # the last six values, indexed by iteration % 6
+    history[0] = f
+    iters = np.full(n, opts.max_iters)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for it in range(1, opts.max_iters + 1):
+        ga = g[active]
+        gnorm2 = (ga[:, None, :] @ ga[:, :, None])[:, 0, 0]
+        flat = gnorm2 < 1e-26
+        iters[active[flat]], converged[active[flat]] = it, True
+        active, gnorm2 = active[~flat], gnorm2[~flat]
+        # backtracking: halve each point's step until it gives sufficient descent
+        accepted = np.zeros(n, dtype=bool)
+        search, gn2 = active, gnorm2
+        while search.size:
+            s = step[search]
+            t_new = t[search] - s[:, None] * g[search]
+            ok = obj.value(t_new, eps, search) <= f[search] - 1e-4 * s * gn2
+            t[search[ok]] = t_new[ok]
+            accepted[search[ok]] = True
+            search, gn2 = search[~ok], gn2[~ok]
+            step[search] *= 0.5
+            keep = step[search] > 1e-18
+            search, gn2 = search[keep], gn2[keep]
+        stuck = active[~accepted[active]]    # no descent possible at machine scale
+        iters[stuck], converged[stuck] = it, True
+        active = active[accepted[active]]
+        if active.size == 0:
+            break
+        f[active], g[active] = obj.value_and_grad(t[active], eps, active)
+        step[active] = np.minimum(step[active] * 1.6, 1e6)
+        history[it % 6, active] = f[active]
+        if it >= 5:
+            fa = f[active]
+            done = np.abs(history[(it + 1) % 6, active] - fa) <= \
+                opts.stage_rtol * np.maximum(1.0, np.abs(fa))
+            iters[active[done]], converged[active[done]] = it, True
+            active = active[~done]
+            if active.size == 0:
                 break
-            step *= 0.5
-        if not accepted:
-            return t, f, iters, True   # no descent possible at machine scale
-        t = t_new
-        f, g = obj.value_and_grad(t, eps)
-        step = min(step * 1.6, 1e6)
-        history.append(f)
-        if len(history) > 5:
-            prev = history[-6]
-            if abs(prev - f) <= opts.stage_rtol * max(1.0, abs(f)):
-                return t, f, iters, True
-    return t, f, iters, False
+    return t, iters, converged
+
+
+@dataclass(frozen=True)
+class _BatchSolution:
+    """Per-point results of a batch solve: arrays with a leading axis n.
+
+    ``diagnostics`` maps each key of ``HolevoSolution.diagnostics`` to an
+    array of per-point values, or to one value shared by the batch.
+    """
+
+    value: np.ndarray
+    x_star: np.ndarray
+    z_star: np.ndarray
+    v0: np.ndarray
+    diagnostics: dict
+
+    def solution(self, i) -> HolevoSolution:
+        diag = {k: v[i].item() if isinstance(v, np.ndarray) else v
+                for k, v in self.diagnostics.items()}
+        return HolevoSolution(value=float(self.value[i]), x_star=tuple(self.x_star[i]),
+                              z_star=self.z_star[i], v0=self.v0[i], diagnostics=diag)
+
+    def nonconvergence(self, i, opts: SolverOptions) -> NonConvergenceError:
+        sol = self.solution(i)
+        return NonConvergenceError(
+            f"continuation did not converge within {opts.max_iters} iterations/stage",
+            best_value=sol.value, diagnostics=sol.diagnostics)
+
+
+def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
+                 numerics: NumericsConfig = DEFAULT_NUMERICS, x_warm=None, warm=None):
+    """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
+
+    Points start from ``x_warm`` (n, p, d, d) where the mask ``warm`` (n,)
+    is set, or everywhere when it is None; the others start from the SLD
+    collection.  ``opts.x_warm`` is not read.
+    Non-convergence is reported per point in the diagnostics, not raised.
+    """
+    rho = model.state(thetas)                  # the one state/derivs evaluation
+    drho = np.asarray(model.derivs(thetas), dtype=complex)
+    g = _check_problem(rho, drho, np.asarray(g, dtype=float), numerics)
+
+    lams = sld_from_state(rho, drho, model.is_pure, numerics)   # the one SLD evaluation
+    hmat = z_matrix(rho, lams).real
+    hmat = 0.5 * (hmat + np.swapaxes(hmat, 1, 2))
+    h_min = np.linalg.eigvalsh(hmat)[:, 0]
+    if np.any(h_min <= numerics.weight_eig_floor):
+        worst = float(np.min(h_min))
+        raise RankDeficiencyError(
+            f"Helstrom matrix is singular (eigenvalue {worst:.3e}); "
+            "the constraint set is infeasible", eigenvalue=worst)
+    hinv = np.linalg.inv(hmat)
+
+    fs = _FeasibleSet(rho, drho)
+    obj = _SmoothedObjective(fs, g)
+    t_start = fs.coords(hermitize((hinv @ _flat(lams)).reshape(lams.shape)))
+    if x_warm is not None:
+        t_warm = fs.coords(np.asarray(x_warm))
+        t_start = t_warm if warm is None else np.where(warm[:, None], t_warm, t_start)
+
+    t = t_start
+    n = len(thetas)
+    iters = np.zeros(n, dtype=int)
+    converged = np.ones(n, dtype=bool)
+    if fs.m > 0:
+        for eps in opts.eps_schedule:
+            t, stage_iters, ok = _minimize_stage(obj, t, eps, opts)
+            iters += stage_iters
+            converged &= ok
+        # descent on the smoothed surrogate only: keep the start where it is lower
+        t = np.where((obj.value(t_start, 0.0) < obj.value(t, 0.0))[:, None], t_start, t)
+    xs = hermitize(fs.x_mats(t))
+    zs = z_matrix(rho, xs)
+    value, v0 = _value_and_v0(obj.gh, obj.ghinv, zs)
+
+    eps_final = opts.eps_schedule[-1] if fs.m else 0.0
+    gap = obj.value(t, eps_final) - value if fs.m else np.zeros(n)
+    p = drho.shape[1]
+    helstrom_value = np.einsum("nij,nji->n", g, hinv)
+    diagnostics = {
+        "iterations": iters,
+        "final_eps": eps_final,
+        "constraint_residual": constraint_residual(drho, xs),
+        "gap_estimate": np.maximum(gap, 0.0) + p * math.sqrt(eps_final or 0.0),
+        "null_dim": fs.m * fs.p,
+        "converged": converged,
+        "helstrom_value": helstrom_value,
+    }
+    _validate_solutions(thetas, g, value, v0, zs, helstrom_value)
+    return _BatchSolution(value, xs, zs, v0, diagnostics)
 
 
 def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions] = None,
@@ -291,74 +427,28 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     best value found, when the continuation fails to converge.
     """
     opts = opts or SolverOptions()
-    rho = model.state(theta)
-    drho = model.derivs(theta)
-    g = np.asarray(g, dtype=float)
-    problem = HolevoProblem(rho, drho, g)
-
-    lams = sld(model, theta, numerics)   # the one SLD call of the solve
-    hmat = z_matrix(problem.rho, lams).real
-    hmat = 0.5 * (hmat + hmat.T)
-    h_eigs = np.linalg.eigvalsh(hmat)
-    if h_eigs[0] <= numerics.weight_eig_floor:
-        raise RankDeficiencyError(
-            f"Helstrom matrix is singular (eigenvalue {h_eigs[0]:.3e}); "
-            "the constraint set is infeasible", eigenvalue=float(h_eigs[0]))
-    hinv = np.linalg.inv(hmat)
-
-    fs = _FeasibleSet(problem.rho, problem.drho)
-    obj = _SmoothedObjective(fs, problem.weight)
-
-    if opts.x_warm is not None:
-        t_start = fs.coords(opts.x_warm)
-    else:
-        t_start = fs.coords(hermitize(np.einsum("jk,kcd->jcd", hinv, lams)))
-
-    t = t_start
-    total_iters = 0
-    converged = True
-    if fs.m > 0:
-        for eps in opts.eps_schedule:
-            t, _, iters, ok = _minimize_stage(obj, t, eps, opts)
-            total_iters += iters
-            converged = converged and ok
-        if obj.value(t_start, 0.0) < obj.value(t, 0.0):
-            t = t_start   # descent on the smoothed surrogate only
-    xs = tuple(hermitize(fs.x_mats(t)))
-    zs = z_matrix(problem.rho, np.stack(xs))
-    value, v0 = _value_and_v0(obj.gh, obj.ghinv, zs)
-
-    eps_final = opts.eps_schedule[-1] if fs.m else 0.0
-    gap = obj.value(t, eps_final) - value if fs.m else 0.0
-
-    diagnostics = {
-        "iterations": total_iters,
-        "final_eps": eps_final,
-        "constraint_residual": constraint_residual(problem.drho, xs),
-        "gap_estimate": float(max(gap, 0.0)) + len(drho) * math.sqrt(eps_final or 0.0),
-        "null_dim": fs.m * fs.p,
-        "converged": converged,
-        "helstrom_value": float(np.trace(g @ hinv)),
-    }
-
-    solution = HolevoSolution(value=value, x_star=xs, z_star=zs, v0=v0,
-                              diagnostics=diagnostics)
-    _validate_solution(problem, solution, numerics)
-    if not converged:
-        raise NonConvergenceError(
-            f"continuation did not converge within {opts.max_iters} iterations/stage",
-            best_value=value, diagnostics=diagnostics)
-    return solution
+    thetas = np.asarray(theta, dtype=float).reshape(1, -1)
+    x_warm = None if opts.x_warm is None else np.asarray(opts.x_warm, dtype=complex)[None]
+    batch = _solve_batch(model, thetas, np.asarray(g, dtype=float)[None], opts, numerics,
+                         x_warm=x_warm)
+    if not batch.diagnostics["converged"][0]:
+        raise batch.nonconvergence(0, opts)
+    return batch.solution(0)
 
 
-def _validate_solution(problem, sol: HolevoSolution, numerics: NumericsConfig):
-    if min_eigenvalue(sol.v0 - sol.z_star) < -1e-7:
-        raise NumericalError("V0 - Z(X*) is not PSD within tolerance")
-    tv = float(np.trace(problem.weight @ sol.v0).real)
-    if abs(tv - sol.value) > 1e-7 * max(1.0, abs(sol.value)):
-        raise NumericalError("trace(G V0) does not reproduce the bound value")
-    if sol.value < sol.diagnostics["helstrom_value"] - 1e-6:
-        raise NumericalError("bound value fell below the Helstrom floor")
+def _validate_solutions(thetas, g, value, v0, z_star, helstrom_value):
+    """Check V0 >= Z(X*), trace(G V0) = value and value >= trace(G H^-1) at
+    every point of a batch; raise NumericalError naming the first failure."""
+    checks = (
+        (np.linalg.eigvalsh(hermitize(v0 - z_star))[:, 0] < -1e-7,
+         "V0 - Z(X*) is not PSD within tolerance"),
+        (np.abs(np.einsum("nij,nji->n", g, v0) - value) > 1e-7 * np.maximum(1.0, np.abs(value)),
+         "trace(G V0) does not reproduce the bound value"),
+        (value < helstrom_value - 1e-6, "bound value fell below the Helstrom floor"),
+    )
+    for bad, message in checks:
+        if np.any(bad):
+            raise NumericalError(f"{message} at theta={thetas[np.argmax(bad)].tolist()}")
 
 
 def quarter_helstrom_weight(model: ParametricModel, theta):

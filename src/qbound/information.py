@@ -37,25 +37,34 @@ class InfoMatrix:
         return self.matrix.shape[0]
 
 
-def sld(model: ParametricModel, theta, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """Symmetric logarithmic derivatives lambda_i at theta, shape (p, d, d).
+def sld_from_state(rho, drho, pure=False, numerics: NumericsConfig = DEFAULT_NUMERICS):
+    """SLDs of a state (d, d) with derivatives (p, d, d), shape (p, d, d);
+    of stacks (n, d, d) and (n, p, d, d), shape (n, p, d, d).
 
-    Raises RankDeficiencyError when rho is numerically singular and the
-    family is not pure.
+    Raises RankDeficiencyError when a state is numerically singular and
+    the family is not pure.
     """
-    rho = model.state(theta)
-    drho = np.asarray(model.derivs(theta), dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    drho = np.asarray(drho, dtype=complex)
     w, v = np.linalg.eigh(rho)
-    if w[0] <= numerics.rank_tol and not model.is_pure:
+    w_min = float(np.min(w[..., 0]))
+    if w_min <= numerics.rank_tol and not pure:
         raise RankDeficiencyError(
-            f"state is singular (eigenvalue {w[0]:.3e} <= {numerics.rank_tol:g}); "
+            f"state is singular (eigenvalue {w_min:.3e} <= {numerics.rank_tol:g}); "
             "SLDs are only computed for nonsingular or pure models",
-            eigenvalue=float(w[0]))
-    denom = w[:, None] + w[None, :]
+            eigenvalue=w_min)
+    denom = w[..., :, None] + w[..., None, :]
     scale = np.where(denom > numerics.rank_tol,
                      2.0 / np.maximum(denom, numerics.rank_tol), 0.0)
-    vh = v.conj().T
-    return hermitize(v @ (scale * (vh @ drho @ v)) @ vh)
+    v = v[..., None, :, :]              # one eigenbasis for all p derivatives
+    vh = np.swapaxes(v.conj(), -1, -2)
+    return hermitize(v @ (scale[..., None, :, :] * (vh @ drho @ v)) @ vh)
+
+
+def sld(model: ParametricModel, theta, numerics: NumericsConfig = DEFAULT_NUMERICS):
+    """Symmetric logarithmic derivatives lambda_i at theta, shape (p, d, d)."""
+    return sld_from_state(model.state(theta), model.derivs(theta), model.is_pure,
+                          numerics)
 
 
 def sld_residual(rho, drho, lams):
@@ -67,9 +76,9 @@ def sld_residual(rho, drho, lams):
 def helstrom_matrix(model: ParametricModel, theta,
                     numerics: NumericsConfig = DEFAULT_NUMERICS) -> InfoMatrix:
     """Helstrom quantum information matrix H_ij = Re trace(rho L_i L_j)."""
-    lams = sld(model, theta, numerics)
-    return InfoMatrix(np.einsum("ab,ibc,jca->ij", model.state(theta), lams, lams).real,
-                      "helstrom")
+    rho = model.state(theta)
+    lams = sld_from_state(rho, model.derivs(theta), model.is_pure, numerics)
+    return InfoMatrix(np.einsum("ab,ibc,jca->ij", rho, lams, lams).real, "helstrom")
 
 
 def classical_fisher(probs, dprobs, numerics: NumericsConfig = DEFAULT_NUMERICS):

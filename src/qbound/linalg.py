@@ -21,9 +21,10 @@ def hermitize(a):
 
 
 def is_hermitian(a, tol=DEFAULT_NUMERICS.hermitian_tol):
+    """Whether a square matrix, or every matrix of a stack, is Hermitian."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        np.max(np.abs(a - a.conj().T)) <= tol
+    return a.ndim >= 2 and a.shape[-2] == a.shape[-1] and \
+        np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))) <= tol
 
 
 def check_hermitian(a, tol=DEFAULT_NUMERICS.hermitian_tol, name="matrix"):
@@ -48,12 +49,16 @@ def psd_sqrt(a):
 
 
 def sym_sqrt_and_inv_sqrt(g, eig_floor=DEFAULT_NUMERICS.weight_eig_floor):
-    """(G^{1/2}, G^{-1/2}) for a real symmetric positive-definite matrix."""
+    """(G^{1/2}, G^{-1/2}) for a real symmetric positive-definite matrix or
+    a stack of them."""
     g = np.asarray(g, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (g + g.T))
-    if w[0] <= eig_floor:
-        raise ValueError(f"matrix not positive-definite (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    w, v = np.linalg.eigh(0.5 * (g + np.swapaxes(g, -1, -2)))
+    if np.any(w[..., 0] <= eig_floor):
+        raise ValueError("matrix not positive-definite "
+                         f"(min eigenvalue {np.min(w[..., 0]):.3e})")
+    root = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    return (v * root) @ vt, (v / root) @ vt
 
 
 def hermitian_basis(d):

@@ -31,13 +31,15 @@ FAMILIES = ("bloch_full", "bloch_equatorial", "pure_qubit", "pure_dim_d", "affin
 # basic validation
 
 def check_density_matrix(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """Validate Hermiticity, positivity and unit trace of a state."""
+    """Validate Hermiticity, positivity and unit trace of a state or a stack."""
     rho = check_hermitian(rho, numerics.hermitian_tol, "density matrix")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -numerics.psd_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > numerics.trace_tol:
-        raise ValueError(f"density matrix trace {np.trace(rho).real!r} != 1")
+    w = np.min(np.linalg.eigvalsh(rho)[..., 0])
+    if w < -numerics.psd_tol:
+        raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > numerics.trace_tol
+    if np.any(bad):
+        raise ValueError(f"density matrix trace {float(tr[bad].flat[0])!r} != 1")
     return rho
 
 
@@ -51,12 +53,13 @@ class Domain:
     dim: int = 0
 
     def contains(self, theta, tol=1e-12):
+        """Membership of one point (p,), or of each point of a stack (n, p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "ball":
-            return float(np.linalg.norm(theta)) <= self.radius + tol
+            return np.add.reduce(theta * theta, axis=-1) <= (self.radius + tol) ** 2
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
-        return bool(np.all(theta >= lo - tol) and np.all(theta <= hi + tol))
+        return np.all((theta >= lo - tol) & (theta <= hi + tol), axis=-1)
 
     def project(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -188,7 +191,12 @@ def fidelity(rho_hat, rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """theta -> rho(theta) with exact derivatives d rho / d theta_i."""
+    """theta -> rho(theta) with exact derivatives d rho / d theta_i.
+
+    ``state`` and ``derivs`` take one point, shape (p,), and return (d, d)
+    and (p, d, d), or a stack of points, shape (n, p), and return (n, d, d)
+    and (n, p, d, d).  ``state_fn`` and ``deriv_fn`` work on stacks.
+    """
 
     dim: int
     num_params: int
@@ -202,21 +210,28 @@ class ParametricModel:
     basis: Optional[tuple] = field(default=None, repr=False)
 
     def state(self, theta):
-        theta = self._check_theta(theta)
-        return self.state_fn(theta)
+        thetas, single = self._check_theta(theta)
+        rho = self.state_fn(thetas)
+        return rho[0] if single else rho
 
     def derivs(self, theta):
-        theta = self._check_theta(theta)
-        return self.deriv_fn(theta)
+        thetas, single = self._check_theta(theta)
+        drho = self.deriv_fn(thetas)
+        return drho[0] if single else drho
 
     def _check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != self.num_params:
+        """(stack of points (n, p), whether one point was given)."""
+        theta = np.asarray(theta, dtype=float)
+        single = theta.ndim < 2
+        thetas = theta.reshape(1, -1) if single else theta
+        if thetas.shape[-1] != self.num_params:
             raise DimensionMismatchError(
-                f"theta has {theta.size} entries, model expects {self.num_params}")
-        if not self.domain.contains(theta):
-            raise DomainError(f"theta {theta.tolist()} outside model domain")
-        return theta
+                f"theta has {thetas.shape[-1]} entries, model expects {self.num_params}")
+        inside = self.domain.contains(thetas)
+        if not inside.all():
+            raise DomainError(f"theta {thetas[np.argmin(inside)].tolist()} "
+                              "outside model domain")
+        return thetas, single
 
 
 def bloch_state(theta):
@@ -235,15 +250,17 @@ def bloch_state(theta):
 def _affine_model(rho0, basis, domain, family, dim):
     rho0 = np.asarray(rho0, dtype=complex)
     basis = tuple(np.asarray(b, dtype=complex) for b in basis)
+    stacked = np.stack(basis)
 
     def state_fn(theta):
-        rho = rho0.copy()
-        for t, b in zip(theta, basis):
-            rho = rho + t * b
+        # one term at a time, in parameter order, for every point at once
+        rho = rho0[None]
+        for t, b in zip(theta.T, basis):
+            rho = rho + t[:, None, None] * b
         return rho
 
     def deriv_fn(theta):
-        return [b.copy() for b in basis]
+        return np.repeat(stacked[None], len(theta), axis=0)
 
     return ParametricModel(dim=dim, num_params=len(basis), domain=domain,
                            family=family, state_fn=state_fn, deriv_fn=deriv_fn,
@@ -285,14 +302,19 @@ def affine_model(rho0, basis, domain=None, numerics: NumericsConfig = DEFAULT_NU
     return model
 
 
+def _squared_norms(theta):
+    """|theta|^2 of each row of a stack (n, p), rounded as ``theta @ theta``."""
+    return np.matmul(theta[:, None, :], theta[:, :, None])[:, 0, 0]
+
+
 def _pure_amplitudes(theta, d):
-    theta = np.asarray(theta, dtype=float)
-    nsq = float(theta @ theta)
-    if nsq >= 1.0:
+    """Chart amplitudes phi(theta) of a stack of points, shape (n, d)."""
+    nsq = _squared_norms(theta)
+    if np.any(nsq >= 1.0):
         raise DomainError("pure-state chart requires |theta| < 1")
-    phi = np.zeros(d, dtype=complex)
-    phi[0] = np.sqrt(1.0 - nsq)
-    phi[1:] = theta[0::2] + 1j * theta[1::2]
+    phi = np.zeros((len(theta), d), dtype=complex)
+    phi[:, 0] = np.sqrt(1.0 - nsq)
+    phi[:, 1:] = theta[:, 0::2] + 1j * theta[:, 1::2]
     return phi
 
 
@@ -306,21 +328,22 @@ def pure_state_model(d):
         raise ValueError("pure-state model needs d >= 2")
     p = 2 * (d - 1)
     dom = Domain("ball", radius=1.0, dim=p)
+    # d phi / d theta_j: 1 or i in amplitude 1 + j // 2, plus the first
+    # amplitude's term filled in per point
+    unit = np.zeros((p, d), dtype=complex)
+    unit[0::2, 1:] = np.eye(d - 1)
+    unit[1::2, 1:] = 1.0j * np.eye(d - 1)
 
     def state_fn(theta):
         phi = _pure_amplitudes(theta, d)
-        return np.outer(phi, phi.conj())
+        return phi[:, :, None] * phi.conj()[:, None, :]
 
     def deriv_fn(theta):
         phi = _pure_amplitudes(theta, d)
-        phi1 = phi[0].real
-        out = []
-        for j in range(p):
-            v = np.zeros(d, dtype=complex)
-            v[0] = -theta[j] / phi1
-            v[1 + j // 2] = 1.0 if j % 2 == 0 else 1.0j
-            out.append(np.outer(v, phi.conj()) + np.outer(phi, v.conj()))
-        return out
+        v = np.repeat(unit[None], len(theta), axis=0)
+        v[:, :, 0] = -theta / phi[:, :1].real
+        return (v[:, :, :, None] * phi.conj()[:, None, None, :]
+                + phi[:, None, :, None] * v.conj()[:, :, None, :])
 
     family = "pure_qubit" if d == 2 else "pure_dim_d"
     return ParametricModel(dim=d, num_params=p, domain=dom, family=family,
@@ -354,24 +377,31 @@ def fidelity_embedding(model: ParametricModel, theta):
 
     - Bloch families: 1 - Fid = |psi_hat - psi|^2 / 4 exactly,
     - pure families:  1 - Fid = |psi_hat - psi|^2 / 2 exactly.
+
+    One point (p,) gives shapes (q,) and (q, p); a stack (n, p) gives
+    (n, q) and (n, q, p).
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim < 2
+    thetas = theta.reshape(1, -1) if single else theta
+    n, p = len(thetas), model.num_params
     if model.family in ("bloch_full", "bloch_equatorial"):
-        nsq = float(theta @ theta)
-        if nsq >= 1.0:
+        nsq = _squared_norms(thetas)
+        if np.any(nsq >= 1.0):
             raise DomainError("embedding Jacobian needs an interior Bloch point")
-        tail = np.sqrt(1.0 - nsq)
-        psi = np.concatenate([theta, [tail]])
-        jac = np.vstack([np.eye(model.num_params), -theta / tail])
-        return psi, jac
-    if model.is_pure:
-        rho = model.state(theta)
-        drho = model.derivs(theta)
-        psi = np.concatenate([rho.real.ravel(), rho.imag.ravel()])
-        jac = np.stack([np.concatenate([dr.real.ravel(), dr.imag.ravel()])
-                        for dr in drho], axis=1)
-        return psi, jac
-    raise ValueError(f"family {model.family!r} has no quadratic fidelity embedding")
+        tail = np.sqrt(1.0 - nsq)[:, None]
+        psi = np.concatenate([thetas, tail], axis=1)
+        jac = np.concatenate([np.broadcast_to(np.eye(p), (n, p, p)),
+                              (-thetas / tail)[:, None, :]], axis=1)
+    elif model.is_pure:
+        rho = model.state(thetas)
+        drho = model.derivs(thetas)
+        psi = np.concatenate([rho.real.reshape(n, -1), rho.imag.reshape(n, -1)], axis=1)
+        jac = np.concatenate([drho.real.reshape(n, p, -1), drho.imag.reshape(n, p, -1)],
+                             axis=2).transpose(0, 2, 1)
+    else:
+        raise ValueError(f"family {model.family!r} has no quadratic fidelity embedding")
+    return (psi[0], jac[0]) if single else (psi, jac)
 
 
 def embedding_loss_scale(model: ParametricModel):

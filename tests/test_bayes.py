@@ -9,7 +9,7 @@ from qbound import (DivergentIntegralError, InfeasibleTaperError,
                     integrated_holevo, j_functional, prior_expectation,
                     prior_taper, quarter_helstrom_weight, solve_holevo,
                     uniform_ball_prior, van_trees_parts, van_trees_rhs)
-from qbound.bayes import _BallGrid
+from qbound.bayes import LossSpec, _BallGrid, _solve_on_grid
 
 QUICK = QuadratureOptions(n_radial=8, n_angular=12, levels=2)
 
@@ -249,6 +249,8 @@ class TestSerialization:
                 SolverOptions.from_dict({key: value})
 
     def test_quadrature_workers_match_serial(self, all_models):
+        # each chunk of rays is its own lockstep batch; per-node arithmetic
+        # does not depend on the batch, so the results are bit-identical
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
@@ -256,7 +258,10 @@ class TestSerialization:
         par = integrated_holevo(
             model, loss, prior,
             dataclasses.replace(QUICK, workers=2))
-        assert par.value == pytest.approx(serial.value, abs=1e-12)
+        assert par.value == serial.value
+        assert par.levels == serial.levels
+        assert par.iterations == serial.iterations > 0
+        assert serial.to_dict()["iterations"] == serial.iterations
 
 
 class TestVanTrees:
@@ -328,3 +333,122 @@ class TestVanTrees:
         risk = bayes_risk_mc(model, prior, alternating_scheme(PAULI_BASES[:2]),
                              Estimator("mle"), n, trials=1200, seed=31, workers=2)
         assert risk.value >= rhs - 2 * risk.std_error
+
+
+# ---------------------------------------------------------------------------
+# batched quadrature solves against one solve_holevo per node
+
+def _serial_chain(model, loss, grid, opts=SolverOptions()):
+    """Per-node values and iterations from one solve_holevo per node, each
+    warm-started from the previous node of its ray."""
+    values, iters = [], []
+    for ray in grid.rays:
+        warm = None
+        for theta in grid.nodes[ray]:
+            sol = solve_holevo(model, theta, loss.g0(theta),
+                               dataclasses.replace(opts, x_warm=warm))
+            warm = sol.x_star
+            values.append(sol.value)
+            iters.append(sol.diagnostics["iterations"])
+    return np.array(values), np.array(iters)
+
+
+def _random_affine_case():
+    """Random mixed d = 3, p = 2 affine model with a quadratic loss whose
+    weight is a fixed random SPD matrix."""
+    from qbound import Domain, affine_model
+    from qbound.linalg import haar_unitary, random_hermitian
+    rng = np.random.default_rng(21)
+    w = rng.random(3) + 0.3
+    u = haar_unitary(3, rng)
+    rho0 = (u * (w / w.sum())) @ u.conj().T
+    basis = [0.05 * b / np.linalg.norm(b)
+             for b in (random_hermitian(3, rng, traceless=True) for _ in range(2))]
+    model = affine_model(rho0, basis, Domain("ball", radius=0.5, dim=2))
+    a = rng.standard_normal((2, 2))
+    gt = a @ a.T + 0.5 * np.eye(2)
+    loss = LossSpec(psi=lambda t: np.asarray(t, dtype=float),
+                    psi_jac=lambda t: np.broadcast_to(np.eye(2), np.shape(t) + (2,)),
+                    gtilde=lambda t: gt, loss=None)
+    return model, loss
+
+
+class TestBatchedSolves:
+    @pytest.mark.parametrize("name, tol", [("bloch_full", 1e-12),
+                                           ("bloch_equatorial", 1e-9),
+                                           ("pure_qubit", 1e-9),
+                                           ("random_affine_d3", 1e-9)])
+    def test_matches_one_solve_per_node(self, all_models, name, tol):
+        if name == "random_affine_d3":
+            model, loss = _random_affine_case()
+        else:
+            model = all_models[name]
+            loss = fidelity_loss(model)
+        prior = bump_prior(model.num_params, 0.4)
+        grid = _BallGrid(model.num_params, 0.4, 4, 6)
+        values, _, gaps, failures, _ = _solve_on_grid(model, loss, grid,
+                                                      SolverOptions(), strict=True)
+        reference, _ = _serial_chain(model, loss, grid)
+        assert failures == 0 and np.all(np.isfinite(gaps))
+        assert np.max(np.abs(values - reference)) <= tol
+        quad = QuadratureOptions(n_radial=4, n_angular=6, levels=1)
+        res = integrated_holevo(model, loss, prior, quad)
+        dens = np.array([prior.density(t) for t in grid.nodes])
+        expected = np.sum(grid.weights * dens * reference) / np.sum(grid.weights * dens)
+        assert res.value == pytest.approx(expected, abs=tol)
+
+    def test_iterations_match_serial_chain(self, all_models, monkeypatch):
+        import qbound.bayes
+        model = all_models["bloch_equatorial"]
+        loss = fidelity_loss(model)
+        grid = _BallGrid(2, 0.8, 16, 24)   # the second level of QUICK
+        per_batch = []
+        real = qbound.bayes._solve_batch
+
+        def recording(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            per_batch.append(batch.diagnostics["iterations"])
+            return batch
+
+        monkeypatch.setattr(qbound.bayes, "_solve_batch", recording)
+        _, _, _, _, total = _solve_on_grid(model, loss, grid, SolverOptions(), strict=True)
+        batched = np.stack(per_batch, axis=1).ravel()   # radius-major -> ray-major
+        _, serial = _serial_chain(model, loss, grid)
+        assert np.array_equal(batched, serial)
+        assert total == serial.sum() > 0
+
+    def test_one_failed_node(self, all_models, monkeypatch):
+        # the wrapper marks ray 0's node at radial index 1 as not converged
+        import qbound.bayes
+        model = all_models["bloch_equatorial"]
+        loss = fidelity_loss(model)
+        grid = _BallGrid(2, 0.8, 4, 8)
+        real = qbound.bayes._solve_batch
+        calls = []
+
+        def failing(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:
+                batch.diagnostics["converged"] = batch.diagnostics["converged"].copy()
+                batch.diagnostics["converged"][0] = False
+            return batch
+
+        clean = _solve_on_grid(model, loss, grid, SolverOptions(), strict=False)
+        monkeypatch.setattr(qbound.bayes, "_solve_batch", failing)
+        bad_theta = grid.nodes[grid.rays[0]][1]
+        with pytest.raises(NumericalError, match="solve failed at theta") as err:
+            _solve_on_grid(model, loss, grid, SolverOptions(), strict=True)
+        assert str(bad_theta.tolist()) in str(err.value)
+        calls.clear()
+        values, v0s, gaps, failures, _ = _solve_on_grid(model, loss, grid, SolverOptions(),
+                                                        strict=False)
+        ray0 = grid.rays[0]
+        others = np.ones(len(grid.nodes), dtype=bool)
+        others[ray0] = False
+        assert failures == 1
+        assert np.array_equal(values[others], clean[0][others])
+        assert np.array_equal(gaps[others], clean[2][others])
+        assert np.array_equal(v0s[others], clean[1][others])
+        assert np.isinf(gaps[ray0][1]) and np.all(np.isnan(v0s[ray0][1]))
+        assert values[ray0][1] == pytest.approx(0.5, abs=1e-6)   # the best value found

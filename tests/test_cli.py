@@ -123,6 +123,12 @@ class TestBayesCommand:
         assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
                                    "--prior", "bump:-1"))
 
+    @pytest.mark.parametrize("command", ["bayes", "simulate"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, command, workers):
+        assert_usage_error(run_cli(command, "--model", "bloch_equatorial",
+                                   "--workers", workers))
+
 
 class TestSimulateCommand:
     def test_csv_output_and_dominance(self, tmp_path):
@@ -183,8 +189,8 @@ class TestVerifyPaper:
 
 # ---------------------------------------------------------------------------
 # fuzzing: bad and edge values end in a documented exit code, never in an
-# exception.  Sizes stay tiny and --workers stays 1 (the pools start one
-# process per chunk, up to --workers).
+# exception.  Sizes stay tiny and --workers is at most 1, so no process
+# pool starts (a pool starts up to --workers processes).
 
 def _pick(good, bad):
     """Mostly one of the good values; one time in four a bad or edge one."""
@@ -222,6 +228,7 @@ _PRIOR = _flag("--prior", ["bump:0.5", "bump:", "uniform:0.5"],
                ["bump:0", "bump:-1", "bump:nan", "bump:inf", "bump:2", "bump:x",
                 "uniform:-0.1", "cauchy:1", ":0.5"])
 _GRID = ["1", "2", "4"], ["0", "-1"]
+_WORKERS = _flag("--workers", ["1"], ["0", "-1"])
 # simulate integrates the bound on a fixed 8/12/2 grid once its Monte Carlo
 # part succeeds; on bloch_full that takes seconds, so it is left out
 _ARGV = st.one_of(
@@ -230,10 +237,10 @@ _ARGV = st.one_of(
               _flag("--weight", ["helstrom_quarter", "identity"],
                     ["file:missing.json", "bogus", ""]),
               _flag("--max-iters", ["50", "600"], ["0", "-1", "1"])),
-    st.tuples(st.just(["bayes", "--workers", "1"]), _model(list(_PARAMS)), _PRIOR,
+    st.tuples(st.just(["bayes"]), _WORKERS, _model(list(_PARAMS)), _PRIOR,
               _flag("--n-radial", *_GRID), _flag("--n-angular", *_GRID),
               _flag("--levels", ["1", "2"], ["0", "-1"])),
-    st.tuples(st.just(["simulate", "--workers", "1", "--seed", "3"]),
+    st.tuples(st.just(["simulate", "--seed", "3"]), _WORKERS,
               _model(["bloch_equatorial", "pure_qubit", "pure_dim_d --dim 3"]),
               _flag("--scheme", ["random-basis", "fixed:z", "alternating:x,y",
                                  "two-step:0.1"],

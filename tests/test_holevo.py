@@ -8,7 +8,7 @@ from qbound import (Domain, NonConvergenceError, NumericalError,
                     helstrom_matrix, holevo_objective, povm_fisher,
                     quarter_helstrom_weight, recover_v0, sld, solve_holevo,
                     z_matrix)
-from qbound.holevo import _FeasibleSet, _SmoothedObjective
+from qbound.holevo import _FeasibleSet, _SmoothedObjective, _solve_batch
 from qbound.linalg import PAULIS, PAULI_Z, haar_unitary, random_hermitian
 
 from conftest import interior_points
@@ -187,14 +187,16 @@ class TestSolver:
             solve_holevo(model, [0.0, 0.0], np.eye(2))
 
     def test_one_sld_call_per_solve(self, all_models, monkeypatch):
+        # one SLD evaluation per solve, and one per batch of solves
         import qbound.holevo
+        from qbound.information import sld_from_state
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return sld(*args, **kwargs)
+            return sld_from_state(*args, **kwargs)
 
-        monkeypatch.setattr(qbound.holevo, "sld", counted)
+        monkeypatch.setattr(qbound.holevo, "sld_from_state", counted)
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, 0.1])
         g = quarter_helstrom_weight(model, theta)
@@ -202,6 +204,31 @@ class TestSolver:
         assert len(calls) == 1
         solve_holevo(model, theta, g, SolverOptions(x_warm=cold.x_star))
         assert len(calls) == 2
+        thetas = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, 0.5]])
+        _solve_batch(model, thetas, np.stack([g] * 3), SolverOptions())
+        assert len(calls) == 3
+
+    def test_one_state_evaluation_per_solve(self, all_models, monkeypatch):
+        from qbound.models import ParametricModel
+        calls = []
+        state, derivs = ParametricModel.state, ParametricModel.derivs
+
+        def counted(fn):
+            def wrapper(self, theta):
+                calls.append(fn.__name__)
+                return fn(self, theta)
+            return wrapper
+
+        for name in ("bloch_full", "bloch_equatorial", "pure_qubit"):
+            model = all_models[name]
+            theta = np.full(model.num_params, 0.2)
+            g = quarter_helstrom_weight(model, theta)
+            monkeypatch.setattr(ParametricModel, "state", counted(state))
+            monkeypatch.setattr(ParametricModel, "derivs", counted(derivs))
+            solve_holevo(model, theta, g)
+            monkeypatch.undo()
+            assert calls == ["state", "derivs"], name
+            calls.clear()
 
     def test_one_weight_root_per_solve(self, all_models, monkeypatch):
         # G^1/2 and G^-1/2 are computed once; the exact objective and V0 at
@@ -230,18 +257,71 @@ class TestSolver:
         theta = np.array([0.1, -0.3, 0.4])
         solve_holevo(full, theta, quarter_helstrom_weight(full, theta))
         assert len(calls) == 3
+        thetas = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, 0.5]])
+        _solve_batch(model, thetas, np.stack([g] * 3), SolverOptions())
+        assert len(calls) == 4
+
+    def test_batch_does_not_change_a_point(self, all_models):
+        # each point of a batch is solved bit for bit as it is alone
+        rng = np.random.default_rng(12)
+        cases = [all_models[name] for name in ("bloch_equatorial", "pure_dim_3")]
+        cases.append(random_mixed_model(rng, 3, 2))
+        for model in cases:
+            p = model.num_params
+            thetas = np.stack(interior_points(model, 7, rng, radius=0.15))
+            a = rng.standard_normal((p, p))
+            g = np.stack([a @ a.T + (1.0 + k) * np.eye(p) for k in range(7)])
+            opts = SolverOptions(max_iters=200)
+            batch = _solve_batch(model, thetas, g, opts)
+            for i in (0, 3, 6):
+                one = _solve_batch(model, thetas[i:i + 1], g[i:i + 1], opts)
+                for key in ("value", "x_star", "z_star", "v0"):
+                    assert np.array_equal(getattr(one, key)[0], getattr(batch, key)[i]), key
+                for key in ("iterations", "converged", "gap_estimate"):
+                    assert one.diagnostics[key][0] == batch.diagnostics[key][i], key
+
+    @pytest.mark.parametrize("weight, message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive-definite"),
+        (np.eye(3), "dimension")])
+    def test_bad_weight_rejected(self, all_models, weight, message):
+        with pytest.raises(ValueError, match=message):
+            solve_holevo(all_models["bloch_equatorial"], [0.3, 0.1], weight)
 
     def test_analytic_gradient_matches_fd(self, all_models):
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, -0.2])
-        fs = _FeasibleSet(model.state(theta), tuple(model.derivs(theta)))
-        obj = _SmoothedObjective(fs, quarter_helstrom_weight(model, theta))
+        obj = _Point(model, theta, quarter_helstrom_weight(model, theta))
         rng = np.random.default_rng(4)
-        t = rng.standard_normal(fs.p * fs.m)
+        t = rng.standard_normal(obj.size)
         for eps in (1e-2, 1e-5):
             _, ga = obj.value_and_grad(t, eps)
             gf = _fd_grad(obj, t, eps, 1e-7)
             assert np.max(np.abs(ga - gf)) < 1e-6
+
+
+class _Point:
+    """The solver's feasible set and smoothed objective at one point, used
+    through a batch of one."""
+
+    def __init__(self, model, theta, g):
+        thetas = np.asarray(theta, dtype=float)[None]
+        self.fs = _FeasibleSet(model.state(thetas), model.derivs(thetas))
+        self.obj = _SmoothedObjective(self.fs, np.asarray(g, dtype=float)[None])
+        self.size = self.fs.p * self.fs.m
+
+    def value(self, t, eps):
+        return float(self.obj.value(t[None], eps)[0])
+
+    def value_and_grad(self, t, eps):
+        val, grad = self.obj.value_and_grad(t[None], eps)
+        return float(val[0]), grad[0]
+
+    def coords(self, xs):
+        return self.fs.coords(np.asarray(xs)[None])[0]
+
+    def x_mats(self, t):
+        return self.fs.x_mats(t[None])[0]
 
 
 def _fd_grad(obj, t, eps, step):
@@ -318,9 +398,8 @@ class TestSolverAgainstIndependentOracle:
             a = random_hermitian(p, rng).real
             g = a @ a.T + 0.5 * np.eye(p)
             sol = solve_holevo(model, theta, g)
-            fs = _FeasibleSet(model.state(theta), tuple(model.derivs(theta)))
-            obj = _SmoothedObjective(fs, g)
-            x0 = fs.coords(list(sol.x_star))
+            obj = _Point(model, theta, g)
+            x0 = obj.coords(sol.x_star)
             exact = lambda t: obj.value(t, 0.0)  # noqa: E731
             oracle = _nelder_mead(exact, np.zeros_like(x0))
             oracle = min(oracle, _nelder_mead(exact, x0))
@@ -347,14 +426,14 @@ class TestSolverAgainstIndependentOracle:
             a = random_hermitian(p, rng).real
             g = a @ a.T + 0.5 * np.eye(p)
             cold = solve_holevo(model, theta, g)
-            fs = _FeasibleSet(model.state(theta), tuple(model.derivs(theta)))
+            point = _Point(model, theta, g)
             hinv = np.linalg.inv(helstrom_matrix(model, theta).matrix)
-            t0 = fs.coords(np.einsum("jk,kab->jab", hinv, sld(model, theta)))
+            t0 = point.coords(np.einsum("jk,kab->jab", hinv, sld(model, theta)))
             scale = 0.3 * (1.0 + np.linalg.norm(t0) / max(1.0, np.sqrt(t0.size)))
             for k in range(2):
                 t = t0 + scale * rng.standard_normal(t0.size)
                 warm = solve_holevo(model, theta, g,
-                                    SolverOptions(x_warm=fs.x_mats(t)))
+                                    SolverOptions(x_warm=point.x_mats(t)))
                 assert warm.value == pytest.approx(cold.value, rel=1e-8), \
                     (case, k, warm.value, cold.value)
 
