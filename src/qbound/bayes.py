@@ -2,11 +2,12 @@
 
 Quadrature uses polar/spherical product grids (Gauss-Legendre radial x
 uniform angular) on ball supports, with a Monte Carlo fallback; every
-reported bound carries a refinement-difference error estimate.  The
-Holevo solves run in lockstep batches, one per radius: the nodes at
-radial index k of every ray form one batch, and each node is
-warm-started from node k-1 of its own ray.  A pool of worker processes,
-when asked for, takes chunks of rays, each chunk its own lockstep batch.
+grid bound carries an error estimate, the refinement difference plus the
+certified solver gaps.  The Holevo solves run in lockstep batches, one
+per radius: the nodes at radial index k of every ray form one batch, and
+each node that descends is warm-started from node k-1 of its own ray.  A
+pool of worker processes, when asked for, takes chunks of rays, each
+chunk its own lockstep batch.
 """
 
 import math
@@ -35,8 +36,10 @@ class Prior:
     """Probability density on a compact ball support.
 
     ``density`` vanishes outside the support; ``density_grad`` is the
-    gradient of the density (analytic for the builtin families).  Builtin
-    families carry a JSON-serializable ``spec``.
+    gradient of the density (analytic for the builtin families).
+    ``density_fn`` takes a stack of points (n, p) and returns (n,) values
+    or one value for all; ``grad_fn`` takes one point.  Builtin families
+    carry a JSON-serializable ``spec``.
     """
 
     domain: Domain
@@ -47,10 +50,13 @@ class Prior:
     spec: Optional[dict] = None
 
     def density(self, theta):
+        """Density at one point (p,), a float, or at each point of a stack
+        (n, p); a point is computed as a stack of one."""
         theta = np.asarray(theta, dtype=float)
-        if not self.domain.contains(theta):
-            return 0.0
-        return float(self.density_fn(theta))
+        stack = theta.reshape(-1, self.domain.dim)
+        vals = np.broadcast_to(np.asarray(self.density_fn(stack), dtype=float), len(stack))
+        vals = np.where(self.domain.contains(stack), vals, 0.0)
+        return float(vals[0]) if theta.ndim == 1 else vals
 
     def density_grad(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -77,12 +83,19 @@ class Prior:
             x = rng.standard_normal((m, p))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             x *= r0 * rng.random(m)[:, None] ** (1.0 / p)
-            dens = np.array([self.density(t) for t in x])
+            dens = self.density(x)
             keep = rng.random(m) * self.peak <= dens
             take = x[keep][:count - got]
             out[got:got + take.shape[0]] = take
             got += take.shape[0]
         return out[0] if single else out
+
+
+def _sq_norms(theta):
+    """|theta|^2 of each point of a stack (n, p), in the arithmetic of
+    ``theta @ theta`` for one point, which a sum over the last axis does
+    not reproduce to the last bit."""
+    return (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
 
 
 def _ball_volume(p, r):
@@ -114,8 +127,8 @@ def bump_prior(p, r0=0.9):
     c = 1.0 / mass
 
     def dens(theta):
-        u2 = float(theta @ theta) / (r0 * r0)
-        return c * (1.0 - u2) ** 2 if u2 < 1.0 else 0.0
+        u2 = _sq_norms(theta) / (r0 * r0)
+        return np.where(u2 < 1.0, c * (1.0 - u2) ** 2, 0.0)
 
     def grad(theta):
         u2 = float(theta @ theta) / (r0 * r0)
@@ -177,11 +190,8 @@ def prior_taper(base: Prior, eps, delta):
     a = max(0.0, (1.0 - 1.2 * delta)) * r_base  # narrow window keeps mass loss small
 
     def cutoff(r):
-        if r <= a:
-            return 1.0
-        if r >= b:
-            return 0.0
-        return math.cos(0.5 * math.pi * (r - a) / (b - a)) ** 2
+        inside = np.cos(0.5 * math.pi * (r - a) / (b - a)) ** 2
+        return np.where(r <= a, 1.0, np.where(r >= b, 0.0, inside))
 
     def cutoff_deriv(r):
         if r <= a or r >= b:
@@ -192,8 +202,8 @@ def prior_taper(base: Prior, eps, delta):
     # integrate over the tapered support [0, b]: GL nodes cluster at the
     # endpoint, where the narrow cutoff window lives
     grid = _BallGrid(p, b, 128, max(48, 8 * p))
-    kept = float(np.sum(grid.weights * np.array(
-        [base.density(t) * cutoff(np.linalg.norm(t)) for t in grid.nodes])))
+    kept = float(np.sum(grid.weights * base.density(grid.nodes)
+                        * cutoff(np.sqrt(_sq_norms(grid.nodes)))))
     if kept <= 0.0 or 1.0 / kept > 1.0 + eps + 1e-9:
         raise InfeasibleTaperError(
             f"taper removes mass {1.0 - kept:.4f}; renormalization factor "
@@ -201,11 +211,11 @@ def prior_taper(base: Prior, eps, delta):
     scale = 1.0 / kept
 
     def dens(theta):
-        return scale * base.density(theta) * cutoff(float(np.linalg.norm(theta)))
+        return scale * base.density(theta) * cutoff(np.sqrt(_sq_norms(theta)))
 
     def grad(theta):
         r = float(np.linalg.norm(theta))
-        h = cutoff(r)
+        h = float(cutoff(r))
         g = scale * base.density_grad(theta) * h
         if r > 0.0:
             g = g + scale * base.density(theta) * cutoff_deriv(r) * theta / r
@@ -355,7 +365,7 @@ def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None
     quad = quad or QuadratureOptions()
     grid = _BallGrid(prior.domain.dim, prior.domain.radius,
                      quad.n_radial, quad.n_angular)
-    dens = np.array([prior.density(t) for t in grid.nodes])
+    dens = prior.density(grid.nodes)
     vals = np.array([fn(t) for t in grid.nodes])
     mass = float(np.sum(grid.weights * dens))
     return float(np.sum(grid.weights * dens * vals) / mass)
@@ -363,7 +373,8 @@ def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None
 
 def _solve_rays(model, loss, rays, solver_opts, strict):
     """Holevo solves on a stack of rays (r, k, p), one lockstep batch per
-    radial index; node k of a ray is warm-started from its node k-1.
+    radial index; node k of a ray, if it descends, is warm-started from
+    its node k-1.
 
     A node that does not converge raises NumericalError under ``strict``;
     otherwise it keeps its best value with an infinite gap, its V0 is NaN
@@ -434,8 +445,11 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                       strict=True) -> BayesBoundResult:
     """E_pi C_{G0}, the integrated Holevo bound of the main theorem.
 
-    The error estimate combines the refinement difference with the median
-    per-node solver gap (plus a small linear-algebra floor).
+    The error estimate is the refinement difference plus the prior-weighted
+    mean of the certified per-node gaps (value minus the node's dual lower
+    bound) of the last level, plus a 1e-10 linear-algebra floor.  A node
+    that failed (``strict=False``) has no certificate and makes the
+    estimate infinite.
     """
     quad = quad or QuadratureOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -455,10 +469,10 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                      quad.n_radial, quad.n_angular)
     levels = []
     failures = iterations = 0
-    gap_med = 0.0
+    gap_mean = 0.0
     mass = 1.0
     for _ in range(max(1, quad.levels)):
-        dens = np.array([prior.density(t) for t in grid.nodes])
+        dens = prior.density(grid.nodes)
         mass = float(np.sum(grid.weights * dens))
         if abs(mass - 1.0) > 1e-3:
             raise NumericalError(f"prior mass on the grid is {mass:.6f}, not 1")
@@ -466,13 +480,12 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                                                        strict, workers=quad.workers)
         failures += fails
         iterations += iters
-        finite = gaps[np.isfinite(gaps)]
-        gap_med = float(np.median(finite)) if finite.size else 0.0
+        gap_mean = float(np.sum(grid.weights * dens * np.where(dens > 0.0, gaps, 0.0)) / mass)
         levels.append(float(np.sum(grid.weights * dens * values) / mass))
         nodes = len(grid.nodes)
         grid = grid.refined()
     refine_err = abs(levels[-1] - levels[-2]) if len(levels) > 1 else 0.0
-    err = refine_err + gap_med + 1e-10
+    err = refine_err + gap_mean + 1e-10
     return BayesBoundResult(levels[-1], err, nodes, failures, tuple(levels), mass,
                             iterations)
 
@@ -511,7 +524,7 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
     else:
         c_at = lambda idx, theta: np.asarray(c_fn(theta), dtype=float)
         c_point = c_fn
-    dens = np.array([prior.density(t) for t in grid.nodes])
+    dens = prior.density(grid.nodes)
     mass = float(np.sum(grid.weights * dens))
     num_terms = np.empty(len(grid.nodes))
     den_terms = np.empty(len(grid.nodes))
@@ -554,7 +567,7 @@ def check_boundary_zero(prior: Prior, n_points=64, tol=1e-9):
     dirs = rng.standard_normal((n_points, p))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_edge = prior.domain.radius * (1.0 - 1e-9)
-    worst = max(prior.density(r_edge * u) for u in dirs)
+    worst = float(np.max(prior.density(r_edge * dirs)))
     return worst <= tol * max(1.0, prior.peak), worst
 
 
@@ -621,7 +634,7 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
             divc += np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
         cgrid = cgrid.reshape(-1, q, p)
         divc = divc.reshape(-1, q)
-        dens = np.array([prior.density(t) for t in pts])
+        dens = prior.density(pts)
         floor = 1e-12 * prior.peak
         total = 0.0
         for i in np.nonzero(dens > floor)[0]:

@@ -20,18 +20,28 @@ Solver design:
   of a solve on its own.  ``solve_holevo`` is a batch of one;
 - the states, derivatives and SLDs L_k are computed once per batch; the
   SLDs give both the Helstrom matrix H = Re Z(L) and the start
-  X_j = sum_k (H^-1)_jk L_k, which is feasible and optimal in
-  quasi-classical cases;
-- the problem is convex (it is a semidefinite program), so a local minimum
-  is the global one and each solve descends once, from that start or from
-  a given warm start;
+  X_j = sum_k (H^-1)_jk L_k, which is feasible;
+- every solve is certified by the dual Holevo bound.  Since
+  trace|A| = max trace(QA) over ||Q|| <= 1, C_G = max over B of D(B) with
+  D(B) = min over feasible X of trace(W_B Z(X)), W_B = G^1/2 (1 + iB) G^1/2,
+  B real antisymmetric with ||B|| <= 1.  Each D(B) is a lower bound on
+  C_G and the minimum of a PSD quadratic in the null-space coordinates,
+  one pseudo-inverse solve; D(0) = trace(G H^-1);
+- a point whose value at the SLD start is within CERTIFY_RTOL of
+  max(trace(G H^-1), D(B_s)), B_s = Im sign(i Im M), is solved with no
+  iterations.  Every node of the builtin families certifies there: weak
+  commutativity on bloch_equatorial, pure states on the pure families;
+- only the other points descend, once, from the start or a given warm
+  start; the problem is convex (it is a semidefinite program), so a local
+  minimum is the global one;
 - the nonsmooth trace-abs term is smoothed, trace|A| -> trace sqrt(A^2+eps),
   with eps continuation 1e-2 -> 1e-10; each stage is minimized by gradient
   descent with Armijo backtracking, with the analytic gradient below (the
-  tests check it against finite differences).
+  tests check it against finite differences);
+- ``gap_estimate`` is value minus the largest lower bound found, so it
+  bounds the error of the value.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -47,6 +57,12 @@ from .linalg import (hermitian_basis, hermitize, min_eigenvalue,
 from .models import ParametricModel, check_density_matrix
 
 DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
+# A point whose value is within CERTIFY_RTOL * max(1, |value|) of its
+# certified lower bound is solved; only the others descend.
+CERTIFY_RTOL = 1e-9
+# Eigenvalues of the dual's Hessian below _PINV_CUTOFF * trace G are
+# dropped from its pseudo-inverse.
+_PINV_CUTOFF = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +89,9 @@ def _check_problem(rho, drho, g, numerics: NumericsConfig):
 class SolverOptions:
     """Options for :func:`solve_holevo`; serializable via ``to_dict``.
 
-    Every solve descends once, from ``x_warm`` when it is given and from
-    the SLD collection otherwise; the problem is convex, so no restarts.
+    A solve that the SLD start does not certify descends once, from
+    ``x_warm`` when it is given and from the SLD collection otherwise; the
+    problem is convex, so no restarts.
     """
 
     seed: int = 0                     # no effect; the benchmark workloads pass it
@@ -146,20 +163,33 @@ def z_matrix(rho, xs):
     return np.einsum("...ab,...ibc,...jca->...ij", rho, xs, xs)
 
 
-def _value_and_v0(gh, ghinv, z):
-    """(objective value, V0) at Z from one eigendecomposition of
-    i Im(G^1/2 Z G^1/2), given G^1/2 and G^-1/2; Z may be a stack."""
+def _exact_terms(gh, ghinv, z):
+    """(objective value, V0, M, (w, v)) at Z, given G^1/2 and G^-1/2, with
+    M = G^1/2 Z G^1/2 and w, v the eigendecomposition of i Im M; Z may be
+    a stack."""
     m = gh @ np.asarray(z, dtype=complex) @ gh
     w, v = np.linalg.eigh(1j * m.imag)
     abs_im = ((v * np.abs(w)[..., None, :]) @ _dagger(v)).real
     v0 = ghinv @ (m.real + abs_im) @ ghinv
     value = np.trace(m, axis1=-2, axis2=-1).real + np.sum(np.abs(w), axis=-1)
-    return value, 0.5 * (v0 + np.swapaxes(v0, -1, -2))
+    return value, 0.5 * (v0 + np.swapaxes(v0, -1, -2)), m, (w, v)
+
+
+def _dual_weight(w, v, eps):
+    """B_eps = Im f(i Im M), f(a) = a / sqrt(a^2 + eps), from the
+    eigendecomposition (w, v) of i Im M; real antisymmetric with norm <= 1.
+
+    B_0 = Im sign(i Im M) attains trace abs Im M = -trace(B Im M); for
+    eps > 0 it is the weight of the eps-smoothed objective's gradient.
+    """
+    f = np.sign(w) if eps == 0.0 else w / np.sqrt(w * w + eps)
+    b = ((v * f[..., None, :]) @ _dagger(v)).imag
+    return 0.5 * (b - np.swapaxes(b, -1, -2))
 
 
 def holevo_objective(g, z):
     """trace Re(G^1/2 Z G^1/2) + trace abs Im(G^1/2 Z G^1/2)."""
-    return float(_value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[0])
+    return float(_exact_terms(*sym_sqrt_and_inv_sqrt(g), z)[0])
 
 
 def recover_v0(g, z):
@@ -168,7 +198,7 @@ def recover_v0(g, z):
     V0 = G^{-1/2}(Re(G^{1/2} Z G^{1/2}) + abs Im(G^{1/2} Z G^{1/2}))G^{-1/2};
     trace(G V0) equals the objective value at Z.
     """
-    return _value_and_v0(*sym_sqrt_and_inv_sqrt(g), z)[1]
+    return _exact_terms(*sym_sqrt_and_inv_sqrt(g), z)[1]
 
 
 def constraint_residual(drho, xs):
@@ -229,6 +259,9 @@ class _FeasibleSet:
         # column a is rho N_a flattened: trace(rho N_a X) = flat(X^T) @ rho_n
         self.rho_n = np.ascontiguousarray(
             np.swapaxes(_flat(rho[:, None] @ self.nflat.reshape(n, -1, d, d)), 1, 2))
+        # K_ab = trace(rho N_a N_b), Hermitian PSD with norm <= 1
+        self.kmat = np.swapaxes(_flat(np.swapaxes(self.nflat.reshape(n, -1, d, d), -1, -2))
+                                @ self.rho_n, 1, 2)
         self.p = p
 
     def x_mats(self, t, idx=slice(None)):
@@ -236,15 +269,17 @@ class _FeasibleSet:
         base = self.pmats[idx]
         return base + (t.reshape(len(t), self.p, self.m) @ self.nflat[idx]).reshape(base.shape)
 
-    def coords(self, xs):
-        """Null-space coordinates (n, p*m) of feasible X collections (n, p, d, d)."""
-        t = (_coords(self.basis, xs) - self.part_coords) @ self.null
+    def coords(self, xs, idx=slice(None)):
+        """Null-space coordinates (k, p*m) of feasible X collections
+        (k, p, d, d) at points idx."""
+        t = (_coords(self.basis, xs) - self.part_coords[idx]) @ self.null[idx]
         return t.reshape(len(t), -1)
 
 
 class _SmoothedObjective:
-    """The eps-smoothed objective of every point of a batch; ``idx``
-    selects the points that coordinates ``t`` (k, p*m) belong to."""
+    """The eps-smoothed objective of every point of a batch, and its dual
+    lower bounds D(B); ``idx`` selects the points that coordinates ``t``
+    (k, p*m) belong to."""
 
     def __init__(self, fs: _FeasibleSet, g):
         self.fs = fs
@@ -261,6 +296,10 @@ class _SmoothedObjective:
         w = np.linalg.eigvalsh(1j * m.imag)
         return np.trace(m, axis1=1, axis2=2).real + np.sum(np.sqrt(w * w + eps), axis=1)
 
+    def _alpha(self, xs, idx):
+        """trace(rho N_a X_j) as (k, p, m)."""
+        return _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]
+
     def value_and_grad(self, t, eps, idx=slice(None)):
         m, xs = self._m(t, idx)
         w, v = np.linalg.eigh(1j * m.imag)
@@ -269,21 +308,47 @@ class _SmoothedObjective:
         q = (v * (w / np.sqrt(w * w + eps))[:, None, :]) @ _dagger(v)
         gh = self.gh[idx]
         tmat = gh @ q @ gh
-        alpha = _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]   # trace(rho N_a X_j)
+        alpha = self._alpha(xs, idx)
         grad = 2.0 * (self.g[idx] @ alpha.real + tmat.imag @ alpha.imag)
         return val, grad.reshape(len(val), -1)
 
+    def dual_value(self, m, xs, b, idx=slice(None)):
+        """D(B) = min over feasible X of trace(W_B Z(X)) at points idx, a
+        lower bound on C_G for every real antisymmetric B (k, p, p) with
+        norm <= 1; W_B = G^1/2 (1 + iB) G^1/2 is then PSD.
 
-def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
-    """Armijo-backtracking gradient descent on the eps-smoothed objective.
+        About a feasible X (k, p, d, d) with M = G^1/2 Z(X) G^1/2, moving
+        X_j by sum_a s_ja N_a changes trace(W_B Z) by c.s + s^T A s with
+        c = 2 Re(W_B L), L_ja = trace(rho X_j N_a), and A = Re(W_B^T kron K),
+        so D(B) = trace(W_B Z(X)) - c^T A^+ c / 4.
+        """
+        gh, g = self.gh[idx], self.g[idx]
+        wb = g + 1j * (gh @ b @ gh)
+        lin = 2.0 * (wb @ self._alpha(xs, idx).conj()).real
+        k, p, nm = lin.shape
+        hess = (np.swapaxes(wb, 1, 2)[:, :, None, :, None]
+                * self.fs.kmat[idx][:, None, :, None, :]).real.reshape(k, p * nm, p * nm)
+        lam, u = np.linalg.eigh(hess)
+        # an absolute cutoff: lambda_max(A) <= trace W_B = trace G, while on
+        # pure states rho N = 0 and every entry of A is rounding noise
+        keep = lam > _PINV_CUTOFF * np.trace(g, axis1=1, axis2=2)[:, None]
+        proj = (np.swapaxes(u, 1, 2) @ lin.reshape(k, -1, 1))[..., 0]
+        decrement = np.sum(np.where(keep, proj * proj / np.where(keep, lam, 1.0), 0.0), axis=1)
+        const = np.trace(m, axis1=1, axis2=2).real - np.trace(b @ m.imag, axis1=1, axis2=2)
+        return const - 0.25 * decrement
 
-    All points of the batch descend in lockstep, each with its own step
-    size, history and stopping test; a point that stops leaves the active
-    set.  Returns (t, iterations, converged), one entry per point.
+
+def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions, rows):
+    """Armijo-backtracking gradient descent on the eps-smoothed objective,
+    for the points ``rows`` of the batch at coordinates t (len(rows), p*m).
+
+    These points descend in lockstep, each with its own step size, history
+    and stopping test; a point that stops leaves the active set.  Returns
+    (t, iterations, converged), one entry per row.
     """
     n = len(t)
     t = t.copy()
-    f, g = obj.value_and_grad(t, eps)
+    f, g = obj.value_and_grad(t, eps, rows)
     step = np.ones(n)
     history = np.empty((6, n))    # the last six values, indexed by iteration % 6
     history[0] = f
@@ -302,7 +367,7 @@ def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
         while search.size:
             s = step[search]
             t_new = t[search] - s[:, None] * g[search]
-            ok = obj.value(t_new, eps, search) <= f[search] - 1e-4 * s * gn2
+            ok = obj.value(t_new, eps, rows[search]) <= f[search] - 1e-4 * s * gn2
             t[search[ok]] = t_new[ok]
             accepted[search[ok]] = True
             search, gn2 = search[~ok], gn2[~ok]
@@ -314,7 +379,7 @@ def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions):
         active = active[accepted[active]]
         if active.size == 0:
             break
-        f[active], g[active] = obj.value_and_grad(t[active], eps, active)
+        f[active], g[active] = obj.value_and_grad(t[active], eps, rows[active])
         step[active] = np.minimum(step[active] * 1.6, 1e6)
         history[it % 6, active] = f[active]
         if it >= 5:
@@ -355,13 +420,34 @@ class _BatchSolution:
             best_value=sol.value, diagnostics=sol.diagnostics)
 
 
+def _certified(obj: _SmoothedObjective, t, floor, idx=slice(None), eps_values=(0.0,)):
+    """X, Z(X), the exact value, V0 and a certified lower bound on C_G at
+    coordinates t (k, p*m) of points idx.
+
+    The bound is the largest of floor and D(B_eps) for eps in eps_values,
+    with B_eps from X (see _dual_weight).  With an empty null space X is
+    the one feasible point: the value is exact and is its own bound.
+    """
+    fs = obj.fs
+    xs = hermitize(fs.x_mats(t, idx))
+    zs = z_matrix(fs.rho[idx], xs)
+    value, v0, m, (w, v) = _exact_terms(obj.gh[idx], obj.ghinv[idx], zs)
+    if fs.m == 0:
+        return xs, zs, value, v0, value.copy()
+    lower = floor
+    for eps in eps_values:
+        lower = np.maximum(lower, obj.dual_value(m, xs, _dual_weight(w, v, eps), idx))
+    return xs, zs, value, v0, lower
+
+
 def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
                  numerics: NumericsConfig = DEFAULT_NUMERICS, x_warm=None, warm=None):
     """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
 
-    Points start from ``x_warm`` (n, p, d, d) where the mask ``warm`` (n,)
-    is set, or everywhere when it is None; the others start from the SLD
-    collection.  ``opts.x_warm`` is not read.
+    A point the SLD collection certifies keeps it, with no iterations.  The
+    others descend from ``x_warm`` (n, p, d, d) where the mask ``warm`` (n,)
+    is set, or everywhere when it is None, and from the SLD collection
+    otherwise.  ``opts.x_warm`` is not read.
     Non-convergence is reported per point in the diagnostics, not raised.
     """
     rho = model.state(thetas)                  # the one state/derivs evaluation
@@ -381,35 +467,42 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
 
     fs = _FeasibleSet(rho, drho)
     obj = _SmoothedObjective(fs, g)
-    t_start = fs.coords(hermitize((hinv @ _flat(lams)).reshape(lams.shape)))
-    if x_warm is not None:
-        t_warm = fs.coords(np.asarray(x_warm))
-        t_start = t_warm if warm is None else np.where(warm[:, None], t_warm, t_start)
+    helstrom_value = np.einsum("nij,nji->n", g, hinv)
+    t = fs.coords(hermitize((hinv @ _flat(lams)).reshape(lams.shape)))
+    xs, zs, value, v0, lower = _certified(obj, t, helstrom_value)
 
-    t = t_start
     n = len(thetas)
     iters = np.zeros(n, dtype=int)
     converged = np.ones(n, dtype=bool)
-    if fs.m > 0:
+    final_eps = np.zeros(n)
+    # only points the SLD start does not certify descend
+    rows = np.nonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))[0]
+    if rows.size:
+        t_start = t[rows]
+        if x_warm is not None:
+            w = np.ones(rows.size, dtype=bool) if warm is None else warm[rows]
+            t_start[w] = fs.coords(np.asarray(x_warm)[rows[w]], rows[w])
+        t_rows = t_start
         for eps in opts.eps_schedule:
-            t, stage_iters, ok = _minimize_stage(obj, t, eps, opts)
-            iters += stage_iters
-            converged &= ok
+            t_rows, stage_iters, ok = _minimize_stage(obj, t_rows, eps, opts, rows)
+            iters[rows] += stage_iters
+            converged[rows] &= ok
+        final_eps[rows] = opts.eps_schedule[-1]
         # descent on the smoothed surrogate only: keep the start where it is lower
-        t = np.where((obj.value(t_start, 0.0) < obj.value(t, 0.0))[:, None], t_start, t)
-    xs = hermitize(fs.x_mats(t))
-    zs = z_matrix(rho, xs)
-    value, v0 = _value_and_v0(obj.gh, obj.ghinv, zs)
+        lower_start = obj.value(t_start, 0.0, rows) < obj.value(t_rows, 0.0, rows)
+        t_rows = np.where(lower_start[:, None], t_start, t_rows)
+        # at a kink of the objective the smoothed weight bounds more tightly
+        xs_r, zs_r, value_r, v0_r, lower_r = _certified(
+            obj, t_rows, helstrom_value[rows], rows, (0.0, opts.eps_schedule[-1]))
+        xs[rows], zs[rows], value[rows], v0[rows] = xs_r, zs_r, value_r, v0_r
+        lower[rows] = np.maximum(lower[rows], lower_r)   # every D(B) bounds C_G
 
-    eps_final = opts.eps_schedule[-1] if fs.m else 0.0
-    gap = obj.value(t, eps_final) - value if fs.m else np.zeros(n)
-    p = drho.shape[1]
-    helstrom_value = np.einsum("nij,nji->n", g, hinv)
     diagnostics = {
         "iterations": iters,
-        "final_eps": eps_final,
+        "final_eps": final_eps,
         "constraint_residual": constraint_residual(drho, xs),
-        "gap_estimate": np.maximum(gap, 0.0) + p * math.sqrt(eps_final or 0.0),
+        "gap_estimate": np.maximum(value - lower, 0.0),
+        "lower_bound": lower,
         "null_dim": fs.m * fs.p,
         "converged": converged,
         "helstrom_value": helstrom_value,

@@ -418,10 +418,11 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     logq = -0.5 * np.einsum("ni,ij,nj->n", draws - center,
                             np.linalg.inv(cov), draws - center)
     logw = np.full(n_samples, -np.inf)
+    prior_dens = prior.density(draws)
     for i, t in enumerate(draws):
         if not model.domain.contains(t):
             continue
-        dens = prior.density(t)
+        dens = prior_dens[i]
         if dens <= 0.0:
             continue
         ll = loglik(t)

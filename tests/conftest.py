@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbound import (bloch_equatorial, bloch_full, pure_qubit, pure_state_model)
+from qbound import (Domain, affine_model, bloch_equatorial, bloch_full,
+                    pure_qubit, pure_state_model)
+from qbound.linalg import haar_unitary, random_hermitian
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -38,6 +40,19 @@ def interior_points(model, n, rng, radius=0.6):
         if np.linalg.norm(x) <= 1.0:
             pts.append(radius * x)
     return pts
+
+
+def random_mixed_model(rng, d, p):
+    """Random affine family around a random full-rank state."""
+    w = rng.random(d) + 0.3
+    w /= w.sum()
+    u = haar_unitary(d, rng)
+    rho0 = (u * w) @ u.conj().T
+    basis = []
+    for _ in range(p):
+        b = random_hermitian(d, rng, traceless=True)
+        basis.append(0.25 * b / np.linalg.norm(b))
+    return affine_model(rho0, basis, Domain("ball", radius=0.2, dim=p))
 
 
 def fd_jacobian(fn, theta, step=1e-6):

@@ -76,6 +76,19 @@ class TestPriors:
         with pytest.raises(NumericalError, match="rejection sampling"):
             prior.sample(np.random.default_rng(0), 5)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stacked_density_equals_per_point(self, p):
+        # bit for bit: Prior.sample's acceptance decisions, and so the seeded
+        # Monte Carlo values, depend on the stacked densities
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-1.05, 1.05, (500, p))
+        for prior in (bump_prior(p, 0.8), uniform_ball_prior(p, 1.0),
+                      prior_taper(uniform_ball_prior(p, 1.0), 0.3, 0.05)):
+            stacked = prior.density(pts)
+            assert stacked.shape == (500,)
+            assert np.array_equal(stacked, [prior.density(t) for t in pts]), prior.family
+            assert 0 < np.count_nonzero(stacked) < 500
+
     def test_uniform_ball_fails_boundary_check(self):
         ok, worst = check_boundary_zero(uniform_ball_prior(2, 0.8))
         assert not ok and worst > 0.1
@@ -250,7 +263,9 @@ class TestSerialization:
 
     def test_quadrature_workers_match_serial(self, all_models):
         # each chunk of rays is its own lockstep batch; per-node arithmetic
-        # does not depend on the batch, so the results are bit-identical
+        # does not depend on the batch, so the results are bit-identical.
+        # The pool takes fidelity loss only, on builtin families, whose
+        # nodes all certify at the SLD start: no node descends
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
@@ -260,7 +275,8 @@ class TestSerialization:
             dataclasses.replace(QUICK, workers=2))
         assert par.value == serial.value
         assert par.levels == serial.levels
-        assert par.iterations == serial.iterations > 0
+        assert par.iterations == serial.iterations == 0
+        assert par.error_estimate == serial.error_estimate
         assert serial.to_dict()["iterations"] == serial.iterations
 
 
@@ -397,11 +413,11 @@ class TestBatchedSolves:
         expected = np.sum(grid.weights * dens * reference) / np.sum(grid.weights * dens)
         assert res.value == pytest.approx(expected, abs=tol)
 
-    def test_iterations_match_serial_chain(self, all_models, monkeypatch):
+    def test_iterations_match_serial_chain(self, monkeypatch):
+        # builtin families certify at the start; this random model descends
         import qbound.bayes
-        model = all_models["bloch_equatorial"]
-        loss = fidelity_loss(model)
-        grid = _BallGrid(2, 0.8, 16, 24)   # the second level of QUICK
+        model, loss = _random_affine_case()
+        grid = _BallGrid(2, 0.4, 6, 8)
         per_batch = []
         real = qbound.bayes._solve_batch
 

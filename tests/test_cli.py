@@ -13,7 +13,7 @@ from qbound.cli import main
 from qbound.models import basis_povm
 from qbound.simulate import PAULI_BASES
 
-from conftest import cli_env
+from conftest import cli_env, random_mixed_model
 
 
 def run_cli(*args, env_seed=None):
@@ -84,12 +84,21 @@ class TestHolevoCommand:
                       "--weight", f"file:{bad}")
         assert res.returncode == 2
 
-    def test_nonconvergence_exit_code(self):
-        res = run_cli("holevo", "--model", "bloch_equatorial", "--theta", "0.4,0.2",
+    def test_nonconvergence_exit_code(self, tmp_path):
+        # builtin families certify at the SLD start and never descend; this
+        # random mixed model descends, and one iteration per stage does not
+        # converge
+        from qbound.models import model_to_spec
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(model_to_spec(
+            random_mixed_model(np.random.default_rng(0), 3, 2))))
+        res = run_cli("holevo", "--model", str(spec), "--theta", "0.05,-0.02",
                       "--max-iters", "1")
         assert res.returncode == 4
         payload = json.loads(res.stdout)
-        assert payload["best_value"] >= 0.5 - 1e-6
+        diag = payload["diagnostics"]
+        assert diag["iterations"] > 0
+        assert payload["best_value"] >= diag["lower_bound"] >= diag["helstrom_value"]
 
     def test_dual_json_roundtrip(self):
         # re-feeding the emitted K0 into check_dual reproduces the slack

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbound import (Domain, NonConvergenceError, NumericalError,
                     RankDeficiencyError, SolverOptions, affine_model,
@@ -8,10 +9,16 @@ from qbound import (Domain, NonConvergenceError, NumericalError,
                     helstrom_matrix, holevo_objective, povm_fisher,
                     quarter_helstrom_weight, recover_v0, sld, solve_holevo,
                     z_matrix)
-from qbound.holevo import _FeasibleSet, _SmoothedObjective, _solve_batch
-from qbound.linalg import PAULIS, PAULI_Z, haar_unitary, random_hermitian
+from qbound.holevo import (CERTIFY_RTOL, _FeasibleSet, _SmoothedObjective,
+                           _solve_batch)
+from qbound.linalg import (PAULIS, PAULI_Z, haar_unitary, hermitize,
+                           random_hermitian)
 
-from conftest import interior_points
+from conftest import interior_points, random_mixed_model
+
+# The certificate bounds the error of the exact-arithmetic value; the
+# computed value and bound each carry a few ulps of rounding.
+ROUNDING = 1e-14
 
 
 def axis_submodel(t):
@@ -109,6 +116,7 @@ class TestSolver:
         for t in (0.0, 0.5, 0.8):
             sol = solve_holevo(axis_submodel(t), [0.0], np.array([[1.0]]))
             assert sol.value == pytest.approx(1 - t * t, rel=1e-6)
+            assert abs(sol.value - (1 - t * t)) <= sol.diagnostics["gap_estimate"] + ROUNDING
 
     def test_deterministic(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -169,14 +177,17 @@ class TestSolver:
         mapped = solve_holevo(model, amat @ theta_new, g).value
         assert direct == pytest.approx(mapped, rel=1e-6)
 
-    def test_nonconvergence_carries_best_value(self, all_models):
-        model = all_models["bloch_equatorial"]
-        theta = np.array([0.4, 0.2])
-        g = quarter_helstrom_weight(model, theta)
+    def test_nonconvergence_carries_best_value(self):
+        # builtin families certify at the SLD start and never descend; this
+        # random model does, and one iteration per stage does not converge
+        model = random_mixed_model(np.random.default_rng(0), 3, 2)
         with pytest.raises(NonConvergenceError) as err:
-            solve_holevo(model, theta, g, SolverOptions(max_iters=1, stage_rtol=0.0))
+            solve_holevo(model, [0.05, -0.02], np.eye(2),
+                         SolverOptions(max_iters=1, stage_rtol=0.0))
+        diag = err.value.diagnostics
         assert err.value.best_value is not None
-        assert err.value.best_value >= 0.5 - 1e-6
+        assert diag["iterations"] > 0
+        assert err.value.best_value >= diag["lower_bound"] >= diag["helstrom_value"]
 
     def test_singular_helstrom_is_infeasible(self):
         # second basis direction never moves the state: H is singular
@@ -277,7 +288,7 @@ class TestSolver:
                 one = _solve_batch(model, thetas[i:i + 1], g[i:i + 1], opts)
                 for key in ("value", "x_star", "z_star", "v0"):
                     assert np.array_equal(getattr(one, key)[0], getattr(batch, key)[i]), key
-                for key in ("iterations", "converged", "gap_estimate"):
+                for key in ("iterations", "converged", "gap_estimate", "lower_bound"):
                     assert one.diagnostics[key][0] == batch.diagnostics[key][i], key
 
     @pytest.mark.parametrize("weight, message", [
@@ -319,6 +330,13 @@ class _Point:
 
     def coords(self, xs):
         return self.fs.coords(np.asarray(xs)[None])[0]
+
+    def dual(self, t, b):
+        """D(B) from the expansion about the feasible point at coordinates t."""
+        xs = hermitize(self.fs.x_mats(t[None]))
+        gh = self.obj.gh
+        m = gh @ z_matrix(self.fs.rho, xs) @ gh
+        return float(self.obj.dual_value(m, xs, np.asarray(b, dtype=float)[None])[0])
 
     def x_mats(self, t):
         return self.fs.x_mats(t[None])[0]
@@ -373,19 +391,6 @@ def _nelder_mead(fn, x0, iters=4000, scale=0.5):
     return min(vals)
 
 
-def random_mixed_model(rng, d, p):
-    """Random affine family around a random full-rank state."""
-    w = rng.random(d) + 0.3
-    w /= w.sum()
-    u = haar_unitary(d, rng)
-    rho0 = (u * w) @ u.conj().T
-    basis = []
-    for _ in range(p):
-        b = random_hermitian(d, rng, traceless=True)
-        basis.append(0.25 * b / np.linalg.norm(b))
-    return affine_model(rho0, basis, Domain("ball", radius=0.2, dim=p))
-
-
 class TestSolverAgainstIndependentOracle:
     def test_random_models_match_nelder_mead(self):
         # exact nonsmooth objective minimized by an unrelated method
@@ -404,6 +409,11 @@ class TestSolverAgainstIndependentOracle:
             oracle = _nelder_mead(exact, np.zeros_like(x0))
             oracle = min(oracle, _nelder_mead(exact, x0))
             assert sol.value == pytest.approx(oracle, rel=2e-5), (case, sol.value, oracle)
+            # Nelder-Mead values are objective values at feasible points, so
+            # oracle >= C_G >= value - gap; its start x0 gives oracle <= value
+            gap = sol.diagnostics["gap_estimate"]
+            assert abs(sol.value - oracle) <= gap + ROUNDING * max(1.0, oracle), \
+                (case, sol.value, oracle, gap)
             if x0.size == 0:
                 # the unique feasible collection is the SLD one,
                 # X_j = sum_k (H^-1)_jk L_k, built here without _FeasibleSet
@@ -455,6 +465,88 @@ class TestSolverAgainstIndependentOracle:
                 info = povm_fisher(model, theta, basis_povm(haar_unitary(d, rng)))
                 ok, _ = check_dual(k0, info, ck)
                 assert ok
+
+
+CLOSED_FORMS = [
+    ("bloch_full", [0.0, 0.0, 0.0], 0.75),
+    ("bloch_full", [0.0, 0.0, 0.5], 1.0),
+    ("bloch_full", [0.2, -0.1, 0.5], None),     # (3 + 2 |theta|) / 4
+    ("bloch_equatorial", [0.3, 0.0], 0.5),
+    ("bloch_equatorial", [0.6, 0.5], 0.5),
+    ("bloch_equatorial", [-0.7, 0.1], 0.5),
+    ("pure_qubit", [0.25, -0.10], 1.0),
+    ("pure_dim_3", [0.2, 0.1, -0.15, 0.25], 2.0),
+]
+
+
+def _spd(rng, p, shift=0.5):
+    a = rng.standard_normal((p, p))
+    return a @ a.T + shift * np.eye(p)
+
+
+def _antisymmetric(rng, p, norm):
+    """A random real antisymmetric B with operator norm ``norm``."""
+    a = rng.standard_normal((p, p))
+    b = a - a.T
+    return norm * b / np.linalg.norm(b, 2)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name, theta, expected", CLOSED_FORMS)
+    def test_gap_covers_closed_forms(self, all_models, name, theta, expected):
+        model = all_models[name]
+        if expected is None:
+            expected = (3 + 2 * np.linalg.norm(theta)) / 4
+        sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
+        gap = sol.diagnostics["gap_estimate"]
+        assert abs(sol.value - expected) <= gap + ROUNDING * max(1.0, expected)
+        assert sol.diagnostics["lower_bound"] <= sol.value + ROUNDING * max(1.0, sol.value)
+
+    @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit", "pure_dim_3"])
+    def test_builtin_families_certify_at_start(self, all_models, name):
+        # weak commutativity (bloch_equatorial) and pure states make the SLD
+        # start optimal, for the fidelity weight and for arbitrary weights
+        model = all_models[name]
+        rng = np.random.default_rng(13)
+        p = model.num_params
+        thetas = np.stack(interior_points(model, 24, rng))
+        weights = (np.stack([quarter_helstrom_weight(model, t) for t in thetas]),
+                   np.stack([_spd(rng, p) for _ in thetas]))
+        for g in weights:
+            batch = _solve_batch(model, thetas, g, SolverOptions())
+            diag = batch.diagnostics
+            assert np.all(diag["iterations"] == 0)
+            assert np.all(diag["gap_estimate"]
+                          <= CERTIFY_RTOL * np.maximum(1.0, np.abs(batch.value)))
+
+    @settings(max_examples=24, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3, 4]),
+           p=st.sampled_from([2, 3]))
+    def test_dual_bounds_on_random_families(self, seed, d, p):
+        rng = np.random.default_rng(seed)
+        model = random_mixed_model(rng, d, p)
+        theta = model.domain.project(0.05 * rng.standard_normal(p))
+        g = _spd(rng, p)
+        batch = _solve_batch(model, theta[None], g[None], SolverOptions())
+        value = batch.value[0]
+        lower = batch.diagnostics["lower_bound"][0]
+        floor = np.trace(g @ np.linalg.inv(helstrom_matrix(model, theta).matrix))
+        tol = 1e-12 * max(1.0, abs(value))
+        # lower <= C_G <= value and trace(G H^-1) <= C_G <= 2 trace(G H^-1)
+        assert lower <= value + tol
+        assert floor <= lower + tol and value <= 2 * floor + tol
+        point = _Point(model, theta, g)
+        if point.size == 0:
+            return
+        # D(0) = trace(G H^-1), from any feasible point
+        t = point.coords(batch.x_star[0]) + rng.standard_normal(point.size)
+        assert point.dual(t, np.zeros((p, p))) == pytest.approx(floor, rel=1e-10)
+        # D(B) is a minimum over the feasible set: it does not depend on the
+        # point it is expanded about, and it bounds every feasible value
+        b = _antisymmetric(rng, p, rng.uniform(0.0, 0.9))
+        d_sol = point.dual(point.coords(batch.x_star[0]), b)
+        assert point.dual(t, b) == pytest.approx(d_sol, rel=1e-9)
+        assert d_sol <= value + tol
 
 
 class TestDualBound:
