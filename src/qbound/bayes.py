@@ -11,7 +11,7 @@ chunk its own lockstep batch.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -582,7 +582,8 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     stays integrable near the support boundary.  Priors that do not vanish
     on their boundary (the known failure mode, e.g. a truncated uniform)
     carry an infinite functional and are rejected, as is any estimate that
-    keeps drifting by more than drift_tol across two refinements.
+    keeps drifting by more than drift_tol across two refinements.  The
+    Holevo solves of a level run as one batch.
     """
     solver_opts = solver_opts or SolverOptions()
     p = prior.domain.dim
@@ -597,19 +598,24 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     half = 1.02 * r0
 
     if c_fn is None:
-        v0_cache = {}
-        warm = [None]  # raster order keeps neighbouring nodes adjacent
+        v0_cache = {}  # a refined grid keeps every node of the coarser one
 
-        def c_of(theta):
-            key = tuple(np.round(theta, 12))
-            if key not in v0_cache:
-                sol = solve_holevo(model, theta, loss.g0(theta),
-                                   replace(solver_opts, x_warm=warm[0]))
-                warm[0] = sol.x_star
-                v0_cache[key] = sol.v0
-            return loss.gtilde(theta) @ loss.psi_jac(theta) @ v0_cache[key]
+        def c_stack(thetas):
+            """C at a stack of nodes: one Holevo batch over the unsolved ones."""
+            keys = [tuple(np.round(t, 12)) for t in thetas]
+            todo = [i for i, key in enumerate(keys) if key not in v0_cache]
+            if todo:
+                batch = _solve_batch(model, thetas[todo], loss.g0(thetas[todo]),
+                                     solver_opts)
+                ok = batch.diagnostics["converged"]
+                if not ok.all():
+                    raise batch.nonconvergence(int(np.argmin(ok)), solver_opts)
+                v0_cache.update(zip((keys[i] for i in todo), batch.v0))
+            v0s = np.stack([v0_cache[key] for key in keys])
+            return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
     else:
-        c_of = lambda theta: np.asarray(c_fn(theta), dtype=float)
+        def c_stack(thetas):
+            return np.stack([np.asarray(c_fn(t), dtype=float) for t in thetas])
 
     q = len(loss.psi(prior.domain.reference_point))
     values = []
@@ -626,8 +632,8 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         norms = np.linalg.norm(pts, axis=1)
         cgrid = np.zeros((pts.shape[0], q, p))
-        for i in np.nonzero(norms <= shell)[0]:
-            cgrid[i] = c_of(pts[i])
+        inner = norms <= shell
+        cgrid[inner] = c_stack(pts[inner])
         cgrid = cgrid.reshape(*([n] * p), q, p)
         divc = np.zeros((*([n] * p), q))
         for axis in range(p):

@@ -288,6 +288,11 @@ def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
 
 
 def cmd_verify_paper(args):
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
+    if args.n_bases < 2:
+        # one sampled basis has no standard error to compare against
+        raise UsageError(f"--n-bases must be at least 2, got {args.n_bases}")
     rows = _verify_rows(args.seed, args.n_bases, quick=args.quick,
                         closed_tol=args.tol)
     failures = 0

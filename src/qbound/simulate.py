@@ -3,6 +3,10 @@
 Schemes draw one projective basis per copy (fixed, alternating, uniformly
 random, or two-step adaptive), sample outcomes through the Born rule, and
 feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
+Estimators see the data as an outcome count table, one row per observed
+(basis, outcome) pair, and one count log-likelihood sum c log p serves the
+affine MLE, the pure-state MLE and the posterior mean; the posterior mean
+weighs all its importance draws in one stacked likelihood evaluation.
 Risk runs are reproducible: the RNG of trial t is derived from
 (seed, spawn_key=t), so results do not depend on how trials are distributed
 over workers.
@@ -228,27 +232,50 @@ class Estimator:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
 
 
-def _outcome_vectors(data: SampleData):
-    sel = data.bases[data.basis_index]
-    return sel[np.arange(data.n_copies), :, data.outcomes]
+# an outcome at or below this probability makes the log-likelihood -inf
+_P_FLOOR = 1e-300
+
+
+def _outcome_table(data: SampleData):
+    """(vecs, counts): the outcome vector of every observed (basis, outcome)
+    pair, in (basis, outcome) order, and the number of copies that gave it.
+
+    Fixed, alternating and two-step data collapse to at most K*d rows; a
+    random-basis run keeps one row per copy, in copy order, each counted once.
+    """
+    k, d = data.bases.shape[:2]
+    counts = np.bincount(data.basis_index * d + data.outcomes, minlength=k * d)
+    rows = np.flatnonzero(counts)
+    return data.bases[rows // d, :, rows % d], counts[rows]
+
+
+def _count_loglik(probs, counts):
+    """sum c log p over the last axis of the table's outcome probabilities
+    (..., rows): a float for one point, an array for a stack.  -inf where an
+    observed outcome has probability at most _P_FLOOR (or NaN)."""
+    logp = np.log(probs, where=probs > _P_FLOOR, out=np.full(probs.shape, -np.inf))
+    ll = (counts * logp).sum(axis=-1)
+    return float(ll) if ll.ndim == 0 else ll
 
 
 def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
                  max_iters=400) -> MleResult:
     """Maximum likelihood estimate of theta from sampled outcomes.
 
-    Affine families have a concave log-likelihood over the domain and use
-    projected gradient ascent; pure families ascend on the amplitude sphere
-    (projected Riemannian gradient) and convert back to the chart.  The
-    sphere likelihood is not concave, so the pure ascent runs from three
-    starts, the top eigenvector of the summed outcome projectors and two
-    fixed pseudo-random unit vectors, and keeps the best.  A degenerate
-    all-boundary likelihood sets the boundary flag instead of raising.
+    The likelihood is evaluated on the outcome count table, one row per
+    observed (basis, outcome) pair.  Affine families have a concave
+    log-likelihood over the domain and use projected gradient ascent; pure
+    families ascend on the amplitude sphere (projected Riemannian gradient)
+    and convert back to the chart.  The sphere likelihood is not concave, so
+    the pure ascent runs from three starts, the top eigenvector of the summed
+    outcome projectors and two fixed pseudo-random unit vectors, and keeps the
+    best.  A degenerate all-boundary likelihood sets the boundary flag
+    instead of raising.
     """
-    vecs = _outcome_vectors(data)
+    vecs, counts = _outcome_table(data)
     if model.is_pure:
-        return _mle_pure(vecs, model, tol, max_iters)
-    return _mle_affine(vecs, model, tol, max_iters)
+        return _mle_pure(vecs, counts, model, tol, max_iters)
+    return _mle_affine(vecs, counts, model, tol, max_iters)
 
 
 def _affine_probs(vecs, model):
@@ -259,35 +286,38 @@ def _affine_probs(vecs, model):
     return a, b
 
 
-def _affine_loglik(a, b, theta):
-    p = a + b @ theta
-    if np.any(p <= 0.0):
-        return -np.inf
-    return float(np.sum(np.log(p)))
+def _affine_loglik(a, b, counts, theta):
+    """Count log-likelihood of an affine family at theta (p,) or (n, p)."""
+    return _count_loglik(a + theta @ b.T, counts)
 
 
-def _mle_affine(vecs, model, tol, max_iters):
+def _pure_probs(arows, phi):
+    """|<e|phi>|^2 of every table row at amplitudes phi (d,) or (n, d)."""
+    return np.abs(arows @ phi.T).T ** 2
+
+
+def _mle_affine(vecs, counts, model, tol, max_iters):
     a, b = _affine_probs(vecs, model)
+    n_copies = int(counts.sum())
     dom = model.domain
     theta = dom.reference_point.copy()
-    f = _affine_loglik(a, b, theta)
+    f = _affine_loglik(a, b, counts, theta)
     step = 1.0
     converged = False
     for _ in range(max_iters):
-        p = a + b @ theta
-        grad = b.T @ (1.0 / p)
+        grad = b.T @ (counts / (a + b @ theta))
         gnorm = float(np.linalg.norm(grad))
         moved = False
         while step > 1e-14:
             cand = dom.project(theta + step * grad)
-            fc = _affine_loglik(a, b, cand)
+            fc = _affine_loglik(a, b, counts, cand)
             if fc > f + 1e-12:
                 theta, f = cand, fc
                 step = min(step * 1.8, 1e3)
                 moved = True
                 break
             step *= 0.5
-        if not moved or gnorm < tol * max(1.0, len(vecs)):
+        if not moved or gnorm < tol * max(1.0, n_copies):
             converged = True
             break
     if dom.kind == "ball":
@@ -299,12 +329,12 @@ def _mle_affine(vecs, model, tol, max_iters):
     return MleResult(theta, boundary, converged, f)
 
 
-def _mle_pure(vecs, model, tol, max_iters):
+def _mle_pure(vecs, counts, model, tol, max_iters):
     # not concave on the sphere: the spectral start alone can stop at a local
     # maximum (trial 1487 of pure_qubit, N = 250, seed 2024)
     d = model.dim
     arows = vecs.conj()
-    starts = [np.linalg.eigh(vecs.T.conj() @ vecs)[1][:, -1]]
+    starts = [np.linalg.eigh((arows.T * counts) @ vecs)[1][:, -1]]
     rng = np.random.default_rng(0)
     for _ in range(2):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -313,13 +343,10 @@ def _mle_pure(vecs, model, tol, max_iters):
         starts.append(z / np.linalg.norm(z))
 
     def loglik(phi):
-        p = np.abs(arows @ phi) ** 2
-        if np.any(p <= 1e-300):
-            return -np.inf
-        return float(np.sum(np.log(p)))
+        return _count_loglik(_pure_probs(arows, phi), counts)
 
     f, phi, converged = max(
-        (_ascend_sphere(arows, s, loglik, tol, max_iters) for s in starts),
+        (_ascend_sphere(arows, counts, s, loglik, tol, max_iters) for s in starts),
         key=lambda res: res[0])  # the first of equal maxima
 
     if abs(phi[0]) > 1e-12:
@@ -335,8 +362,10 @@ def _mle_pure(vecs, model, tol, max_iters):
     return MleResult(theta, boundary, converged, f)
 
 
-def _ascend_sphere(arows, phi, loglik, tol, max_iters):
+def _ascend_sphere(arows, counts, phi, loglik, tol, max_iters):
     """(loglik, phi, converged) after projected gradient ascent from phi."""
+    n_copies = int(counts.sum())
+    wrows = arows.conj().T * counts  # counts folded into the gradient rows once
     phi = phi / np.linalg.norm(phi)
     f = loglik(phi)
     if not np.isfinite(f):  # an outcome orthogonal to the start
@@ -344,12 +373,12 @@ def _ascend_sphere(arows, phi, loglik, tol, max_iters):
         f = loglik(phi)
         if not np.isfinite(f):
             return f, phi, False
-    step = 1.0 / max(1.0, len(arows))
+    step = 1.0 / max(1.0, n_copies)
     for _ in range(max_iters):
         amp = arows @ phi
-        grad = arows.conj().T @ (amp / np.abs(amp) ** 2)
+        grad = wrows @ (amp / np.abs(amp) ** 2)
         grad -= phi * (phi.conj() @ grad)  # tangent projection
-        if np.linalg.norm(grad) < tol * max(1.0, len(arows)):
+        if np.linalg.norm(grad) < tol * max(1.0, n_copies):
             return f, phi, True
         while step > 1e-16:
             cand = phi + step * grad
@@ -366,22 +395,23 @@ def _ascend_sphere(arows, phi, loglik, tol, max_iters):
 
 
 def _chart_loglik(data, model):
-    vecs = _outcome_vectors(data)
+    """Log-likelihood of the data on the parameter chart, at one point (p,)
+    or at each point of a stack (n, p); -inf off the chart."""
+    vecs, counts = _outcome_table(data)
     if model.is_pure:
         arows = vecs.conj()
 
         def loglik(theta):
-            nsq = float(theta @ theta)
-            if nsq >= 1.0:
-                return -np.inf
-            phi = np.concatenate([[math.sqrt(1.0 - nsq)],
-                                  theta[0::2] + 1j * theta[1::2]])
-            p = np.abs(arows @ phi) ** 2
-            return float(np.sum(np.log(np.clip(p, 1e-300, None))))
+            theta = np.asarray(theta, dtype=float)
+            nsq = np.sum(theta * theta, axis=-1)
+            head = np.sqrt(np.where(nsq < 1.0, 1.0 - nsq, np.nan))  # NaN: -inf
+            phi = np.concatenate([head[..., None],
+                                  theta[..., 0::2] + 1j * theta[..., 1::2]], axis=-1)
+            return _count_loglik(_pure_probs(arows, phi), counts)
 
         return loglik
     a, b = _affine_probs(vecs, model)
-    return lambda theta: _affine_loglik(a, b, theta)
+    return lambda theta: _affine_loglik(a, b, counts, theta)
 
 
 def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
@@ -390,7 +420,8 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
 
     Proposes from a normal centred at the MLE with covariance from a
     finite-difference Hessian; falls back to the MLE when the effective
-    sample size degenerates.
+    sample size degenerates.  The weights of all draws are evaluated as one
+    stack: domain membership, prior density and log-likelihood.
     """
     mle = mle_estimate(data, model)
     loglik = _chart_loglik(data, model)
@@ -417,17 +448,10 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     draws = center + rng.standard_normal((n_samples, p)) @ root.T
     logq = -0.5 * np.einsum("ni,ij,nj->n", draws - center,
                             np.linalg.inv(cov), draws - center)
+    dens = prior.density(draws)
+    usable = model.domain.contains(draws) & (dens > 0.0)
     logw = np.full(n_samples, -np.inf)
-    prior_dens = prior.density(draws)
-    for i, t in enumerate(draws):
-        if not model.domain.contains(t):
-            continue
-        dens = prior_dens[i]
-        if dens <= 0.0:
-            continue
-        ll = loglik(t)
-        if np.isfinite(ll):
-            logw[i] = ll + math.log(dens) - logq[i]
+    logw[usable] = (loglik(draws[usable]) + np.log(dens[usable])) - logq[usable]
     finite = np.isfinite(logw)
     if finite.sum() < 8:
         return mle.theta, mle

@@ -220,6 +220,40 @@ class TestJFunctional:
         assert j2 == pytest.approx(c * j1, rel=1e-6)
 
 
+    def test_one_batch_per_level(self, all_models, monkeypatch):
+        import qbound.bayes as bayes
+        real, sizes = bayes._solve_batch, []
+
+        def counting(model, thetas, *args, **kwargs):
+            sizes.append(len(thetas))
+            return real(model, thetas, *args, **kwargs)
+
+        monkeypatch.setattr(bayes, "_solve_batch", counting)
+        model = all_models["bloch_equatorial"]
+        j_functional(model, bump_prior(2, 0.8), fidelity_loss(model),
+                     base_n=13, levels=3)
+        assert len(sizes) == 3
+        assert sizes[0] > 1 and sizes[1] > sizes[0] and sizes[2] > sizes[1]
+
+    @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit"])
+    def test_batch_equals_warm_chained_solves(self, all_models, name):
+        # the per-node solve chain, each node warm-started from the one
+        # before it in raster order
+        model = all_models[name]
+        loss = fidelity_loss(model)
+        warm = [None]
+
+        def chained_c(theta):
+            sol = solve_holevo(model, theta, loss.g0(theta),
+                               SolverOptions(x_warm=warm[0]))
+            warm[0] = sol.x_star
+            return loss.gtilde(theta) @ loss.psi_jac(theta) @ sol.v0
+
+        prior = bump_prior(2, 0.8)
+        batched = j_functional(model, prior, loss, base_n=13, levels=2)
+        chained = j_functional(model, prior, loss, c_fn=chained_c, base_n=13, levels=2)
+        assert batched == pytest.approx(chained, rel=1e-9)
+
 class TestSerialization:
     def test_prior_spec_roundtrip(self):
         from qbound import prior_from_spec, prior_to_spec, prior_taper

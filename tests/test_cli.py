@@ -195,6 +195,15 @@ class TestVerifyPaper:
         assert res.returncode == 1
         assert "FAIL" in res.stdout
 
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"],
+                                       ["--tol", "0"], ["--tol", "inf"],
+                                       ["--n-bases", "0"], ["--n-bases", "1"]])
+    def test_bad_arguments_rejected_up_front(self, flags):
+        code, out, err = _run_main(["verify-paper", "--quick", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 # ---------------------------------------------------------------------------
 # fuzzing: bad and edge values end in a documented exit code, never in an
@@ -263,14 +272,49 @@ _ARGV = st.one_of(
 ).map(lambda parts: [arg for part in parts for arg in part])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argv=_ARGV)
-def test_cli_fuzz_exit_codes(argv):
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse ends usage errors this way
             code = exc.code
-    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    code, _, err = _run_main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+
+
+def _pick_bad(good, bad):
+    """Mostly a bad or edge value; one time in four a good one."""
+    return _pick(bad, good)
+
+
+# a valid --quick run takes about a second, so only a few are drawn: every
+# flag but --seed is mostly bad
+_VERIFY_ARGV = st.tuples(
+    st.just(["verify-paper", "--quick"]),
+    _flag("--seed", ["3", "2024"], ["-1", "x", ""]),
+    _pick_bad(["2", "30"], ["1", "0", "-4", "x", "1e3", ""]).map(
+        lambda v: [f"--n-bases={v}"]),
+    _pick_bad(["1e-3", "0.5"], ["0", "-1", "-0.0", "nan", "inf", "-inf", "x", ""]).map(
+        lambda v: [f"--tol={v}"]),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_VERIFY_ARGV)
+def test_verify_paper_fuzz_exit_codes(argv):
+    code, out, err = _run_main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:   # rejected before any row is computed or printed
+        assert out == "", (argv, out)
+        assert len(err.strip().splitlines()) >= 1

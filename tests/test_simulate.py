@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
                     mle_estimate, povm_fisher, random_basis_scheme,
                     sample_outcomes, two_step_scheme)
 from qbound.models import Domain, affine_model, basis_povm
-from qbound.simulate import PAULI_BASES, SampleData, _single_trial
+from qbound.simulate import (PAULI_BASES, SampleData, _chart_loglik,
+                             _outcome_table, _single_trial)
 from qbound.linalg import PAULI_Z
 
 
@@ -117,6 +120,203 @@ class TestMle:
         assert res.loglik == pytest.approx(-133.2540, abs=1e-3)
 
 
+# ---------------------------------------------------------------------------
+# test-local per-copy references: the likelihood over one row per copy, as
+# evaluated before outcome count tables
+
+def per_copy_vectors(data):
+    return data.bases[data.basis_index, :, data.outcomes]
+
+
+def per_copy_affine_loglik(vecs, model, theta):
+    rho = model.state(theta)
+    p = np.einsum("ni,ij,nj->n", vecs.conj(), rho, vecs).real
+    return -np.inf if np.any(p <= 0.0) else float(np.sum(np.log(p)))
+
+
+def per_copy_affine_mle(vecs, model, tol=1e-8, max_iters=400):
+    """(theta, loglik) of projected gradient ascent over per-copy rows."""
+    a = np.einsum("ni,ij,nj->n", vecs.conj(), model.rho0, vecs).real
+    b = np.stack([np.einsum("ni,ij,nj->n", vecs.conj(), bm, vecs).real
+                  for bm in model.basis], axis=1)
+
+    def loglik(theta):
+        p = a + b @ theta
+        return -np.inf if np.any(p <= 0.0) else float(np.sum(np.log(p)))
+
+    dom = model.domain
+    theta = dom.reference_point.copy()
+    f, step = loglik(theta), 1.0
+    for _ in range(max_iters):
+        grad = b.T @ (1.0 / (a + b @ theta))
+        moved = False
+        while step > 1e-14:
+            cand = dom.project(theta + step * grad)
+            fc = loglik(cand)
+            if fc > f + 1e-12:
+                theta, f, step, moved = cand, fc, min(step * 1.8, 1e3), True
+                break
+            step *= 0.5
+        if not moved or np.linalg.norm(grad) < tol * max(1.0, len(vecs)):
+            break
+    return theta, f
+
+
+def per_copy_pure_mle(vecs, d, tol=1e-8, max_iters=400):
+    """(theta, loglik) of the three-start sphere ascent over per-copy rows."""
+    arows = vecs.conj()
+
+    def loglik(phi):
+        p = np.abs(arows @ phi) ** 2
+        return -np.inf if np.any(p <= 1e-300) else float(np.sum(np.log(p)))
+
+    def ascend(phi):
+        phi = phi / np.linalg.norm(phi)
+        f = loglik(phi)
+        if not np.isfinite(f):
+            phi = (phi + 1e-6) / np.linalg.norm(phi + 1e-6)
+            f = loglik(phi)
+            if not np.isfinite(f):
+                return f, phi
+        step = 1.0 / max(1.0, len(arows))
+        for _ in range(max_iters):
+            amp = arows @ phi
+            grad = arows.conj().T @ (amp / np.abs(amp) ** 2)
+            grad -= phi * (phi.conj() @ grad)
+            if np.linalg.norm(grad) < tol * max(1.0, len(arows)):
+                return f, phi
+            while step > 1e-16:
+                cand = phi + step * grad
+                cand /= np.linalg.norm(cand)
+                fc = loglik(cand)
+                if fc > f + 1e-12:
+                    phi, f, step = cand, fc, min(step * 1.8, 1e3)
+                    break
+                step *= 0.5
+            else:
+                return f, phi
+        return f, phi
+
+    starts = [np.linalg.eigh(vecs.T.conj() @ vecs)[1][:, -1]]
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        starts.append(z / np.linalg.norm(z))
+    f, phi = max((ascend(s) for s in starts), key=lambda res: res[0])
+    if abs(phi[0]) > 1e-12:
+        phi = phi * (phi[0].conj() / abs(phi[0]))
+    theta = np.empty(2 * (d - 1))
+    theta[0::2], theta[1::2] = phi[1:].real, phi[1:].imag
+    nrm = np.linalg.norm(theta)
+    if nrm >= 1.0:
+        theta *= (1.0 - 1e-9) / nrm
+    return theta, f
+
+
+def affine_runs(all_models):
+    """(model, data) of fixed, alternating and two-step runs on the two
+    affine qubit families."""
+    runs = []
+    for name, theta, fixed in (("bloch_equatorial", [0.3, -0.4], PAULI_BASES[0]),
+                               ("bloch_full", [0.2, -0.3, 0.4], PAULI_BASES[2])):
+        model = all_models[name]
+        bases = PAULI_BASES[:model.num_params]
+        for k, scheme in enumerate((fixed_basis_scheme(fixed),
+                                    alternating_scheme(bases),
+                                    two_step_scheme(model, 0.1))):
+            runs.append((model, sample_outcomes(model, theta, scheme, 3000,
+                                                seed=30 + k)))
+    return runs
+
+
+class TestCountTable:
+    def test_rows_sum_to_n(self, all_models):
+        for model, data in affine_runs(all_models):
+            vecs, counts = _outcome_table(data)
+            assert counts.sum() == data.n_copies
+            assert np.all(counts > 0)
+            assert len(counts) <= len(data.bases) * model.dim
+            assert vecs.shape == (len(counts), model.dim)
+
+    def test_count_loglik_equals_per_copy_sum(self, all_models):
+        rng = np.random.default_rng(31)
+        for model, data in affine_runs(all_models):
+            loglik, vecs = _chart_loglik(data, model), per_copy_vectors(data)
+            for _ in range(5):
+                theta = 0.7 * model.domain.project(rng.uniform(-1, 1, model.num_params))
+                ref = per_copy_affine_loglik(vecs, model, theta)
+                assert loglik(theta) == pytest.approx(ref, rel=1e-12)
+
+    def test_mle_matches_per_copy_ascent(self, all_models):
+        for model, data in affine_runs(all_models):
+            theta, f = per_copy_affine_mle(per_copy_vectors(data), model)
+            res = mle_estimate(data, model)
+            assert np.allclose(res.theta, theta, rtol=0.0, atol=1e-7)
+            assert res.loglik == pytest.approx(f, rel=1e-9)
+
+    def test_random_basis_table_is_per_copy(self, all_models):
+        model = all_models["pure_qubit"]
+        for n, seed in ((250, 32), (1000, 33)):
+            data = sample_outcomes(model, [0.3, -0.2], random_basis_scheme(), n,
+                                   seed=seed)
+            vecs, counts = _outcome_table(data)
+            assert np.array_equal(vecs, per_copy_vectors(data))
+            assert np.array_equal(counts, np.ones(n))
+            theta, f = per_copy_pure_mle(per_copy_vectors(data), model.dim)
+            res = mle_estimate(data, model)
+            assert np.array_equal(res.theta, theta) and res.loglik == f
+
+    def test_stacked_chart_equals_point_calls(self, all_models):
+        rng = np.random.default_rng(34)
+        for name, scheme in (("bloch_equatorial", alternating_scheme(PAULI_BASES[:2])),
+                             ("bloch_full", alternating_scheme(PAULI_BASES)),
+                             ("pure_qubit", random_basis_scheme())):
+            model = all_models[name]
+            data = sample_outcomes(model, 0.3 * np.ones(model.num_params), scheme,
+                                   500, seed=35)
+            loglik = _chart_loglik(data, model)
+            # reaching past the domain: points off the chart give -inf
+            thetas = rng.uniform(-1.1, 1.1, (64, model.num_params))
+            stacked = loglik(thetas)
+            points = np.array([loglik(t) for t in thetas])
+            assert stacked.shape == (64,)
+            assert np.array_equal(np.isfinite(stacked), np.isfinite(points))
+            assert np.isfinite(points).sum() >= 16
+            fin = np.isfinite(points)
+            assert np.allclose(stacked[fin], points[fin], rtol=1e-12, atol=0.0)
+
+
+def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
+    """The posterior mean with one likelihood call per draw."""
+    mle = mle_estimate(data, model)
+    loglik = _chart_loglik(data, model)
+    p = model.num_params
+    center = model.domain.project(mle.theta * (1.0 - 1e-9))
+    h, hess, f0 = 1e-4, np.zeros((p, p)), loglik(center)
+    for i in range(p):
+        for j in range(i, p):
+            ei, ej = np.zeros(p), np.zeros(p)
+            ei[i] = ej[j] = h
+            hess[i, j] = hess[j, i] = (loglik(center + ei + ej) - loglik(center + ei)
+                                       - loglik(center + ej) + f0) / h ** 2
+    cov = np.linalg.inv(-hess + 1e-6 * np.eye(p)) * spread ** 2
+    cov = 0.5 * (cov + cov.T)
+    w, v = np.linalg.eigh(cov)
+    root = (v * np.sqrt(np.clip(w, 1e-12, None))) @ v.T
+    rng = np.random.default_rng(seed)
+    draws = center + rng.standard_normal((n_samples, p)) @ root.T
+    logq = -0.5 * np.einsum("ni,ij,nj->n", draws - center,
+                            np.linalg.inv(cov), draws - center)
+    logw = np.full(n_samples, -np.inf)
+    for i, t in enumerate(draws):
+        dens = prior.density(t)
+        if model.domain.contains(t) and dens > 0.0:
+            logw[i] = loglik(t) + math.log(dens) - logq[i]
+    finite = np.isfinite(logw)
+    wts = np.exp(logw[finite] - np.max(logw[finite]))
+    return (wts[:, None] * draws[finite]).sum(axis=0) / wts.sum()
+
+
 class TestBayesMean:
     def test_stays_in_domain_and_near_mle(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -127,6 +327,20 @@ class TestBayesMean:
         est, mle = bayes_mean_estimate(data, model, prior, seed=6)
         assert model.domain.contains(est)
         assert np.linalg.norm(est - mle.theta) < 0.1
+
+    def test_stacked_weights_equal_per_draw_loop(self, all_models):
+        for name, scheme, n in (
+                ("bloch_equatorial", alternating_scheme(PAULI_BASES[:2]), 4000),
+                ("bloch_equatorial", alternating_scheme(PAULI_BASES[:2]), 60),
+                ("bloch_full", alternating_scheme(PAULI_BASES), 2000),
+                ("pure_qubit", random_basis_scheme(), 300)):
+            model = all_models[name]
+            prior = bump_prior(model.num_params, 0.8)
+            data = sample_outcomes(model, 0.35 * np.ones(model.num_params) / model.num_params,
+                                   scheme, n, seed=36)
+            est, _ = bayes_mean_estimate(data, model, prior, seed=37)
+            ref = model.domain.project(per_draw_bayes_mean(data, model, prior, seed=37))
+            assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
 
 class TestTwoStep:
