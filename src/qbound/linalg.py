@@ -93,19 +93,28 @@ def traceless_hermitian_basis(d):
 
 
 def haar_unitary(d, rng):
-    """Haar-distributed unitary: QR of a complex Ginibre matrix, phase-fixed."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r)
-    return q * (ph / np.abs(ph))
+    """One Haar-distributed unitary, the d x d case of :func:`haar_unitaries`."""
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def haar_unitaries(d, n, rng):
-    """Batch of n Haar unitaries, shape (n, d, d)."""
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.einsum("nii->ni", r)
-    return q * (ph / np.abs(ph))[:, None, :]
+    """Batch of n Haar unitaries, shape (n, d, d).
+
+    The Q factor of a complex Ginibre matrix with a positive diagonal in R
+    (Mezzadri, Notices AMS 54, 592 (2007)).  That Q is unique, so it is
+    built by Gram-Schmidt with a second orthogonalisation pass, vectorised
+    over the batch.  The scale of the Ginibre entries does not change Q.
+    """
+    re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
+    cols = np.empty((d, d, n), dtype=complex)  # cols[k]: column k of each
+    cols.real, cols.imag = re.T, im.T
+    for k in range(d):
+        v = cols[k]
+        for _ in range(2):
+            for q in cols[:k]:
+                v -= q * np.sum(q.conj() * v, axis=0)
+        v /= np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=0))
+    return cols.T
 
 
 def random_hermitian(d, rng, traceless=False):

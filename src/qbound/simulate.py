@@ -179,7 +179,12 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
 
     if scheme.kind == "random_basis_covariant":
         bases = haar_unitaries(d, n_copies, rng)
-        probs = np.einsum("nix,ij,njx->nx", bases.conj(), rho, bases).real
+        # <u|rho|u> for every basis vector u at once: the bases side by side
+        # as one (d, n*d) matrix, one product with rho
+        ut = bases.transpose(1, 0, 2).reshape(d, n_copies * d)
+        rho_ut = rho @ ut
+        probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag,
+                       axis=0).reshape(n_copies, d)
         probs = np.clip(probs, 0.0, None)
         cum = np.cumsum(probs, axis=1)
         cum /= cum[:, -1:]
@@ -234,6 +239,8 @@ class Estimator:
 
 # an outcome at or below this probability makes the log-likelihood -inf
 _P_FLOOR = 1e-300
+# step halvings before the sphere ascent counts a point as a maximum
+_MAX_HALVINGS = 40
 
 
 def _outcome_table(data: SampleData):
@@ -258,6 +265,21 @@ def _count_loglik(probs, counts):
     return float(ll) if ll.ndim == 0 else ll
 
 
+def _likelihood_table(data: SampleData, model: ParametricModel):
+    """(coeffs, counts): the count likelihood of the data, built once.
+
+    coeffs holds the conjugated outcome vectors of the table as columns
+    (d, rows) for a pure family and (a, b), with outcome probabilities
+    a + b @ theta, for an affine one; counts are floats.
+    """
+    vecs, counts = _outcome_table(data)
+    if model.is_pure:
+        coeffs = np.ascontiguousarray(vecs.T.conj())
+    else:
+        coeffs = _affine_probs(vecs, model)
+    return coeffs, counts.astype(float)
+
+
 def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
                  max_iters=400) -> MleResult:
     """Maximum likelihood estimate of theta from sampled outcomes.
@@ -265,17 +287,20 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
     The likelihood is evaluated on the outcome count table, one row per
     observed (basis, outcome) pair.  Affine families have a concave
     log-likelihood over the domain and use projected gradient ascent; pure
-    families ascend on the amplitude sphere (projected Riemannian gradient)
+    families ascend on the amplitude sphere (safeguarded Riemannian Newton)
     and convert back to the chart.  The sphere likelihood is not concave, so
-    the pure ascent runs from three starts, the top eigenvector of the summed
+    the pure ascent runs from three starts, a spectral start from the summed
     outcome projectors and two fixed pseudo-random unit vectors, and keeps the
     best.  A degenerate all-boundary likelihood sets the boundary flag
     instead of raising.
     """
-    vecs, counts = _outcome_table(data)
+    return _mle_from_table(model, *_likelihood_table(data, model), tol, max_iters)
+
+
+def _mle_from_table(model, coeffs, counts, tol=1e-8, max_iters=400):
     if model.is_pure:
-        return _mle_pure(vecs, counts, model, tol, max_iters)
-    return _mle_affine(vecs, counts, model, tol, max_iters)
+        return _mle_pure(coeffs, counts, tol, max_iters)
+    return _mle_affine(*coeffs, counts, model.domain, tol, max_iters)
 
 
 def _affine_probs(vecs, model):
@@ -291,15 +316,15 @@ def _affine_loglik(a, b, counts, theta):
     return _count_loglik(a + theta @ b.T, counts)
 
 
-def _pure_probs(arows, phi):
-    """|<e|phi>|^2 of every table row at amplitudes phi (d,) or (n, d)."""
-    return np.abs(arows @ phi.T).T ** 2
+def _pure_probs(acols, phi):
+    """|<e|phi>|^2 of every table row at amplitudes phi (d,) or (n, d);
+    acols (d, rows) holds the conjugated outcome vectors as columns."""
+    amp = phi @ acols
+    return amp.real ** 2 + amp.imag ** 2
 
 
-def _mle_affine(vecs, counts, model, tol, max_iters):
-    a, b = _affine_probs(vecs, model)
+def _mle_affine(a, b, counts, dom, tol, max_iters):
     n_copies = int(counts.sum())
-    dom = model.domain
     theta = dom.reference_point.copy()
     f = _affine_loglik(a, b, counts, theta)
     step = 1.0
@@ -329,24 +354,24 @@ def _mle_affine(vecs, counts, model, tol, max_iters):
     return MleResult(theta, boundary, converged, f)
 
 
-def _mle_pure(vecs, counts, model, tol, max_iters):
-    # not concave on the sphere: the spectral start alone can stop at a local
-    # maximum (trial 1487 of pure_qubit, N = 250, seed 2024)
-    d = model.dim
-    arows = vecs.conj()
-    starts = [np.linalg.eigh((arows.T * counts) @ vecs)[1][:, -1]]
+def _mle_pure(acols, counts, tol, max_iters):
+    # not concave on the sphere: a single start can stop at a local maximum
+    # (trial 1487 of pure_qubit, N = 250, seed 2024)
+    d = acols.shape[0]
+    # the spectral start is the complex conjugate of the top eigenvector of
+    # sum c e e^H: from the eigenvector itself no start reaches the global
+    # maximum of that trial
+    starts = [np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]]
     rng = np.random.default_rng(0)
     for _ in range(2):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        # normalized here and again on entry to the ascent: the estimates
-        # depend on that double rounding bit for bit
         starts.append(z / np.linalg.norm(z))
 
     def loglik(phi):
-        return _count_loglik(_pure_probs(arows, phi), counts)
+        return _count_loglik(_pure_probs(acols, phi), counts)
 
     f, phi, converged = max(
-        (_ascend_sphere(arows, counts, s, loglik, tol, max_iters) for s in starts),
+        (_ascend_sphere(acols, counts, s, loglik, tol, max_iters) for s in starts),
         key=lambda res: res[0])  # the first of equal maxima
 
     if abs(phi[0]) > 1e-12:
@@ -362,10 +387,20 @@ def _mle_pure(vecs, counts, model, tol, max_iters):
     return MleResult(theta, boundary, converged, f)
 
 
-def _ascend_sphere(arows, counts, phi, loglik, tol, max_iters):
-    """(loglik, phi, converged) after projected gradient ascent from phi."""
-    n_copies = int(counts.sum())
-    wrows = arows.conj().T * counts  # counts folded into the gradient rows once
+def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
+    """(loglik, phi, converged) after a safeguarded Newton ascent from phi.
+
+    About the current phi, with Q an orthonormal basis of phi-perp and
+    w_i = (a_i Q)/(a_i phi), the log-likelihood at (phi + Q v)/|phi + Q v| is
+    f + 2 Re(s1 v) - Re(v^T S2 v) - N |v|^2 + O(|v|^3), where
+    s1 = sum c_i w_i and S2 = sum c_i w_i w_i^T (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, ch. 6).  In the real
+    coordinates (Re v, Im v) the step is the Newton step of that model where
+    its Hessian is negative definite and the gradient step g/(2N) elsewhere;
+    it is halved until the likelihood rises.  |s1| is the norm of the
+    Riemannian gradient, and the ascent stops when it falls below tol*N.
+    """
+    n_copies = max(1.0, float(counts.sum()))
     phi = phi / np.linalg.norm(phi)
     f = loglik(phi)
     if not np.isfinite(f):  # an outcome orthogonal to the start
@@ -373,33 +408,48 @@ def _ascend_sphere(arows, counts, phi, loglik, tol, max_iters):
         f = loglik(phi)
         if not np.isfinite(f):
             return f, phi, False
-    step = 1.0 / max(1.0, n_copies)
+    m = phi.size - 1
+    h = np.empty((2 * m, 2 * m))
     for _ in range(max_iters):
-        amp = arows @ phi
-        grad = wrows @ (amp / np.abs(amp) ** 2)
-        grad -= phi * (phi.conj() @ grad)  # tangent projection
-        if np.linalg.norm(grad) < tol * max(1.0, n_copies):
+        frame = np.linalg.eigh(np.outer(phi, phi.conj()))[1]
+        frame[:, m] = phi  # the eigenvalue-1 vector, up to its phase
+        amps = frame.T @ acols
+        w = amps[:m] / amps[m]
+        cw = w * counts
+        s1 = cw.sum(axis=1)
+        if np.linalg.norm(s1) < tol * n_copies:
             return f, phi, True
-        while step > 1e-16:
-            cand = phi + step * grad
+        s2 = cw @ w.T
+        # g and h: half the gradient and minus half the Hessian of the model
+        g = np.concatenate([s1.real, -s1.imag])
+        h[:m, :m] = s2.real
+        h[m:, m:] = -s2.real
+        h[:m, m:] = h[m:, :m] = -s2.imag
+        h[np.diag_indices(2 * m)] += n_copies
+        try:
+            np.linalg.cholesky(h)
+            u = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:  # the model is not concave here
+            u = g / n_copies
+        move = frame[:, :m] @ (u[:m] + 1j * u[m:])
+        for _ in range(_MAX_HALVINGS):
+            cand = phi + move
             cand /= np.linalg.norm(cand)
             fc = loglik(cand)
-            if fc > f + 1e-12:
+            if fc > f:
                 phi, f = cand, fc
-                step = min(step * 1.8, 1e3)
                 break
-            step *= 0.5
+            move *= 0.5
         else:
             return f, phi, True
     return f, phi, False
 
 
-def _chart_loglik(data, model):
-    """Log-likelihood of the data on the parameter chart, at one point (p,)
-    or at each point of a stack (n, p); -inf off the chart."""
-    vecs, counts = _outcome_table(data)
+def _chart_loglik(model, coeffs, counts):
+    """Log-likelihood of a table (see _likelihood_table) on the parameter
+    chart, at one point (p,) or at each point of a stack (n, p); -inf off
+    the chart."""
     if model.is_pure:
-        arows = vecs.conj()
 
         def loglik(theta):
             theta = np.asarray(theta, dtype=float)
@@ -407,11 +457,10 @@ def _chart_loglik(data, model):
             head = np.sqrt(np.where(nsq < 1.0, 1.0 - nsq, np.nan))  # NaN: -inf
             phi = np.concatenate([head[..., None],
                                   theta[..., 0::2] + 1j * theta[..., 1::2]], axis=-1)
-            return _count_loglik(_pure_probs(arows, phi), counts)
+            return _count_loglik(_pure_probs(coeffs, phi), counts)
 
         return loglik
-    a, b = _affine_probs(vecs, model)
-    return lambda theta: _affine_loglik(a, b, counts, theta)
+    return lambda theta: _affine_loglik(*coeffs, counts, theta)
 
 
 def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
@@ -423,8 +472,9 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     sample size degenerates.  The weights of all draws are evaluated as one
     stack: domain membership, prior density and log-likelihood.
     """
-    mle = mle_estimate(data, model)
-    loglik = _chart_loglik(data, model)
+    table = _likelihood_table(data, model)
+    mle = _mle_from_table(model, *table)
+    loglik = _chart_loglik(model, *table)
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
     h = 1e-4

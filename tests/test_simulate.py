@@ -8,10 +8,12 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
                     empirical_fisher, fixed_basis_scheme, helstrom_matrix,
                     mle_estimate, povm_fisher, random_basis_scheme,
                     sample_outcomes, two_step_scheme)
-from qbound.models import Domain, affine_model, basis_povm
-from qbound.simulate import (PAULI_BASES, SampleData, _chart_loglik,
-                             _outcome_table, _single_trial)
-from qbound.linalg import PAULI_Z
+from qbound.models import Domain, affine_model, basis_povm, pure_state_model
+from qbound.simulate import (PAULI_BASES, SampleData, _ascend_sphere,
+                             _chart_loglik, _count_loglik, _direction_basis,
+                             _likelihood_table, _outcome_table, _pure_probs,
+                             _single_trial)
+from qbound.linalg import PAULI_Z, haar_unitaries
 
 
 def axis_submodel():
@@ -62,6 +64,55 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_outcomes(all_models["pure_qubit"], [0.1, 0.1],
                             random_basis_scheme(), 0, seed=0)
+
+
+def qr_haar_unitaries(d, n, rng):
+    """Haar bases as the Q factor of a batched QR of the same Ginibre draws,
+    phase-fixed to a positive diagonal in R."""
+    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    ph = np.einsum("nii->ni", r)
+    return q * (ph / np.abs(ph))[:, None, :]
+
+
+def qr_random_basis_outcomes(model, theta, n, rng):
+    """Random-basis outcomes through QR bases and a per-copy einsum."""
+    rho, d = model.state(theta), model.dim
+    bases = qr_haar_unitaries(d, n, rng)
+    probs = np.clip(np.einsum("nix,ij,njx->nx", bases.conj(), rho, bases).real, 0.0, None)
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1:]
+    return (rng.random(n)[:, None] > cum).sum(axis=1).clip(0, d - 1)
+
+
+class TestHaar:
+    def test_gram_schmidt_equals_qr(self):
+        for d in (2, 3, 4):
+            rng, ref_rng = np.random.default_rng(40 + d), np.random.default_rng(40 + d)
+            u = haar_unitaries(d, 500, rng)
+            ref = qr_haar_unitaries(d, 500, ref_rng)
+            assert u.shape == (500, d, d)
+            assert np.max(np.abs(u - ref)) <= 1e-12
+            assert rng.random() == ref_rng.random()  # the same draws consumed
+
+    def test_unitary(self):
+        for d in (2, 3, 4):
+            u = haar_unitaries(d, 500, np.random.default_rng(50 + d))
+            gram = np.einsum("nji,njk->nik", u.conj(), u)
+            assert np.max(np.abs(gram - np.eye(d))) <= 1e-12
+
+    def test_random_basis_outcomes_equal_qr_path(self, all_models):
+        model = all_models["pure_qubit"]
+        runs = [([0.3, -0.2], 250, np.random.default_rng(32)),
+                ([0.3, -0.2], 1000, np.random.default_rng(33))]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(0,)))
+        runs.append((bump_prior(2, 0.8).sample(rng), 4000, rng))
+        for theta, n, rng in runs:
+            ref_rng = np.random.default_rng()
+            ref_rng.bit_generator.state = rng.bit_generator.state
+            data = sample_outcomes(model, theta, random_basis_scheme(), n, seed=rng)
+            ref = qr_random_basis_outcomes(model, theta, n, ref_rng)
+            assert np.array_equal(data.outcomes, ref)
 
 
 class TestMle:
@@ -213,6 +264,16 @@ def per_copy_pure_mle(vecs, d, tol=1e-8, max_iters=400):
     return theta, f
 
 
+def assert_reaches_per_copy_maximum(data, model):
+    """mle_estimate reaches the maximum of the first-order per-copy ascent:
+    the same point to 1e-6 and at least its log-likelihood, up to 1e-9|f|."""
+    theta, f = per_copy_pure_mle(per_copy_vectors(data), model.dim)
+    res = mle_estimate(data, model)
+    assert res.converged
+    assert res.loglik >= f - 1e-9 * abs(f)
+    assert np.allclose(res.theta, theta, rtol=0.0, atol=1e-6)
+
+
 def affine_runs(all_models):
     """(model, data) of fixed, alternating and two-step runs on the two
     affine qubit families."""
@@ -241,7 +302,8 @@ class TestCountTable:
     def test_count_loglik_equals_per_copy_sum(self, all_models):
         rng = np.random.default_rng(31)
         for model, data in affine_runs(all_models):
-            loglik, vecs = _chart_loglik(data, model), per_copy_vectors(data)
+            loglik = _chart_loglik(model, *_likelihood_table(data, model))
+            vecs = per_copy_vectors(data)
             for _ in range(5):
                 theta = 0.7 * model.domain.project(rng.uniform(-1, 1, model.num_params))
                 ref = per_copy_affine_loglik(vecs, model, theta)
@@ -262,9 +324,7 @@ class TestCountTable:
             vecs, counts = _outcome_table(data)
             assert np.array_equal(vecs, per_copy_vectors(data))
             assert np.array_equal(counts, np.ones(n))
-            theta, f = per_copy_pure_mle(per_copy_vectors(data), model.dim)
-            res = mle_estimate(data, model)
-            assert np.array_equal(res.theta, theta) and res.loglik == f
+            assert_reaches_per_copy_maximum(data, model)
 
     def test_stacked_chart_equals_point_calls(self, all_models):
         rng = np.random.default_rng(34)
@@ -274,7 +334,7 @@ class TestCountTable:
             model = all_models[name]
             data = sample_outcomes(model, 0.3 * np.ones(model.num_params), scheme,
                                    500, seed=35)
-            loglik = _chart_loglik(data, model)
+            loglik = _chart_loglik(model, *_likelihood_table(data, model))
             # reaching past the domain: points off the chart give -inf
             thetas = rng.uniform(-1.1, 1.1, (64, model.num_params))
             stacked = loglik(thetas)
@@ -286,10 +346,76 @@ class TestCountTable:
             assert np.allclose(stacked[fin], points[fin], rtol=1e-12, atol=0.0)
 
 
+def tetrahedron_data():
+    """One copy in each of four bases whose first vectors point at the
+    corners of a tetrahedron on the Bloch sphere, every outcome 0: the
+    likelihood has its maxima at the corners and saddle points midway
+    between two of them."""
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+    bases = np.stack([_direction_basis(c) for c in corners])
+    data = SampleData(bases=bases, basis_index=np.arange(4),
+                      outcomes=np.zeros(4, dtype=np.int64), n_copies=4,
+                      scheme_kind="alternating_bases")
+    return corners, data
+
+
+def chart_hessian(loglik, phi, h=1e-4):
+    """Finite-difference Hessian of loglik((phi + q v)/|phi + q v|) at v = 0
+    in the real coordinates (Re v, Im v), for a qubit amplitude phi."""
+    q = np.array([-phi[1].conj(), phi[0].conj()])  # orthogonal to phi
+
+    def f(x):
+        psi = phi + (x[0] + 1j * x[1]) * q
+        return loglik(psi / np.linalg.norm(psi))
+
+    e = h * np.eye(2)
+    return np.array([[(f(a + b) - f(a - b) - f(b - a) + f(-a - b)) / (4 * h * h)
+                      for b in e] for a in e])
+
+
+class TestNewtonAscent:
+    def test_reaches_first_order_maximum(self, all_models):
+        models = (all_models["pure_qubit"], all_models["pure_dim_3"], pure_state_model(4))
+        for model in models:
+            rng = np.random.default_rng(60 + model.dim)
+            for n in (250, 1000):
+                theta = bump_prior(model.num_params, 0.8).sample(rng)
+                data = sample_outcomes(model, theta, random_basis_scheme(), n, seed=rng)
+                assert_reaches_per_copy_maximum(data, model)
+
+    def test_gradient_step_next_to_a_saddle(self, all_models, monkeypatch):
+        corners, data = tetrahedron_data()
+        acols, counts = _likelihood_table(data, all_models["pure_qubit"])
+
+        def loglik(phi):
+            return _count_loglik(_pure_probs(acols, phi), counts)
+
+        # a little off the saddle between corners 0 and 1, towards corner 0
+        start = _direction_basis(corners[0] + corners[1] + 0.05 * (corners[0] - corners[1]))[:, 0]
+        assert np.linalg.eigvalsh(-chart_hessian(loglik, start))[0] < 0.0
+        real_cholesky, refused = np.linalg.cholesky, []
+
+        def cholesky(a):
+            try:
+                return real_cholesky(a)
+            except np.linalg.LinAlgError:
+                refused.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        f, phi, converged = _ascend_sphere(acols, counts, start, loglik, 1e-8, 400)
+        assert refused  # the gradient step was taken
+        assert converged
+        peak = _direction_basis(corners[0])[:, 0]
+        assert f == pytest.approx(loglik(peak), abs=1e-12)
+        assert abs(np.vdot(peak, phi)) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.eigvalsh(-chart_hessian(loglik, phi))[0] > 0.0
+
+
 def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
     """The posterior mean with one likelihood call per draw."""
     mle = mle_estimate(data, model)
-    loglik = _chart_loglik(data, model)
+    loglik = _chart_loglik(model, *_likelihood_table(data, model))
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
     h, hess, f0 = 1e-4, np.zeros((p, p)), loglik(center)
