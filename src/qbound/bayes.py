@@ -3,11 +3,9 @@
 Quadrature uses polar/spherical product grids (Gauss-Legendre radial x
 uniform angular) on ball supports, with a Monte Carlo fallback; every
 grid bound carries an error estimate, the refinement difference plus the
-certified solver gaps.  The Holevo solves run in lockstep batches, one
-per radius: the nodes at radial index k of every ray form one batch, and
-each node that descends is warm-started from node k-1 of its own ray.  A
-pool of worker processes, when asked for, takes chunks of rays, each
-chunk its own lockstep batch.
+certified solver gaps.  Every Holevo solve of the module goes through
+``_solve_nodes``: a stack of nodes, each solved cold from its SLD start,
+in consecutive batches of ``_NODE_BATCH`` nodes.
 """
 
 import math
@@ -18,12 +16,13 @@ import numpy as np
 
 from .config import DEFAULT_NUMERICS
 from .errors import DivergentIntegralError, InfeasibleTaperError, NumericalError
-from .holevo import SolverOptions, _solve_batch, solve_holevo
+# ``solve_holevo`` is not called here; it stays a name of this module
+# because perfbench/tracer.py wraps qbound.bayes.solve_holevo
+from .holevo import SolverOptions, _solve_batch, solve_holevo  # noqa: F401
 from .models import Domain, ParametricModel, embedding_loss_scale, fidelity_embedding
 
-# Monte Carlo quadrature nodes per batch solve; bounds the batch's memory
-# as the ray count bounds it on grids.
-_MC_BATCH = 256
+# Nodes per batch solve; bounds the memory of a batch.
+_NODE_BATCH = 256
 # Rejection rounds before Prior.sample gives up: a density that is zero (or
 # far below ``peak``) on the envelope would otherwise never fill the draw.
 _MAX_REJECTION_ROUNDS = 1000
@@ -297,8 +296,8 @@ class _BallGrid:
     """Gauss-Legendre radial x angular product grid on a ball.
 
     Directions are +-1 for p = 1, n_angular equispaced angles for p = 2,
-    and n_angular azimuths x Gauss-Legendre polar cosines for p = 3; each
-    direction is one ray of n_radial nodes, in that order.
+    and n_angular azimuths x Gauss-Legendre polar cosines for p = 3; the
+    nodes run over the n_radial radii of one direction, then the next.
     """
 
     def __init__(self, p, r0, n_radial, n_angular):
@@ -325,7 +324,6 @@ class _BallGrid:
             raise ValueError("ball grids support p <= 3")
         self.nodes = (r[None, :, None] * dirs[:, None, :]).reshape(-1, p)
         self.weights = np.outer(w_dir, wr).ravel()
-        self.rays = [slice(k * n_radial, (k + 1) * n_radial) for k in range(len(dirs))]
 
     def refined(self):
         return _BallGrid(self.p, self.r0, 2 * self.n_radial,
@@ -340,7 +338,7 @@ class QuadratureOptions:
     method: str = "grid"      # "grid" | "mc"
     mc_samples: int = 100000
     seed: int = 0
-    workers: int = 1          # fidelity loss only; rays are the parallel unit
+    workers: int = 1          # no effect; the benchmark workloads pass it
 
 
 @dataclass(frozen=True)
@@ -371,72 +369,32 @@ def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None
     return float(np.sum(grid.weights * dens * vals) / mass)
 
 
-def _solve_rays(model, loss, rays, solver_opts, strict):
-    """Holevo solves on a stack of rays (r, k, p), one lockstep batch per
-    radial index; node k of a ray, if it descends, is warm-started from
-    its node k-1.
+def _solve_nodes(model, loss, thetas, solver_opts, strict):
+    """Holevo solves at a node stack thetas (n, p), each cold from its SLD
+    start, in consecutive batches of _NODE_BATCH nodes.
 
     A node that does not converge raises NumericalError under ``strict``;
-    otherwise it keeps its best value with an infinite gap, its V0 is NaN
-    and the next node of its ray starts cold.  Returns (values, v0s, gaps,
-    failures, iterations), the arrays shaped (r, k, ...).
-    """
-    r, k_count, p = rays.shape
-    values = np.empty((r, k_count))
-    gaps = np.empty((r, k_count))
-    v0s = np.empty((r, k_count, p, p))
-    failures = iterations = 0
-    x_warm = warm = None
-    for k in range(k_count):
-        thetas = rays[:, k]
-        batch = _solve_batch(model, thetas, loss.g0(thetas), solver_opts,
-                             x_warm=x_warm, warm=warm)
-        diag = batch.diagnostics
-        warm = diag["converged"]
-        if strict and not warm.all():
-            i = int(np.argmin(warm))
-            raise NumericalError(
-                f"Holevo solve failed at theta={thetas[i].tolist()}"
-            ) from batch.nonconvergence(i, solver_opts)
-        values[:, k] = batch.value
-        gaps[:, k] = np.where(warm, diag["gap_estimate"], np.inf)
-        v0s[:, k] = np.where(warm[:, None, None], batch.v0, np.nan)
-        failures += int(np.sum(~warm))
-        iterations += int(np.sum(diag["iterations"]))
-        x_warm = batch.x_star
-    return values, v0s, gaps, failures, iterations
-
-
-def _ray_chunk_worker(payload):
-    from .models import model_from_spec
-    model = model_from_spec(payload["model_spec"])
-    return _solve_rays(model, fidelity_loss(model), payload["rays"],
-                       SolverOptions.from_dict(payload["solver_opts"]), payload["strict"])
-
-
-def _solve_on_grid(model, loss, grid, solver_opts, strict, workers=1):
-    """Holevo solves on every node, as lockstep batches over the rays;
-    chunks of rays may be distributed over worker processes.
-
+    otherwise it keeps its best value with an infinite gap and a NaN V0.
     Returns (values, v0s, gaps, failures, iterations) in node order.
     """
-    rays = grid.nodes.reshape(len(grid.rays), grid.n_radial, grid.p)
-    parallel = workers > 1 and loss.name == "fidelity" and solver_opts.x_warm is None
-    if not parallel:
-        parts = [_solve_rays(model, loss, rays, solver_opts, strict)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from .models import model_to_spec
-        base = {"model_spec": model_to_spec(model),
-                "solver_opts": solver_opts.to_dict(), "strict": strict}
-        per = max(1, math.ceil(len(rays) / (4 * workers)))
-        chunks = [dict(base, rays=rays[i:i + per]) for i in range(0, len(rays), per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ray_chunk_worker, chunks))
-    values, v0s, gaps, failures, iterations = zip(*parts)
-    n = len(grid.nodes)
-    return (np.concatenate(values).reshape(n), np.concatenate(v0s).reshape(n, grid.p, grid.p),
-            np.concatenate(gaps).reshape(n), sum(failures), sum(iterations))
+    n, p = thetas.shape
+    values, gaps, v0s = np.empty(n), np.empty(n), np.empty((n, p, p))
+    failures = iterations = 0
+    for lo in range(0, n, _NODE_BATCH):
+        rows = slice(lo, lo + _NODE_BATCH)
+        batch = _solve_batch(model, thetas[rows], loss.g0(thetas[rows]), solver_opts)
+        ok = batch.diagnostics["converged"]
+        if strict and not ok.all():
+            i = int(np.argmin(ok))
+            raise NumericalError(
+                f"Holevo solve failed at theta={thetas[lo + i].tolist()}"
+            ) from batch.nonconvergence(i, solver_opts)
+        values[rows] = batch.value
+        gaps[rows] = np.where(ok, batch.diagnostics["gap_estimate"], np.inf)
+        v0s[rows] = np.where(ok[:, None, None], batch.v0, np.nan)
+        failures += int(np.sum(~ok))
+        iterations += int(np.sum(batch.diagnostics["iterations"]))
+    return values, v0s, gaps, failures, iterations
 
 
 def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
@@ -453,14 +411,15 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
     """
     quad = quad or QuadratureOptions()
     solver_opts = solver_opts or SolverOptions()
+    if quad.method not in ("grid", "mc"):
+        raise ValueError(f"unknown quadrature method {quad.method!r} (use 'grid' or 'mc')")
     if quad.method == "mc":
+        if quad.mc_samples < 2:
+            raise ValueError("Monte Carlo quadrature needs mc_samples >= 2 for an "
+                             f"error estimate, got {quad.mc_samples}")
         rng = np.random.default_rng(quad.seed)
         thetas = prior.sample(rng, quad.mc_samples)
-        # each sample is a ray of one node: batches without warm starts
-        parts = [_solve_rays(model, loss, thetas[i:i + _MC_BATCH, None], solver_opts, True)
-                 for i in range(0, len(thetas), _MC_BATCH)]
-        vals = np.concatenate([part[0][:, 0] for part in parts])
-        iterations = sum(part[4] for part in parts)
+        vals, _, _, _, iterations = _solve_nodes(model, loss, thetas, solver_opts, True)
         value = float(np.mean(vals))
         err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         return BayesBoundResult(value, err, len(vals), 0, (value,), iterations=iterations)
@@ -476,8 +435,8 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
         mass = float(np.sum(grid.weights * dens))
         if abs(mass - 1.0) > 1e-3:
             raise NumericalError(f"prior mass on the grid is {mass:.6f}, not 1")
-        values, _, gaps, fails, iters = _solve_on_grid(model, loss, grid, solver_opts,
-                                                       strict, workers=quad.workers)
+        values, _, gaps, fails, iters = _solve_nodes(model, loss, grid.nodes,
+                                                     solver_opts, strict)
         failures += fails
         iterations += iters
         gap_mean = float(np.sum(grid.weights * dens * np.where(dens > 0.0, gaps, 0.0)) / mass)
@@ -493,14 +452,10 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
 # ---------------------------------------------------------------------------
 # van Trees machinery
 
-def _canonical_c_fn(model, loss, grid, solver_opts):
-    """C(theta) = Gtilde psi' V0(theta) tabulated on the grid nodes."""
-    v0s = _solve_on_grid(model, loss, grid, solver_opts, strict=True)[1]
-    table = {}
-    for idx, theta in enumerate(grid.nodes):
-        jac = loss.psi_jac(theta)
-        table[idx] = loss.gtilde(theta) @ jac @ v0s[idx]
-    return lambda idx, theta: table[idx]
+def _canonical_c_fn(model, loss, thetas, solver_opts):
+    """C(theta) = Gtilde psi' V0(theta) at a node stack thetas (n, p)."""
+    v0s = _solve_nodes(model, loss, thetas, solver_opts, strict=True)[1]
+    return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
 
 
 def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
@@ -518,18 +473,15 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
     grid = _BallGrid(prior.domain.dim, prior.domain.radius,
                      quad.n_radial, quad.n_angular)
     if c_fn is None:
-        table = _canonical_c_fn(model, loss, grid, solver_opts)
-        c_at = table
-        c_point = None
+        cs = _canonical_c_fn(model, loss, grid.nodes, solver_opts)
     else:
-        c_at = lambda idx, theta: np.asarray(c_fn(theta), dtype=float)
-        c_point = c_fn
+        cs = np.stack([np.asarray(c_fn(theta), dtype=float) for theta in grid.nodes])
     dens = prior.density(grid.nodes)
     mass = float(np.sum(grid.weights * dens))
     num_terms = np.empty(len(grid.nodes))
     den_terms = np.empty(len(grid.nodes))
     for idx, theta in enumerate(grid.nodes):
-        c = c_at(idx, theta)
+        c = cs[idx]
         jac = loss.psi_jac(theta)
         gi = np.linalg.inv(loss.gtilde(theta))
         info = info_fn(theta)
@@ -538,7 +490,7 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
         den_terms[idx] = np.trace(gi @ c @ imat @ c.T)
     numerator_mean = float(np.sum(grid.weights * dens * num_terms) / mass)
     info_mean = float(np.sum(grid.weights * dens * den_terms) / mass)
-    jf = j_functional(model, prior, loss, c_fn=c_point, solver_opts=solver_opts)
+    jf = j_functional(model, prior, loss, c_fn=c_fn, solver_opts=solver_opts)
     return {"numerator_mean": numerator_mean, "info_mean": info_mean,
             "j_value": jf, "n_copies": n_copies}
 
@@ -582,13 +534,15 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     stays integrable near the support boundary.  Priors that do not vanish
     on their boundary (the known failure mode, e.g. a truncated uniform)
     carry an infinite functional and are rejected, as is any estimate that
-    keeps drifting by more than drift_tol across two refinements.  The
-    Holevo solves of a level run as one batch.
+    keeps drifting by more than drift_tol across two refinements, which
+    needs levels >= 2.  The Holevo solves of a level run as one node stack.
     """
     solver_opts = solver_opts or SolverOptions()
     p = prior.domain.dim
     if p > 3:
         raise ValueError("j_functional supports p <= 3")
+    if levels < 2:
+        raise ValueError(f"j_functional needs levels >= 2 for its drift check, got {levels}")
     ok, worst = check_boundary_zero(prior)
     if not ok:
         raise DivergentIntegralError(
@@ -601,16 +555,12 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
         v0_cache = {}  # a refined grid keeps every node of the coarser one
 
         def c_stack(thetas):
-            """C at a stack of nodes: one Holevo batch over the unsolved ones."""
+            """C at a stack of nodes, solving only the nodes not seen before."""
             keys = [tuple(np.round(t, 12)) for t in thetas]
             todo = [i for i, key in enumerate(keys) if key not in v0_cache]
             if todo:
-                batch = _solve_batch(model, thetas[todo], loss.g0(thetas[todo]),
-                                     solver_opts)
-                ok = batch.diagnostics["converged"]
-                if not ok.all():
-                    raise batch.nonconvergence(int(np.argmin(ok)), solver_opts)
-                v0_cache.update(zip((keys[i] for i in todo), batch.v0))
+                v0s = _solve_nodes(model, loss, thetas[todo], solver_opts, strict=True)[1]
+                v0_cache.update(zip((keys[i] for i in todo), v0s))
             v0s = np.stack([v0_cache[key] for key in keys])
             return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
     else:

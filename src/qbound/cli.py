@@ -105,10 +105,10 @@ def _parse_prior(spec, p):
     raise UsageError(f"unknown prior family {kind!r} (use bump:R or uniform:R)")
 
 
-def _check_workers(workers):
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {workers}")
-    return workers
+def _at_least_one(flag, value):
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _parse_scheme(spec, model):
@@ -164,10 +164,11 @@ def cmd_helstrom(args):
 
 
 def cmd_holevo(args):
+    opts = SolverOptions(max_iters=_at_least_one("--max-iters", args.max_iters))
     model = _parse_model(args)
     theta = _parse_theta(args.theta, model.num_params)
     g = _parse_weight(args.weight, model, theta)
-    sol = solve_holevo(model, theta, g, SolverOptions(max_iters=args.max_iters))
+    sol = solve_holevo(model, theta, g, opts)
     k0, dual_value = dual_bound(sol, g)
     _emit({"theta": theta.tolist(), "value": sol.value, "weight": _matrix(g),
            "V0": _matrix(sol.v0), "K0": _matrix(k0), "dual_value": dual_value,
@@ -181,7 +182,7 @@ def cmd_bayes(args):
     prior = _parse_prior(args.prior, model.num_params)
     loss = fidelity_loss(model)
     quad = QuadratureOptions(n_radial=args.n_radial, n_angular=args.n_angular,
-                             levels=args.levels, workers=_check_workers(args.workers))
+                             levels=args.levels)
     res = integrated_holevo(model, loss, prior, quad)
     payload = res.to_dict()
     payload.update({"model": model.family, "prior": args.prior})
@@ -190,7 +191,7 @@ def cmd_bayes(args):
 
 
 def cmd_simulate(args):
-    _check_workers(args.workers)
+    _at_least_one("--workers", args.workers)
     model = _parse_model(args)
     prior = _parse_prior(args.prior, model.num_params)
     scheme = _parse_scheme(args.scheme, model)
@@ -342,7 +343,6 @@ def build_parser():
     p.add_argument("--n-radial", type=int, default=12)
     p.add_argument("--n-angular", type=int, default=24)
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bayes)
 
     p = sub.add_parser("simulate", help="Monte Carlo Bayes risk of a scheme")

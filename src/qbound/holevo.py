@@ -87,7 +87,7 @@ def _check_problem(rho, drho, g, numerics: NumericsConfig):
 
 @dataclass
 class SolverOptions:
-    """Options for :func:`solve_holevo`; serializable via ``to_dict``.
+    """Options for :func:`solve_holevo`.
 
     A solve that the SLD start does not certify descends once, from
     ``x_warm`` when it is given and from the SLD collection otherwise; the
@@ -99,21 +99,6 @@ class SolverOptions:
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
     stage_rtol: float = 1e-9          # relative change over 5 iters ends a stage
     x_warm: Optional[Sequence[np.ndarray]] = None  # warm-start X collection
-
-    def to_dict(self):
-        return {"max_iters": self.max_iters,
-                "eps_schedule": list(self.eps_schedule),
-                "stage_rtol": self.stage_rtol}
-
-    @classmethod
-    def from_dict(cls, obj):
-        unknown = set(obj) - {"max_iters", "eps_schedule", "stage_rtol"}
-        if unknown:
-            raise ValueError(f"unknown solver option keys: {sorted(unknown)}")
-        obj = dict(obj)
-        if "eps_schedule" in obj:
-            obj["eps_schedule"] = tuple(obj["eps_schedule"])
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -441,13 +426,13 @@ def _certified(obj: _SmoothedObjective, t, floor, idx=slice(None), eps_values=(0
 
 
 def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
-                 numerics: NumericsConfig = DEFAULT_NUMERICS, x_warm=None, warm=None):
+                 numerics: NumericsConfig = DEFAULT_NUMERICS, x_warm=None):
     """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
 
-    A point the SLD collection certifies keeps it, with no iterations.  The
-    others descend from ``x_warm`` (n, p, d, d) where the mask ``warm`` (n,)
-    is set, or everywhere when it is None, and from the SLD collection
-    otherwise.  ``opts.x_warm`` is not read.
+    Each point is computed as it would be computed alone.  A point the SLD
+    collection certifies keeps it, with no iterations.  The others descend
+    from ``x_warm`` (n, p, d, d) when it is given and from the SLD
+    collection otherwise; ``opts.x_warm`` is not read.
     Non-convergence is reported per point in the diagnostics, not raised.
     """
     rho = model.state(thetas)                  # the one state/derivs evaluation
@@ -478,10 +463,7 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
     # only points the SLD start does not certify descend
     rows = np.nonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))[0]
     if rows.size:
-        t_start = t[rows]
-        if x_warm is not None:
-            w = np.ones(rows.size, dtype=bool) if warm is None else warm[rows]
-            t_start[w] = fs.coords(np.asarray(x_warm)[rows[w]], rows[w])
+        t_start = t[rows] if x_warm is None else fs.coords(np.asarray(x_warm)[rows], rows)
         t_rows = t_start
         for eps in opts.eps_schedule:
             t_rows, stage_iters, ok = _minimize_stage(obj, t_rows, eps, opts, rows)

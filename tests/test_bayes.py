@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qbound import (DivergentIntegralError, InfeasibleTaperError,
-                    NumericalError, QuadratureOptions, SolverOptions,
+                    NonConvergenceError, NumericalError, QuadratureOptions, SolverOptions,
                     bump_prior, check_boundary_zero, fidelity_loss,
                     integrated_holevo, j_functional, prior_expectation,
                     prior_taper, quarter_helstrom_weight, solve_holevo,
                     uniform_ball_prior, van_trees_parts, van_trees_rhs)
-from qbound.bayes import LossSpec, _BallGrid, _solve_on_grid
+from qbound.bayes import LossSpec, _BallGrid, _solve_nodes
 
 QUICK = QuadratureOptions(n_radial=8, n_angular=12, levels=2)
 
@@ -21,6 +21,10 @@ def equatorial_c_fn(theta):
     v0 = np.eye(2) - np.outer(theta, theta)      # V0 = H^{-1}
     jac = np.vstack([np.eye(2), -theta / t])
     return 0.25 * jac @ v0
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("bad options must be rejected before any solve")
 
 
 def _alternating_info_fn(model):
@@ -182,6 +186,16 @@ class TestIntegratedHolevo:
         with pytest.raises(NumericalError, match="mass"):
             integrated_holevo(model_eq, fidelity_loss(model_eq), broken, QUICK)
 
+    @pytest.mark.parametrize("quad", [QuadratureOptions(method="MC"),
+                                      QuadratureOptions(method="mc", mc_samples=1),
+                                      QuadratureOptions(method="mc", mc_samples=0)])
+    def test_bad_quadrature_options_rejected(self, all_models, monkeypatch, quad):
+        import qbound.bayes as bayes
+        monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
+        model = all_models["bloch_equatorial"]
+        with pytest.raises(ValueError, match="method|mc_samples"):
+            integrated_holevo(model, fidelity_loss(model), bump_prior(2, 0.8), quad)
+
 
 class TestJFunctional:
     def test_matches_independent_oracle(self, all_models):
@@ -200,6 +214,15 @@ class TestJFunctional:
         j_analytic = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
                                   base_n=13, levels=2)
         assert j_solver == pytest.approx(j_analytic, rel=1e-4)
+
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_fewer_than_two_levels_rejected(self, all_models, monkeypatch, levels):
+        # the drift check compares the last two levels
+        import qbound.bayes as bayes
+        monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
+        model = all_models["bloch_equatorial"]
+        with pytest.raises(ValueError, match="levels >= 2"):
+            j_functional(model, bump_prior(2, 0.5), fidelity_loss(model), levels=levels)
 
     def test_truncated_uniform_diverges(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -221,14 +244,15 @@ class TestJFunctional:
 
 
     def test_one_batch_per_level(self, all_models, monkeypatch):
+        # one node stack per level, over the nodes a coarser level left unsolved
         import qbound.bayes as bayes
-        real, sizes = bayes._solve_batch, []
+        real, sizes = bayes._solve_nodes, []
 
-        def counting(model, thetas, *args, **kwargs):
+        def counting(model, loss, thetas, *args, **kwargs):
             sizes.append(len(thetas))
-            return real(model, thetas, *args, **kwargs)
+            return real(model, loss, thetas, *args, **kwargs)
 
-        monkeypatch.setattr(bayes, "_solve_batch", counting)
+        monkeypatch.setattr(bayes, "_solve_nodes", counting)
         model = all_models["bloch_equatorial"]
         j_functional(model, bump_prior(2, 0.8), fidelity_loss(model),
                      base_n=13, levels=3)
@@ -280,38 +304,6 @@ class TestSerialization:
         again = loss_from_spec(loss.to_spec(), model)
         theta = np.array([0.2, -0.3])
         assert np.allclose(again.g0(theta), loss.g0(theta))
-
-    def test_solver_options_roundtrip(self):
-        opts = SolverOptions(max_iters=50, eps_schedule=(1e-2, 1e-4),
-                             stage_rtol=1e-7)
-        again = SolverOptions.from_dict(opts.to_dict())
-        assert again == opts
-        with pytest.raises(ValueError, match="unknown"):
-            SolverOptions.from_dict({"seed": 1, "bogus": 2})
-        # removed options (finite-difference gradient, random restarts)
-        # are unknown keys
-        for key, value in (("grad_mode", "fd"), ("multistart", 3),
-                           ("perturb_scale", 0.3)):
-            with pytest.raises(ValueError, match="unknown"):
-                SolverOptions.from_dict({key: value})
-
-    def test_quadrature_workers_match_serial(self, all_models):
-        # each chunk of rays is its own lockstep batch; per-node arithmetic
-        # does not depend on the batch, so the results are bit-identical.
-        # The pool takes fidelity loss only, on builtin families, whose
-        # nodes all certify at the SLD start: no node descends
-        model = all_models["bloch_equatorial"]
-        prior = bump_prior(2, 0.8)
-        loss = fidelity_loss(model)
-        serial = integrated_holevo(model, loss, prior, QUICK)
-        par = integrated_holevo(
-            model, loss, prior,
-            dataclasses.replace(QUICK, workers=2))
-        assert par.value == serial.value
-        assert par.levels == serial.levels
-        assert par.iterations == serial.iterations == 0
-        assert par.error_estimate == serial.error_estimate
-        assert serial.to_dict()["iterations"] == serial.iterations
 
 
 class TestVanTrees:
@@ -389,18 +381,10 @@ class TestVanTrees:
 # batched quadrature solves against one solve_holevo per node
 
 def _serial_chain(model, loss, grid, opts=SolverOptions()):
-    """Per-node values and iterations from one solve_holevo per node, each
-    warm-started from the previous node of its ray."""
-    values, iters = [], []
-    for ray in grid.rays:
-        warm = None
-        for theta in grid.nodes[ray]:
-            sol = solve_holevo(model, theta, loss.g0(theta),
-                               dataclasses.replace(opts, x_warm=warm))
-            warm = sol.x_star
-            values.append(sol.value)
-            iters.append(sol.diagnostics["iterations"])
-    return np.array(values), np.array(iters)
+    """Per-node values and iterations from one cold solve_holevo per node."""
+    sols = [solve_holevo(model, theta, loss.g0(theta), opts) for theta in grid.nodes]
+    return (np.array([sol.value for sol in sols]),
+            np.array([sol.diagnostics["iterations"] for sol in sols]))
 
 
 def _random_affine_case():
@@ -436,8 +420,8 @@ class TestBatchedSolves:
             loss = fidelity_loss(model)
         prior = bump_prior(model.num_params, 0.4)
         grid = _BallGrid(model.num_params, 0.4, 4, 6)
-        values, _, gaps, failures, _ = _solve_on_grid(model, loss, grid,
-                                                      SolverOptions(), strict=True)
+        values, _, gaps, failures, _ = _solve_nodes(model, loss, grid.nodes,
+                                                    SolverOptions(), strict=True)
         reference, _ = _serial_chain(model, loss, grid)
         assert failures == 0 and np.all(np.isfinite(gaps))
         assert np.max(np.abs(values - reference)) <= tol
@@ -461,44 +445,42 @@ class TestBatchedSolves:
             return batch
 
         monkeypatch.setattr(qbound.bayes, "_solve_batch", recording)
-        _, _, _, _, total = _solve_on_grid(model, loss, grid, SolverOptions(), strict=True)
-        batched = np.stack(per_batch, axis=1).ravel()   # radius-major -> ray-major
-        _, serial = _serial_chain(model, loss, grid)
-        assert np.array_equal(batched, serial)
+        values, _, _, _, total = _solve_nodes(model, loss, grid.nodes, SolverOptions(),
+                                              strict=True)
+        reference, serial = _serial_chain(model, loss, grid)
+        assert np.array_equal(np.concatenate(per_batch), serial)
         assert total == serial.sum() > 0
+        assert np.array_equal(values, reference)   # a node is solved as if alone
 
     def test_one_failed_node(self, all_models, monkeypatch):
-        # the wrapper marks ray 0's node at radial index 1 as not converged
+        # batches of 5 nodes; the wrapper marks node 6, the second node of
+        # the second batch, as not converged
         import qbound.bayes
         model = all_models["bloch_equatorial"]
         loss = fidelity_loss(model)
         grid = _BallGrid(2, 0.8, 4, 8)
+        bad = 6
         real = qbound.bayes._solve_batch
-        calls = []
 
-        def failing(*args, **kwargs):
-            batch = real(*args, **kwargs)
-            calls.append(1)
-            if len(calls) == 2:
-                batch.diagnostics["converged"] = batch.diagnostics["converged"].copy()
-                batch.diagnostics["converged"][0] = False
+        def failing(model, thetas, *args, **kwargs):
+            batch = real(model, thetas, *args, **kwargs)
+            hit = np.all(thetas == grid.nodes[bad], axis=1)
+            batch.diagnostics["converged"] = batch.diagnostics["converged"] & ~hit
             return batch
 
-        clean = _solve_on_grid(model, loss, grid, SolverOptions(), strict=False)
+        clean = _solve_nodes(model, loss, grid.nodes, SolverOptions(), strict=False)
         monkeypatch.setattr(qbound.bayes, "_solve_batch", failing)
-        bad_theta = grid.nodes[grid.rays[0]][1]
+        monkeypatch.setattr(qbound.bayes, "_NODE_BATCH", 5)
         with pytest.raises(NumericalError, match="solve failed at theta") as err:
-            _solve_on_grid(model, loss, grid, SolverOptions(), strict=True)
-        assert str(bad_theta.tolist()) in str(err.value)
-        calls.clear()
-        values, v0s, gaps, failures, _ = _solve_on_grid(model, loss, grid, SolverOptions(),
-                                                        strict=False)
-        ray0 = grid.rays[0]
-        others = np.ones(len(grid.nodes), dtype=bool)
-        others[ray0] = False
+            _solve_nodes(model, loss, grid.nodes, SolverOptions(), strict=True)
+        assert str(grid.nodes[bad].tolist()) in str(err.value)
+        assert isinstance(err.value.__cause__, NonConvergenceError)
+        values, v0s, gaps, failures, _ = _solve_nodes(model, loss, grid.nodes,
+                                                      SolverOptions(), strict=False)
+        others = np.arange(len(grid.nodes)) != bad
         assert failures == 1
         assert np.array_equal(values[others], clean[0][others])
         assert np.array_equal(gaps[others], clean[2][others])
         assert np.array_equal(v0s[others], clean[1][others])
-        assert np.isinf(gaps[ray0][1]) and np.all(np.isnan(v0s[ray0][1]))
-        assert values[ray0][1] == pytest.approx(0.5, abs=1e-6)   # the best value found
+        assert np.isinf(gaps[bad]) and np.all(np.isnan(v0s[bad]))
+        assert values[bad] == clean[0][bad]   # the best value found

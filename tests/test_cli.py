@@ -100,6 +100,12 @@ class TestHolevoCommand:
         assert diag["iterations"] > 0
         assert payload["best_value"] >= diag["lower_bound"] >= diag["helstrom_value"]
 
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # bloch_equatorial certifies at the start and would exit 0 unchecked
+        assert_usage_error(run_cli("holevo", "--model", "bloch_equatorial",
+                                   "--theta", "0.3,0", "--max-iters", max_iters))
+
     def test_dual_json_roundtrip(self):
         # re-feeding the emitted K0 into check_dual reproduces the slack
         res = run_cli("holevo", "--model", "bloch_equatorial", "--theta", "0.3,0")
@@ -132,11 +138,17 @@ class TestBayesCommand:
         assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
                                    "--prior", "bump:-1"))
 
-    @pytest.mark.parametrize("command", ["bayes", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, command, workers):
         assert_usage_error(run_cli(command, "--model", "bloch_equatorial",
                                    "--workers", workers))
+
+    def test_takes_no_workers(self):
+        # the quadrature has one serial solve path
+        code, out, _ = _run_main(["bayes", "--model", "bloch_equatorial",
+                                  "--workers", "2"])
+        assert code == 2 and out == ""
 
 
 class TestSimulateCommand:
@@ -255,7 +267,7 @@ _ARGV = st.one_of(
               _flag("--weight", ["helstrom_quarter", "identity"],
                     ["file:missing.json", "bogus", ""]),
               _flag("--max-iters", ["50", "600"], ["0", "-1", "1"])),
-    st.tuples(st.just(["bayes"]), _WORKERS, _model(list(_PARAMS)), _PRIOR,
+    st.tuples(st.just(["bayes"]), _model(list(_PARAMS)), _PRIOR,
               _flag("--n-radial", *_GRID), _flag("--n-angular", *_GRID),
               _flag("--levels", ["1", "2"], ["0", "-1"])),
     st.tuples(st.just(["simulate", "--seed", "3"]), _WORKERS,
