@@ -37,8 +37,9 @@ class Prior:
     ``density`` vanishes outside the support; ``density_grad`` is the
     gradient of the density (analytic for the builtin families).
     ``density_fn`` takes a stack of points (n, p) and returns (n,) values
-    or one value for all; ``grad_fn`` takes one point.  Builtin families
-    carry a JSON-serializable ``spec``.
+    or one value for all; ``grad_fn`` takes a stack and returns (n, p)
+    gradients or one gradient for all.  Builtin families carry a
+    JSON-serializable ``spec``.
     """
 
     domain: Domain
@@ -58,10 +59,13 @@ class Prior:
         return float(vals[0]) if theta.ndim == 1 else vals
 
     def density_grad(self, theta):
+        """Gradient at one point (p,) or at each point of a stack (n, p);
+        a point is computed as a stack of one."""
         theta = np.asarray(theta, dtype=float)
-        if not self.domain.contains(theta):
-            return np.zeros(self.domain.dim)
-        return np.asarray(self.grad_fn(theta), dtype=float)
+        stack = theta.reshape(-1, self.domain.dim)
+        grads = np.broadcast_to(np.asarray(self.grad_fn(stack), dtype=float), stack.shape)
+        grads = np.where(self.domain.contains(stack)[:, None], grads, 0.0)
+        return grads[0] if theta.ndim == 1 else grads
 
     def sample(self, rng, n=None):
         """Rejection sampling from the uniform ball envelope."""
@@ -130,10 +134,8 @@ def bump_prior(p, r0=0.9):
         return np.where(u2 < 1.0, c * (1.0 - u2) ** 2, 0.0)
 
     def grad(theta):
-        u2 = float(theta @ theta) / (r0 * r0)
-        if u2 >= 1.0:
-            return np.zeros_like(theta)
-        return -4.0 * c * (1.0 - u2) / (r0 * r0) * theta
+        u2 = _sq_norms(theta)[:, None] / (r0 * r0)
+        return np.where(u2 < 1.0, -4.0 * c * (1.0 - u2) / (r0 * r0) * theta, 0.0)
 
     return Prior(Domain("ball", radius=r0, dim=p), dens, grad,
                  family="bump", peak=c,
@@ -145,7 +147,7 @@ def uniform_ball_prior(p, r0=1.0):
     _check_radius(r0)
     c = 1.0 / _ball_volume(p, r0)
     return Prior(Domain("ball", radius=r0, dim=p),
-                 lambda theta: c, lambda theta: np.zeros(p),
+                 lambda theta: c, np.zeros_like,
                  family="uniform_ball", peak=c,
                  spec={"family": "uniform_ball", "dim": p, "radius": r0})
 
@@ -193,10 +195,8 @@ def prior_taper(base: Prior, eps, delta):
         return np.where(r <= a, 1.0, np.where(r >= b, 0.0, inside))
 
     def cutoff_deriv(r):
-        if r <= a or r >= b:
-            return 0.0
         s = 0.5 * math.pi * (r - a) / (b - a)
-        return -math.cos(s) * math.sin(s) * math.pi / (b - a)
+        return np.where((r <= a) | (r >= b), 0.0, -np.cos(s) * np.sin(s) * math.pi / (b - a))
 
     # integrate over the tapered support [0, b]: GL nodes cluster at the
     # endpoint, where the narrow cutoff window lives
@@ -213,12 +213,10 @@ def prior_taper(base: Prior, eps, delta):
         return scale * base.density(theta) * cutoff(np.sqrt(_sq_norms(theta)))
 
     def grad(theta):
-        r = float(np.linalg.norm(theta))
-        h = float(cutoff(r))
-        g = scale * base.density_grad(theta) * h
-        if r > 0.0:
-            g = g + scale * base.density(theta) * cutoff_deriv(r) * theta / r
-        return g
+        r = np.sqrt(_sq_norms(theta))[:, None]
+        radial = np.divide(theta, r, out=np.zeros_like(theta), where=r > 0.0)
+        return scale * (base.density_grad(theta) * cutoff(r)
+                        + base.density(theta)[:, None] * cutoff_deriv(r) * radial)
 
     spec = None
     if base.spec is not None:
@@ -238,7 +236,8 @@ class LossSpec:
 
     ``g0(theta) = psi'(theta)^T Gtilde psi'(theta)`` is the induced weight
     for the underlying parameter.  ``g0`` takes one point (p,) or a stack
-    (n, p) when ``psi_jac`` and ``gtilde`` do.
+    (n, p) when ``psi_jac`` and ``gtilde`` do.  ``j_functional`` calls
+    ``gtilde`` with a stack and takes (n, q, q) or one (q, q) for all.
     """
 
     psi: Callable = field(repr=False)
@@ -413,6 +412,8 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
     solver_opts = solver_opts or SolverOptions()
     if quad.method not in ("grid", "mc"):
         raise ValueError(f"unknown quadrature method {quad.method!r} (use 'grid' or 'mc')")
+    if quad.levels < 1:
+        raise ValueError(f"quadrature needs levels >= 1, got {quad.levels}")
     if quad.method == "mc":
         if quad.mc_samples < 2:
             raise ValueError("Monte Carlo quadrature needs mc_samples >= 2 for an "
@@ -428,9 +429,7 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                      quad.n_radial, quad.n_angular)
     levels = []
     failures = iterations = 0
-    gap_mean = 0.0
-    mass = 1.0
-    for _ in range(max(1, quad.levels)):
+    for _ in range(quad.levels):
         dens = prior.density(grid.nodes)
         mass = float(np.sum(grid.weights * dens))
         if abs(mass - 1.0) > 1e-3:
@@ -535,7 +534,9 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     on their boundary (the known failure mode, e.g. a truncated uniform)
     carry an infinite functional and are rejected, as is any estimate that
     keeps drifting by more than drift_tol across two refinements, which
-    needs levels >= 2.  The Holevo solves of a level run as one node stack.
+    needs levels >= 2.  The Holevo solves of a level run as one node stack,
+    and its weighted sum is one stacked pass over the nodes with positive
+    density.
     """
     solver_opts = solver_opts or SolverOptions()
     p = prior.domain.dim
@@ -591,13 +592,12 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
         cgrid = cgrid.reshape(-1, q, p)
         divc = divc.reshape(-1, q)
         dens = prior.density(pts)
-        floor = 1e-12 * prior.peak
-        total = 0.0
-        for i in np.nonzero(dens > floor)[0]:
-            w = cgrid[i] @ prior.density_grad(pts[i]) + divc[i] * dens[i]
-            gi = np.linalg.inv(loss.gtilde(pts[i]))
-            total += float(w @ gi @ w) / dens[i]
-        values.append(total * h ** p)
+        keep = dens > 1e-12 * prior.peak
+        pts, dens = pts[keep], dens[keep]
+        w = (np.einsum("nqp,np->nq", cgrid[keep], prior.density_grad(pts))
+             + divc[keep] * dens[:, None])
+        gi = np.broadcast_to(np.linalg.inv(loss.gtilde(pts)), (len(pts), q, q))
+        values.append(float(np.sum(np.einsum("ni,nij,nj->n", w, gi, w) / dens)) * h ** p)
         n = 2 * n - 1
     drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-12)
     if drift > drift_tol:

@@ -239,7 +239,7 @@ class Estimator:
 
 # an outcome at or below this probability makes the log-likelihood -inf
 _P_FLOOR = 1e-300
-# step halvings before the sphere ascent counts a point as a maximum
+# step halvings before an ascent counts a point as a maximum
 _MAX_HALVINGS = 40
 
 
@@ -286,9 +286,10 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
 
     The likelihood is evaluated on the outcome count table, one row per
     observed (basis, outcome) pair.  Affine families have a concave
-    log-likelihood over the domain and use projected gradient ascent; pure
-    families ascend on the amplitude sphere (safeguarded Riemannian Newton)
-    and convert back to the chart.  The sphere likelihood is not concave, so
+    log-likelihood over the domain and use a safeguarded Newton ascent that
+    keeps to the domain (see _mle_affine); pure families ascend on the
+    amplitude sphere (safeguarded Riemannian Newton) and convert back to
+    the chart.  The sphere likelihood is not concave, so
     the pure ascent runs from three starts, a spectral start from the summed
     outcome projectors and two fixed pseudo-random unit vectors, and keeps the
     best.  A degenerate all-boundary likelihood sets the boundary flag
@@ -324,34 +325,88 @@ def _pure_probs(acols, phi):
 
 
 def _mle_affine(a, b, counts, dom, tol, max_iters):
-    n_copies = int(counts.sum())
+    """Safeguarded Newton ascent of the concave count log-likelihood of an
+    affine family over its domain.
+
+    At theta, with probs = a + b theta and r = counts/probs, the gradient is
+    g = b^T r and minus the Hessian is H = b^T diag(r/probs) b, a p x p PSD
+    matrix.  The step is the Newton step (see _face_newton) where it exists
+    and the gradient step g/N elsewhere (a rank-deficient b, such as one
+    fixed basis on bloch_equatorial).  The candidate dom.project(theta + t
+    step) halves t until the likelihood rises; where the Newton direction
+    cannot rise the gradient direction is tried.  The ascent stops when the
+    projected gradient step is shorter than tol, which inside the domain is
+    |g| < tol*N and on its boundary detects a constrained maximum, or when no
+    candidate rises.
+    """
+    n_copies = max(1.0, float(counts.sum()))
     theta = dom.reference_point.copy()
     f = _affine_loglik(a, b, counts, theta)
-    step = 1.0
     converged = False
     for _ in range(max_iters):
-        grad = b.T @ (counts / (a + b @ theta))
-        gnorm = float(np.linalg.norm(grad))
-        moved = False
-        while step > 1e-14:
-            cand = dom.project(theta + step * grad)
-            fc = _affine_loglik(a, b, counts, cand)
-            if fc > f + 1e-12:
-                theta, f = cand, fc
-                step = min(step * 1.8, 1e3)
-                moved = True
+        probs = a + b @ theta
+        r = counts / probs
+        grad = b.T @ r
+        if np.linalg.norm(dom.project(theta + grad / n_copies) - theta) < tol:
+            converged = True
+            break
+        newton = _face_newton(theta, grad, (b.T * (r / probs)) @ b, dom)
+        steps = [grad / n_copies] if newton is None else [newton, grad / n_copies]
+        rose = False
+        for step in steps:
+            for _ in range(_MAX_HALVINGS):
+                cand = dom.project(theta + step)
+                fc = _affine_loglik(a, b, counts, cand)
+                if fc > f:
+                    theta, f, rose = cand, fc, True
+                    break
+                step = step * 0.5
+            if rose:
                 break
-            step *= 0.5
-        if not moved or gnorm < tol * max(1.0, n_copies):
+        if not rose:  # a maximum to working precision
             converged = True
             break
     if dom.kind == "ball":
         boundary = np.linalg.norm(theta) >= dom.radius * (1.0 - 1e-7)
     else:
-        lo = np.array([x[0] for x in dom.bounds])
-        hi = np.array([x[1] for x in dom.bounds])
+        lo, hi = np.array(dom.bounds, dtype=float).T
         boundary = bool(np.any(theta <= lo + 1e-7) or np.any(theta >= hi - 1e-7))
     return MleResult(theta, boundary, converged, f)
+
+
+def _face_newton(theta, grad, hess, dom):
+    """Newton step H^-1 g of the log-likelihood on the face of dom that
+    theta sits on with g pointing out of it (all of R^p inside the domain),
+    or None where minus the Hessian there is not positive definite.
+
+    With n an orthonormal basis of the active face's normals and
+    P = I - n n^T, it solves (P H P + c P + n n^T) s = P g, where
+    c = g.theta/|theta|^2 is the curvature term of the ball's rim (Absil,
+    Mahony & Sepulchre, 2008, ch. 5) and 0 on a box face; dom.project
+    retracts theta + s onto the face.  Without it a Newton step against an
+    active constraint does not rise, and the ascent along the rim is
+    first order.
+    """
+    p = theta.size
+    if dom.kind == "ball":
+        rad2 = theta @ theta
+        out = rad2 >= dom.radius ** 2 * (1.0 - 1e-12) and grad @ theta > 0.0
+        normals = theta[:, None] / np.sqrt(rad2) if out else np.zeros((p, 0))
+        curv = grad @ theta / rad2 if out else 0.0
+    else:
+        lo, hi = np.array(dom.bounds, dtype=float).T
+        out = ((theta <= lo) & (grad < 0.0)) | ((theta >= hi) & (grad > 0.0))
+        normals, curv = np.eye(p)[:, out], 0.0
+    if normals.shape[1]:
+        nn = normals @ normals.T
+        proj = np.eye(p) - nn
+        hess = proj @ hess @ proj + curv * proj + nn
+        grad = proj @ grad
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:  # singular H, such as a rank-deficient b
+        return None
+    return np.linalg.solve(hess, grad)
 
 
 def _mle_pure(acols, counts, tol, max_iters):

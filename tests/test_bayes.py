@@ -74,7 +74,7 @@ class TestPriors:
         # envelope raises instead of never returning
         from qbound import Domain, Prior
         prior = Prior(Domain("ball", radius=0.5, dim=2), lambda t: 0.0,
-                      lambda t: np.zeros(2))
+                      np.zeros_like)
         with pytest.raises(NumericalError, match="rejection sampling"):
             prior.sample(np.random.default_rng(0))
         with pytest.raises(NumericalError, match="rejection sampling"):
@@ -92,6 +92,27 @@ class TestPriors:
             assert stacked.shape == (500,)
             assert np.array_equal(stacked, [prior.density(t) for t in pts]), prior.family
             assert 0 < np.count_nonzero(stacked) < 500
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stacked_gradient_matches_fd(self, p):
+        # central differences of the density at radii across the supports,
+        # three of them inside the taper's window [0.88, 0.9]; the stencils
+        # keep clear of the window's ends and of the support edges
+        rng = np.random.default_rng(10)
+        radii = np.concatenate([rng.uniform(0.0, 1.1, 200), [0.885, 0.89, 0.895]])
+        dirs = rng.standard_normal((radii.size, p))
+        pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        step = 1e-6
+        for prior in (bump_prior(p, 0.8), uniform_ball_prior(p, 1.0),
+                      prior_taper(bump_prior(p, 1.0), 0.3, 0.1)):
+            edges = np.array([0.8, 0.88, 0.9, 1.0])
+            at = pts[np.all(np.abs(radii[:, None] - edges) > 1e-3, axis=1)]
+            stacked = prior.density_grad(at)
+            assert stacked.shape == at.shape
+            fd = np.stack([(prior.density(at + step * e) - prior.density(at - step * e))
+                           / (2 * step) for e in np.eye(p)], axis=1)
+            assert np.max(np.abs(stacked - fd)) < 1e-5, prior.family
+            assert np.array_equal(stacked, [prior.density_grad(t) for t in at])
 
     def test_uniform_ball_fails_boundary_check(self):
         ok, worst = check_boundary_zero(uniform_ball_prior(2, 0.8))
@@ -188,16 +209,79 @@ class TestIntegratedHolevo:
 
     @pytest.mark.parametrize("quad", [QuadratureOptions(method="MC"),
                                       QuadratureOptions(method="mc", mc_samples=1),
-                                      QuadratureOptions(method="mc", mc_samples=0)])
+                                      QuadratureOptions(method="mc", mc_samples=0),
+                                      QuadratureOptions(levels=0),
+                                      QuadratureOptions(levels=-1)])
     def test_bad_quadrature_options_rejected(self, all_models, monkeypatch, quad):
         import qbound.bayes as bayes
         monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
         model = all_models["bloch_equatorial"]
-        with pytest.raises(ValueError, match="method|mc_samples"):
+        with pytest.raises(ValueError, match="method|mc_samples|levels"):
             integrated_holevo(model, fidelity_loss(model), bump_prior(2, 0.8), quad)
 
 
+def per_node_j_functional(prior, loss, c_fn, base_n, levels):
+    """J(pi) with C from c_fn and the weighted sum looped node by node, as
+    evaluated before the sum was one stacked pass."""
+    p, r0 = prior.domain.dim, prior.domain.radius
+    half = 1.02 * r0
+    q = len(loss.psi(prior.domain.reference_point))
+    values, n = [], base_n
+    for _ in range(levels):
+        axes = [np.linspace(-half, half, n)] * p
+        h = axes[0][1] - axes[0][0]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        cgrid = np.zeros((len(pts), q, p))
+        for i, t in enumerate(pts):
+            if np.linalg.norm(t) <= r0 + 1.2 * h:
+                cgrid[i] = c_fn(t)
+        cgrid = cgrid.reshape(*([n] * p), q, p)
+        divc = np.zeros((*([n] * p), q))
+        for axis in range(p):
+            divc += np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
+        cgrid, divc = cgrid.reshape(-1, q, p), divc.reshape(-1, q)
+        total = 0.0
+        for i, t in enumerate(pts):
+            dens = prior.density(t)
+            if dens > 1e-12 * prior.peak:
+                w = cgrid[i] @ prior.density_grad(t) + divc[i] * dens
+                total += float(w @ np.linalg.inv(loss.gtilde(t)) @ w) / dens
+        values.append(total * h ** p)
+        n = 2 * n - 1
+    return values[-1]
+
+
+def solver_c_fn(model, loss):
+    """Canonical C at one point from a cold solve_holevo."""
+    def c_fn(theta):
+        v0 = solve_holevo(model, theta, loss.g0(theta)).v0
+        return loss.gtilde(theta) @ loss.psi_jac(theta) @ v0
+    return c_fn
+
+
 class TestJFunctional:
+    @pytest.mark.parametrize("case", ["analytic 21/3", "scaled gtilde", "solver",
+                                      "solver pure_qubit"])
+    def test_stacked_sum_equals_per_node_loop(self, all_models, case):
+        name = "pure_qubit" if case == "solver pure_qubit" else "bloch_equatorial"
+        model = all_models[name]
+        prior = bump_prior(2, 0.8)
+        loss = fidelity_loss(model)
+        c_fn, base_n, levels = equatorial_c_fn, 13, 2
+        if case == "analytic 21/3":
+            base_n, levels = 21, 3
+        elif case == "scaled gtilde":
+            loss = dataclasses.replace(loss, gtilde=lambda t: 0.75 * np.eye(3))
+            c_fn = lambda t: 3.0 * equatorial_c_fn(t)
+        if case.startswith("solver"):
+            c_fn = solver_c_fn(model, loss)
+            value = j_functional(model, prior, loss, base_n=base_n, levels=levels)
+        else:
+            value = j_functional(model, prior, loss, c_fn=c_fn, base_n=base_n,
+                                 levels=levels)
+        ref = per_node_j_functional(prior, loss, c_fn, base_n, levels)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_matches_independent_oracle(self, all_models):
         # frozen value 7.4306 from analytic C and high-order radial quadrature
         model = all_models["bloch_equatorial"]

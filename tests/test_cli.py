@@ -138,6 +138,11 @@ class TestBayesCommand:
         assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
                                    "--prior", "bump:-1"))
 
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_levels_below_one_rejected(self, levels):
+        assert_usage_error(run_cli("bayes", "--model", "bloch_equatorial",
+                                   "--levels", levels))
+
     @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, command, workers):

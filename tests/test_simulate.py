@@ -13,7 +13,7 @@ from qbound.simulate import (PAULI_BASES, SampleData, _ascend_sphere,
                              _chart_loglik, _count_loglik, _direction_basis,
                              _likelihood_table, _outcome_table, _pure_probs,
                              _single_trial)
-from qbound.linalg import PAULI_Z, haar_unitaries
+from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 
 
 def axis_submodel():
@@ -344,6 +344,81 @@ class TestCountTable:
             assert np.isfinite(points).sum() >= 16
             fin = np.isfinite(points)
             assert np.allclose(stacked[fin], points[fin], rtol=1e-12, atol=0.0)
+
+
+def rim_data(y_ones):
+    """60 copies each in the x and y bases of bloch_equatorial, every x copy
+    and all but y_ones of the y copies giving outcome 0: the unconstrained
+    maximum lies outside the unit disc."""
+    outcomes = np.zeros(120, dtype=np.int64)
+    outcomes[1:2 * y_ones:2] = 1
+    return SampleData(bases=np.stack(PAULI_BASES[:2]), basis_index=np.arange(120) % 2,
+                      outcomes=outcomes, n_copies=120, scheme_kind="alternating_bases")
+
+
+def box_model():
+    """The Bloch ball's three directions on a box that cuts into it."""
+    return affine_model(0.5 * np.eye(2), [0.5 * s for s in PAULIS],
+                        Domain("box", bounds=((-0.5, 0.5), (-0.4, 0.4), (-0.5, 0.5)),
+                               dim=3))
+
+
+def count_affine_logliks(monkeypatch):
+    """A list that grows by one at every affine log-likelihood evaluation."""
+    import qbound.simulate as simulate
+    real, calls = simulate._affine_loglik, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_affine_loglik", counting)
+    return calls
+
+
+class TestAffineNewton:
+    @pytest.mark.parametrize("y_ones", [0, 10])
+    def test_boundary_maximum_on_rim(self, all_models, monkeypatch, y_ones):
+        model = all_models["bloch_equatorial"]
+        data = rim_data(y_ones)
+        calls = count_affine_logliks(monkeypatch)
+        res = mle_estimate(data, model)
+        # Newton steps along the rim; projected gradient steps need 50-220
+        assert len(calls) <= 20
+        assert res.boundary and res.converged
+        assert np.linalg.norm(res.theta) == pytest.approx(1.0, abs=1e-12)
+        (a, b), counts = _likelihood_table(data, model)
+        grad = b.T @ (counts / (a + b @ res.theta))
+        # KKT on the rim: the gradient is an outward normal
+        assert grad @ res.theta > 0.0
+        assert np.allclose(grad / np.linalg.norm(grad), res.theta, rtol=0.0, atol=1e-6)
+        _, f = per_copy_affine_mle(per_copy_vectors(data), model)
+        assert res.loglik >= f - 1e-12 * abs(f)
+
+    def test_box_domain_matches_per_copy_ascent(self):
+        model = box_model()
+        assert model.family == "affine_custom"
+        # the fourth basis couples the coordinates
+        bases = (*PAULI_BASES, _direction_basis(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)))
+        hits = []
+        for k, theta in enumerate(([0.2, -0.1, 0.3], [0.5, 0.4, -0.2])):
+            data = sample_outcomes(model, theta, alternating_scheme(bases), 3000,
+                                   seed=40 + k)
+            ref, f = per_copy_affine_mle(per_copy_vectors(data), model)
+            res = mle_estimate(data, model)
+            assert res.converged
+            assert np.allclose(res.theta, ref, rtol=0.0, atol=1e-7)
+            assert res.loglik == pytest.approx(f, rel=1e-9)
+            hits.append(res.boundary)
+        assert hits == [False, True]
+
+    def test_likelihood_evaluations_per_mle(self, all_models, monkeypatch):
+        # a first-order projected ascent needs about 72 per MLE on these runs
+        runs = affine_runs(all_models)
+        calls = count_affine_logliks(monkeypatch)
+        for model, data in runs:
+            assert mle_estimate(data, model).converged
+        assert len(calls) <= 20 * len(runs)
 
 
 def tetrahedron_data():
