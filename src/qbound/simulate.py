@@ -241,6 +241,8 @@ class Estimator:
 _P_FLOOR = 1e-300
 # step halvings before an ascent counts a point as a maximum
 _MAX_HALVINGS = 40
+# per copy: how far a certified qubit MLE may fall short of the global maximum
+_CERT_MARGIN = 1e-9
 
 
 def _outcome_table(data: SampleData):
@@ -289,11 +291,12 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
     log-likelihood over the domain and use a safeguarded Newton ascent that
     keeps to the domain (see _mle_affine); pure families ascend on the
     amplitude sphere (safeguarded Riemannian Newton) and convert back to
-    the chart.  The sphere likelihood is not concave, so
-    the pure ascent runs from three starts, a spectral start from the summed
-    outcome projectors and two fixed pseudo-random unit vectors, and keeps the
-    best.  A degenerate all-boundary likelihood sets the boundary flag
-    instead of raising.
+    the chart.  The sphere likelihood is not concave.  A qubit ascends from
+    the top eigenvector of the summed outcome projectors and keeps that
+    maximum when _qubit_gap certifies it global to within _CERT_MARGIN per
+    copy; otherwise, and for every d > 2, it also ascends from three
+    fallback starts and keeps the best (see _mle_pure).  A degenerate
+    all-boundary likelihood sets the boundary flag instead of raising.
     """
     return _mle_from_table(model, *_likelihood_table(data, model), tol, max_iters)
 
@@ -410,24 +413,42 @@ def _face_newton(theta, grad, hess, dom):
 
 
 def _mle_pure(acols, counts, tol, max_iters):
-    # not concave on the sphere: a single start can stop at a local maximum
-    # (trial 1487 of pure_qubit, N = 250, seed 2024)
+    """Pure-state MLE on the amplitude sphere (see mle_estimate).
+
+    The sphere likelihood is not concave, and an ascent can stop at a local
+    maximum (trial 1487 of pure_qubit, N = 250, seed 2024).  A qubit ascends
+    from the top eigenvector of sum c e e^H and stops there when the ascent
+    converged and _qubit_gap certifies the point as the global maximum to
+    within _CERT_MARGIN per copy.  Otherwise, and for every d > 2, it also
+    ascends from three more starts, the complex conjugate of that eigenvector
+    and two fixed pseudo-random unit vectors, and keeps the best.  From the
+    eigenvector alone trial 1487 stops at its lower maximum (-133.3352),
+    so the conjugate stays among the fallback starts.
+    """
     d = acols.shape[0]
-    # the spectral start is the complex conjugate of the top eigenvector of
-    # sum c e e^H: from the eigenvector itself no start reaches the global
-    # maximum of that trial
-    starts = [np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]]
-    rng = np.random.default_rng(0)
-    for _ in range(2):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append(z / np.linalg.norm(z))
 
     def loglik(phi):
         return _count_loglik(_pure_probs(acols, phi), counts)
 
-    f, phi, converged = max(
-        (_ascend_sphere(acols, counts, s, loglik, tol, max_iters) for s in starts),
-        key=lambda res: res[0])  # the first of equal maxima
+    def ascend(start):
+        return _ascend_sphere(acols, counts, start, loglik, tol, max_iters)
+
+    # the top eigenvector of sum c conj(e) e^T, the conjugate of that of sum c e e^H
+    top = np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]
+    runs, certified = [], False
+    if d == 2:
+        runs.append(ascend(top.conj()))
+        f, phi, converged = runs[0]
+        certified = converged and (_qubit_gap(acols, counts, phi)
+                                   <= _CERT_MARGIN * max(1.0, float(counts.sum())))
+    if not certified:
+        rng = np.random.default_rng(0)
+        starts = [top]
+        for _ in range(2):
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            starts.append(z / np.linalg.norm(z))
+        runs += [ascend(s) for s in starts]
+    f, phi, converged = max(runs, key=lambda res: res[0])  # the first of equal maxima
 
     if abs(phi[0]) > 1e-12:
         phi = phi * (phi[0].conj() / abs(phi[0]))
@@ -440,6 +461,35 @@ def _mle_pure(acols, counts, tol, max_iters):
         theta *= (1.0 - 1e-9) / nrm
         boundary = True
     return MleResult(theta, boundary, converged, f)
+
+
+def _qubit_gap(acols, counts, phi):
+    """An upper bound on how far the count log-likelihood of any qubit state
+    exceeds that at phi (a point of finite likelihood), or inf where the
+    bound does not hold.
+
+    With m the Bloch vectors of the table rows and n that of phi, outcome
+    probabilities are p = (1 + n.m)/2, so up to a constant the likelihood is
+    F(x) = sum c log(1 + x.m) on the sphere |x| = 1.  Let mu = n.grad F(n),
+    r = grad F(n) - mu n and kappa = lambda_min(sum c m m^T)/4 + mu.  As
+    -hess F = sum c m m^T/(1 + x.m)^2 and 1 + x.m <= 2 on the ball,
+    L = F - (mu/2)(|x|^2 - 1) is kappa-strongly concave there when
+    kappa > 0; it equals F on the sphere and grad L(n) = r, so no point of
+    the sphere beats F(n) by more than |r|^2/(2 kappa).  This is the
+    Lagrangian argument of the trust-region optimality conditions (More &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
+    """
+    def bloch(amps):  # of qubit amplitudes (2,) or (2, rows)
+        cross = amps[0].conj() * amps[1]
+        return np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                         abs(amps[0]) ** 2 - abs(amps[1]) ** 2])
+
+    m, n = bloch(acols.conj()), bloch(phi)  # acols holds conjugated amplitudes
+    grad = m @ (counts / (1.0 + n @ m))
+    mu = n @ grad
+    r = grad - mu * n
+    kappa = np.linalg.eigvalsh((m * counts) @ m.T)[0] / 4.0 + mu
+    return float(r @ r / (2.0 * kappa)) if kappa > 0.0 else np.inf
 
 
 def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):

@@ -9,9 +9,11 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
                     mle_estimate, povm_fisher, random_basis_scheme,
                     sample_outcomes, two_step_scheme)
 from qbound.models import Domain, affine_model, basis_povm, pure_state_model
-from qbound.simulate import (PAULI_BASES, SampleData, _ascend_sphere,
-                             _chart_loglik, _count_loglik, _direction_basis,
-                             _likelihood_table, _outcome_table, _pure_probs,
+from qbound import simulate
+from qbound.simulate import (PAULI_BASES, SampleData, _CERT_MARGIN,
+                             _ascend_sphere, _chart_loglik, _count_loglik,
+                             _direction_basis, _likelihood_table,
+                             _outcome_table, _pure_probs, _qubit_gap,
                              _single_trial)
 from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 
@@ -365,7 +367,6 @@ def box_model():
 
 def count_affine_logliks(monkeypatch):
     """A list that grows by one at every affine log-likelihood evaluation."""
-    import qbound.simulate as simulate
     real, calls = simulate._affine_loglik, []
 
     def counting(*args):
@@ -485,6 +486,184 @@ class TestNewtonAscent:
         assert f == pytest.approx(loglik(peak), abs=1e-12)
         assert abs(np.vdot(peak, phi)) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(-chart_hessian(loglik, phi))[0] > 0.0
+
+
+def seed_2024_trial(model, trial, n_copies=250):
+    """The data of one trial of pure_rb at seed 2024 (bump 0.8 prior, random
+    bases), drawn as bayes_risk_mc draws it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(trial,)))
+    theta = bump_prior(model.num_params, 0.8).sample(rng)
+    return sample_outcomes(model, theta, random_basis_scheme(), n_copies, seed=rng)
+
+
+@pytest.fixture
+def count_ascents(monkeypatch):
+    """The start of every _ascend_sphere call, in call order."""
+    starts, real = [], simulate._ascend_sphere
+
+    def counted(acols, counts, phi, *rest):
+        starts.append(phi)
+        return real(acols, counts, phi, *rest)
+
+    monkeypatch.setattr(simulate, "_ascend_sphere", counted)
+    return starts
+
+
+def sphere_loglik(acols, counts):
+    return lambda phi: _count_loglik(_pure_probs(acols, phi), counts)
+
+
+def sphere_starts(acols, counts):
+    """The certified start of a qubit MLE, the top eigenvector of
+    sum c e e^H, followed by the three fallback starts."""
+    d = acols.shape[0]
+    top = np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]
+    rng = np.random.default_rng(0)
+    starts = [top.conj(), top]
+    for _ in range(2):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        starts.append(z / np.linalg.norm(z))
+    return starts
+
+
+def ascents(acols, counts, starts):
+    """(loglik, phi, converged) of _ascend_sphere from each start."""
+    loglik = sphere_loglik(acols, counts)
+    return [_ascend_sphere(acols, counts, s, loglik, 1e-8, 400) for s in starts]
+
+
+def four_start_ascents(acols, counts):
+    return ascents(acols, counts, sphere_starts(acols, counts))
+
+
+def margin(counts):
+    return _CERT_MARGIN * counts.sum()
+
+
+class TestQubitCertificate:
+    def test_certified_trial_ascends_once(self, all_models, count_ascents):
+        model = all_models["pure_qubit"]
+        data = seed_2024_trial(model, 0)
+        acols, counts = _likelihood_table(data, model)
+        f, phi, _ = four_start_ascents(acols, counts)[0]
+        count_ascents.clear()
+        res = mle_estimate(data, model)
+        assert len(count_ascents) == 1
+        assert res.converged
+        assert res.loglik == f
+        assert _qubit_gap(acols, counts, phi) <= margin(counts)
+
+    def test_local_maximum_is_refused(self, all_models, count_ascents):
+        # trial 1487 (see test_pure_mle_escapes_local_maximum): the certified
+        # start ascends to the lower maximum, where mu < 0 outweighs the
+        # curvature of sum c m m^T
+        model = all_models["pure_qubit"]
+        data = seed_2024_trial(model, 1487)
+        acols, counts = _likelihood_table(data, model)
+        f, phi, converged = four_start_ascents(acols, counts)[0]
+        assert converged
+        assert f == pytest.approx(-133.3352, abs=1e-3)
+        assert _qubit_gap(acols, counts, phi) == np.inf
+        count_ascents.clear()
+        res = mle_estimate(data, model)
+        assert len(count_ascents) == 4
+        assert res.loglik == pytest.approx(-133.2540, abs=1e-3)
+
+    def test_tied_maxima_are_refused(self, all_models, count_ascents):
+        # at a corner of the tetrahedron mu = -1 and lambda_min/4 = 1/3
+        corners, data = tetrahedron_data()
+        acols, counts = _likelihood_table(data, all_models["pure_qubit"])
+        for corner in corners:
+            assert _qubit_gap(acols, counts, _direction_basis(corner)[:, 0]) == np.inf
+        res = mle_estimate(data, all_models["pure_qubit"])
+        assert len(count_ascents) == 4
+        assert res.converged
+        assert res.loglik == pytest.approx(np.log(1.0 / 3.0 ** 3), abs=1e-9)
+
+    def test_margin_refuses_near_stationary_point(self, all_models, monkeypatch):
+        model = all_models["pure_qubit"]
+        data = seed_2024_trial(model, 0)
+        acols, counts = _likelihood_table(data, model)
+        f, phi, _ = four_start_ascents(acols, counts)[0]
+        loglik = sphere_loglik(acols, counts)
+
+        def off_maximum(step):
+            psi = phi + step * np.array([-phi[1].conj(), phi[0].conj()])
+            return psi / np.linalg.norm(psi)
+
+        # kappa > 0 on both sides of the margin: 1e-5 off the maximum
+        # |r|^2/(2 kappa) is below it, 3e-5 off above it
+        assert _qubit_gap(acols, counts, off_maximum(1e-5)) <= margin(counts)
+        near = off_maximum(3e-5)
+        gap = _qubit_gap(acols, counts, near)
+        assert margin(counts) < gap < np.inf
+        assert f - loglik(near) <= gap
+        calls, real = [], simulate._ascend_sphere
+
+        def stops_near(*args):
+            calls.append(args[2])
+            return (loglik(near), near, True) if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(simulate, "_ascend_sphere", stops_near)
+        res = mle_estimate(data, model)
+        assert len(calls) == 4
+        assert res.loglik == pytest.approx(f, abs=1e-9)
+
+    def test_bound_holds_on_a_sphere_grid(self, all_models):
+        # at random points of random small tables, wherever the bound is
+        # finite no state of a 4,000-point Fibonacci grid beats it
+        model = all_models["pure_qubit"]
+        k = np.arange(4000) + 0.5
+        z, ang = 1.0 - 2.0 * k / k.size, np.pi * (1.0 + 5.0 ** 0.5) * k
+        rad = np.sqrt(1.0 - z * z)
+        grid = np.stack([_direction_basis(u)[:, 0] for u in
+                         np.stack([rad * np.cos(ang), rad * np.sin(ang), z], axis=1)])
+        rng = np.random.default_rng(5)
+        finite = 0
+        for _ in range(300):
+            theta = rng.uniform(-0.5, 0.5, 2)
+            data = sample_outcomes(model, theta, random_basis_scheme(),
+                                   int(rng.integers(3, 40)), seed=rng)
+            acols, counts = _likelihood_table(data, model)
+            phi = grid[rng.integers(grid.shape[0])]
+            gap = _qubit_gap(acols, counts, phi)
+            if gap == np.inf:
+                continue
+            finite += 1
+            best = _count_loglik(_pure_probs(acols, grid), counts).max()
+            assert best - _count_loglik(_pure_probs(acols, phi), counts) <= gap + 1e-12
+        assert finite >= 20
+
+    def test_certified_loglik_is_not_beaten(self, all_models):
+        model = all_models["pure_qubit"]
+        certified = 0
+        for trial in range(200):
+            acols, counts = _likelihood_table(seed_2024_trial(model, trial), model)
+            runs = four_start_ascents(acols, counts)
+            f, phi, converged = runs[0]
+            gap = _qubit_gap(acols, counts, phi)
+            if not (converged and gap <= margin(counts)):
+                continue
+            certified += 1
+            best = max(run[0] for run in runs)
+            assert best - f <= gap + 1e-12 * abs(f)
+        assert certified >= 150
+
+    def test_dim_3_keeps_three_starts(self, all_models, count_ascents):
+        model = all_models["pure_dim_3"]
+        for trial in range(5):
+            data = seed_2024_trial(model, trial)
+            acols, counts = _likelihood_table(data, model)
+            count_ascents.clear()
+            res = mle_estimate(data, model)
+            assert len(count_ascents) == 3
+            f, phi, converged = max(
+                ascents(acols, counts, sphere_starts(acols, counts)[1:]),
+                key=lambda run: run[0])
+            phi = phi * (phi[0].conj() / abs(phi[0]))
+            assert res.loglik == f and res.converged == converged
+            assert np.array_equal(res.theta[0::2], phi[1:].real)
+            assert np.array_equal(res.theta[1::2], phi[1:].imag)
 
 
 def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
