@@ -39,7 +39,8 @@ class Prior:
     ``density_fn`` takes a stack of points (n, p) and returns (n,) values
     or one value for all; ``grad_fn`` takes a stack and returns (n, p)
     gradients or one gradient for all.  Builtin families carry a
-    JSON-serializable ``spec``.
+    JSON-serializable ``spec``; a prior pickles through it, so one without
+    a spec cannot be sent to a process pool.
     """
 
     domain: Domain
@@ -92,6 +93,11 @@ class Prior:
             out[got:got + take.shape[0]] = take
             got += take.shape[0]
         return out[0] if single else out
+
+    def __reduce__(self):
+        """Pickle as the prior's JSON spec (see prior_to_spec), so that a
+        process pool rebuilds it from its family tag and parameters."""
+        return (prior_from_spec, (prior_to_spec(self),))
 
 
 def _sq_norms(theta):

@@ -233,6 +233,11 @@ class ParametricModel:
                               "outside model domain")
         return thetas, single
 
+    def __reduce__(self):
+        """Pickle as the model's JSON spec (see model_to_spec), so that a
+        process pool rebuilds it from its family tag and data."""
+        return (model_from_spec, (model_to_spec(self),))
+
 
 def bloch_state(theta):
     """Qubit state (1 + theta.sigma)/2 for theta in the unit ball."""
@@ -426,7 +431,10 @@ def _matrix_from_json(obj):
 
 
 def model_to_spec(model: ParametricModel):
-    """JSON-serializable description of a model."""
+    """JSON-serializable description of a model; ValueError for a family
+    that model_from_spec cannot rebuild."""
+    if model.family not in FAMILIES:
+        raise ValueError(f"model family {model.family!r} has no JSON form")
     spec = {"family": model.family, "dim": model.dim}
     if model.family == "affine_custom":
         spec["rho0"] = _matrix_to_json(model.rho0)

@@ -6,12 +6,16 @@ feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
 Estimators see the data as an outcome count table, one row per observed
 (basis, outcome) pair, and one count log-likelihood sum c log p serves the
 affine MLE, the pure-state MLE and the posterior mean; the posterior mean
-weighs all its importance draws in one stacked likelihood evaluation.
+takes its Laplace stencil in one stacked likelihood evaluation and weighs
+all its importance draws in another.
 Risk runs are reproducible: the RNG of trial t is derived from
 (seed, spawn_key=t), so results do not depend on how trials are distributed
-over workers.
+over workers.  A serial run works on the caller's model, prior, scheme and
+estimator; a process pool pickles them, and models and priors pickle
+through their JSON specs, so an object without a spec needs workers=1.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bayes import Prior, prior_from_spec, prior_to_spec
+from .bayes import Prior
 from .errors import NumericalError
 from .information import InfoMatrix, povm_fisher
 from .linalg import PAULIS, haar_unitaries
-from .models import (ParametricModel, basis_povm, fidelity, model_from_spec,
-                     model_to_spec)
+from .models import ParametricModel, basis_povm, fidelity
 
 PAULI_BASES = tuple(np.linalg.eigh(s)[1][:, ::-1] for s in PAULIS)
 
@@ -137,29 +140,18 @@ class SampleData:
     stage1_copies: int = 0
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _basis_probs(rho, u):
-    return np.clip(np.einsum("ix,ij,jx->x", u.conj(), rho, u).real, 0.0, None)
-
-
-def _sample_from_probs(probs, u):
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    return np.searchsorted(cum, u, side="right").clip(0, probs.size - 1)
-
-
-def _sample_in_bases(rho, bases, idx, u):
-    """Outcomes of copies measured in bases[idx], from uniforms u."""
-    outcomes = np.empty(idx.size, dtype=np.int64)
-    for k in range(len(bases)):
-        mask = idx == k
-        outcomes[mask] = _sample_from_probs(_basis_probs(rho, bases[k]), u[mask])
-    return outcomes
+def _sample(rho, bases, idx, u):
+    """Outcomes of copies measured in bases[idx] (K, d, d), from uniforms u,
+    by the inverse CDF of each basis's Born probabilities."""
+    k, d = bases.shape[:2]
+    # <e|rho|e> for every basis vector e at once: the bases side by side as
+    # one (d, K*d) matrix, one product with rho
+    ut = bases.transpose(1, 0, 2).reshape(d, k * d)
+    rho_ut = rho @ ut
+    probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=0).reshape(k, d)
+    cum = np.cumsum(np.clip(probs, 0.0, None), axis=1)
+    cum /= cum[:, -1:]
+    return (u[:, None] > cum[idx]).sum(axis=1).clip(0, d - 1)
 
 
 def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
@@ -167,30 +159,20 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
     """i.i.d. Born sampling of a scheme; reproducible for a fixed seed."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is used as it is
     rho = model.state(theta)
-    d = model.dim
 
     if scheme.kind in ("fixed_basis", "alternating_bases"):
         bases = np.stack(scheme.bases)
         idx = np.arange(n_copies) % len(bases)
-        outcomes = _sample_in_bases(rho, bases, idx, rng.random(n_copies))
+        outcomes = _sample(rho, bases, idx, rng.random(n_copies))
         return SampleData(bases, idx, outcomes, n_copies, scheme.kind)
 
     if scheme.kind == "random_basis_covariant":
-        bases = haar_unitaries(d, n_copies, rng)
-        # <u|rho|u> for every basis vector u at once: the bases side by side
-        # as one (d, n*d) matrix, one product with rho
-        ut = bases.transpose(1, 0, 2).reshape(d, n_copies * d)
-        rho_ut = rho @ ut
-        probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag,
-                       axis=0).reshape(n_copies, d)
-        probs = np.clip(probs, 0.0, None)
-        cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
-        u = rng.random(n_copies)
-        outcomes = (u[:, None] > cum).sum(axis=1).clip(0, d - 1)
-        return SampleData(bases, np.arange(n_copies), outcomes, n_copies, scheme.kind)
+        bases = haar_unitaries(model.dim, n_copies, rng)
+        idx = np.arange(n_copies)
+        outcomes = _sample(rho, bases, idx, rng.random(n_copies))
+        return SampleData(bases, idx, outcomes, n_copies, scheme.kind)
 
     if scheme.kind == "two_step_adaptive":
         n1 = max(1, int(math.ceil(scheme.first_fraction * n_copies)))
@@ -200,11 +182,11 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
         stage1 = np.stack(scheme.bases)
         k1 = len(stage1)
         idx1 = np.arange(n1) % k1
-        out1 = _sample_in_bases(rho, stage1, idx1, u[:n1])
+        out1 = _sample(rho, stage1, idx1, u[:n1])
         first = SampleData(stage1, idx1, out1, n1, "alternating_bases")
         stage2 = np.stack(adapted_bases(model, mle_estimate(first, model).theta))
         idx2 = np.arange(n_copies - n1) % len(stage2)
-        out2 = _sample_in_bases(rho, stage2, idx2, u[n1:])
+        out2 = _sample(rho, stage2, idx2, u[n1:])
         bases = np.concatenate([stage1, stage2])
         return SampleData(bases, np.concatenate([idx1, k1 + idx2]),
                           np.concatenate([out1, out2]), n_copies,
@@ -342,9 +324,10 @@ def _mle_affine(a, b, counts, dom, tol, max_iters):
     |g| < tol*N and on its boundary detects a constrained maximum, or when no
     candidate rises.
     """
+    loglik = functools.partial(_affine_loglik, a, b, counts)
     n_copies = max(1.0, float(counts.sum()))
     theta = dom.reference_point.copy()
-    f = _affine_loglik(a, b, counts, theta)
+    f = loglik(theta)
     converged = False
     for _ in range(max_iters):
         probs = a + b @ theta
@@ -355,17 +338,7 @@ def _mle_affine(a, b, counts, dom, tol, max_iters):
             break
         newton = _face_newton(theta, grad, (b.T * (r / probs)) @ b, dom)
         steps = [grad / n_copies] if newton is None else [newton, grad / n_copies]
-        rose = False
-        for step in steps:
-            for _ in range(_MAX_HALVINGS):
-                cand = dom.project(theta + step)
-                fc = _affine_loglik(a, b, counts, cand)
-                if fc > f:
-                    theta, f, rose = cand, fc, True
-                    break
-                step = step * 0.5
-            if rose:
-                break
+        f, theta, rose = _rise(f, theta, steps, dom.project, loglik)
         if not rose:  # a maximum to working precision
             converged = True
             break
@@ -375,6 +348,20 @@ def _mle_affine(a, b, counts, dom, tol, max_iters):
         lo, hi = np.array(dom.bounds, dtype=float).T
         boundary = bool(np.any(theta <= lo + 1e-7) or np.any(theta >= hi - 1e-7))
     return MleResult(theta, boundary, converged, f)
+
+
+def _rise(f, x, steps, retract, loglik):
+    """(f, x, rose): the first candidate retract(x + t step) whose loglik
+    exceeds f, trying each step in turn with t = 1, 1/2, ... for
+    _MAX_HALVINGS halvings; (f, x, False) where none does."""
+    for step in steps:
+        for _ in range(_MAX_HALVINGS):
+            cand = retract(x + step)
+            fc = loglik(cand)
+            if fc > f:
+                return fc, cand, True
+            step = step * 0.5
+    return f, x, False
 
 
 def _face_newton(theta, grad, hess, dom):
@@ -537,15 +524,8 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
         except np.linalg.LinAlgError:  # the model is not concave here
             u = g / n_copies
         move = frame[:, :m] @ (u[:m] + 1j * u[m:])
-        for _ in range(_MAX_HALVINGS):
-            cand = phi + move
-            cand /= np.linalg.norm(cand)
-            fc = loglik(cand)
-            if fc > f:
-                phi, f = cand, fc
-                break
-            move *= 0.5
-        else:
+        f, phi, rose = _rise(f, phi, [move], lambda v: v / np.linalg.norm(v), loglik)
+        if not rose:
             return f, phi, True
     return f, phi, False
 
@@ -573,9 +553,11 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     """Posterior mean via Laplace-guided importance sampling.
 
     Proposes from a normal centred at the MLE with covariance from a
-    finite-difference Hessian; falls back to the MLE when the effective
-    sample size degenerates.  The weights of all draws are evaluated as one
-    stack: domain membership, prior density and log-likelihood.
+    finite-difference Hessian, whose 1 + p + p(p+1)/2 stencil points are
+    one stacked likelihood evaluation; falls back to the MLE when a stencil
+    point has no finite likelihood or the effective sample size
+    degenerates.  The weights of all draws are evaluated as one stack:
+    domain membership, prior density and log-likelihood.
     """
     table = _likelihood_table(data, model)
     mle = _mle_from_table(model, *table)
@@ -583,18 +565,15 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
     h = 1e-4
-    hess = np.zeros((p, p))
-    f0 = loglik(center)
-    for i in range(p):
-        for j in range(i, p):
-            ei = np.zeros(p); ei[i] = h
-            ej = np.zeros(p); ej[j] = h
-            fij = loglik(center + ei + ej)
-            fi = loglik(center + ei)
-            fj = loglik(center + ej)
-            if not all(np.isfinite(v) for v in (fij, fi, fj, f0)):
-                return mle.theta, mle
-            hess[i, j] = hess[j, i] = (fij - fi - fj + f0) / h ** 2
+    step = h * np.eye(p)
+    iu, ju = np.triu_indices(p)
+    vals = loglik(np.concatenate([center[None], center + step,
+                                  center + step[iu] + step[ju]]))
+    if not np.all(np.isfinite(vals)):
+        return mle.theta, mle
+    f0, fi, fij = vals[0], vals[1:p + 1], vals[p + 1:]
+    hess = np.empty((p, p))
+    hess[iu, ju] = hess[ju, iu] = (fij - fi[iu] - fi[ju] + f0) / h ** 2
     cov = np.linalg.inv(-hess + 1e-6 * np.eye(p)) * spread ** 2
     cov = 0.5 * (cov + cov.T)
     w, v = np.linalg.eigh(cov)
@@ -632,31 +611,24 @@ def empirical_fisher(model: ParametricModel, theta, scheme: MeasurementScheme,
     two-step scheme the stage-2 bases are adapted at theta itself, i.e. the
     reported matrix is the scheme's asymptotic per-copy information.
     """
-    if scheme.kind == "fixed_basis":
-        info = povm_fisher(model, theta, basis_povm(scheme.bases[0]))
-        return InfoMatrix(info.matrix, "povm_fisher",
-                          std_error=np.zeros_like(info.matrix))
-    if scheme.kind == "alternating_bases":
-        mats = [povm_fisher(model, theta, basis_povm(b)).matrix for b in scheme.bases]
-        return InfoMatrix(np.mean(mats, axis=0), "povm_fisher",
-                          std_error=np.zeros((model.num_params,) * 2))
+    def infos(bases):  # the povm_fisher matrix of each basis, stacked
+        return np.stack([povm_fisher(model, theta, basis_povm(u)).matrix for u in bases])
+
+    zero = np.zeros((model.num_params,) * 2)
+    if scheme.kind in ("fixed_basis", "alternating_bases"):
+        return InfoMatrix(infos(scheme.bases).mean(axis=0), "povm_fisher", std_error=zero)
     if scheme.kind == "random_basis_covariant":
         if n_bases < 1:
             raise ValueError("n_bases must be >= 1 for randomized schemes")
         rng = np.random.default_rng(seed)
-        us = haar_unitaries(model.dim, n_bases, rng)
-        mats = np.stack([povm_fisher(model, theta, basis_povm(u)).matrix for u in us])
-        se = mats.std(axis=0, ddof=1) / math.sqrt(n_bases) if n_bases > 1 \
-            else np.zeros((model.num_params,) * 2)
+        mats = infos(haar_unitaries(model.dim, n_bases, rng))
+        se = mats.std(axis=0, ddof=1) / math.sqrt(n_bases) if n_bases > 1 else zero
         return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=se)
     if scheme.kind == "two_step_adaptive":
         f = scheme.first_fraction
-        stage1 = np.mean([povm_fisher(model, theta, basis_povm(b)).matrix
-                          for b in scheme.bases], axis=0)
-        stage2 = np.mean([povm_fisher(model, theta, basis_povm(b)).matrix
-                          for b in adapted_bases(model, theta)], axis=0)
-        return InfoMatrix(f * stage1 + (1.0 - f) * stage2, "povm_fisher",
-                          std_error=np.zeros((model.num_params,) * 2))
+        stage1 = infos(scheme.bases).mean(axis=0)
+        stage2 = infos(adapted_bases(model, theta)).mean(axis=0)
+        return InfoMatrix(f * stage1 + (1.0 - f) * stage2, "povm_fisher", std_error=zero)
     raise ValueError(f"unknown scheme kind {scheme.kind!r}")
 
 
@@ -682,34 +654,17 @@ class RiskEstimate:
                 "boundary_hits": self.boundary_hits}
 
 
-def _prior_descriptor(prior: Prior):
-    if prior.spec is None:
-        raise ValueError(
-            f"prior family {prior.family!r} cannot be shipped to workers; "
-            "use workers=1 or a builtin prior family")
-    return prior_to_spec(prior)
-
-
-def _run_trials(payload):
-    model = model_from_spec(payload["model_spec"])
-    prior = prior_from_spec(payload["prior"])
-    scheme = MeasurementScheme(payload["scheme_kind"],
-                               tuple(payload["scheme_bases"]),
-                               payload["first_fraction"])
-    est_prior = prior_from_spec(payload["estimator_prior"]) \
-        if payload["estimator_prior"] else None
-    estimator = Estimator(payload["estimator_kind"], prior=est_prior,
-                          options=payload["estimator_options"])
+def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
+    """(losses, boundary hits, errors) of the trials in indices."""
     losses, boundary, errors = [], 0, []
-    for t in payload["trial_indices"]:
-        loss, hit_boundary, err = _single_trial(
-            model, prior, scheme, estimator, payload["n_copies"],
-            payload["seed"], t)
+    for t in indices:
+        loss, hit_boundary, err = _single_trial(model, prior, scheme, estimator,
+                                                n_copies, seed, t)
         losses.append(loss)
         boundary += hit_boundary
         if err is not None:
             errors.append(err)
-    return payload["trial_indices"], losses, boundary, errors
+    return losses, boundary, errors
 
 
 def _single_trial(model, prior, scheme, estimator, n_copies, seed, trial):
@@ -743,43 +698,29 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
 
     Draws theta from the prior, runs the scheme, estimates, and averages
     1 - Fid(rho(theta_hat), rho(theta)).  Aborts if more than 1% of the
-    trials fail in the estimator.
+    trials fail in the estimator.  With workers=1 the trials run on the
+    caller's objects.  A pool of workers > 1 pickles the model, the prior
+    and the estimator's prior through their JSON specs, so an object
+    without a spec (a custom prior, a ParametricModel of a family that
+    model_to_spec cannot describe) raises ValueError there.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    payload = {
-        "model_spec": model_to_spec(model),
-        "prior": _prior_descriptor(prior),
-        "scheme_kind": scheme.kind,
-        "scheme_bases": [np.asarray(b) for b in scheme.bases],
-        "first_fraction": scheme.first_fraction,
-        "estimator_kind": estimator.kind,
-        "estimator_prior": _prior_descriptor(estimator.prior) if estimator.prior else None,
-        "estimator_options": dict(estimator.options),
-        "n_copies": int(n_copies),
-        "seed": seed,
-    }
-    losses = np.empty(trials)
-    boundary = 0
-    errors = []
+    run = functools.partial(_run_trials, model, prior, scheme, estimator,
+                            int(n_copies), seed)
     if workers <= 1:
-        payload["trial_indices"] = list(range(trials))
-        idx, vals, boundary, errors = _run_trials(payload)
-        losses[list(idx)] = vals
+        results = [run(range(trials))]
     else:
-        chunks = []
         size = max(1, math.ceil(trials / (4 * workers)))
-        for start in range(0, trials, size):
-            chunk = dict(payload)
-            chunk["trial_indices"] = list(range(start, min(start + size, trials)))
-            chunks.append(chunk)
+        chunks = [range(start, min(start + size, trials))
+                  for start in range(0, trials, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, vals, bnd, errs in pool.map(_run_trials, chunks):
-                losses[list(idx)] = vals
-                boundary += bnd
-                errors.extend(errs)
+            results = list(pool.map(run, chunks))  # in chunk order
+    losses = np.array([loss for vals, _, _ in results for loss in vals])
+    boundary = sum(bnd for _, bnd, _ in results)
+    errors = [err for _, _, errs in results for err in errs]
     bad = np.isnan(losses)
     failures = int(bad.sum())
     if failures > 0.01 * trials:

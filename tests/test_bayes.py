@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -380,6 +381,16 @@ class TestSerialization:
         from qbound import prior_from_spec
         with pytest.raises(ValueError, match="unknown"):
             prior_from_spec({"family": "bump", "dim": 2, "sigma": 1.0})
+
+    def test_pickle_roundtrip_is_exact(self):
+        rng = np.random.default_rng(22)
+        for prior in (bump_prior(2, 0.8), uniform_ball_prior(3, 1.0),
+                      prior_taper(bump_prior(2, 0.9), 0.2, 0.05)):
+            again = pickle.loads(pickle.dumps(prior))
+            assert again.spec == prior.spec and again.domain == prior.domain
+            pts = prior.domain.radius * rng.uniform(-0.7, 0.7, (32, prior.domain.dim))
+            assert np.array_equal(again.density(pts), prior.density(pts))
+            assert np.array_equal(again.density_grad(pts), prior.density_grad(pts))
 
     def test_loss_spec_roundtrip(self, all_models):
         from qbound import loss_from_spec

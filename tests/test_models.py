@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from qbound import (Domain, DomainError, Povm, affine_model, basis_povm,
                     check_density_matrix, embedding_loss_scale, fidelity,
                     fidelity_embedding, model_from_spec, model_to_spec,
                     pauli_basis_povm)
-from qbound.linalg import PAULI_Z, haar_unitary, random_hermitian
+from qbound.linalg import PAULI_X, PAULI_Z, haar_unitary, random_hermitian
+from qbound.models import FAMILIES
 
-from conftest import fd_jacobian, interior_points
+from conftest import fd_jacobian, interior_points, random_mixed_model
 
 
 class TestBlochState:
@@ -205,6 +208,26 @@ class TestModelSpec:
         again = model_from_spec(str(path))
         theta = [0.3]
         assert np.allclose(again.state(theta), model.state(theta))
+
+    def test_pickle_roundtrip_is_exact(self, all_models):
+        rng = np.random.default_rng(21)
+        box = Domain("box", bounds=((-0.3, 0.2), (-0.1, 0.4)), dim=2)
+        models = [*all_models.values(), random_mixed_model(rng, 3, 3),
+                  affine_model(random_mixed_model(rng, 2, 2).rho0,
+                               [0.3 * PAULI_Z, 0.3 * PAULI_X], box)]
+        assert {m.family for m in models} == set(FAMILIES)
+        for model in models:
+            again = pickle.loads(pickle.dumps(model))
+            assert again.family == model.family and again.domain == model.domain
+            pts = np.array([model.domain.project(x) for x in
+                            rng.uniform(-0.5, 0.5, (8, model.num_params))])
+            assert np.array_equal(again.state(pts), model.state(pts))
+            assert np.array_equal(again.derivs(pts), model.derivs(pts))
+
+    def test_spec_less_family_rejected(self, all_models):
+        custom = dataclasses.replace(all_models["bloch_full"], family="my_family")
+        with pytest.raises(ValueError, match="my_family"):
+            model_to_spec(custom)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

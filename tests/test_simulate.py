@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -66,6 +68,41 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_outcomes(all_models["pure_qubit"], [0.1, 0.1],
                             random_basis_scheme(), 0, seed=0)
+
+    def test_outcomes_equal_per_basis_reference(self, all_models):
+        # the stacked Born probabilities differ from the einsum ones in the
+        # last bit of many CDF entries; no outcome may change
+        n = 4000
+        for seed in range(50):
+            model = all_models[("bloch_full", "bloch_equatorial", "pure_qubit",
+                                "pure_dim_3")[seed % 4]]
+            rng = np.random.default_rng(seed)
+            theta = bump_prior(model.num_params, 0.9).sample(rng)
+            haar = haar_unitaries(model.dim, 3, rng)
+            schemes = [fixed_basis_scheme(haar[0]), alternating_scheme(haar)]
+            if model.dim == 2:
+                schemes += [alternating_scheme(PAULI_BASES), two_step_scheme(model, 0.1)]
+            for scheme in schemes:
+                ref_rng = np.random.default_rng()
+                ref_rng.bit_generator.state = rng.bit_generator.state
+                data = sample_outcomes(model, theta, scheme, n, seed=rng)
+                u = ref_rng.random(n)
+                ref = per_basis_outcomes(model.state(theta), data.bases,
+                                         data.basis_index, u)
+                assert np.array_equal(data.outcomes, ref)
+
+
+def per_basis_outcomes(rho, bases, idx, u):
+    """Outcomes of copies measured in bases[idx], one basis at a time:
+    einsum Born probabilities and searchsorted on their CDF."""
+    outcomes = np.empty(idx.size, dtype=np.int64)
+    for k, v in enumerate(bases):
+        probs = np.clip(np.einsum("ix,ij,jx->x", v.conj(), rho, v).real, 0.0, None)
+        cum = np.cumsum(probs)
+        cum /= cum[-1]
+        mask = idx == k
+        outcomes[mask] = np.searchsorted(cum, u[mask], side="right").clip(0, probs.size - 1)
+    return outcomes
 
 
 def qr_haar_unitaries(d, n, rng):
@@ -764,6 +801,8 @@ class TestEmpiricalFisher:
         exact = povm_fisher(model, theta, basis_povm(PAULI_BASES[2]))
         assert np.array_equal(emp.matrix, exact.matrix)
         assert np.all(emp.std_error == 0.0)
+        alt = empirical_fisher(model, theta, alternating_scheme((PAULI_BASES[2],)))
+        assert np.array_equal(emp.matrix, alt.matrix)
 
     def test_alternating_is_cycle_average(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -864,6 +903,30 @@ class TestBayesRisk:
             Estimator("mle"), 500, 14, 0)
         assert err is None
         assert 0.0 <= loss < 0.2
+
+    @pytest.mark.parametrize("kind", ["prior", "estimator_prior", "model"])
+    def test_spec_less_objects_run_serially_only(self, all_models, kind):
+        # a serial run works on the caller's objects; a pool pickles models
+        # and priors through their specs and refuses an object without one
+        model = all_models["bloch_equatorial"]
+        prior = bump_prior(2, 0.8)
+        scheme = alternating_scheme(PAULI_BASES[:2])
+        estimator = Estimator("bayes_mean", prior=prior) if kind == "estimator_prior" \
+            else Estimator("mle")
+        builtin = (model, prior, estimator)
+        if kind == "model":
+            custom = (dataclasses.replace(model, family="my_family"), prior, estimator)
+        else:
+            spec_less = dataclasses.replace(prior, family="my_family", spec=None)
+            custom = (model, spec_less, estimator) if kind == "prior" else \
+                (model, prior, Estimator("bayes_mean", prior=spec_less))
+        kwargs = dict(n_copies=200, trials=40, seed=17)
+        twin = bayes_risk_mc(builtin[0], builtin[1], scheme, builtin[2], **kwargs)
+        run = bayes_risk_mc(custom[0], custom[1], scheme, custom[2], **kwargs)
+        assert run.to_dict() == twin.to_dict()
+        with pytest.raises(ValueError, match="my_family"):
+            bayes_risk_mc(custom[0], custom[1], scheme, custom[2], workers=2, **kwargs)
+        assert multiprocessing.active_children() == []
 
     def test_unknown_estimator_kind(self):
         with pytest.raises(ValueError):
