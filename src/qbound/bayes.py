@@ -354,7 +354,7 @@ class BayesBoundResult:
     solver_failures: int
     levels: tuple = ()
     mass: float = 1.0
-    iterations: int = 0    # descent iterations summed over all nodes and levels
+    iterations: int = 0    # dual-ascent Newton steps summed over all nodes and levels
 
     def to_dict(self):
         return {"value": self.value, "error_estimate": self.error_estimate,

@@ -334,7 +334,8 @@ def build_parser():
     p.add_argument("--theta", required=True)
     p.add_argument("--weight", default="helstrom_quarter",
                    help="helstrom_quarter | identity | file:W.json")
-    p.add_argument("--max-iters", type=int, default=600)
+    p.add_argument("--max-iters", type=int, default=600,
+                   help="Newton steps of the dual ascent")
     p.set_defaults(func=cmd_holevo)
 
     p = sub.add_parser("bayes", help="integrated Holevo bound over a prior")

@@ -14,13 +14,10 @@ Solver design:
 
 - the affine constraints are solved once; the optimization runs in
   unconstrained null-space coordinates, so every iterate is exactly feasible;
-- every stage works on a batch of n model points at once, on arrays of
-  shape (n, ...); the descent keeps a step size, a history and an
-  active flag per point, so each point makes the accept/reject decisions
-  of a solve on its own.  ``solve_holevo`` is a batch of one;
-- the states, derivatives and SLDs L_k are computed once per batch; the
-  SLDs give both the Helstrom matrix H = Re Z(L) and the start
-  X_j = sum_k (H^-1)_jk L_k, which is feasible;
+- the states, derivatives and SLDs L_k of a batch of n model points are
+  computed at once, on arrays of shape (n, ...); the SLDs give both the
+  Helstrom matrix H = Re Z(L) and the start X_j = sum_k (H^-1)_jk L_k,
+  which is feasible.  ``solve_holevo`` is a batch of one;
 - every solve is certified by the dual Holevo bound.  Since
   trace|A| = max trace(QA) over ||Q|| <= 1, C_G = max over B of D(B) with
   D(B) = min over feasible X of trace(W_B Z(X)), W_B = G^1/2 (1 + iB) G^1/2,
@@ -31,19 +28,16 @@ Solver design:
   max(trace(G H^-1), D(B_s)), B_s = Im sign(i Im M), is solved with no
   iterations.  Every node of the builtin families certifies there: weak
   commutativity on bloch_equatorial, pure states on the pure families;
-- only the other points descend, once, from the start or a given warm
-  start; the problem is convex (it is a semidefinite program), so a local
-  minimum is the global one;
-- the nonsmooth trace-abs term is smoothed, trace|A| -> trace sqrt(A^2+eps),
-  with eps continuation 1e-2 -> 1e-10; each stage is minimized by gradient
-  descent with Armijo backtracking, with the analytic gradient below (the
-  tests check it against finite differences);
+- every other point maximizes D alone by Newton ascent of
+  D(B) + mu log det(1 + iB) as mu falls to 0; the barrier keeps ||B|| < 1
+  for every p, so each D(B) on the way is a certified bound, and the
+  minimizer of trace(W_B Z(X)) at the last B is the primal point;
 - ``gap_estimate`` is value minus the largest lower bound found, so it
   bounds the error of the value.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,13 +46,12 @@ from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
 # ``sld`` is not called here; it stays a name of this module because
 # perfbench/tracer.py wraps qbound.holevo.sld
 from .information import helstrom_matrix, sld, sld_from_state  # noqa: F401
-from .linalg import (hermitian_basis, hermitize, min_eigenvalue,
+from .linalg import (_rise, hermitian_basis, hermitize, min_eigenvalue,
                      sym_sqrt_and_inv_sqrt)
 from .models import ParametricModel, check_density_matrix
 
-DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
 # A point whose value is within CERTIFY_RTOL * max(1, |value|) of its
-# certified lower bound is solved; only the others descend.
+# certified lower bound is solved; only the others ascend the dual.
 CERTIFY_RTOL = 1e-9
 # Eigenvalues of the dual's Hessian below _PINV_CUTOFF * trace G are
 # dropped from its pseudo-inverse.
@@ -87,18 +80,10 @@ def _check_problem(rho, drho, g, numerics: NumericsConfig):
 
 @dataclass
 class SolverOptions:
-    """Options for :func:`solve_holevo`.
-
-    A solve that the SLD start does not certify descends once, from
-    ``x_warm`` when it is given and from the SLD collection otherwise; the
-    problem is convex, so no restarts.
-    """
+    """Options for :func:`solve_holevo`."""
 
     seed: int = 0                     # no effect; the benchmark workloads pass it
-    max_iters: int = 600              # per smoothing stage
-    eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
-    stage_rtol: float = 1e-9          # relative change over 5 iters ends a stage
-    x_warm: Optional[Sequence[np.ndarray]] = None  # warm-start X collection
+    max_iters: int = 600              # Newton steps of the dual ascent per solve
 
 
 @dataclass(frozen=True)
@@ -119,10 +104,8 @@ class HolevoSolution:
 # compute that point alone, or results would depend on how points are
 # batched.  matmul does; a two-operand einsum can change its summation
 # order with the batch size, so those contractions are matmuls.  The
-# three-operand einsum of z_matrix keeps one order for every batch size,
-# and its rounding, which the descent's stopping tests see, is the one
-# the solver has always had.  The tests compare batched and one-point
-# solves bit for bit.
+# three-operand einsum of z_matrix keeps one order for every batch size.
+# The tests compare batched and one-point solves bit for bit.
 
 def _flat(a):
     """Matrices (..., d, d) as rows (..., d*d)."""
@@ -160,15 +143,11 @@ def _exact_terms(gh, ghinv, z):
     return value, 0.5 * (v0 + np.swapaxes(v0, -1, -2)), m, (w, v)
 
 
-def _dual_weight(w, v, eps):
-    """B_eps = Im f(i Im M), f(a) = a / sqrt(a^2 + eps), from the
-    eigendecomposition (w, v) of i Im M; real antisymmetric with norm <= 1.
-
-    B_0 = Im sign(i Im M) attains trace abs Im M = -trace(B Im M); for
-    eps > 0 it is the weight of the eps-smoothed objective's gradient.
-    """
-    f = np.sign(w) if eps == 0.0 else w / np.sqrt(w * w + eps)
-    b = ((v * f[..., None, :]) @ _dagger(v)).imag
+def _sign_weight(w, v):
+    """B_s = Im sign(i Im M) from the eigendecomposition (w, v) of i Im M;
+    real antisymmetric with norm <= 1, and it attains
+    trace abs Im M = -trace(B_s Im M)."""
+    b = ((v * np.sign(w)[..., None, :]) @ _dagger(v)).imag
     return 0.5 * (b - np.swapaxes(b, -1, -2))
 
 
@@ -254,128 +233,127 @@ class _FeasibleSet:
         base = self.pmats[idx]
         return base + (t.reshape(len(t), self.p, self.m) @ self.nflat[idx]).reshape(base.shape)
 
-    def coords(self, xs, idx=slice(None)):
-        """Null-space coordinates (k, p*m) of feasible X collections
-        (k, p, d, d) at points idx."""
-        t = (_coords(self.basis, xs) - self.part_coords[idx]) @ self.null[idx]
+    def coords(self, xs):
+        """Null-space coordinates (n, p*m) of feasible X collections
+        (n, p, d, d), one per point."""
+        t = (_coords(self.basis, xs) - self.part_coords) @ self.null
         return t.reshape(len(t), -1)
 
 
-class _SmoothedObjective:
-    """The eps-smoothed objective of every point of a batch, and its dual
-    lower bounds D(B); ``idx`` selects the points that coordinates ``t``
-    (k, p*m) belong to."""
+class _Dual:
+    """The dual Holevo bounds D(B) of every point of a batch; ``idx``
+    selects the points that a stack of X collections belongs to."""
 
     def __init__(self, fs: _FeasibleSet, g):
         self.fs = fs
         self.g = g
         self.gh, self.ghinv = sym_sqrt_and_inv_sqrt(g)   # once per batch
-
-    def _m(self, t, idx):
-        xs = self.fs.x_mats(t, idx)
-        gh = self.gh[idx]
-        return gh @ z_matrix(self.fs.rho[idx], xs) @ gh, xs
-
-    def value(self, t, eps, idx=slice(None)):
-        m, _ = self._m(t, idx)
-        w = np.linalg.eigvalsh(1j * m.imag)
-        return np.trace(m, axis1=1, axis2=2).real + np.sum(np.sqrt(w * w + eps), axis=1)
+        # absolute: lambda_max(A) <= trace W_B = trace G, while on pure
+        # states rho N = 0 and every entry of A is rounding noise
+        self.cutoff = _PINV_CUTOFF * np.trace(g, axis1=1, axis2=2)
 
     def _alpha(self, xs, idx):
         """trace(rho N_a X_j) as (k, p, m)."""
         return _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]
 
-    def value_and_grad(self, t, eps, idx=slice(None)):
-        m, xs = self._m(t, idx)
-        w, v = np.linalg.eigh(1j * m.imag)
-        val = np.trace(m, axis1=1, axis2=2).real + np.sum(np.sqrt(w * w + eps), axis=1)
-        # d trace sqrt(A^2+eps) = trace((A^2+eps)^{-1/2} A dA) with A = i Im M
-        q = (v * (w / np.sqrt(w * w + eps))[:, None, :]) @ _dagger(v)
-        gh = self.gh[idx]
-        tmat = gh @ q @ gh
-        alpha = self._alpha(xs, idx)
-        grad = 2.0 * (self.g[idx] @ alpha.real + tmat.imag @ alpha.imag)
-        return val, grad.reshape(len(val), -1)
+    def parts(self, w, xs, idx=slice(None)):
+        """c (k, p*m) and A (k, p*m, p*m), linear in the weights w (k, p, p):
+        moving the feasible X_j by sum_a s_ja N_a changes trace(W Z(X)) by
+        c.s + s^T A s, with c = 2 Re(W L), L_ja = trace(rho X_j N_a), and
+        A = Re(W^T kron K)."""
+        lin = 2.0 * (w @ self._alpha(xs, idx).conj()).real
+        k, p, nm = lin.shape
+        hess = (np.swapaxes(w, 1, 2)[:, :, None, :, None]
+                * self.fs.kmat[idx][:, None, :, None, :]).real.reshape(k, p * nm, p * nm)
+        return lin.reshape(k, p * nm), hess
 
-    def dual_value(self, m, xs, b, idx=slice(None)):
+    def value(self, m, xs, b, idx=slice(None)):
         """D(B) = min over feasible X of trace(W_B Z(X)) at points idx, a
         lower bound on C_G for every real antisymmetric B (k, p, p) with
         norm <= 1; W_B = G^1/2 (1 + iB) G^1/2 is then PSD.
 
-        About a feasible X (k, p, d, d) with M = G^1/2 Z(X) G^1/2, moving
-        X_j by sum_a s_ja N_a changes trace(W_B Z) by c.s + s^T A s with
-        c = 2 Re(W_B L), L_ja = trace(rho X_j N_a), and A = Re(W_B^T kron K),
-        so D(B) = trace(W_B Z(X)) - c^T A^+ c / 4.
+        Expanded about feasible X (k, p, d, d) with M = G^1/2 Z(X) G^1/2,
+        D(B) = trace(W_B Z(X)) - c^T A^+ c / 4 with c, A the parts of W_B.
         """
-        gh, g = self.gh[idx], self.g[idx]
-        wb = g + 1j * (gh @ b @ gh)
-        lin = 2.0 * (wb @ self._alpha(xs, idx).conj()).real
-        k, p, nm = lin.shape
-        hess = (np.swapaxes(wb, 1, 2)[:, :, None, :, None]
-                * self.fs.kmat[idx][:, None, :, None, :]).real.reshape(k, p * nm, p * nm)
+        gh = self.gh[idx]
+        lin, hess = self.parts(self.g[idx] + 1j * (gh @ b @ gh), xs, idx)
         lam, u = np.linalg.eigh(hess)
-        # an absolute cutoff: lambda_max(A) <= trace W_B = trace G, while on
-        # pure states rho N = 0 and every entry of A is rounding noise
-        keep = lam > _PINV_CUTOFF * np.trace(g, axis1=1, axis2=2)[:, None]
-        proj = (np.swapaxes(u, 1, 2) @ lin.reshape(k, -1, 1))[..., 0]
+        keep = lam > self.cutoff[idx][:, None]
+        proj = (np.swapaxes(u, 1, 2) @ lin[..., None])[..., 0]
         decrement = np.sum(np.where(keep, proj * proj / np.where(keep, lam, 1.0), 0.0), axis=1)
         const = np.trace(m, axis1=1, axis2=2).real - np.trace(b @ m.imag, axis1=1, axis2=2)
         return const - 0.25 * decrement
 
+    def newton_terms(self, m, xs, i, basis, b):
+        """(D, s, gradient, minus Hessian) at point i, m and xs (p, d, d) as
+        in ``value``, and B = sum_k b_k E_k, basis (nb, p, p).  e, c and A
+        of D = e - c^T A^+ c / 4 are affine in b, with the slopes of
+        W_k = i G^1/2 E_k G^1/2.  With s = -A^+ c / 2, D = e + c.s/2, the
+        gradient is e_k + c_k.s + s.A_k s and minus the Hessian is
+        r_k.A^+ r_l / 2, r_k = c_k + 2 A_k s."""
+        w = np.concatenate([(np.eye(len(m)) + 1j * np.einsum("k,kij->ij", b, basis))[None],
+                            1j * basis])
+        e = np.einsum("kij,ji->k", w, m).real     # trace(G^1/2 w G^1/2 Z(X))
+        lin, hess = self.parts(self.gh[i] @ w @ self.gh[i], xs[None], [i])
+        lam, u = np.linalg.eigh(hess[0])
+        keep = lam > self.cutoff[i]
+        apinv = (u * np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)) @ u.T
+        s = -0.5 * apinv @ lin[0]
+        a_s = hess[1:] @ s
+        r = lin[1:] + 2.0 * a_s
+        return e[0] + 0.5 * lin[0] @ s, s, e[1:] + lin[1:] @ s + a_s @ s, 0.5 * r @ apinv @ r.T
 
-def _minimize_stage(obj: _SmoothedObjective, t, eps, opts: SolverOptions, rows):
-    """Armijo-backtracking gradient descent on the eps-smoothed objective,
-    for the points ``rows`` of the batch at coordinates t (len(rows), p*m).
 
-    These points descend in lockstep, each with its own step size, history
-    and stopping test; a point that stops leaves the active set.  Returns
-    (t, iterations, converged), one entry per row.
+def _barrier(b, basis):
+    """(log det(1 + iB), gradient, minus Hessian) in the coordinates b of
+    B = sum_k b_k E_k; with S = (1 + iB)^-1 the last two are trace(S iE_k)
+    and trace(S iE_k S iE_l).  The log det is -inf unless ||B|| < 1."""
+    ib = 1j * np.einsum("k,kij->ij", b, basis)
+    w = np.linalg.eigvalsh(ib)          # pairs +-sigma, and 0 for odd p
+    if w[0] <= -1.0:
+        return -np.inf, None, None
+    se = np.linalg.inv(np.eye(len(ib)) + ib) @ (1j * basis)
+    return (np.sum(np.log1p(w)), np.trace(se, axis1=1, axis2=2).real,
+            (_flat(se) @ _flat(np.swapaxes(se, 1, 2)).T).real)
+
+
+def _ascend(dual: _Dual, xs, m, i, max_iters):
+    """Maximize D over ||B|| <= 1 at point i, from B = 0; xs and m as in
+    ``_Dual.value``.  Returns (s, D(b), Newton steps), with X + s the
+    minimizer of trace(W_B Z(X)) at the last B.
+
+    Newton steps on D + mu log det(1 + iB) are halved until that rises, or,
+    once the decrement is below 1e-9 max(1, |D|) and a rise can be below
+    rounding, until they stay inside the ball.  Once the decrement is below
+    mu/10, or no halving rises, the point is centred and within about p mu
+    of C_G: stop if p mu < 1e-12 max(1, |D|), else divide mu by 50.
     """
-    n = len(t)
-    t = t.copy()
-    f, g = obj.value_and_grad(t, eps, rows)
-    step = np.ones(n)
-    history = np.empty((6, n))    # the last six values, indexed by iteration % 6
-    history[0] = f
-    iters = np.full(n, opts.max_iters)
-    converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    for it in range(1, opts.max_iters + 1):
-        ga = g[active]
-        gnorm2 = (ga[:, None, :] @ ga[:, :, None])[:, 0, 0]
-        flat = gnorm2 < 1e-26
-        iters[active[flat]], converged[active[flat]] = it, True
-        active, gnorm2 = active[~flat], gnorm2[~flat]
-        # backtracking: halve each point's step until it gives sufficient descent
-        accepted = np.zeros(n, dtype=bool)
-        search, gn2 = active, gnorm2
-        while search.size:
-            s = step[search]
-            t_new = t[search] - s[:, None] * g[search]
-            ok = obj.value(t_new, eps, rows[search]) <= f[search] - 1e-4 * s * gn2
-            t[search[ok]] = t_new[ok]
-            accepted[search[ok]] = True
-            search, gn2 = search[~ok], gn2[~ok]
-            step[search] *= 0.5
-            keep = step[search] > 1e-18
-            search, gn2 = search[keep], gn2[keep]
-        stuck = active[~accepted[active]]    # no descent possible at machine scale
-        iters[stuck], converged[stuck] = it, True
-        active = active[accepted[active]]
-        if active.size == 0:
-            break
-        f[active], g[active] = obj.value_and_grad(t[active], eps, rows[active])
-        step[active] = np.minimum(step[active] * 1.6, 1e6)
-        history[it % 6, active] = f[active]
-        if it >= 5:
-            fa = f[active]
-            done = np.abs(history[(it + 1) % 6, active] - fa) <= \
-                opts.stage_rtol * np.maximum(1.0, np.abs(fa))
-            iters[active[done]], converged[active[done]] = it, True
-            active = active[~done]
-            if active.size == 0:
+    p = m.shape[-1]
+    eye, (j, k) = np.eye(p), np.triu_indices(p, 1)
+    basis = eye[j, :, None] * eye[k, None, :] - eye[k, :, None] * eye[j, None, :]   # E_k
+    b = np.zeros(len(basis))
+
+    def objective(b):   # keeps the terms at b; -inf outside the ball, as mu > 0
+        terms[:] = dual.newton_terms(m, xs, i, basis, b)
+        return terms[0] + mu * _barrier(b, basis)[0]
+
+    terms = list(dual.newton_terms(m, xs, i, basis, b))
+    d_b, s, grad_d, hess_d = terms
+    mu, steps = 0.01 * max(1.0, abs(d_b)) / p, 0
+    while steps < max_iters:
+        log_det, grad_b, hess_b = _barrier(b, basis)
+        grad = grad_d + mu * grad_b
+        step = np.linalg.solve(hess_d + mu * hess_b, grad)
+        decrement, steps = grad @ step, steps + 1
+        f = -np.inf if decrement < 1e-9 * max(1.0, abs(d_b)) else d_b + mu * log_det
+        _, b, rose = _rise(f, b, [step], lambda x: x, objective)
+        if rose:   # the accepted candidate is the last one objective saw
+            d_b, s, grad_d, hess_d = terms
+        if not rose or decrement < mu / 10.0:
+            if p * mu < 1e-12 * max(1.0, abs(d_b)):
                 break
-    return t, iters, converged
+            mu /= 50.0
+    return s, d_b, steps
 
 
 @dataclass(frozen=True)
@@ -401,39 +379,36 @@ class _BatchSolution:
     def nonconvergence(self, i, opts: SolverOptions) -> NonConvergenceError:
         sol = self.solution(i)
         return NonConvergenceError(
-            f"continuation did not converge within {opts.max_iters} iterations/stage",
+            f"dual ascent did not certify the value within {opts.max_iters} Newton steps",
             best_value=sol.value, diagnostics=sol.diagnostics)
 
 
-def _certified(obj: _SmoothedObjective, t, floor, idx=slice(None), eps_values=(0.0,)):
+def _certified(dual: _Dual, t, floor, idx=slice(None)):
     """X, Z(X), the exact value, V0 and a certified lower bound on C_G at
     coordinates t (k, p*m) of points idx.
 
-    The bound is the largest of floor and D(B_eps) for eps in eps_values,
-    with B_eps from X (see _dual_weight).  With an empty null space X is
-    the one feasible point: the value is exact and is its own bound.
+    The bound is the larger of floor and D(B_s), with B_s from X (see
+    _sign_weight).  With an empty null space X is the one feasible point:
+    the value is exact and is its own bound.
     """
-    fs = obj.fs
+    fs = dual.fs
     xs = hermitize(fs.x_mats(t, idx))
     zs = z_matrix(fs.rho[idx], xs)
-    value, v0, m, (w, v) = _exact_terms(obj.gh[idx], obj.ghinv[idx], zs)
+    value, v0, m, (w, v) = _exact_terms(dual.gh[idx], dual.ghinv[idx], zs)
     if fs.m == 0:
         return xs, zs, value, v0, value.copy()
-    lower = floor
-    for eps in eps_values:
-        lower = np.maximum(lower, obj.dual_value(m, xs, _dual_weight(w, v, eps), idx))
-    return xs, zs, value, v0, lower
+    return xs, zs, value, v0, np.maximum(floor, dual.value(m, xs, _sign_weight(w, v), idx))
 
 
 def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
-                 numerics: NumericsConfig = DEFAULT_NUMERICS, x_warm=None):
+                 numerics: NumericsConfig = DEFAULT_NUMERICS):
     """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
 
     Each point is computed as it would be computed alone.  A point the SLD
-    collection certifies keeps it, with no iterations.  The others descend
-    from ``x_warm`` (n, p, d, d) when it is given and from the SLD
-    collection otherwise; ``opts.x_warm`` is not read.
-    Non-convergence is reported per point in the diagnostics, not raised.
+    collection certifies keeps it, with no iterations; each other point
+    ascends the dual alone (see _ascend) and is certified again at the
+    primal point that the ascent ends on.  Non-convergence is reported per
+    point in the diagnostics, not raised.
     """
     rho = model.state(thetas)                  # the one state/derivs evaluation
     drho = np.asarray(model.derivs(thetas), dtype=complex)
@@ -451,42 +426,25 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
     hinv = np.linalg.inv(hmat)
 
     fs = _FeasibleSet(rho, drho)
-    obj = _SmoothedObjective(fs, g)
+    dual = _Dual(fs, g)
     helstrom_value = np.einsum("nij,nji->n", g, hinv)
     t = fs.coords(hermitize((hinv @ _flat(lams)).reshape(lams.shape)))
-    xs, zs, value, v0, lower = _certified(obj, t, helstrom_value)
+    xs, zs, value, v0, lower = _certified(dual, t, helstrom_value)
 
-    n = len(thetas)
-    iters = np.zeros(n, dtype=int)
-    converged = np.ones(n, dtype=bool)
-    final_eps = np.zeros(n)
-    # only points the SLD start does not certify descend
-    rows = np.nonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))[0]
-    if rows.size:
-        t_start = t[rows] if x_warm is None else fs.coords(np.asarray(x_warm)[rows], rows)
-        t_rows = t_start
-        for eps in opts.eps_schedule:
-            t_rows, stage_iters, ok = _minimize_stage(obj, t_rows, eps, opts, rows)
-            iters[rows] += stage_iters
-            converged[rows] &= ok
-        final_eps[rows] = opts.eps_schedule[-1]
-        # descent on the smoothed surrogate only: keep the start where it is lower
-        lower_start = obj.value(t_start, 0.0, rows) < obj.value(t_rows, 0.0, rows)
-        t_rows = np.where(lower_start[:, None], t_start, t_rows)
-        # at a kink of the objective the smoothed weight bounds more tightly
-        xs_r, zs_r, value_r, v0_r, lower_r = _certified(
-            obj, t_rows, helstrom_value[rows], rows, (0.0, opts.eps_schedule[-1]))
-        xs[rows], zs[rows], value[rows], v0[rows] = xs_r, zs_r, value_r, v0_r
-        lower[rows] = np.maximum(lower[rows], lower_r)   # every D(B) bounds C_G
+    iters = np.zeros(len(thetas), dtype=int)
+    for i in np.nonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))[0]:
+        gh, row = dual.gh[i], [i]
+        s, d_b, iters[i] = _ascend(dual, xs[i], gh @ zs[i] @ gh, i, opts.max_iters)
+        xs[row], zs[row], value[row], v0[row], lower[row] = _certified(   # every D(B) bounds C_G
+            dual, t[row] + s, np.maximum(lower[row], d_b), row)
 
     diagnostics = {
         "iterations": iters,
-        "final_eps": final_eps,
         "constraint_residual": constraint_residual(drho, xs),
         "gap_estimate": np.maximum(value - lower, 0.0),
         "lower_bound": lower,
         "null_dim": fs.m * fs.p,
-        "converged": converged,
+        "converged": value - lower <= CERTIFY_RTOL * np.maximum(1.0, np.abs(value)),
         "helstrom_value": helstrom_value,
     }
     _validate_solutions(thetas, g, value, v0, zs, helstrom_value)
@@ -499,13 +457,11 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
 
     Raises RankDeficiencyError when the Helstrom matrix is singular (the
     constraints are then infeasible) and NonConvergenceError, carrying the
-    best value found, when the continuation fails to converge.
+    best value found, when the dual ascent does not certify it.
     """
     opts = opts or SolverOptions()
     thetas = np.asarray(theta, dtype=float).reshape(1, -1)
-    x_warm = None if opts.x_warm is None else np.asarray(opts.x_warm, dtype=complex)[None]
-    batch = _solve_batch(model, thetas, np.asarray(g, dtype=float)[None], opts, numerics,
-                         x_warm=x_warm)
+    batch = _solve_batch(model, thetas, np.asarray(g, dtype=float)[None], opts, numerics)
     if not batch.diagnostics["converged"][0]:
         raise batch.nonconvergence(0, opts)
     return batch.solution(0)

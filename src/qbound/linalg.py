@@ -1,4 +1,4 @@
-"""Dense complex-Hermitian linear algebra helpers.
+"""Dense complex-Hermitian linear algebra and the ascents' step halving.
 
 Everything here works on plain ``numpy`` arrays; dimensions stay small
 (d <= 8), so dense eigendecompositions are used throughout.
@@ -123,3 +123,21 @@ def random_hermitian(d, rng, traceless=False):
     if traceless:
         a -= np.trace(a).real / d * np.eye(d)
     return a
+
+
+# step halvings before an ascent counts a point as a maximum
+_MAX_HALVINGS = 40
+
+
+def _rise(f, x, steps, retract, loglik):
+    """(f, x, rose): the first candidate retract(x + t step) whose loglik
+    exceeds f, trying each step in turn with t = 1, 1/2, ... for
+    _MAX_HALVINGS halvings; (f, x, False) where none does."""
+    for step in steps:
+        for _ in range(_MAX_HALVINGS):
+            cand = retract(x + step)
+            fc = loglik(cand)
+            if fc > f:
+                return fc, cand, True
+            step = step * 0.5
+    return f, x, False

@@ -26,7 +26,7 @@ import numpy as np
 from .bayes import Prior
 from .errors import NumericalError
 from .information import InfoMatrix, povm_fisher
-from .linalg import PAULIS, haar_unitaries
+from .linalg import PAULIS, _rise, haar_unitaries
 from .models import ParametricModel, basis_povm, fidelity
 
 PAULI_BASES = tuple(np.linalg.eigh(s)[1][:, ::-1] for s in PAULIS)
@@ -221,8 +221,6 @@ class Estimator:
 
 # an outcome at or below this probability makes the log-likelihood -inf
 _P_FLOOR = 1e-300
-# step halvings before an ascent counts a point as a maximum
-_MAX_HALVINGS = 40
 # per copy: how far a certified qubit MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
 
@@ -348,20 +346,6 @@ def _mle_affine(a, b, counts, dom, tol, max_iters):
         lo, hi = np.array(dom.bounds, dtype=float).T
         boundary = bool(np.any(theta <= lo + 1e-7) or np.any(theta >= hi - 1e-7))
     return MleResult(theta, boundary, converged, f)
-
-
-def _rise(f, x, steps, retract, loglik):
-    """(f, x, rose): the first candidate retract(x + t step) whose loglik
-    exceeds f, trying each step in turn with t = 1, 1/2, ... for
-    _MAX_HALVINGS halvings; (f, x, False) where none does."""
-    for step in steps:
-        for _ in range(_MAX_HALVINGS):
-            cand = retract(x + step)
-            fc = loglik(cand)
-            if fc > f:
-                return fc, cand, True
-            step = step * 0.5
-    return f, x, False
 
 
 def _face_newton(theta, grad, hess, dom):

@@ -346,16 +346,13 @@ class TestJFunctional:
 
     @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit"])
     def test_batch_equals_warm_chained_solves(self, all_models, name):
-        # the per-node solve chain, each node warm-started from the one
-        # before it in raster order
+        # the chain of per-node solves in raster order, each one cold from
+        # its SLD start (the solver has no warm start)
         model = all_models[name]
         loss = fidelity_loss(model)
-        warm = [None]
 
         def chained_c(theta):
-            sol = solve_holevo(model, theta, loss.g0(theta),
-                               SolverOptions(x_warm=warm[0]))
-            warm[0] = sol.x_star
+            sol = solve_holevo(model, theta, loss.g0(theta))
             return loss.gtilde(theta) @ loss.psi_jac(theta) @ sol.v0
 
         prior = bump_prior(2, 0.8)
@@ -527,7 +524,7 @@ class TestBatchedSolves:
         assert res.value == pytest.approx(expected, abs=tol)
 
     def test_iterations_match_serial_chain(self, monkeypatch):
-        # builtin families certify at the start; this random model descends
+        # builtin families certify at the start; this random model ascends the dual
         import qbound.bayes
         model, loss = _random_affine_case()
         grid = _BallGrid(2, 0.4, 6, 8)

@@ -85,9 +85,9 @@ class TestHolevoCommand:
         assert res.returncode == 2
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        # builtin families certify at the SLD start and never descend; this
-        # random mixed model descends, and one iteration per stage does not
-        # converge
+        # builtin families certify at the SLD start and never ascend the
+        # dual; this random mixed model does, and one Newton step does not
+        # certify it
         from qbound.models import model_to_spec
         spec = tmp_path / "model.json"
         spec.write_text(json.dumps(model_to_spec(

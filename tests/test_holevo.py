@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qbound import (Domain, NonConvergenceError, NumericalError,
                     RankDeficiencyError, SolverOptions, affine_model,
@@ -9,8 +9,7 @@ from qbound import (Domain, NonConvergenceError, NumericalError,
                     helstrom_matrix, holevo_objective, povm_fisher,
                     quarter_helstrom_weight, recover_v0, sld, solve_holevo,
                     z_matrix)
-from qbound.holevo import (CERTIFY_RTOL, _FeasibleSet, _SmoothedObjective,
-                           _solve_batch)
+from qbound.holevo import CERTIFY_RTOL, _Dual, _FeasibleSet, _barrier, _solve_batch
 from qbound.linalg import (PAULIS, PAULI_Z, haar_unitary, hermitize,
                            random_hermitian)
 
@@ -178,12 +177,11 @@ class TestSolver:
         assert direct == pytest.approx(mapped, rel=1e-6)
 
     def test_nonconvergence_carries_best_value(self):
-        # builtin families certify at the SLD start and never descend; this
-        # random model does, and one iteration per stage does not converge
+        # builtin families certify at the SLD start and never ascend the
+        # dual; this random model does, and one Newton step does not certify it
         model = random_mixed_model(np.random.default_rng(0), 3, 2)
         with pytest.raises(NonConvergenceError) as err:
-            solve_holevo(model, [0.05, -0.02], np.eye(2),
-                         SolverOptions(max_iters=1, stage_rtol=0.0))
+            solve_holevo(model, [0.05, -0.02], np.eye(2), SolverOptions(max_iters=1))
         diag = err.value.diagnostics
         assert err.value.best_value is not None
         assert diag["iterations"] > 0
@@ -211,9 +209,9 @@ class TestSolver:
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, 0.1])
         g = quarter_helstrom_weight(model, theta)
-        cold = solve_holevo(model, theta, g)
+        solve_holevo(model, theta, g)
         assert len(calls) == 1
-        solve_holevo(model, theta, g, SolverOptions(x_warm=cold.x_star))
+        solve_holevo(model, theta, g)
         assert len(calls) == 2
         thetas = np.array([[0.3, 0.1], [-0.2, 0.4], [0.0, 0.5]])
         _solve_batch(model, thetas, np.stack([g] * 3), SolverOptions())
@@ -260,9 +258,9 @@ class TestSolver:
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, 0.1])
         g = quarter_helstrom_weight(model, theta)
-        cold = solve_holevo(model, theta, g)
+        solve_holevo(model, theta, g)
         assert len(calls) == 1
-        solve_holevo(model, theta, g, SolverOptions(x_warm=cold.x_star))
+        solve_holevo(model, theta, g)
         assert len(calls) == 2
         full = all_models["bloch_full"]
         theta = np.array([0.1, -0.3, 0.4])
@@ -299,59 +297,77 @@ class TestSolver:
         with pytest.raises(ValueError, match=message):
             solve_holevo(all_models["bloch_equatorial"], [0.3, 0.1], weight)
 
-    def test_analytic_gradient_matches_fd(self, all_models):
-        model = all_models["bloch_equatorial"]
-        theta = np.array([0.3, -0.2])
-        obj = _Point(model, theta, quarter_helstrom_weight(model, theta))
+    def test_analytic_gradient_matches_fd(self):
+        # the dual ascent's gradient and minus Hessian of D(b) and of the
+        # barrier log det(1 + iB), at random interior b, against central
+        # differences of D and log det and of the analytic gradients
         rng = np.random.default_rng(4)
-        t = rng.standard_normal(obj.size)
-        for eps in (1e-2, 1e-5):
-            _, ga = obj.value_and_grad(t, eps)
-            gf = _fd_grad(obj, t, eps, 1e-7)
-            assert np.max(np.abs(ga - gf)) < 1e-6
+        for d, p in ((3, 2), (4, 2), (3, 3), (4, 3), (3, 4), (4, 4)):
+            model = random_mixed_model(rng, d, p)
+            theta = model.domain.project(0.05 * rng.standard_normal(p))
+            point = _Point(model, theta, _spd(rng, p))
+            t = rng.standard_normal(point.size)
+            m, xs = point.expansion(t)
+            basis = np.array([np.outer(e, f) - np.outer(f, e)
+                              for k, e in enumerate(np.eye(p)) for f in np.eye(p)[k + 1:]])
+            b = rng.standard_normal(len(basis))
+            b *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.tensordot(b, basis, 1), 2)
+
+            def dual(b):
+                d_b, _, grad, nhess = point.dual.newton_terms(m, xs, 0, basis, b)
+                return d_b, grad, nhess
+
+            for name, fn in (("dual", dual), ("barrier", lambda x: _barrier(x, basis))):
+                value, grad, nhess = fn(b)
+                scale = max(1.0, abs(value))
+                gf = _central(lambda x: fn(x)[0], b, 1e-5)
+                hf = _central(lambda x: fn(x)[1], b, 1e-5)
+                assert np.max(np.abs(grad - gf)) < 1e-7 * scale, (d, p, name)
+                assert np.max(np.abs(nhess + hf)) < 1e-6 * scale, (d, p, name)
+            # the Newton terms' D(b) agrees with _Dual.value, which certifies the start
+            assert dual(b)[0] == pytest.approx(point.dual_value(t, np.tensordot(b, basis, 1)),
+                                               rel=1e-12)
 
 
 class _Point:
-    """The solver's feasible set and smoothed objective at one point, used
-    through a batch of one."""
+    """The solver's feasible set and dual bounds at one point, used through
+    a batch of one."""
 
     def __init__(self, model, theta, g):
         thetas = np.asarray(theta, dtype=float)[None]
+        self.g = np.asarray(g, dtype=float)
         self.fs = _FeasibleSet(model.state(thetas), model.derivs(thetas))
-        self.obj = _SmoothedObjective(self.fs, np.asarray(g, dtype=float)[None])
+        self.dual = _Dual(self.fs, self.g[None])
         self.size = self.fs.p * self.fs.m
 
-    def value(self, t, eps):
-        return float(self.obj.value(t[None], eps)[0])
-
-    def value_and_grad(self, t, eps):
-        val, grad = self.obj.value_and_grad(t[None], eps)
-        return float(val[0]), grad[0]
+    def value(self, t):
+        """The exact objective at coordinates t."""
+        return holevo_objective(self.g, z_matrix(self.fs.rho[0], self.fs.x_mats(t[None])[0]))
 
     def coords(self, xs):
         return self.fs.coords(np.asarray(xs)[None])[0]
 
-    def dual(self, t, b):
+    def expansion(self, t):
+        """(G^1/2 Z(X) G^1/2, X) at the feasible point X at coordinates t."""
+        xs = hermitize(self.fs.x_mats(t[None]))[0]
+        gh = self.dual.gh[0]
+        return gh @ z_matrix(self.fs.rho[0], xs) @ gh, xs
+
+    def dual_value(self, t, b):
         """D(B) from the expansion about the feasible point at coordinates t."""
-        xs = hermitize(self.fs.x_mats(t[None]))
-        gh = self.obj.gh
-        m = gh @ z_matrix(self.fs.rho, xs) @ gh
-        return float(self.obj.dual_value(m, xs, np.asarray(b, dtype=float)[None])[0])
-
-    def x_mats(self, t):
-        return self.fs.x_mats(t[None])[0]
+        m, xs = self.expansion(t)
+        return float(self.dual.value(m[None], xs[None], np.asarray(b, dtype=float)[None])[0])
 
 
-def _fd_grad(obj, t, eps, step):
-    """Forward-difference gradient of the smoothed objective (reference)."""
-    f0 = obj.value(t, eps)
-    grad = np.zeros_like(t)
-    for i in range(t.size):
-        tp = t.copy()
-        h = step * max(1.0, abs(t[i]))
-        tp[i] += h
-        grad[i] = (obj.value(tp, eps) - f0) / h
-    return grad
+def _central(fn, x, step):
+    """Central-difference derivative of fn (scalar- or array-valued) at x,
+    stacked along the last axis (reference)."""
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _nelder_mead(fn, x0, iters=4000, scale=0.5):
@@ -395,9 +411,9 @@ class TestSolverAgainstIndependentOracle:
     def test_random_models_match_nelder_mead(self):
         # exact nonsmooth objective minimized by an unrelated method
         rng = np.random.default_rng(7)
-        for case in range(6):
+        for case in range(7):
             d = 2 if case % 2 else 3
-            p = 2 if case < 4 else 3
+            p = 2 if case < 4 else 3 if case < 6 else 4
             model = random_mixed_model(rng, d, p)
             theta = model.domain.project(0.05 * rng.standard_normal(p))
             a = random_hermitian(p, rng).real
@@ -405,9 +421,8 @@ class TestSolverAgainstIndependentOracle:
             sol = solve_holevo(model, theta, g)
             obj = _Point(model, theta, g)
             x0 = obj.coords(sol.x_star)
-            exact = lambda t: obj.value(t, 0.0)  # noqa: E731
-            oracle = _nelder_mead(exact, np.zeros_like(x0))
-            oracle = min(oracle, _nelder_mead(exact, x0))
+            oracle = _nelder_mead(obj.value, np.zeros_like(x0))
+            oracle = min(oracle, _nelder_mead(obj.value, x0))
             assert sol.value == pytest.approx(oracle, rel=2e-5), (case, sol.value, oracle)
             # Nelder-Mead values are objective values at feasible points, so
             # oracle >= C_G >= value - gap; its start x0 gives oracle <= value
@@ -422,30 +437,39 @@ class TestSolverAgainstIndependentOracle:
                 direct = holevo_objective(g, z_matrix(model.state(theta), xs))
                 assert sol.value == pytest.approx(direct, rel=2e-5), (case, sol.value, direct)
 
-    def test_start_independence(self):
-        # the problem is convex: a warm start moved off the SLD start by the
-        # Gaussian perturbation that random restarts used to draw, of scale
-        # 0.3 (1 + |t0| / sqrt(n)) in null-space coordinates, reaches the
-        # value of the cold solve
-        rng = np.random.default_rng(7)
-        for case in range(6):
-            d = 2 if case % 2 else 3
-            p = 2 if case < 4 else 3
-            model = random_mixed_model(rng, d, p)
-            theta = model.domain.project(0.05 * rng.standard_normal(p))
-            a = random_hermitian(p, rng).real
-            g = a @ a.T + 0.5 * np.eye(p)
-            cold = solve_holevo(model, theta, g)
-            point = _Point(model, theta, g)
-            hinv = np.linalg.inv(helstrom_matrix(model, theta).matrix)
-            t0 = point.coords(np.einsum("jk,kab->jab", hinv, sld(model, theta)))
-            scale = 0.3 * (1.0 + np.linalg.norm(t0) / max(1.0, np.sqrt(t0.size)))
-            for k in range(2):
-                t = t0 + scale * rng.standard_normal(t0.size)
-                warm = solve_holevo(model, theta, g,
-                                    SolverOptions(x_warm=point.x_mats(t)))
-                assert warm.value == pytest.approx(cold.value, rel=1e-8), \
-                    (case, k, warm.value, cold.value)
+    @staticmethod
+    def _random_case(rng, p):
+        d = 3 if p < 4 else 4
+        model = random_mixed_model(rng, d, p)
+        return model, model.domain.project(0.05 * rng.standard_normal(p)), _spd(rng, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_random_unitary_invariance(self, p):
+        # rho -> U rho U^dagger maps every feasible X to U X U^dagger and
+        # leaves Z(X), so C_G, unchanged, for any weight G
+        rng = np.random.default_rng(20 + p)
+        for _ in range(3):
+            model, theta, g = self._random_case(rng, p)
+            u = haar_unitary(model.rho0.shape[0], rng)
+            rotated = affine_model(u @ model.rho0 @ u.conj().T,
+                                   [u @ b @ u.conj().T for b in model.basis], model.domain)
+            a = solve_holevo(model, theta, g).value
+            assert solve_holevo(rotated, theta, g).value == pytest.approx(a, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_random_reparameterization_covariance(self, p):
+        # theta = A phi maps the bound with weight G to weight A^T G A
+        rng = np.random.default_rng(30 + p)
+        for _ in range(3):
+            model, theta, g = self._random_case(rng, p)
+            amat = np.eye(p) + 0.5 * rng.standard_normal((p, p))
+            phi = np.linalg.solve(amat, theta)
+            reparam = affine_model(
+                model.rho0, [sum(amat[i, j] * model.basis[i] for i in range(p)) for j in range(p)],
+                Domain("ball", radius=2.0 * np.linalg.norm(phi) + 1.0, dim=p))
+            a = solve_holevo(model, theta, g).value
+            mapped = solve_holevo(reparam, phi, amat.T @ g @ amat).value
+            assert mapped == pytest.approx(a, rel=1e-9)
 
     def test_random_models_satisfy_invariants(self):
         rng = np.random.default_rng(8)
@@ -519,10 +543,26 @@ class TestCertificate:
             assert np.all(diag["gap_estimate"]
                           <= CERTIFY_RTOL * np.maximum(1.0, np.abs(batch.value)))
 
+    def test_qutrit_models_certify(self):
+        # twelve mixed qutrit models, spectrum (0.5, 0.3, 0.2) in a Haar basis
+        # with three traceless directions of scale 0.05 and a random SPD
+        # weight, at theta = 0: the dual maximiser lies inside ||B|| < 1 for
+        # k = 0, 1, 2, 3, 6 and on ||B|| = 1 for the others
+        rng = np.random.default_rng(11)
+        for k in range(12):
+            u = haar_unitary(3, rng)
+            rho0 = (u * np.array([0.5, 0.3, 0.2])) @ u.conj().T
+            basis = [random_hermitian(3, rng, traceless=True) for _ in range(3)]
+            model = affine_model(rho0, [0.05 * b / np.linalg.norm(b) for b in basis],
+                                 Domain("ball", radius=0.2, dim=3))
+            sol = solve_holevo(model, np.zeros(3), _spd(rng, 3))
+            assert sol.diagnostics["gap_estimate"] <= CERTIFY_RTOL * max(1.0, sol.value), k
+
     @settings(max_examples=24, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3, 4]),
-           p=st.sampled_from([2, 3]))
+           p=st.sampled_from([2, 3, 4, 5]))
     def test_dual_bounds_on_random_families(self, seed, d, p):
+        assume(p <= d * d - 1)
         rng = np.random.default_rng(seed)
         model = random_mixed_model(rng, d, p)
         theta = model.domain.project(0.05 * rng.standard_normal(p))
@@ -535,17 +575,19 @@ class TestCertificate:
         # lower <= C_G <= value and trace(G H^-1) <= C_G <= 2 trace(G H^-1)
         assert lower <= value + tol
         assert floor <= lower + tol and value <= 2 * floor + tol
+        assert batch.diagnostics["converged"][0]
+        assert value - lower <= CERTIFY_RTOL * max(1.0, abs(value))
         point = _Point(model, theta, g)
         if point.size == 0:
             return
         # D(0) = trace(G H^-1), from any feasible point
         t = point.coords(batch.x_star[0]) + rng.standard_normal(point.size)
-        assert point.dual(t, np.zeros((p, p))) == pytest.approx(floor, rel=1e-10)
+        assert point.dual_value(t, np.zeros((p, p))) == pytest.approx(floor, rel=1e-10)
         # D(B) is a minimum over the feasible set: it does not depend on the
         # point it is expanded about, and it bounds every feasible value
         b = _antisymmetric(rng, p, rng.uniform(0.0, 0.9))
-        d_sol = point.dual(point.coords(batch.x_star[0]), b)
-        assert point.dual(t, b) == pytest.approx(d_sol, rel=1e-9)
+        d_sol = point.dual_value(point.coords(batch.x_star[0]), b)
+        assert point.dual_value(t, b) == pytest.approx(d_sol, rel=1e-9)
         assert d_sol <= value + tol
 
 
