@@ -129,15 +129,23 @@ def random_hermitian(d, rng, traceless=False):
 _MAX_HALVINGS = 40
 
 
-def _rise(f, x, steps, retract, loglik):
+def _rise(f, x, steps, retract, loglik, live=True):
     """(f, x, rose): the first candidate retract(x + t step) whose loglik
     exceeds f, trying each step in turn with t = 1, 1/2, ... for
-    _MAX_HALVINGS halvings; (f, x, False) where none does."""
+    _MAX_HALVINGS halvings; (f, x, False) where none does.  Points stacked
+    as f (n,), x (n, p) and step rows rise one by one, with loglik taken at
+    the whole stack and a point that rose or is not live left at x.  A step
+    with a non-finite entry is skipped."""
+    f, rose = np.asarray(f), np.zeros(np.shape(f), dtype=bool)
     for step in steps:
+        trying = live & ~rose & np.all(np.isfinite(step), axis=-1)
         for _ in range(_MAX_HALVINGS):
-            cand = retract(x + step)
+            if not trying.any():
+                break
+            cand = retract(x + np.where(trying[..., None], step, 0.0))
             fc = loglik(cand)
-            if fc > f:
-                return fc, cand, True
+            up = trying & (fc > f)
+            f, x = np.where(up, fc, f), np.where(up[..., None], cand, x)
+            rose, trying = rose | up, trying & ~up
             step = step * 0.5
-    return f, x, False
+    return f[()], x, rose[()]

@@ -62,12 +62,14 @@ class Domain:
         return np.all((theta >= lo - tol) & (theta <= hi + tol), axis=-1)
 
     def project(self, theta):
+        """The nearest point of the domain to one point (p,), or to each
+        point of a stack (..., p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "ball":
-            r = np.linalg.norm(theta)
-            if r > self.radius:
-                return theta * (self.radius / r)
-            return theta
+            # |theta| row by row, rounded as theta @ theta for one point
+            sq = _squared_norms(theta.reshape(-1, theta.shape[-1]))
+            r = np.sqrt(sq).reshape(theta.shape[:-1] + (1,))
+            return theta * (self.radius / np.maximum(r, self.radius))
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
         return np.clip(theta, lo, hi)

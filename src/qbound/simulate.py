@@ -3,16 +3,18 @@
 Schemes draw one projective basis per copy (fixed, alternating, uniformly
 random, or two-step adaptive), sample outcomes through the Born rule, and
 feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
-Estimators see the data as an outcome count table, one row per observed
-(basis, outcome) pair, and one count log-likelihood sum c log p serves the
-affine MLE, the pure-state MLE and the posterior mean; the posterior mean
-takes its Laplace stencil in one stacked likelihood evaluation and weighs
-all its importance draws in another.
-Risk runs are reproducible: the RNG of trial t is derived from
-(seed, spawn_key=t), so results do not depend on how trials are distributed
-over workers.  A serial run works on the caller's model, prior, scheme and
-estimator; a process pool pickles them, and models and priors pickle
-through their JSON specs, so an object without a spec needs workers=1.
+Estimators see outcome count tables, and one count log-likelihood
+sum c log p serves them all.  A risk run takes its trials in blocks of
+_TRIAL_BLOCK: per trial only what needs its RNG, derived from
+(seed, spawn_key=t), namely the prior draw and the Born sampling into a
+count table; estimation once per block, as arrays over its tables (pure
+tables one at a time), and two-step estimates all its stage-1 tables in one
+MLE before it draws stage 2.  No sum's rounding depends on the block, so
+results do not depend on how trials fall into blocks or onto workers;
+sample_outcomes, mle_estimate and bayes_mean_estimate run blocks of one.
+A serial run works on the caller's model, prior, scheme and estimator; a
+process pool pickles them, and models and priors pickle through their JSON
+specs, so an object without a spec needs workers=1.
 """
 
 import functools
@@ -83,16 +85,19 @@ def two_step_scheme(model: ParametricModel, first_fraction):
 
 
 def _direction_basis(u):
-    """Eigenbasis of u . sigma for a unit vector u, eigenvalue +1 first."""
-    op = u[0] * PAULIS[0] + u[1] * PAULIS[1] + u[2] * PAULIS[2]
-    _, v = np.linalg.eigh(op)
-    return v[:, ::-1]
+    """Eigenbasis of u . sigma for a unit vector u (3,), or for each unit
+    vector of a stack (n, 3), eigenvalue +1 first."""
+    c = np.asarray(u)[..., None, None]
+    op = c[..., 0, :, :] * PAULIS[0] + c[..., 1, :, :] * PAULIS[1] + c[..., 2, :, :] * PAULIS[2]
+    return np.linalg.eigh(op)[1][..., ::-1]
 
 
 def _orthonormal_frame(r):
-    a = np.array([0.0, 0.0, 1.0]) if abs(r[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    """(t1, t2) completing each unit vector of a stack r (n, 3) to an
+    orthonormal frame."""
+    a = np.where(np.abs(r[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     t1 = np.cross(r, a)
-    t1 /= np.linalg.norm(t1)
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
     return t1, np.cross(r, t1)
 
 
@@ -101,31 +106,32 @@ def adapted_bases(model: ParametricModel, theta_hat):
 
     The eigen-directions of the weight H/4 at the estimate are measured in
     equal proportion (alternating the adapted bases), which attains the
-    separable-scheme optimum for the qubit families.
+    separable-scheme optimum for the qubit families.  An estimate (p,) gives
+    a tuple of unitaries, a stack of estimates (n, p) a tuple of (n, d, d)
+    stacks.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if model.family == "bloch_equatorial":
-        norm = np.linalg.norm(theta_hat)
-        ang = math.atan2(theta_hat[1], theta_hat[0]) if norm > 1e-9 else 0.0
-        radial = np.array([math.cos(ang), math.sin(ang), 0.0])
-        tangent = np.array([-math.sin(ang), math.cos(ang), 0.0])
-        return (_direction_basis(radial), _direction_basis(tangent))
-    if model.family == "bloch_full":
-        norm = np.linalg.norm(theta_hat)
-        r = theta_hat / norm if norm > 1e-9 else np.array([0.0, 0.0, 1.0])
-        t1, t2 = _orthonormal_frame(r)
-        return (_direction_basis(r), _direction_basis(t1), _direction_basis(t2))
-    if model.family == "pure_qubit":
-        rho = model.state(model.domain.project(theta_hat * (1.0 - 1e-12)))
-        bloch = np.array([np.trace(rho @ s).real for s in PAULIS])
-        bloch /= np.linalg.norm(bloch)
-        t1, t2 = _orthonormal_frame(bloch)
-        return (_direction_basis(t1), _direction_basis(t2))
-    raise ValueError(f"no adapted bases for family {model.family!r}")
+    theta = np.asarray(theta_hat, dtype=float)
+    thetas = theta.reshape(-1, theta.shape[-1])
+    norm = np.linalg.norm(thetas, axis=-1, keepdims=True)
+    unit = thetas / np.maximum(norm, 1e-9)  # used where norm > 1e-9
+    if model.family == "bloch_equatorial":  # radial and tangential
+        r = np.pad(np.where(norm > 1e-9, unit, [1.0, 0.0]), ((0, 0), (0, 1)))
+        dirs = (r, np.cross([0.0, 0.0, 1.0], r))
+    elif model.family == "bloch_full":
+        r = np.where(norm > 1e-9, unit, [0.0, 0.0, 1.0])
+        dirs = (r, *_orthonormal_frame(r))
+    elif model.family == "pure_qubit":
+        rho = model.state(model.domain.project(thetas * (1.0 - 1e-12)))
+        bloch = np.stack([np.sum(rho * s.T, axis=(-2, -1)).real for s in PAULIS], axis=1)
+        dirs = _orthonormal_frame(bloch / np.linalg.norm(bloch, axis=-1, keepdims=True))
+    else:
+        raise ValueError(f"no adapted bases for family {model.family!r}")
+    bases = tuple(_direction_basis(u) for u in dirs)
+    return bases if theta.ndim > 1 else tuple(b[0] for b in bases)
 
 
 # ---------------------------------------------------------------------------
-# outcome sampling
+# outcome sampling and count tables
 
 @dataclass(frozen=True)
 class SampleData:
@@ -151,48 +157,93 @@ def _sample(rho, bases, idx, u):
     probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=0).reshape(k, d)
     cum = np.cumsum(np.clip(probs, 0.0, None), axis=1)
     cum /= cum[:, -1:]
-    return (u[:, None] > cum[idx]).sum(axis=1).clip(0, d - 1)
+    # the outcome counts the CDF entries below u; the last entry is 1, above
+    # every uniform, so only the first d - 1 are compared
+    return (u > cum[:, :-1].T[:, idx]).sum(axis=0)
+
+
+def _copies(rho, bases, n, rng):
+    """(basis index, outcome) of n copies measured in bases (K, d, d) in turn."""
+    idx = np.arange(n) % len(bases)
+    return idx, _sample(rho, bases, idx, rng.random(n))
+
+
+def _sample_block(model, scheme, n_copies, rhos, rngs, keep):
+    """keep(bases, basis index, outcomes) of each trial of a block, drawn in
+    state rhos[t] with generator rngs[t].  Two-step estimates the stage-1
+    tables of the block in one MLE and draws stage 2 from the same
+    generators: the uniforms of a trial are those of one draw of n_copies."""
+    if scheme.kind not in ("fixed_basis", "alternating_bases", "two_step_adaptive",
+                           "random_basis_covariant"):
+        raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+    two_step = scheme.kind == "two_step_adaptive"
+    n1 = (min(max(1, math.ceil(scheme.first_fraction * n_copies)), n_copies - 1)
+          if two_step else n_copies)
+    stage1 = None if scheme.kind == "random_basis_covariant" else np.stack(scheme.bases)
+    kept = []
+    for rho, rng in zip(rhos, rngs):
+        bases = haar_unitaries(model.dim, n_copies, rng) if stage1 is None else stage1
+        draws = (bases, *_copies(rho, bases, n1, rng))
+        kept.append(draws if two_step else keep(*draws))
+    if two_step:
+        theta1 = _mle_block(model, *_table_block(model, [_table(*d) for d in kept])).theta
+        for t, stage2 in enumerate(np.stack(adapted_bases(model, theta1), axis=1)):
+            idx2, out2 = _copies(rhos[t], stage2, n_copies - n1, rngs[t])
+            _, idx1, out1 = kept[t]
+            kept[t] = keep(np.concatenate([stage1, stage2]),
+                           np.concatenate([idx1, len(stage1) + idx2]),
+                           np.concatenate([out1, out2]))
+    return kept
 
 
 def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
                     n_copies, seed=0) -> SampleData:
-    """i.i.d. Born sampling of a scheme; reproducible for a fixed seed."""
+    """i.i.d. Born sampling of a scheme; reproducible for a fixed seed.  A
+    block of one trial of the risk harness (see _sample_block)."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is used as it is
-    rho = model.state(theta)
+    [(bases, idx, outcomes)] = _sample_block(model, scheme, n_copies, [model.state(theta)],
+                                             [rng], lambda *draws: draws)
+    k1 = len(scheme.bases) if scheme.kind == "two_step_adaptive" else 0
+    # stage-1 copies are those measured in one of the first k1 bases
+    return SampleData(bases, idx, outcomes, n_copies, scheme.kind, k1, int(np.sum(idx < k1)))
 
-    if scheme.kind in ("fixed_basis", "alternating_bases"):
-        bases = np.stack(scheme.bases)
-        idx = np.arange(n_copies) % len(bases)
-        outcomes = _sample(rho, bases, idx, rng.random(n_copies))
-        return SampleData(bases, idx, outcomes, n_copies, scheme.kind)
 
-    if scheme.kind == "random_basis_covariant":
-        bases = haar_unitaries(model.dim, n_copies, rng)
-        idx = np.arange(n_copies)
-        outcomes = _sample(rho, bases, idx, rng.random(n_copies))
-        return SampleData(bases, idx, outcomes, n_copies, scheme.kind)
+def _table(bases, idx, outcomes, per_copy=False):
+    """(vecs, counts): a row per (basis, outcome) pair of bases (K, d, d) in
+    that order, zero counts included, so that a block's tables share one
+    shape; or, per_copy (random bases), a row per copy, counted once."""
+    if per_copy:
+        return bases[idx, :, outcomes], np.ones(idx.size)
+    k, d = bases.shape[:2]
+    counts = np.bincount(idx * d + outcomes, minlength=k * d).astype(float)
+    return np.swapaxes(bases, 1, 2).reshape(k * d, d), counts
 
-    if scheme.kind == "two_step_adaptive":
-        n1 = max(1, int(math.ceil(scheme.first_fraction * n_copies)))
-        if n1 >= n_copies:
-            n1 = n_copies - 1
-        u = rng.random(n_copies)  # drawn up front: stage split cannot peek ahead
-        stage1 = np.stack(scheme.bases)
-        k1 = len(stage1)
-        idx1 = np.arange(n1) % k1
-        out1 = _sample(rho, stage1, idx1, u[:n1])
-        first = SampleData(stage1, idx1, out1, n1, "alternating_bases")
-        stage2 = np.stack(adapted_bases(model, mle_estimate(first, model).theta))
-        idx2 = np.arange(n_copies - n1) % len(stage2)
-        out2 = _sample(rho, stage2, idx2, u[n1:])
-        bases = np.concatenate([stage1, stage2])
-        return SampleData(bases, np.concatenate([idx1, k1 + idx2]),
-                          np.concatenate([out1, out2]), n_copies,
-                          scheme.kind, stage1_bases=k1, stage1_copies=n1)
 
-    raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+def _table_block(model, tables):
+    """(coeffs, counts) of a list of (vecs, counts) tables.  Affine: outcome
+    probabilities a + theta bt, with a, bt and counts stacked as (T, R),
+    (T, p, R) and (T, R).  Pure: per table, the conjugated outcome vectors
+    as columns (d, rows) and the counts, zero-count rows dropped."""
+    vecs, counts = zip(*tables)
+    if model.is_pure:
+        seen = [c > 0 for c in counts]
+        return ([np.ascontiguousarray(v[s].T.conj()) for v, s in zip(vecs, seen)],
+                [c[s] for c, s in zip(counts, seen)])
+    vecs = np.stack(vecs)
+
+    def expect(m):  # <e|m|e> of every row, one matrix product per table
+        return np.sum(vecs.conj() * (vecs @ m.T), axis=-1).real
+
+    bt = np.stack([expect(b) for b in model.basis], axis=1)
+    return (expect(model.rho0), bt), np.stack(counts)
+
+
+def _likelihood_table(data: SampleData, model: ParametricModel):
+    """The count likelihood of sampled data, a block of one table."""
+    return _table_block(model, [_table(data.bases, data.basis_index, data.outcomes,
+                                       data.scheme_kind == "random_basis_covariant")])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +251,9 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
 
 @dataclass(frozen=True)
 class MleResult:
+    """A maximum likelihood estimate; for a block of tables each field is
+    stacked along a first axis of tables."""
+
     theta: np.ndarray
     boundary: bool
     converged: bool
@@ -223,81 +277,37 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified qubit MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
-
-
-def _outcome_table(data: SampleData):
-    """(vecs, counts): the outcome vector of every observed (basis, outcome)
-    pair, in (basis, outcome) order, and the number of copies that gave it.
-
-    Fixed, alternating and two-step data collapse to at most K*d rows; a
-    random-basis run keeps one row per copy, in copy order, each counted once.
-    """
-    k, d = data.bases.shape[:2]
-    counts = np.bincount(data.basis_index * d + data.outcomes, minlength=k * d)
-    rows = np.flatnonzero(counts)
-    return data.bases[rows // d, :, rows % d], counts[rows]
+# affine tables with more rows (a row per copy) weigh posterior draws table by table
+_STACKED_ROWS = 256
 
 
 def _count_loglik(probs, counts):
     """sum c log p over the last axis of the table's outcome probabilities
-    (..., rows): a float for one point, an array for a stack.  -inf where an
-    observed outcome has probability at most _P_FLOOR (or NaN)."""
-    logp = np.log(probs, where=probs > _P_FLOOR, out=np.full(probs.shape, -np.inf))
+    (..., rows): a float for one point, an array for a stack.  A row of
+    count 0 adds 0; -inf where an observed outcome has probability at most
+    _P_FLOOR (or NaN)."""
+    seen = counts > 0
+    logp = np.log(probs, where=seen & (probs > _P_FLOOR),
+                  out=np.where(seen, -np.inf, np.zeros(probs.shape)))
     ll = (counts * logp).sum(axis=-1)
     return float(ll) if ll.ndim == 0 else ll
 
 
-def _likelihood_table(data: SampleData, model: ParametricModel):
-    """(coeffs, counts): the count likelihood of the data, built once.
-
-    coeffs holds the conjugated outcome vectors of the table as columns
-    (d, rows) for a pure family and (a, b), with outcome probabilities
-    a + b @ theta, for an affine one; counts are floats.
-    """
-    vecs, counts = _outcome_table(data)
-    if model.is_pure:
-        coeffs = np.ascontiguousarray(vecs.T.conj())
-    else:
-        coeffs = _affine_probs(vecs, model)
-    return coeffs, counts.astype(float)
+def _affine_loglik(a, bt, counts, theta):
+    """Count log-likelihood of an affine table (a (rows,), bt (p, rows)) at
+    theta (p,) or (..., p), or of tables stacked along leading axes that
+    broadcast against the points'."""
+    return _count_loglik(_affine_probs(a, bt, theta), counts)
 
 
-def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
-                 max_iters=400) -> MleResult:
-    """Maximum likelihood estimate of theta from sampled outcomes.
-
-    The likelihood is evaluated on the outcome count table, one row per
-    observed (basis, outcome) pair.  Affine families have a concave
-    log-likelihood over the domain and use a safeguarded Newton ascent that
-    keeps to the domain (see _mle_affine); pure families ascend on the
-    amplitude sphere (safeguarded Riemannian Newton) and convert back to
-    the chart.  The sphere likelihood is not concave.  A qubit ascends from
-    the top eigenvector of the summed outcome projectors and keeps that
-    maximum when _qubit_gap certifies it global to within _CERT_MARGIN per
-    copy; otherwise, and for every d > 2, it also ascends from three
-    fallback starts and keeps the best (see _mle_pure).  A degenerate
-    all-boundary likelihood sets the boundary flag instead of raising.
-    """
-    return _mle_from_table(model, *_likelihood_table(data, model), tol, max_iters)
-
-
-def _mle_from_table(model, coeffs, counts, tol=1e-8, max_iters=400):
-    if model.is_pure:
-        return _mle_pure(coeffs, counts, tol, max_iters)
-    return _mle_affine(*coeffs, counts, model.domain, tol, max_iters)
-
-
-def _affine_probs(vecs, model):
-    """(a, b) with outcome probabilities a + b @ theta in an affine family."""
-    a = np.einsum("ni,ij,nj->n", vecs.conj(), model.rho0, vecs).real
-    b = np.stack([np.einsum("ni,ij,nj->n", vecs.conj(), bm, vecs).real
-                  for bm in model.basis], axis=1)
-    return a, b
-
-
-def _affine_loglik(a, b, counts, theta):
-    """Count log-likelihood of an affine family at theta (p,) or (n, p)."""
-    return _count_loglik(a + theta @ b.T, counts)
+def _affine_probs(a, bt, theta):
+    # a + theta bt term by term, which rounds a probability alike for every
+    # shape of points and tables; a matmul's rounding can depend on the
+    # shapes, and so a table's result on its block
+    probs = a
+    for k in range(theta.shape[-1]):
+        probs = probs + theta[..., k, None] * bt[..., k, :]
+    return probs
 
 
 def _pure_probs(acols, phi):
@@ -307,51 +317,93 @@ def _pure_probs(acols, phi):
     return amp.real ** 2 + amp.imag ** 2
 
 
-def _mle_affine(a, b, counts, dom, tol, max_iters):
-    """Safeguarded Newton ascent of the concave count log-likelihood of an
-    affine family over its domain.
+def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
+                 max_iters=400) -> MleResult:
+    """Maximum likelihood estimate of theta from sampled outcomes.
 
-    At theta, with probs = a + b theta and r = counts/probs, the gradient is
-    g = b^T r and minus the Hessian is H = b^T diag(r/probs) b, a p x p PSD
-    matrix.  The step is the Newton step (see _face_newton) where it exists
-    and the gradient step g/N elsewhere (a rank-deficient b, such as one
-    fixed basis on bloch_equatorial).  The candidate dom.project(theta + t
-    step) halves t until the likelihood rises; where the Newton direction
-    cannot rise the gradient direction is tried.  The ascent stops when the
-    projected gradient step is shorter than tol, which inside the domain is
-    |g| < tol*N and on its boundary detects a constrained maximum, or when no
-    candidate rises.
+    The likelihood is evaluated on the outcome count table.  Affine
+    families have a concave log-likelihood over the domain and use a
+    safeguarded Newton ascent that keeps to the domain (see _mle_affine);
+    pure families ascend on the amplitude sphere (safeguarded Riemannian
+    Newton) and convert back to the chart.  The sphere likelihood is not
+    concave.  A qubit ascends from the top eigenvector of the summed outcome
+    projectors and keeps that maximum when _qubit_gap certifies it global to
+    within _CERT_MARGIN per copy; otherwise, and for every d > 2, it also
+    ascends from three fallback starts and keeps the best (see _mle_pure).
+    A degenerate all-boundary likelihood sets the boundary flag instead of
+    raising.  A block of one of the risk harness (see _mle_block).
     """
-    loglik = functools.partial(_affine_loglik, a, b, counts)
-    n_copies = max(1.0, float(counts.sum()))
-    theta = dom.reference_point.copy()
+    return _row(_mle_block(model, *_likelihood_table(data, model), tol, max_iters))
+
+
+def _row(res):
+    """The MleResult of the first table of a block."""
+    return MleResult(res.theta[0], bool(res.boundary[0]), bool(res.converged[0]),
+                     float(res.loglik[0]))
+
+
+def _mle_block(model, coeffs, counts, tol=1e-8, max_iters=400):
+    """The MleResult of every table of a block (see _table_block): one
+    ascent over the stacked tables of an affine family, one table at a time
+    for a pure family."""
+    if model.is_pure:
+        runs = [_mle_pure(c, n, tol, max_iters) for c, n in zip(coeffs, counts)]
+        return MleResult(*map(np.array, zip(*runs)))
+    return _mle_affine(*coeffs, counts, model.domain, tol, max_iters)
+
+
+def _mle_affine(a, bt, counts, dom, tol, max_iters):
+    """Safeguarded Newton ascent of the concave count log-likelihood of an
+    affine family over its domain, for all tables of a block at once: a
+    (T, R), bt (T, p, R) and counts (T, R).
+
+    At theta, with probs = a + theta bt and r = counts/probs (0 on a row of
+    count 0), the gradient is g = bt r and minus the Hessian is
+    H = bt diag(r/probs) bt^T, a p x p PSD matrix.  The step is the Newton
+    step (see _face_newton) where it exists and the gradient step g/N
+    elsewhere (a rank-deficient bt, such as one fixed basis on
+    bloch_equatorial).  The candidate dom.project(theta + t step) halves t
+    until the likelihood rises (see linalg._rise); where the Newton
+    direction cannot rise the gradient direction is tried.  A table stops
+    when its projected gradient step is shorter than tol, which inside the
+    domain is |g| < tol*N and on its boundary detects a constrained maximum,
+    or when no candidate rises.  Every decision and every sum is per table.
+    """
+    loglik = functools.partial(_affine_loglik, a, bt, counts)
+    n_copies = np.maximum(1.0, counts.sum(axis=-1))[:, None]
+    seen = counts > 0
+    theta = np.tile(dom.reference_point, (len(a), 1))
     f = loglik(theta)
-    converged = False
+    live = np.ones(len(a), dtype=bool)
+    converged = np.zeros(len(a), dtype=bool)
     for _ in range(max_iters):
-        probs = a + b @ theta
-        r = counts / probs
-        grad = b.T @ r
-        if np.linalg.norm(dom.project(theta + grad / n_copies) - theta) < tol:
-            converged = True
+        probs = _affine_probs(a, bt, theta)
+        r = np.divide(counts, probs, out=np.zeros_like(probs), where=seen)
+        grad = np.sum(bt * r[:, None], axis=-1)
+        done = np.linalg.norm(dom.project(theta + grad / n_copies) - theta, axis=-1) < tol
+        converged |= live & done
+        live &= ~done
+        if not live.any():
             break
-        newton = _face_newton(theta, grad, (b.T * (r / probs)) @ b, dom)
-        steps = [grad / n_copies] if newton is None else [newton, grad / n_copies]
-        f, theta, rose = _rise(f, theta, steps, dom.project, loglik)
-        if not rose:  # a maximum to working precision
-            converged = True
-            break
+        w = np.divide(r, probs, out=np.zeros_like(probs), where=seen)
+        hess = np.sum(bt[:, :, None] * (bt * w[:, None])[:, None], axis=-1)
+        steps = (_face_newton(theta, grad, hess, dom), grad / n_copies)
+        f, theta, rose = _rise(f, theta, steps, dom.project, loglik, live)
+        converged |= live & ~rose  # a maximum to working precision
+        live &= rose
     if dom.kind == "ball":
-        boundary = np.linalg.norm(theta) >= dom.radius * (1.0 - 1e-7)
+        boundary = np.linalg.norm(theta, axis=-1) >= dom.radius * (1.0 - 1e-7)
     else:
         lo, hi = np.array(dom.bounds, dtype=float).T
-        boundary = bool(np.any(theta <= lo + 1e-7) or np.any(theta >= hi - 1e-7))
+        boundary = np.any((theta <= lo + 1e-7) | (theta >= hi - 1e-7), axis=-1)
     return MleResult(theta, boundary, converged, f)
 
 
 def _face_newton(theta, grad, hess, dom):
-    """Newton step H^-1 g of the log-likelihood on the face of dom that
-    theta sits on with g pointing out of it (all of R^p inside the domain),
-    or None where minus the Hessian there is not positive definite.
+    """Newton step H^-1 g of the log-likelihood at each point of a stack
+    (n, p), on the face of dom that the point sits on with g pointing out of
+    it (all of R^p inside the domain); a row of NaN where minus the Hessian
+    there is not positive definite.
 
     With n an orthonormal basis of the active face's normals and
     P = I - n n^T, it solves (P H P + c P + n n^T) s = P g, where
@@ -359,32 +411,37 @@ def _face_newton(theta, grad, hess, dom):
     Mahony & Sepulchre, 2008, ch. 5) and 0 on a box face; dom.project
     retracts theta + s onto the face.  Without it a Newton step against an
     active constraint does not rise, and the ascent along the rim is
-    first order.
+    first order.  Inside the domain P = I and n n^T = 0 leave H and g as
+    they are.  The matrix is positive definite where its leading principal
+    minors are (Sylvester's criterion).
     """
-    p = theta.size
+    p = theta.shape[-1]
     if dom.kind == "ball":
-        rad2 = theta @ theta
-        out = rad2 >= dom.radius ** 2 * (1.0 - 1e-12) and grad @ theta > 0.0
-        normals = theta[:, None] / np.sqrt(rad2) if out else np.zeros((p, 0))
-        curv = grad @ theta / rad2 if out else 0.0
+        rad2 = np.sum(theta * theta, axis=-1)
+        slope = np.sum(grad * theta, axis=-1)
+        out = (rad2 >= dom.radius ** 2 * (1.0 - 1e-12)) & (slope > 0.0)
+        rad2 = np.where(out, rad2, 1.0)
+        normal = np.where(out[:, None], theta, 0.0) / np.sqrt(rad2)[:, None]
+        nn = normal[:, :, None] * normal[:, None, :]
+        curv = np.where(out, slope / rad2, 0.0)
     else:
         lo, hi = np.array(dom.bounds, dtype=float).T
         out = ((theta <= lo) & (grad < 0.0)) | ((theta >= hi) & (grad > 0.0))
-        normals, curv = np.eye(p)[:, out], 0.0
-    if normals.shape[1]:
-        nn = normals @ normals.T
-        proj = np.eye(p) - nn
-        hess = proj @ hess @ proj + curv * proj + nn
-        grad = proj @ grad
-    try:
-        np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:  # singular H, such as a rank-deficient b
-        return None
-    return np.linalg.solve(hess, grad)
+        nn, curv = out[:, :, None] * np.eye(p), np.zeros(len(theta))
+    proj = np.eye(p) - nn
+    hess = proj @ hess @ proj + curv[:, None, None] * proj + nn
+    grad = (proj @ grad[:, :, None])[:, :, 0]
+    pd = np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(grad), axis=1)
+    for k in range(1, p + 1):
+        pd[pd] = np.linalg.det(hess[pd, :k, :k]) > 0.0
+    step = np.full_like(grad, np.nan)
+    step[pd] = np.linalg.solve(hess[pd], grad[pd, :, None])[:, :, 0]
+    return step
 
 
 def _mle_pure(acols, counts, tol, max_iters):
-    """Pure-state MLE on the amplitude sphere (see mle_estimate).
+    """(theta, boundary, converged, loglik) of the pure-state MLE of one
+    table on the amplitude sphere (see mle_estimate).
 
     The sphere likelihood is not concave, and an ascent can stop at a local
     maximum (trial 1487 of pure_qubit, N = 250, seed 2024).  A qubit ascends
@@ -431,7 +488,7 @@ def _mle_pure(acols, counts, tol, max_iters):
     if nrm >= 1.0:
         theta *= (1.0 - 1e-9) / nrm
         boundary = True
-    return MleResult(theta, boundary, converged, f)
+    return theta, boundary, converged, f
 
 
 def _qubit_gap(acols, counts, phi):
@@ -515,9 +572,10 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
 
 
 def _chart_loglik(model, coeffs, counts):
-    """Log-likelihood of a table (see _likelihood_table) on the parameter
+    """Log-likelihood of one table (see _table_block) on the parameter
     chart, at one point (p,) or at each point of a stack (n, p); -inf off
-    the chart."""
+    the chart.  Affine tables stacked along leading axes take points stacked
+    along the same axes."""
     if model.is_pure:
 
         def loglik(theta):
@@ -537,49 +595,66 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     """Posterior mean via Laplace-guided importance sampling.
 
     Proposes from a normal centred at the MLE with covariance from a
-    finite-difference Hessian, whose 1 + p + p(p+1)/2 stencil points are
-    one stacked likelihood evaluation; falls back to the MLE when a stencil
-    point has no finite likelihood or the effective sample size
-    degenerates.  The weights of all draws are evaluated as one stack:
-    domain membership, prior density and log-likelihood.
+    finite-difference Hessian at its 1 + p + p(p+1)/2 stencil points; falls
+    back to the MLE when a stencil point has no finite likelihood or the
+    effective sample size degenerates.  Returns (estimate, MleResult).  A
+    block of one of the risk harness (see _bayes_mean_block).
     """
-    table = _likelihood_table(data, model)
-    mle = _mle_from_table(model, *table)
-    loglik = _chart_loglik(model, *table)
-    p = model.num_params
-    center = model.domain.project(mle.theta * (1.0 - 1e-9))
+    est, mle = _bayes_mean_block(model, *_likelihood_table(data, model), prior,
+                                 n_samples, spread, seed)
+    return est[0], _row(mle)
+
+
+def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, seed=0):
+    """(estimates (T, p), MleResult) of the posterior means of a block: the
+    stencils of all affine count tables in one likelihood call and their
+    draws, weighed as one stack (domain, prior density, likelihood), in
+    another; pure tables one at a time.  Every table draws the standard
+    normals of default_rng(seed), so they are drawn once."""
+    mle = _mle_block(model, coeffs, counts)
+    if model.is_pure or counts.shape[-1] > _STACKED_ROWS:
+        charts = [_chart_loglik(model, c, n)
+                  for c, n in zip(coeffs if model.is_pure else zip(*coeffs), counts)]
+
+        def loglik(points):  # (T, M, p) -> (T, M)
+            return np.stack([chart(x) for chart, x in zip(charts, points)])
+    else:
+        loglik = _chart_loglik(model, (coeffs[0][:, None], coeffs[1][:, None]), counts[:, None])
+    dom = model.domain
+    n_tables, p = mle.theta.shape
+    center = dom.project(mle.theta * (1.0 - 1e-9))[:, None]
     h = 1e-4
     step = h * np.eye(p)
     iu, ju = np.triu_indices(p)
-    vals = loglik(np.concatenate([center[None], center + step,
-                                  center + step[iu] + step[ju]]))
-    if not np.all(np.isfinite(vals)):
-        return mle.theta, mle
-    f0, fi, fij = vals[0], vals[1:p + 1], vals[p + 1:]
-    hess = np.empty((p, p))
-    hess[iu, ju] = hess[ju, iu] = (fij - fi[iu] - fi[ju] + f0) / h ** 2
+    vals = loglik(np.concatenate([center, center + step, center + step[iu] + step[ju]],
+                                 axis=1))
+    laplace = np.all(np.isfinite(vals), axis=-1)
+    vals[~laplace] = 0.0  # these tables keep their MLE
+    f0, fi, fij = vals[:, :1], vals[:, 1:p + 1], vals[:, p + 1:]
+    hess = np.empty((n_tables, p, p))
+    hess[:, iu, ju] = hess[:, ju, iu] = (fij - fi[:, iu] - fi[:, ju] + f0) / h ** 2
     cov = np.linalg.inv(-hess + 1e-6 * np.eye(p)) * spread ** 2
-    cov = 0.5 * (cov + cov.T)
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     w, v = np.linalg.eigh(cov)
-    root = (v * np.sqrt(np.clip(w, 1e-12, None))) @ v.T
-    rng = np.random.default_rng(seed)
-    draws = center + rng.standard_normal((n_samples, p)) @ root.T
-    logq = -0.5 * np.einsum("ni,ij,nj->n", draws - center,
-                            np.linalg.inv(cov), draws - center)
-    dens = prior.density(draws)
-    usable = model.domain.contains(draws) & (dens > 0.0)
-    logw = np.full(n_samples, -np.inf)
-    logw[usable] = (loglik(draws[usable]) + np.log(dens[usable])) - logq[usable]
+    root = (v * np.sqrt(np.clip(w, 1e-12, None))[:, None]) @ np.swapaxes(v, 1, 2)
+    z = np.random.default_rng(seed).standard_normal((n_samples, p))
+    draws = center + z @ np.swapaxes(root, 1, 2)
+    dev = draws - center
+    logq = -0.5 * np.sum(dev @ np.linalg.inv(cov) * dev, axis=-1)
+    dens = prior.density(draws.reshape(-1, p)).reshape(n_tables, n_samples)
+    usable = dom.contains(draws) & (dens > 0.0)
+    logw = np.where(usable, loglik(draws) - logq
+                    + np.log(dens, where=usable, out=np.zeros_like(dens)), -np.inf)
     finite = np.isfinite(logw)
-    if finite.sum() < 8:
-        return mle.theta, mle
-    lw = logw[finite] - np.max(logw[finite])
-    wts = np.exp(lw)
-    ess = wts.sum() ** 2 / (wts ** 2).sum()
-    if ess < 8:
-        return mle.theta, mle
-    theta = (wts[:, None] * draws[finite]).sum(axis=0) / wts.sum()
-    return model.domain.project(theta), mle
+    with np.errstate(invalid="ignore", divide="ignore"):  # tables that keep their MLE
+        wts = np.exp(logw - np.max(logw, axis=-1, keepdims=True, where=finite,
+                                   initial=-np.inf))
+        total = wts.sum(axis=-1)
+        ess = total ** 2 / np.sum(wts ** 2, axis=-1)
+        mean = dom.project(np.sum(wts[:, None] * np.swapaxes(draws, 1, 2), axis=-1)
+                           / total[:, None])
+    keep = laplace & (finite.sum(axis=-1) >= 8) & (ess >= 8)
+    return np.where(keep[:, None], mean, mle.theta), mle
 
 
 # ---------------------------------------------------------------------------
@@ -638,41 +713,66 @@ class RiskEstimate:
                 "boundary_hits": self.boundary_hits}
 
 
+# trials per block: sampling runs per trial, estimation once per block
+_TRIAL_BLOCK = 16
+
+
 def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
-    """(losses, boundary hits, errors) of the trials in indices."""
+    """(losses, boundary hits, errors) of the trials in indices, in
+    consecutive blocks of _TRIAL_BLOCK (see _trial_block).  A block that
+    raises runs again one trial at a time, so that each error is charged to
+    its own trial."""
+    def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+                for t in trials]
+        return [(rng, prior.sample(rng)) for rng in rngs]
+
+    run = functools.partial(_trial_block, model, prior, scheme, estimator, n_copies)
     losses, boundary, errors = [], 0, []
-    for t in indices:
-        loss, hit_boundary, err = _single_trial(model, prior, scheme, estimator,
-                                                n_copies, seed, t)
-        losses.append(loss)
-        boundary += hit_boundary
-        if err is not None:
-            errors.append(err)
+    indices = list(indices)
+    for lo in range(0, len(indices), _TRIAL_BLOCK):
+        block = indices[lo:lo + _TRIAL_BLOCK]
+        first = starts(block)
+        try:
+            runs = [run(first)]
+        except Exception:
+            runs = []
+            for t in block:
+                try:
+                    runs.append(run(starts([t])))
+                except Exception as exc:  # counted; run aborts if the rate exceeds 1%
+                    runs.append(([np.nan], 0))
+                    errors.append(repr(exc))
+        for vals, hits in runs:
+            losses += vals
+            boundary += hits
     return losses, boundary, errors
 
 
-def _single_trial(model, prior, scheme, estimator, n_copies, seed, trial):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    theta = prior.sample(rng)
-    try:
-        data = sample_outcomes(model, theta, scheme, n_copies, seed=rng)
-        hit_boundary = 0
-        if estimator.kind == "oracle":
-            theta_hat = theta
-        elif estimator.kind == "mle":
-            res = mle_estimate(data, model, **estimator.options)
-            theta_hat, hit_boundary = res.theta, int(res.boundary)
-        else:
-            theta_hat, res = bayes_mean_estimate(
-                data, model, estimator.prior or prior, **estimator.options)
-            hit_boundary = int(res.boundary)
-        safe = model.domain.project(theta_hat)
-        if model.is_pure and np.linalg.norm(safe) >= 1.0:
-            safe = safe * (1.0 - 1e-9)
-        loss = 1.0 - fidelity(model.state(safe), model.state(theta))
-        return max(loss, 0.0), hit_boundary, None
-    except Exception as exc:  # counted; run aborts if the rate exceeds 1%
-        return np.nan, 0, repr(exc)
+def _trial_block(model, prior, scheme, estimator, n_copies, starts):
+    """(losses, boundary hits) of a block of trials from their (rng, theta)
+    starts; a trial's loss is its fidelity deficit 1 - Fid(rho(theta_hat),
+    rho(theta))."""
+    thetas = np.array([theta for _, theta in starts])
+    rhos = model.state(thetas)
+    keep = functools.partial(_table, per_copy=scheme.kind == "random_basis_covariant")
+    coeffs, counts = _table_block(model, _sample_block(
+        model, scheme, n_copies, rhos, [rng for rng, _ in starts], keep))
+    hits = 0
+    if estimator.kind == "oracle":
+        theta_hat = thetas
+    elif estimator.kind == "mle":
+        res = _mle_block(model, coeffs, counts, **estimator.options)
+        theta_hat, hits = res.theta, int(res.boundary.sum())
+    else:
+        theta_hat, res = _bayes_mean_block(model, coeffs, counts, estimator.prior or prior,
+                                           **estimator.options)
+        hits = int(res.boundary.sum())
+    safe = model.domain.project(theta_hat)
+    if model.is_pure:
+        safe = np.where(np.linalg.norm(safe, axis=-1, keepdims=True) >= 1.0,
+                        safe * (1.0 - 1e-9), safe)
+    return [max(1.0 - fidelity(fit, rho), 0.0) for fit, rho in zip(model.state(safe), rhos)], hits
 
 
 def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementScheme,
@@ -681,12 +781,13 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     """N x empirical Bayes fidelity-risk over seeded independent trials.
 
     Draws theta from the prior, runs the scheme, estimates, and averages
-    1 - Fid(rho(theta_hat), rho(theta)).  Aborts if more than 1% of the
-    trials fail in the estimator.  With workers=1 the trials run on the
-    caller's objects.  A pool of workers > 1 pickles the model, the prior
-    and the estimator's prior through their JSON specs, so an object
-    without a spec (a custom prior, a ParametricModel of a family that
-    model_to_spec cannot describe) raises ValueError there.
+    1 - Fid(rho(theta_hat), rho(theta)); trials run in blocks (see
+    _run_trials).  Aborts if more than 1% of the trials fail in the
+    estimator.  With workers=1 the trials run on the caller's objects.  A
+    pool of workers > 1 pickles the model, the prior and the estimator's
+    prior through their JSON specs, so an object without a spec (a custom
+    prior, a ParametricModel of a family that model_to_spec cannot
+    describe) raises ValueError there.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")

@@ -41,6 +41,36 @@ class TestBlochState:
             check_density_matrix(bloch_state(x))
 
 
+class TestDomainProject:
+    def test_ball_projects_each_row(self):
+        # rows inside the ball stay, rows outside land on the sphere along
+        # their own direction; each row as it would alone, to the last bit
+        rng = np.random.default_rng(19)
+        dom = Domain("ball", radius=0.8, dim=3)
+        rows = rng.normal(size=(40, 3)) * rng.uniform(0.1, 0.7, (40, 1))
+        stack = dom.project(rows)
+        norms = np.linalg.norm(rows, axis=1)
+        inside = norms <= 0.8
+        assert 5 <= inside.sum() <= 35
+        assert np.array_equal(stack[inside], rows[inside])
+        assert np.allclose(np.linalg.norm(stack[~inside], axis=1), 0.8, rtol=1e-15)
+        assert np.allclose(stack[~inside] / 0.8, rows[~inside] / norms[~inside, None],
+                           rtol=0.0, atol=1e-15)
+        for row, out in zip(rows, stack):
+            r = np.linalg.norm(row)
+            single = row * (0.8 / r) if r > 0.8 else row
+            assert np.array_equal(dom.project(row), single)
+            assert np.array_equal(out, single)
+        assert np.array_equal(dom.project(rows.reshape(4, 10, 3)), stack.reshape(4, 10, 3))
+
+    def test_box_clips_each_row(self):
+        dom = Domain("box", bounds=((-0.3, 0.2), (-0.1, 0.4)), dim=2)
+        rows = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.6], [0.1, -0.2]])
+        expected = np.array([[0.0, 0.0], [0.2, 0.0], [-0.3, 0.4], [0.1, -0.1]])
+        assert np.array_equal(dom.project(rows), expected)
+        assert np.array_equal(dom.project(rows[2]), expected[2])
+
+
 class TestPovm:
     def test_elements_must_sum_to_identity(self):
         proj = np.diag([1.0, 0.0])

@@ -10,14 +10,29 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
                     empirical_fisher, fixed_basis_scheme, helstrom_matrix,
                     mle_estimate, povm_fisher, random_basis_scheme,
                     sample_outcomes, two_step_scheme)
-from qbound.models import Domain, affine_model, basis_povm, pure_state_model
+from qbound.models import Domain, affine_model, basis_povm, fidelity, pure_state_model
 from qbound import simulate
 from qbound.simulate import (PAULI_BASES, SampleData, _CERT_MARGIN,
                              _ascend_sphere, _chart_loglik, _count_loglik,
-                             _direction_basis, _likelihood_table,
-                             _outcome_table, _pure_probs, _qubit_gap,
-                             _single_trial)
+                             _direction_basis, _likelihood_table, _pure_probs,
+                             _qubit_gap, _table)
 from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
+
+
+def outcome_table(data):
+    """(vecs, counts): the count table of sampled data."""
+    return _table(data.bases, data.basis_index, data.outcomes,
+                  data.scheme_kind == "random_basis_covariant")
+
+
+def likelihood_table(data, model):
+    """(coeffs, counts) of the one table of sampled data, as the estimators
+    see it: (acols, counts) for a pure family, ((a, bt), counts) for an
+    affine one."""
+    coeffs, counts = _likelihood_table(data, model)
+    if model.is_pure:
+        return coeffs[0], counts[0]
+    return (coeffs[0][0], coeffs[1][0]), counts[0]
 
 
 def axis_submodel():
@@ -331,17 +346,18 @@ def affine_runs(all_models):
 
 class TestCountTable:
     def test_rows_sum_to_n(self, all_models):
+        # a row per (basis, outcome) pair, in that order, zero counts included
         for model, data in affine_runs(all_models):
-            vecs, counts = _outcome_table(data)
+            vecs, counts = outcome_table(data)
             assert counts.sum() == data.n_copies
-            assert np.all(counts > 0)
-            assert len(counts) <= len(data.bases) * model.dim
-            assert vecs.shape == (len(counts), model.dim)
+            assert np.all(counts >= 0)
+            assert len(counts) == len(data.bases) * model.dim
+            assert np.array_equal(vecs, np.concatenate([u.T for u in data.bases]))
 
     def test_count_loglik_equals_per_copy_sum(self, all_models):
         rng = np.random.default_rng(31)
         for model, data in affine_runs(all_models):
-            loglik = _chart_loglik(model, *_likelihood_table(data, model))
+            loglik = _chart_loglik(model, *likelihood_table(data, model))
             vecs = per_copy_vectors(data)
             for _ in range(5):
                 theta = 0.7 * model.domain.project(rng.uniform(-1, 1, model.num_params))
@@ -360,7 +376,7 @@ class TestCountTable:
         for n, seed in ((250, 32), (1000, 33)):
             data = sample_outcomes(model, [0.3, -0.2], random_basis_scheme(), n,
                                    seed=seed)
-            vecs, counts = _outcome_table(data)
+            vecs, counts = outcome_table(data)
             assert np.array_equal(vecs, per_copy_vectors(data))
             assert np.array_equal(counts, np.ones(n))
             assert_reaches_per_copy_maximum(data, model)
@@ -373,7 +389,7 @@ class TestCountTable:
             model = all_models[name]
             data = sample_outcomes(model, 0.3 * np.ones(model.num_params), scheme,
                                    500, seed=35)
-            loglik = _chart_loglik(model, *_likelihood_table(data, model))
+            loglik = _chart_loglik(model, *likelihood_table(data, model))
             # reaching past the domain: points off the chart give -inf
             thetas = rng.uniform(-1.1, 1.1, (64, model.num_params))
             stacked = loglik(thetas)
@@ -425,8 +441,8 @@ class TestAffineNewton:
         assert len(calls) <= 20
         assert res.boundary and res.converged
         assert np.linalg.norm(res.theta) == pytest.approx(1.0, abs=1e-12)
-        (a, b), counts = _likelihood_table(data, model)
-        grad = b.T @ (counts / (a + b @ res.theta))
+        (a, bt), counts = likelihood_table(data, model)
+        grad = bt @ (counts / (a + res.theta @ bt))
         # KKT on the rim: the gradient is an outward normal
         assert grad @ res.theta > 0.0
         assert np.allclose(grad / np.linalg.norm(grad), res.theta, rtol=0.0, atol=1e-6)
@@ -498,7 +514,7 @@ class TestNewtonAscent:
 
     def test_gradient_step_next_to_a_saddle(self, all_models, monkeypatch):
         corners, data = tetrahedron_data()
-        acols, counts = _likelihood_table(data, all_models["pure_qubit"])
+        acols, counts = likelihood_table(data, all_models["pure_qubit"])
 
         def loglik(phi):
             return _count_loglik(_pure_probs(acols, phi), counts)
@@ -581,7 +597,7 @@ class TestQubitCertificate:
     def test_certified_trial_ascends_once(self, all_models, count_ascents):
         model = all_models["pure_qubit"]
         data = seed_2024_trial(model, 0)
-        acols, counts = _likelihood_table(data, model)
+        acols, counts = likelihood_table(data, model)
         f, phi, _ = four_start_ascents(acols, counts)[0]
         count_ascents.clear()
         res = mle_estimate(data, model)
@@ -596,7 +612,7 @@ class TestQubitCertificate:
         # curvature of sum c m m^T
         model = all_models["pure_qubit"]
         data = seed_2024_trial(model, 1487)
-        acols, counts = _likelihood_table(data, model)
+        acols, counts = likelihood_table(data, model)
         f, phi, converged = four_start_ascents(acols, counts)[0]
         assert converged
         assert f == pytest.approx(-133.3352, abs=1e-3)
@@ -609,7 +625,7 @@ class TestQubitCertificate:
     def test_tied_maxima_are_refused(self, all_models, count_ascents):
         # at a corner of the tetrahedron mu = -1 and lambda_min/4 = 1/3
         corners, data = tetrahedron_data()
-        acols, counts = _likelihood_table(data, all_models["pure_qubit"])
+        acols, counts = likelihood_table(data, all_models["pure_qubit"])
         for corner in corners:
             assert _qubit_gap(acols, counts, _direction_basis(corner)[:, 0]) == np.inf
         res = mle_estimate(data, all_models["pure_qubit"])
@@ -620,7 +636,7 @@ class TestQubitCertificate:
     def test_margin_refuses_near_stationary_point(self, all_models, monkeypatch):
         model = all_models["pure_qubit"]
         data = seed_2024_trial(model, 0)
-        acols, counts = _likelihood_table(data, model)
+        acols, counts = likelihood_table(data, model)
         f, phi, _ = four_start_ascents(acols, counts)[0]
         loglik = sphere_loglik(acols, counts)
 
@@ -661,7 +677,7 @@ class TestQubitCertificate:
             theta = rng.uniform(-0.5, 0.5, 2)
             data = sample_outcomes(model, theta, random_basis_scheme(),
                                    int(rng.integers(3, 40)), seed=rng)
-            acols, counts = _likelihood_table(data, model)
+            acols, counts = likelihood_table(data, model)
             phi = grid[rng.integers(grid.shape[0])]
             gap = _qubit_gap(acols, counts, phi)
             if gap == np.inf:
@@ -675,7 +691,7 @@ class TestQubitCertificate:
         model = all_models["pure_qubit"]
         certified = 0
         for trial in range(200):
-            acols, counts = _likelihood_table(seed_2024_trial(model, trial), model)
+            acols, counts = likelihood_table(seed_2024_trial(model, trial), model)
             runs = four_start_ascents(acols, counts)
             f, phi, converged = runs[0]
             gap = _qubit_gap(acols, counts, phi)
@@ -690,7 +706,7 @@ class TestQubitCertificate:
         model = all_models["pure_dim_3"]
         for trial in range(5):
             data = seed_2024_trial(model, trial)
-            acols, counts = _likelihood_table(data, model)
+            acols, counts = likelihood_table(data, model)
             count_ascents.clear()
             res = mle_estimate(data, model)
             assert len(count_ascents) == 3
@@ -706,7 +722,7 @@ class TestQubitCertificate:
 def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
     """The posterior mean with one likelihood call per draw."""
     mle = mle_estimate(data, model)
-    loglik = _chart_loglik(model, *_likelihood_table(data, model))
+    loglik = _chart_loglik(model, *likelihood_table(data, model))
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
     h, hess, f0 = 1e-4, np.zeros((p, p)), loglik(center)
@@ -791,6 +807,104 @@ class TestTwoStep:
         heavy = bayes_risk_mc(model, prior, two_step_scheme(model, 0.95), est,
                               1500, trials=500, seed=41, workers=2)
         assert heavy.value > lean.value
+
+
+def trial_start(prior, seed, trial):
+    """(rng, theta) of a trial, drawn as bayes_risk_mc draws it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    return rng, prior.sample(rng)
+
+
+def block_estimates(model, prior, scheme, estimator, n_copies, trials, seed=2024):
+    """(estimates, boundary flags) of seeded trials sampled and estimated as
+    one block, the way bayes_risk_mc runs a block."""
+    starts = [trial_start(prior, seed, t) for t in trials]
+    rhos = model.state(np.array([theta for _, theta in starts]))
+    per_copy = scheme.kind == "random_basis_covariant"
+    coeffs, counts = simulate._table_block(model, simulate._sample_block(
+        model, scheme, n_copies, rhos, [rng for rng, _ in starts],
+        lambda *draws: _table(*draws, per_copy)))
+    if estimator == "mle":
+        res = simulate._mle_block(model, coeffs, counts)
+        return res.theta, res.boundary
+    est, res = simulate._bayes_mean_block(model, coeffs, counts, prior)
+    return est, res.boundary
+
+
+# (family, prior radius, scheme, estimator, N): the affine MLE inside the
+# disc and on its rim, two-step, and the posterior mean inside and on the rim
+BLOCK_CONFIGS = {
+    "eq_alt_mle_20": ("bloch_equatorial", 0.8, "alternating", "mle", 20),
+    "bf_two_step_mle_4000": ("bloch_full", 0.9, "two_step", "mle", 4000),
+    "eq_two_step_mle_4000": ("bloch_equatorial", 0.8, "two_step", "mle", 4000),
+    "eq_alt_bayes_4000": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 4000),
+    "eq_alt_bayes_20": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 20),
+    # a row per copy: more rows than the posterior mean stacks
+    "bf_random_bayes_300": ("bloch_full", 0.9, "random", "bayes_mean", 300),
+}
+
+
+def block_config(all_models, name):
+    family, radius, scheme, estimator, n = BLOCK_CONFIGS[name]
+    model = all_models[family]
+    scheme = {"two_step": two_step_scheme(model, 0.1), "random": random_basis_scheme(),
+              "alternating": alternating_scheme(PAULI_BASES[:model.num_params])}[scheme]
+    return model, bump_prior(model.num_params, radius), scheme, estimator, n
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
+    def test_block_does_not_change_a_trial(self, all_models, name):
+        # each trial of a full block against the same trial as a block of one
+        model, prior, scheme, estimator, n = block_config(all_models, name)
+        trials = range(simulate._TRIAL_BLOCK)
+        est, hits = block_estimates(model, prior, scheme, estimator, n, trials)
+        if n == 20:
+            assert 0 < hits.sum() < len(trials)  # the rim and the inside
+        for t in trials:
+            one_est, one_hit = block_estimates(model, prior, scheme, estimator, n, [t])
+            assert np.array_equal(one_est[0], est[t])
+            assert one_hit[0] == hits[t]
+        est_kind = Estimator(estimator)
+        losses, boundary, errors = simulate._run_trials(model, prior, scheme, est_kind,
+                                                        n, 2024, trials)
+        singles = [simulate._run_trials(model, prior, scheme, est_kind, n, 2024, [t])
+                   for t in trials]
+        assert losses == [run[0][0] for run in singles]
+        assert boundary == sum(run[1] for run in singles) == hits.sum()
+        assert errors == []
+
+    @pytest.mark.parametrize("name", ["eq_two_step_mle_4000", "eq_alt_bayes_4000"])
+    def test_workers_are_bit_identical(self, all_models, name):
+        # 300 trials: the pool's chunks of 38 trials split into blocks that
+        # start at other trials than the serial run's blocks of 16
+        model, prior, scheme, estimator, n = block_config(all_models, name)
+        runs = [bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, trials=300,
+                              seed=2024, workers=w) for w in (1, 2)]
+        assert runs[0].to_dict() == runs[1].to_dict()
+
+    def test_failing_trial_is_charged_alone(self, all_models, monkeypatch):
+        # trial 5's table makes estimation raise: its block runs again trial
+        # by trial, trial 5 fails with its own error, the rest keep their losses
+        model, prior, scheme, _, n = block_config(all_models, "eq_alt_bayes_4000")
+        starts = [trial_start(prior, 2024, 5)]
+        _, counts = simulate._table_block(model, simulate._sample_block(
+            model, scheme, n, model.state(starts[0][1][None]), [starts[0][0]], _table))
+        real = simulate._mle_block
+
+        def refuses_trial_5(model, coeffs, counts_, *rest):
+            if np.any(np.all(counts_ == counts[0], axis=-1)):
+                raise RuntimeError("trial 5 refused")
+            return real(model, coeffs, counts_, *rest)
+
+        clean = simulate._run_trials(model, prior, scheme, Estimator("mle"), n, 2024, range(32))
+        monkeypatch.setattr(simulate, "_mle_block", refuses_trial_5)
+        losses, boundary, errors = simulate._run_trials(model, prior, scheme,
+                                                        Estimator("mle"), n, 2024, range(32))
+        assert errors == [repr(RuntimeError("trial 5 refused"))]
+        assert np.isnan(losses[5])
+        assert losses[:5] + losses[6:] == clean[0][:5] + clean[0][6:]
+        assert boundary == clean[1]
 
 
 class TestEmpiricalFisher:
@@ -878,31 +992,40 @@ class TestBayesRisk:
         assert a.std_error == b.std_error
 
     def test_estimator_failures_abort(self, all_models, monkeypatch):
+        # every third estimation call raises: whole blocks, then the trials
+        # of a block that raised, run again one at a time
         import qbound.simulate as sim
         model = all_models["bloch_equatorial"]
-        real = sim.mle_estimate
+        real = sim._mle_block
         calls = {"n": 0}
 
-        def flaky(data, m, **kw):
+        def flaky(*args, **kw):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
                 raise RuntimeError("synthetic estimator failure")
-            return real(data, m, **kw)
+            return real(*args, **kw)
 
-        monkeypatch.setattr(sim, "mle_estimate", flaky)
-        with pytest.raises(NumericalError, match="failed"):
+        monkeypatch.setattr(sim, "_mle_block", flaky)
+        with pytest.raises(NumericalError, match="failed.*synthetic estimator failure"):
             sim.bayes_risk_mc(model, bump_prior(2, 0.8),
                               alternating_scheme(PAULI_BASES[:2]),
                               Estimator("mle"), 100, trials=60, seed=13, workers=1)
 
     def test_single_trial_loss_is_fidelity_deficit(self, all_models):
+        # the harness's loss of trial 0 against one drawn by the public
+        # single-trial functions from the trial's own generator
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
-        loss, boundary, err = _single_trial(
-            model, prior, alternating_scheme(PAULI_BASES[:2]),
-            Estimator("mle"), 500, 14, 0)
-        assert err is None
-        assert 0.0 <= loss < 0.2
+        scheme = alternating_scheme(PAULI_BASES[:2])
+        losses, boundary, errors = simulate._run_trials(
+            model, prior, scheme, Estimator("mle"), 500, 14, [0])
+        assert errors == [] and boundary == 0
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=14, spawn_key=(0,)))
+        theta = prior.sample(rng)
+        est = mle_estimate(sample_outcomes(model, theta, scheme, 500, seed=rng), model).theta
+        deficit = 1.0 - fidelity(model.state(est), model.state(theta))
+        assert losses == [deficit]
+        assert 0.0 <= deficit < 0.2
 
     @pytest.mark.parametrize("kind", ["prior", "estimator_prior", "model"])
     def test_spec_less_objects_run_serially_only(self, all_models, kind):
