@@ -73,8 +73,6 @@ class Prior:
         single = n is None
         count = 1 if single else int(n)
         out = np.empty((count, self.domain.dim))
-        r0 = self.domain.radius
-        p = self.domain.dim
         got = rounds = 0
         while got < count:
             if rounds == _MAX_REJECTION_ROUNDS:
@@ -83,16 +81,32 @@ class Prior:
                     f"{rounds} rounds; the density is zero or far below its "
                     f"peak {self.peak:g} on the support")
             rounds += 1
-            m = max(16, 2 * (count - got))
-            x = rng.standard_normal((m, p))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            x *= r0 * rng.random(m)[:, None] ** (1.0 / p)
-            dens = self.density(x)
-            keep = rng.random(m) * self.peak <= dens
-            take = x[keep][:count - got]
+            take = self._rejection_round([rng], max(16, 2 * (count - got)))[0][:count - got]
             out[got:got + take.shape[0]] = take
             got += take.shape[0]
         return out[0] if single else out
+
+    def sample_each(self, rngs):
+        """One draw per generator, each equal to sample(rng): the first
+        rejection round of every generator weighs its candidates in one
+        density call, and a generator that accepts none goes on with
+        sample(rng), which is its next round."""
+        firsts = self._rejection_round(rngs, 16)  # sample's round for one draw
+        return [take[0] if len(take) else self.sample(rng) for take, rng in zip(firsts, rngs)]
+
+    def _rejection_round(self, rngs, m):
+        """The candidates that each generator accepts in one rejection round
+        of m uniform draws from the ball envelope.  The density takes no
+        random numbers, so one call weighs the candidates of all generators
+        and each generator's sequence of draws stays as it is alone."""
+        p = self.domain.dim
+        cands = []
+        for rng in rngs:
+            x = rng.standard_normal((m, p))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            cands.append(x * (self.domain.radius * rng.random(m)[:, None] ** (1.0 / p)))
+        dens = self.density(np.concatenate(cands)).reshape(len(rngs), m)
+        return [x[rng.random(m) * self.peak <= d] for x, d, rng in zip(cands, dens, rngs)]
 
     def __reduce__(self):
         """Pickle as the prior's JSON spec (see prior_to_spec), so that a

@@ -14,7 +14,6 @@ class NumericsConfig:
     psd_tol: float = 1e-9             # eigenvalue floor for "numerically PSD"
     trace_tol: float = 1e-9           # |trace(rho) - 1|, POVM completeness
     deriv_trace_tol: float = 1e-9     # |trace(drho_i)|
-    sld_residual_tol: float = 1e-8    # |rho L + L rho - 2 drho| per entry
     prob_floor: float = 1e-12         # Born probabilities clipped below this
     fisher_grad_tol: float = 1e-8     # |dp| at a vanishing outcome => irregular
     rank_tol: float = 1e-8            # eigenvalue below this => rho singular

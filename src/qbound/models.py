@@ -159,21 +159,27 @@ def born_distribution(rho, povm: Povm, numerics: NumericsConfig = DEFAULT_NUMERI
 # fidelity
 
 def fidelity(rho_hat, rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """(trace sqrt(rho^1/2 rho_hat rho^1/2))^2, in [0, 1].
+    """(trace sqrt(rho^1/2 rho_hat rho^1/2))^2, in [0, 1], of one pair of
+    states (d, d), a float, or of each pair of two stacks (..., d, d).
 
     Qubits use the equivalent closed form trace(rho rho_hat) +
-    2 sqrt(det rho det rho_hat) and a numerically pure argument uses the
-    overlap <phi|rho_hat|phi>; both avoid the half-precision loss of taking
-    matrix square roots of rank-deficient states.
+    2 sqrt(det rho det rho_hat), over a whole stack at once.  For d > 2 the
+    pairs of a stack go one at a time, and a numerically pure argument uses
+    the overlap <phi|rho_hat|phi>.  Both avoid the half-precision loss of
+    taking matrix square roots of rank-deficient states.
     """
     rho_hat = np.asarray(rho_hat, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho_hat.shape != rho.shape:
         raise DimensionMismatchError("states have different dimensions")
-    if rho.shape[0] == 2:
-        dets = max(np.linalg.det(rho).real, 0.0) * max(np.linalg.det(rho_hat).real, 0.0)
-        val = float(np.trace(rho @ rho_hat).real + 2.0 * np.sqrt(max(dets, 0.0)))
-        return min(max(val, 0.0), 1.0)
+    if rho.shape[-1] == 2:
+        dets = np.clip(np.linalg.det(np.stack([rho, rho_hat])).real, 0.0, None)
+        val = np.clip(np.trace(rho @ rho_hat, axis1=-2, axis2=-1).real
+                      + 2.0 * np.sqrt(dets[0] * dets[1]), 0.0, 1.0)
+        return float(val) if rho.ndim == 2 else val
+    if rho.ndim > 2:
+        pairs = zip(rho_hat.reshape(-1, *rho.shape[-2:]), rho.reshape(-1, *rho.shape[-2:]))
+        return np.array([fidelity(a, b, numerics) for a, b in pairs]).reshape(rho.shape[:-2])
     for a, b in ((rho, rho_hat), (rho_hat, rho)):
         w, v = np.linalg.eigh(a)
         if w[-1] >= 1.0 - 1e3 * numerics.psd_tol:

@@ -5,12 +5,14 @@ random, or two-step adaptive), sample outcomes through the Born rule, and
 feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
 Estimators see outcome count tables, and one count log-likelihood
 sum c log p serves them all.  A risk run takes its trials in blocks of
-_TRIAL_BLOCK: per trial only what needs its RNG, derived from
-(seed, spawn_key=t), namely the prior draw and the Born sampling into a
-count table; estimation once per block, as arrays over its tables (pure
-tables one at a time), and two-step estimates all its stage-1 tables in one
-MLE before it draws stage 2.  No sum's rounding depends on the block, so
-results do not depend on how trials fall into blocks or onto workers;
+_TRIAL_BLOCK: per trial only the calls of its RNG, derived from
+(seed, spawn_key=t), for the prior's rejection draws and the uniforms of
+the Born sampling into a count table.  The prior densities of the first
+rejection round (Prior.sample_each), the Born thresholds (_thresholds),
+estimation (as arrays over the tables; pure tables one at a time) and the
+fidelity loss run once per block; two-step estimates its stage-1 tables in
+one MLE before it draws stage 2.  No sum's rounding depends on the block,
+so results do not depend on how trials fall into blocks or onto workers;
 sample_outcomes, mle_estimate and bayes_mean_estimate run blocks of one.
 A serial run works on the caller's model, prior, scheme and estimator; a
 process pool pickles them, and models and priors pickle through their JSON
@@ -146,32 +148,34 @@ class SampleData:
     stage1_copies: int = 0
 
 
-def _sample(rho, bases, idx, u):
-    """Outcomes of copies measured in bases[idx] (K, d, d), from uniforms u,
-    by the inverse CDF of each basis's Born probabilities."""
-    k, d = bases.shape[:2]
+def _thresholds(rhos, bases):
+    """Inverse-CDF thresholds (T, d-1, K) of the Born probabilities of each
+    state of rhos (T, d, d) in bases shared by all states (K, d, d) or given
+    per state (T, K, d, d).  A uniform u falls on the outcome that counts
+    the thresholds of its basis below u; the last CDF entry is 1, above
+    every uniform, and is left out."""
+    k, d = bases.shape[-3:-1]
     # <e|rho|e> for every basis vector e at once: the bases side by side as
     # one (d, K*d) matrix, one product with rho
-    ut = bases.transpose(1, 0, 2).reshape(d, k * d)
-    rho_ut = rho @ ut
-    probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=0).reshape(k, d)
-    cum = np.cumsum(np.clip(probs, 0.0, None), axis=1)
-    cum /= cum[:, -1:]
-    # the outcome counts the CDF entries below u; the last entry is 1, above
-    # every uniform, so only the first d - 1 are compared
-    return (u > cum[:, :-1].T[:, idx]).sum(axis=0)
+    ut = np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d)
+    rho_ut = rhos @ ut
+    probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=-2).reshape(-1, k, d)
+    cum = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
+    cum /= cum[..., -1:]
+    return np.swapaxes(cum[..., :-1], -1, -2)
 
 
-def _copies(rho, bases, n, rng):
-    """(basis index, outcome) of n copies measured in bases (K, d, d) in turn."""
-    idx = np.arange(n) % len(bases)
-    return idx, _sample(rho, bases, idx, rng.random(n))
+def _outcomes(rng, thr, idx):
+    """Outcomes of copies measured in bases idx with thresholds thr (d-1, K)."""
+    return (rng.random(idx.size) > thr[:, idx]).sum(axis=0)
 
 
 def _sample_block(model, scheme, n_copies, rhos, rngs, keep):
     """keep(bases, basis index, outcomes) of each trial of a block, drawn in
-    state rhos[t] with generator rngs[t].  Two-step estimates the stage-1
-    tables of the block in one MLE and draws stage 2 from the same
+    state rhos[t] with generator rngs[t].  The Born thresholds of the block
+    are one call (see _thresholds); per trial only the uniforms (and the
+    Haar bases, each a block of one) are drawn.  Two-step estimates the
+    stage-1 tables of the block in one MLE and draws stage 2 from the same
     generators: the uniforms of a trial are those of one draw of n_copies."""
     if scheme.kind not in ("fixed_basis", "alternating_bases", "two_step_adaptive",
                            "random_basis_covariant"):
@@ -179,20 +183,27 @@ def _sample_block(model, scheme, n_copies, rhos, rngs, keep):
     two_step = scheme.kind == "two_step_adaptive"
     n1 = (min(max(1, math.ceil(scheme.first_fraction * n_copies)), n_copies - 1)
           if two_step else n_copies)
-    stage1 = None if scheme.kind == "random_basis_covariant" else np.stack(scheme.bases)
+    per_copy = scheme.kind == "random_basis_covariant"
+    stage1 = None if per_copy else np.stack(scheme.bases)
+    idx = np.arange(n1) if per_copy else np.arange(n1) % len(stage1)
+    thr = None if per_copy else _thresholds(rhos, stage1)
     kept = []
-    for rho, rng in zip(rhos, rngs):
-        bases = haar_unitaries(model.dim, n_copies, rng) if stage1 is None else stage1
-        draws = (bases, *_copies(rho, bases, n1, rng))
+    for t, rng in enumerate(rngs):
+        if per_copy:  # a block of one over the trial's own bases
+            bases = haar_unitaries(model.dim, n_copies, rng)
+            draws = (bases, idx, _outcomes(rng, _thresholds(rhos[t], bases)[0], idx))
+        else:
+            draws = (stage1, idx, _outcomes(rng, thr[t], idx))
         kept.append(draws if two_step else keep(*draws))
     if two_step:
         theta1 = _mle_block(model, *_table_block(model, [_table(*d) for d in kept])).theta
-        for t, stage2 in enumerate(np.stack(adapted_bases(model, theta1), axis=1)):
-            idx2, out2 = _copies(rhos[t], stage2, n_copies - n1, rngs[t])
-            _, idx1, out1 = kept[t]
-            kept[t] = keep(np.concatenate([stage1, stage2]),
-                           np.concatenate([idx1, len(stage1) + idx2]),
-                           np.concatenate([out1, out2]))
+        stage2 = np.stack(adapted_bases(model, theta1), axis=1)
+        thr2 = _thresholds(rhos, stage2)
+        idx2 = np.arange(n_copies - n1) % stage2.shape[1]
+        for t, rng in enumerate(rngs):
+            kept[t] = keep(np.concatenate([stage1, stage2[t]]),
+                           np.concatenate([idx, len(stage1) + idx2]),
+                           np.concatenate([kept[t][2], _outcomes(rng, thr2[t], idx2)]))
     return kept
 
 
@@ -203,7 +214,7 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is used as it is
-    [(bases, idx, outcomes)] = _sample_block(model, scheme, n_copies, [model.state(theta)],
+    [(bases, idx, outcomes)] = _sample_block(model, scheme, n_copies, model.state(theta)[None],
                                              [rng], lambda *draws: draws)
     k1 = len(scheme.bases) if scheme.kind == "two_step_adaptive" else 0
     # stage-1 copies are those measured in one of the first k1 bases
@@ -227,10 +238,10 @@ def _table_block(model, tables):
     (T, p, R) and (T, R).  Pure: per table, the conjugated outcome vectors
     as columns (d, rows) and the counts, zero-count rows dropped."""
     vecs, counts = zip(*tables)
-    if model.is_pure:
-        seen = [c > 0 for c in counts]
-        return ([np.ascontiguousarray(v[s].T.conj()) for v, s in zip(vecs, seen)],
-                [c[s] for c, s in zip(counts, seen)])
+    if model.is_pure:  # a table of positive counts (a row per copy) is not copied
+        rows = [(v, c) if np.all(c > 0) else (v[c > 0], c[c > 0]) for v, c in zip(vecs, counts)]
+        return ([np.conjugate(v.T, out=np.empty(v.T.shape, dtype=complex)) for v, _ in rows],
+                [c for _, c in rows])
     vecs = np.stack(vecs)
 
     def expect(m):  # <e|m|e> of every row, one matrix product per table
@@ -713,7 +724,7 @@ class RiskEstimate:
                 "boundary_hits": self.boundary_hits}
 
 
-# trials per block: sampling runs per trial, estimation once per block
+# trials per block: the generator draws run per trial, the rest once per block
 _TRIAL_BLOCK = 16
 
 
@@ -725,7 +736,7 @@ def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
                 for t in trials]
-        return [(rng, prior.sample(rng)) for rng in rngs]
+        return list(zip(rngs, prior.sample_each(rngs)))
 
     run = functools.partial(_trial_block, model, prior, scheme, estimator, n_copies)
     losses, boundary, errors = [], 0, []
@@ -752,7 +763,7 @@ def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
 def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     """(losses, boundary hits) of a block of trials from their (rng, theta)
     starts; a trial's loss is its fidelity deficit 1 - Fid(rho(theta_hat),
-    rho(theta))."""
+    rho(theta)), one fidelity call for the block."""
     thetas = np.array([theta for _, theta in starts])
     rhos = model.state(thetas)
     keep = functools.partial(_table, per_copy=scheme.kind == "random_basis_covariant")
@@ -772,7 +783,7 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     if model.is_pure:
         safe = np.where(np.linalg.norm(safe, axis=-1, keepdims=True) >= 1.0,
                         safe * (1.0 - 1e-9), safe)
-    return [max(1.0 - fidelity(fit, rho), 0.0) for fit, rho in zip(model.state(safe), rhos)], hits
+    return np.maximum(1.0 - fidelity(model.state(safe), rhos), 0.0).tolist(), hits
 
 
 def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementScheme,

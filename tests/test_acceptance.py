@@ -55,6 +55,28 @@ FAMILY_POINTS = {
 }
 
 
+# Seed-2024 N x risk of 2000 trials, estimator failures and boundary hits.
+# A change that moves a value updates it here and lists the old and new
+# values in CHANGES.md; the values must not depend on the worker count.
+HARD_LIMIT_RTOL = 1e-6
+RISK_MATRIX_LIMITS = {
+    "pure_rb_250": (1.0033483859232475, 0, 0),
+    "pure_rb_1000": (1.0233647716617353, 0, 0),
+    "pure_rb_4000": (1.0067506561123696, 0, 0),
+    "eq_alt_4000": (1.0082088149538508, 0, 0),
+    "eq_ts_4000": (1.0012174461988328, 0, 0),
+    "bf_ts_4000": (2.2823903723100267, 0, 0),
+    "eq_alt_bayes_4000": (1.0009638177391857, 0, 0),
+}
+# small-N alternating-basis configs whose estimates often end on the rim:
+# (family, estimator, N, value, failures, boundary hits)
+BOUNDARY_LIMITS = {
+    "eq_alt_20": ("bloch_equatorial", "mle", 20, 1.2719913688621238, 0, 135),
+    "eq_alt_bayes_20": ("bloch_equatorial", "bayes_mean", 20, 0.561825828914909, 0, 135),
+    "bf_alt_30": ("bloch_full", "mle", 30, 2.8786434161881056, 0, 279),
+}
+
+
 def _model(name):
     if name == "pure_dim_3":
         return pure_state_model(3)
@@ -302,6 +324,34 @@ class TestCriterion8AttainabilityTrend:
                       f"[separable floor {floor:.2f} - 3 sigma, {1.5 * floor:.2f}], "
                       f"above collective limit {collective} + 3 sigma"), \
             (value, sigma, floor)
+
+
+class TestHardLimits:
+    """The seed-2024 values pinned at HARD_LIMIT_RTOL, so that a change that
+    moves one fails here instead of in a hand check."""
+
+    def test_risk_matrix_values(self, risk_matrix):
+        results, _ = risk_matrix
+        assert set(results) == set(RISK_MATRIX_LIMITS)
+        for key, (value, failures, hits) in RISK_MATRIX_LIMITS.items():
+            risk = results[key][0]
+            assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL), key
+            assert (risk.failures, risk.boundary_hits) == (failures, hits), key
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_LIMITS))
+    def test_small_n_boundary_values(self, name):
+        family, estimator, n, value, failures, hits = BOUNDARY_LIMITS[name]
+        model = builtin_model(family)
+        p = model.num_params
+        prior = bump_prior(p, {2: 0.8, 3: 0.9}[p])
+        runs = [bayes_risk_mc(model, prior, alternating_scheme(PAULI_BASES[:p]),
+                              Estimator(estimator), n, trials=2000, seed=SEED,
+                              workers=workers)
+                for workers in (1, 2)]
+        for risk in runs:
+            assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
+            assert (risk.failures, risk.boundary_hits) == (failures, hits)
+        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
 
 
 class TestCriterion9ConvexityMachinery:

@@ -81,6 +81,27 @@ class TestPriors:
         with pytest.raises(NumericalError, match="rejection sampling"):
             prior.sample(np.random.default_rng(0), 5)
 
+    def test_sample_each_equals_sample(self):
+        # one draw per generator, bit for bit that of sample(rng), and the
+        # same next draw of every generator after it; the low density makes
+        # some first rounds accept nothing, so those go on in sample
+        from qbound import Domain, Prior
+
+        def rngs():
+            return [np.random.default_rng([5, t]) for t in range(24)]
+
+        low = Prior(Domain("ball", radius=0.9, dim=2), lambda t: 0.03, np.zeros_like)
+        empty = [len(take) == 0 for take in low._rejection_round(rngs(), 16)]
+        assert 0 < sum(empty) < len(empty)
+        for prior in (bump_prior(2, 0.8), bump_prior(3, 0.9), low):
+            drawn, alone = rngs(), rngs()
+            draws = prior.sample_each(drawn)
+            for rng, draw, ref in zip(drawn, draws, alone):
+                assert np.array_equal(draw, prior.sample(ref))
+                assert rng.random() == ref.random()
+        with pytest.raises(NumericalError, match="rejection sampling"):
+            Prior(low.domain, lambda t: 0.0, np.zeros_like).sample_each(rngs())
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_stacked_density_equals_per_point(self, p):
         # bit for bit: Prior.sample's acceptance decisions, and so the seeded

@@ -150,6 +150,30 @@ class TestFidelity:
             a, b = (bloch_state(rng.uniform(-0.5, 0.5, 3)) for _ in range(2))
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["mixed_qubit", "pure_qubit", "dim_3"])
+    def test_stack_equals_pairs(self, kind):
+        # bit for bit: the Monte Carlo loss of a block is one stacked call,
+        # and a trial's loss must not depend on its block
+        rng = np.random.default_rng(8)
+        d = 3 if kind == "dim_3" else 2
+        u = np.stack([haar_unitary(d, rng) for _ in range(24)])
+        if kind == "mixed_qubit":
+            w = rng.dirichlet(np.ones(d), 24)
+        else:  # rank one, with pure and near-pure pairs for d = 3
+            w = np.zeros((24, d))
+            w[:, 0] = 1.0
+            if kind == "dim_3":
+                w[::3] = rng.dirichlet(np.ones(d), 8)
+        rhos = (u * w[:, None]) @ np.swapaxes(u.conj(), 1, 2)
+        hats, rhos = rhos[:12], rhos[12:]
+        fids = fidelity(hats, rhos)
+        assert fids.shape == (12,)
+        for fid, a, b in zip(fids, hats, rhos):
+            one = fidelity(a, b)
+            assert isinstance(one, float) and fid == one
+        assert np.array_equal(fidelity(hats.reshape(3, 4, d, d), rhos.reshape(3, 4, d, d)),
+                              fids.reshape(3, 4))
+
     def test_invalid_state_signals_numerical_failure(self):
         good = np.diag([0.5, 0.3, 0.2]).astype(complex)
         bad = np.diag([0.6, 0.5, -0.1]).astype(complex)  # not PSD

@@ -106,6 +106,32 @@ class TestSampling:
                                          data.basis_index, u)
                 assert np.array_equal(data.outcomes, ref)
 
+    def test_block_thresholds_equal_blocks_of_one(self, all_models):
+        # bit for bit: the Born thresholds of a block are one call, and a
+        # trial's outcomes must not depend on its block
+        rng = np.random.default_rng(11)
+        for name in ("bloch_full", "bloch_equatorial", "pure_qubit", "pure_dim_3"):
+            model = all_models[name]
+            d, n = model.dim, simulate._TRIAL_BLOCK
+            thetas = bump_prior(model.num_params, 0.9).sample(rng, n)
+            rhos = model.state(thetas)
+            shared = haar_unitaries(d, 3, rng)  # fixed, alternating and stage 1
+            per_trial = haar_unitaries(d, 3 * n, rng).reshape(n, 3, d, d)
+            cases = [(shared, lambda t: shared), (per_trial, lambda t: per_trial[t])]
+            if d == 2:
+                stage2 = np.stack(adapted_bases(model, thetas), axis=1)
+                cases.append((stage2, lambda t: stage2[t]))
+            for bases, own in cases:
+                thr = simulate._thresholds(rhos, bases)
+                assert thr.shape == (n, d - 1, bases.shape[-3])
+                for t in range(n):
+                    assert np.array_equal(thr[t], simulate._thresholds(rhos[t:t + 1], own(t))[0])
+            # random bases: a trial is a block of one over its per-copy bases
+            per_copy = haar_unitaries(d, 300, rng)
+            thr = simulate._thresholds(rhos, per_copy)
+            for t in range(n):
+                assert np.array_equal(thr[t], simulate._thresholds(rhos[t], per_copy)[0])
+
 
 def per_basis_outcomes(rho, bases, idx, u):
     """Outcomes of copies measured in bases[idx], one basis at a time:
