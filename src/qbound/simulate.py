@@ -286,7 +286,7 @@ class Estimator:
 
 # an outcome at or below this probability makes the log-likelihood -inf
 _P_FLOOR = 1e-300
-# per copy: how far a certified qubit MLE may fall short of the global maximum
+# per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
 # affine tables with more rows (a row per copy) weigh posterior draws table by table
 _STACKED_ROWS = 256
@@ -337,10 +337,10 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
     safeguarded Newton ascent that keeps to the domain (see _mle_affine);
     pure families ascend on the amplitude sphere (safeguarded Riemannian
     Newton) and convert back to the chart.  The sphere likelihood is not
-    concave.  A qubit ascends from the top eigenvector of the summed outcome
-    projectors and keeps that maximum when _qubit_gap certifies it global to
-    within _CERT_MARGIN per copy; otherwise, and for every d > 2, it also
-    ascends from three fallback starts and keeps the best (see _mle_pure).
+    concave.  The ascent starts at the top eigenvector of the summed outcome
+    projectors and keeps that maximum when _pure_gap certifies it global to
+    within _CERT_MARGIN per copy; otherwise it also ascends from three
+    fallback starts and keeps the best (see _mle_pure).
     A degenerate all-boundary likelihood sets the boundary flag instead of
     raising.  A block of one of the risk harness (see _mle_block).
     """
@@ -455,12 +455,12 @@ def _mle_pure(acols, counts, tol, max_iters):
     table on the amplitude sphere (see mle_estimate).
 
     The sphere likelihood is not concave, and an ascent can stop at a local
-    maximum (trial 1487 of pure_qubit, N = 250, seed 2024).  A qubit ascends
-    from the top eigenvector of sum c e e^H and stops there when the ascent
-    converged and _qubit_gap certifies the point as the global maximum to
-    within _CERT_MARGIN per copy.  Otherwise, and for every d > 2, it also
-    ascends from three more starts, the complex conjugate of that eigenvector
-    and two fixed pseudo-random unit vectors, and keeps the best.  From the
+    maximum (trial 1487 of pure_qubit, N = 250, seed 2024).  The ascent
+    starts at the top eigenvector of sum c e e^H and stops there when it
+    converged and _pure_gap certifies the point as the global maximum to
+    within _CERT_MARGIN per copy.  Otherwise it also ascends from three more
+    starts, the complex conjugate of that eigenvector and two fixed
+    pseudo-random unit vectors, and keeps the first of the best.  From the
     eigenvector alone trial 1487 stops at its lower maximum (-133.3352),
     so the conjugate stays among the fallback starts.
     """
@@ -474,13 +474,10 @@ def _mle_pure(acols, counts, tol, max_iters):
 
     # the top eigenvector of sum c conj(e) e^T, the conjugate of that of sum c e e^H
     top = np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]
-    runs, certified = [], False
-    if d == 2:
-        runs.append(ascend(top.conj()))
-        f, phi, converged = runs[0]
-        certified = converged and (_qubit_gap(acols, counts, phi)
-                                   <= _CERT_MARGIN * max(1.0, float(counts.sum())))
-    if not certified:
+    runs = [ascend(top.conj())]
+    f, phi, converged = runs[0]
+    if not (converged and _pure_gap(acols, counts, phi)
+            <= _CERT_MARGIN * max(1.0, float(counts.sum()))):
         rng = np.random.default_rng(0)
         starts = [top]
         for _ in range(2):
@@ -502,33 +499,36 @@ def _mle_pure(acols, counts, tol, max_iters):
     return theta, boundary, converged, f
 
 
-def _qubit_gap(acols, counts, phi):
-    """An upper bound on how far the count log-likelihood of any qubit state
-    exceeds that at phi (a point of finite likelihood), or inf where the
-    bound does not hold.
+def _pure_gap(acols, counts, phi):
+    """An upper bound on how far the count log-likelihood of any pure state
+    exceeds that at phi, a point of finite likelihood.
 
-    With m the Bloch vectors of the table rows and n that of phi, outcome
-    probabilities are p = (1 + n.m)/2, so up to a constant the likelihood is
-    F(x) = sum c log(1 + x.m) on the sphere |x| = 1.  Let mu = n.grad F(n),
-    r = grad F(n) - mu n and kappa = lambda_min(sum c m m^T)/4 + mu.  As
-    -hess F = sum c m m^T/(1 + x.m)^2 and 1 + x.m <= 2 on the ball,
-    L = F - (mu/2)(|x|^2 - 1) is kappa-strongly concave there when
-    kappa > 0; it equals F on the sphere and grad L(n) = r, so no point of
-    the sphere beats F(n) by more than |r|^2/(2 kappa).  This is the
-    Lagrangian argument of the trust-region optimality conditions (More &
-    Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
+    Over density matrices s, F(s) = sum c log p with p = tr(s E) is
+    concave.  As p <= 1, -hess F is at least M = sum c E0 E0^T on traceless
+    directions, where E0 = E - 1/d.  With l = lambda_min(M) >= 0 there,
+    L = F + (l/2)(tr s^2 - 1) is concave and equals F on pure states, and
+    its gradient at phi phi^H is A = sum c E/p + l phi phi^H.  So no pure
+    state beats phi by more than lambda_max(A) - phi^H A phi, which for a
+    qubit is sqrt(kappa^2 + |r|^2) - kappa in the Bloch terms of the
+    trust-region optimality conditions (More & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 553 (1983)).  E0 and A are taken in real coordinates over an
+    orthonormal basis of Hermitian matrices, the rows |e_a|^2 - 1/d and
+    sqrt2 Re, Im e_a conj(e_b) for a < b; M's eigenvalue 0 on the identity
+    comes first.  A multiple of the identity leaves the bound as it is.
     """
-    def bloch(amps):  # of qubit amplitudes (2,) or (2, rows)
-        cross = amps[0].conj() * amps[1]
-        return np.stack([2.0 * cross.real, 2.0 * cross.imag,
-                         abs(amps[0]) ** 2 - abs(amps[1]) ** 2])
-
-    m, n = bloch(acols.conj()), bloch(phi)  # acols holds conjugated amplitudes
-    grad = m @ (counts / (1.0 + n @ m))
-    mu = n @ grad
-    r = grad - mu * n
-    kappa = np.linalg.eigvalsh((m * counts) @ m.T)[0] / 4.0 + mu
-    return float(r @ r / (2.0 * kappa)) if kappa > 0.0 else np.inf
+    d = acols.shape[0]
+    upper = np.nonzero(~np.tri(d, dtype=bool))  # (a, b) with a < b; triu_indices is slower
+    cross = math.sqrt(2.0) * acols[upper[0]].conj() * acols[upper[1]]
+    y = np.concatenate([acols.real ** 2 + acols.imag ** 2 - 1.0 / d, cross.real, cross.imag])
+    yc = y * counts
+    ell = max(0.0, np.linalg.eigvalsh(yc @ y.T)[1])
+    amp = phi @ acols
+    g = yc @ (1.0 / (amp.real ** 2 + amp.imag ** 2))
+    big = np.diag(g[:d] + 0j)
+    big[upper] = (g[d:len(cross) + d] + 1j * g[len(cross) + d:]) / math.sqrt(2.0)
+    big[upper[::-1]] = big[upper].conj()
+    big += ell * np.outer(phi, phi.conj())
+    return float(np.linalg.eigvalsh(big)[-1] - (phi.conj() @ big @ phi).real)
 
 
 def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):

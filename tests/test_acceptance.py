@@ -25,6 +25,7 @@ from qbound import (Estimator, QuadratureOptions,
                     random_basis_scheme, sld, sld_residual, solve_holevo,
                     two_step_scheme, z_matrix)
 from qbound.linalg import haar_unitary, random_hermitian, sym_sqrt_and_inv_sqrt
+from qbound.cli import _verify_rows
 from qbound.simulate import PAULI_BASES
 
 from conftest import cli_env, interior_points
@@ -75,6 +76,28 @@ BOUNDARY_LIMITS = {
     "eq_alt_bayes_20": ("bloch_equatorial", "bayes_mean", 20, 0.561825828914909, 0, 135),
     "bf_alt_30": ("bloch_full", "mle", 30, 2.8786434161881056, 0, 279),
 }
+# pure_dim_d, d = 3, random bases, MLE, bump 0.5 prior, N = 250, 400 trials:
+# (value, failures, boundary hits)
+PURE_DIM_3_LIMIT = (2.165575919312448, 0, 0)
+# (claim, expected, computed, tolerance) of verify-paper --quick --seed 2024
+# (2000 random bases), computed and tolerance pinned at 1e-9 relative
+VERIFY_QUICK_ROWS = [
+    ("full-qubit C_{H/4} at r=0.0", 0.75, 0.75, 0.001),
+    ("full-qubit C_{H/4} at r=0.5", 1.0, 1.0, 0.001),
+    ("full-qubit C_{H/4} at r=0.8", 1.15, 1.15, 0.001),
+    ("equatorial C_{H/4} at [0.3, 0.0]", 0.5, 0.4999999999999997, 0.001),
+    ("equatorial C_{H/4} at [0.35, -0.45]", 0.5, 0.49999999999999895, 0.001),
+    ("pure d=2 C_{H/4}", 1, 0.9999999999999991, 0.001),
+    ("pure d=3 C_{H/4}", 2, 1.9999999999999991, 0.001),
+    ("dual roundtrip equatorial |C^K - C_G'|", 0.0, 0.0, 1e-05),
+    ("Gill-Massar equality pure d=2 (2000 random bases)", 1, 0.9999999999999984,
+     0.05003544715798417),
+    ("covariant scheme: ||Ibar - H/2||_F", 0.0, 0.08208850142636338, 0.19023248433964215),
+    ("Gill-Massar equality pure d=3 (2000 random bases)", 2, 1.9999999999999991,
+     0.07711684045886451),
+    ("Bloch fidelity closed form (max dev)", 0.0, 2.220446049250313e-16, 1e-12),
+    ("integrated bound full qubit vs (3+2E|theta|)/4", 0.99609375, 0.9960937499999998, 1e-08),
+]
 
 
 def _model(name):
@@ -352,6 +375,25 @@ class TestHardLimits:
             assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
             assert (risk.failures, risk.boundary_hits) == (failures, hits)
         assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+
+    def test_pure_dim_3_value(self):
+        model = builtin_model("pure_dim_d", dim=3)
+        value, failures, hits = PURE_DIM_3_LIMIT
+        runs = [bayes_risk_mc(model, bump_prior(model.num_params, 0.5), random_basis_scheme(),
+                              Estimator("mle"), 250, trials=400, seed=SEED, workers=workers)
+                for workers in (1, 2)]
+        for risk in runs:
+            assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
+            assert (risk.failures, risk.boundary_hits) == (failures, hits)
+        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+
+    def test_verify_paper_quick_rows(self):
+        # pytest.approx keeps its 1e-12 absolute floor, so a row whose value
+        # is rounding noise about 0 (the Bloch fidelity deviation) may move
+        rows = _verify_rows(SEED, 2000, quick=True)
+        assert [row[:2] for row in rows] == [row[:2] for row in VERIFY_QUICK_ROWS]
+        for row, pinned in zip(rows, VERIFY_QUICK_ROWS):
+            assert row[2:] == pytest.approx(pinned[2:], rel=1e-9), row[0]
 
 
 class TestCriterion9ConvexityMachinery:

@@ -14,8 +14,8 @@ from qbound.models import Domain, affine_model, basis_povm, fidelity, pure_state
 from qbound import simulate
 from qbound.simulate import (PAULI_BASES, SampleData, _CERT_MARGIN,
                              _ascend_sphere, _chart_loglik, _count_loglik,
-                             _direction_basis, _likelihood_table, _pure_probs,
-                             _qubit_gap, _table)
+                             _direction_basis, _likelihood_table, _pure_gap,
+                             _pure_probs, _table)
 from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 
 
@@ -567,11 +567,11 @@ class TestNewtonAscent:
         assert np.linalg.eigvalsh(-chart_hessian(loglik, phi))[0] > 0.0
 
 
-def seed_2024_trial(model, trial, n_copies=250):
-    """The data of one trial of pure_rb at seed 2024 (bump 0.8 prior, random
-    bases), drawn as bayes_risk_mc draws it."""
+def seed_2024_trial(model, trial, n_copies=250, bump=0.8):
+    """The data of one trial of a random-basis risk run at seed 2024 (bump
+    0.8 prior: pure_rb), drawn as bayes_risk_mc draws it."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(trial,)))
-    theta = bump_prior(model.num_params, 0.8).sample(rng)
+    theta = bump_prior(model.num_params, bump).sample(rng)
     return sample_outcomes(model, theta, random_basis_scheme(), n_copies, seed=rng)
 
 
@@ -593,8 +593,9 @@ def sphere_loglik(acols, counts):
 
 
 def sphere_starts(acols, counts):
-    """The certified start of a qubit MLE, the top eigenvector of
-    sum c e e^H, followed by the three fallback starts."""
+    """The first start of a pure MLE, the conjugate top eigenvector of
+    sum c conj(e) e^T (the top eigenvector of sum c e e^H), followed by the
+    three fallback starts."""
     d = acols.shape[0]
     top = np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]
     rng = np.random.default_rng(0)
@@ -619,6 +620,60 @@ def margin(counts):
     return _CERT_MARGIN * counts.sum()
 
 
+def bloch_gap(acols, counts, phi):
+    """The qubit bound in Bloch terms, an oracle for _pure_gap.  With m the
+    Bloch vectors of the table rows and n that of phi, F(x) = sum c log(1 + x.m)
+    on the sphere |x| = 1; mu = n.grad F(n), r = grad F(n) - mu n and
+    kappa = lambda_min(sum c m m^T)/4 + mu give sqrt(kappa^2 + |r|^2) - kappa."""
+    def bloch(amps):  # of qubit amplitudes (2,) or (2, rows)
+        cross = amps[0].conj() * amps[1]
+        return np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                         abs(amps[0]) ** 2 - abs(amps[1]) ** 2])
+
+    m, n = bloch(acols.conj()), bloch(phi)  # acols holds conjugated amplitudes
+    grad = m @ (counts / (1.0 + n @ m))
+    mu = n @ grad
+    r2 = np.sum((grad - mu * n) ** 2)
+    kappa = np.linalg.eigvalsh((m * counts) @ m.T)[0] / 4.0 + mu
+    root = math.sqrt(kappa * kappa + r2)
+    return root - kappa if kappa <= 0.0 else r2 / (root + kappa)
+
+
+def gell_mann_gap(acols, counts, phi):
+    """The bound of _pure_gap from its definition, an oracle for any d:
+    E = e e^H as matrices, and l the least eigenvalue of sum c E0 E0^T over
+    the generalized Gell-Mann basis of the traceless Hermitian matrices."""
+    d = len(phi)
+    basis = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            for w in (1.0, 1j):
+                x = np.zeros((d, d), dtype=complex)
+                x[a, b], x[b, a] = w / math.sqrt(2.0), np.conj(w) / math.sqrt(2.0)
+                basis.append(x)
+    for k in range(1, d):
+        basis.append(np.diag(np.r_[np.ones(k), -k, np.zeros(d - k - 1)] / math.sqrt(k * (k + 1))))
+    e = acols.conj().T
+    proj = e[:, :, None] * e[:, None, :].conj()
+    y = np.einsum("kab,rba->kr", np.array(basis, dtype=complex), proj).real
+    ell = np.linalg.eigvalsh((y * counts) @ y.T)[0]
+    p = np.einsum("a,rab,b->r", phi.conj(), proj, phi).real
+    big = np.einsum("r,rab->ab", counts / p, proj) + ell * np.outer(phi, phi.conj())
+    return np.linalg.eigvalsh(big)[-1] - (phi.conj() @ big @ phi).real
+
+
+def haar_states(rng, d, n):
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def assert_not_beaten(acols, counts, phi, gap, states):
+    """No state of a stack (n, d) beats phi by more than gap."""
+    best = _count_loglik(_pure_probs(acols, states), counts).max()
+    f = _count_loglik(_pure_probs(acols, phi), counts)
+    assert best - f <= gap + 1e-12
+
+
 class TestQubitCertificate:
     def test_certified_trial_ascends_once(self, all_models, count_ascents):
         model = all_models["pure_qubit"]
@@ -630,30 +685,35 @@ class TestQubitCertificate:
         assert len(count_ascents) == 1
         assert res.converged
         assert res.loglik == f
-        assert _qubit_gap(acols, counts, phi) <= margin(counts)
+        assert _pure_gap(acols, counts, phi) <= margin(counts)
 
     def test_local_maximum_is_refused(self, all_models, count_ascents):
-        # trial 1487 (see test_pure_mle_escapes_local_maximum): the certified
-        # start ascends to the lower maximum, where mu < 0 outweighs the
-        # curvature of sum c m m^T
+        # trial 1487 (see test_pure_mle_escapes_local_maximum): the first
+        # start ascends to the lower maximum, 0.0812 below the best, and the
+        # bound there covers that shortfall
         model = all_models["pure_qubit"]
         data = seed_2024_trial(model, 1487)
         acols, counts = likelihood_table(data, model)
-        f, phi, converged = four_start_ascents(acols, counts)[0]
+        runs = four_start_ascents(acols, counts)
+        f, phi, converged = runs[0]
         assert converged
         assert f == pytest.approx(-133.3352, abs=1e-3)
-        assert _qubit_gap(acols, counts, phi) == np.inf
+        best = max(run[0] for run in runs)
+        assert best - f == pytest.approx(0.0812, abs=1e-4)
+        assert _pure_gap(acols, counts, phi) >= best - f
         count_ascents.clear()
         res = mle_estimate(data, model)
         assert len(count_ascents) == 4
         assert res.loglik == pytest.approx(-133.2540, abs=1e-3)
 
     def test_tied_maxima_are_refused(self, all_models, count_ascents):
-        # at a corner of the tetrahedron mu = -1 and lambda_min/4 = 1/3
+        # at a corner of the tetrahedron mu = -1 and lambda_min/4 = 1/3, so
+        # kappa = -2/3, r = 0 and the bound is 2|kappa|
         corners, data = tetrahedron_data()
         acols, counts = likelihood_table(data, all_models["pure_qubit"])
         for corner in corners:
-            assert _qubit_gap(acols, counts, _direction_basis(corner)[:, 0]) == np.inf
+            gap = _pure_gap(acols, counts, _direction_basis(corner)[:, 0])
+            assert gap == pytest.approx(4.0 / 3.0, abs=1e-12)
         res = mle_estimate(data, all_models["pure_qubit"])
         assert len(count_ascents) == 4
         assert res.converged
@@ -670,11 +730,10 @@ class TestQubitCertificate:
             psi = phi + step * np.array([-phi[1].conj(), phi[0].conj()])
             return psi / np.linalg.norm(psi)
 
-        # kappa > 0 on both sides of the margin: 1e-5 off the maximum
-        # |r|^2/(2 kappa) is below it, 3e-5 off above it
-        assert _qubit_gap(acols, counts, off_maximum(1e-5)) <= margin(counts)
+        # 1e-5 off the maximum the bound is below the margin, 3e-5 off above it
+        assert _pure_gap(acols, counts, off_maximum(1e-5)) <= margin(counts)
         near = off_maximum(3e-5)
-        gap = _qubit_gap(acols, counts, near)
+        gap = _pure_gap(acols, counts, near)
         assert margin(counts) < gap < np.inf
         assert f - loglik(near) <= gap
         calls, real = [], simulate._ascend_sphere
@@ -689,8 +748,8 @@ class TestQubitCertificate:
         assert res.loglik == pytest.approx(f, abs=1e-9)
 
     def test_bound_holds_on_a_sphere_grid(self, all_models):
-        # at random points of random small tables, wherever the bound is
-        # finite no state of a 4,000-point Fibonacci grid beats it
+        # at random points of random small tables no state of a 4,000-point
+        # Fibonacci grid beats the bound, which equals the Bloch form
         model = all_models["pure_qubit"]
         k = np.arange(4000) + 0.5
         z, ang = 1.0 - 2.0 * k / k.size, np.pi * (1.0 + 5.0 ** 0.5) * k
@@ -698,20 +757,15 @@ class TestQubitCertificate:
         grid = np.stack([_direction_basis(u)[:, 0] for u in
                          np.stack([rad * np.cos(ang), rad * np.sin(ang), z], axis=1)])
         rng = np.random.default_rng(5)
-        finite = 0
         for _ in range(300):
             theta = rng.uniform(-0.5, 0.5, 2)
             data = sample_outcomes(model, theta, random_basis_scheme(),
                                    int(rng.integers(3, 40)), seed=rng)
             acols, counts = likelihood_table(data, model)
             phi = grid[rng.integers(grid.shape[0])]
-            gap = _qubit_gap(acols, counts, phi)
-            if gap == np.inf:
-                continue
-            finite += 1
-            best = _count_loglik(_pure_probs(acols, grid), counts).max()
-            assert best - _count_loglik(_pure_probs(acols, phi), counts) <= gap + 1e-12
-        assert finite >= 20
+            gap = _pure_gap(acols, counts, phi)
+            assert gap == pytest.approx(bloch_gap(acols, counts, phi), rel=1e-9)
+            assert_not_beaten(acols, counts, phi, gap, grid)
 
     def test_certified_loglik_is_not_beaten(self, all_models):
         model = all_models["pure_qubit"]
@@ -720,7 +774,7 @@ class TestQubitCertificate:
             acols, counts = likelihood_table(seed_2024_trial(model, trial), model)
             runs = four_start_ascents(acols, counts)
             f, phi, converged = runs[0]
-            gap = _qubit_gap(acols, counts, phi)
+            gap = _pure_gap(acols, counts, phi)
             if not (converged and gap <= margin(counts)):
                 continue
             certified += 1
@@ -728,21 +782,75 @@ class TestQubitCertificate:
             assert best - f <= gap + 1e-12 * abs(f)
         assert certified >= 150
 
-    def test_dim_3_keeps_three_starts(self, all_models, count_ascents):
-        model = all_models["pure_dim_3"]
-        for trial in range(5):
-            data = seed_2024_trial(model, trial)
+
+class TestPureCertificate:
+    """The same certificate for d > 2: pure_dim_d trials at seed 2024 with a
+    bump 0.5 prior."""
+
+    def test_certified_trial_ascends_once(self, count_ascents):
+        model = pure_state_model(3)
+        data = seed_2024_trial(model, 0, bump=0.5)
+        acols, counts = likelihood_table(data, model)
+        f, phi, converged = four_start_ascents(acols, counts)[0]
+        assert converged and _pure_gap(acols, counts, phi) <= margin(counts)
+        count_ascents.clear()
+        res = mle_estimate(data, model)
+        assert len(count_ascents) == 1
+        assert res.converged and res.loglik == f
+
+    def test_uncertified_trial_ascends_four_times(self, count_ascents):
+        model = pure_state_model(3)
+        data = seed_2024_trial(model, 1, bump=0.5)
+        acols, counts = likelihood_table(data, model)
+        starts = sphere_starts(acols, counts)
+        runs = ascents(acols, counts, starts)
+        assert not (runs[0][2] and _pure_gap(acols, counts, runs[0][1]) <= margin(counts))
+        count_ascents.clear()
+        res = mle_estimate(data, model)
+        assert len(count_ascents) == 4
+        for seen, start in zip(count_ascents, starts):  # the three fallback starts last
+            assert np.array_equal(seen, start)
+        f, phi, converged = max(runs, key=lambda run: run[0])
+        phi = phi * (phi[0].conj() / abs(phi[0]))
+        assert res.loglik == f and res.converged == converged
+        assert np.array_equal(res.theta[0::2], phi[1:].real)
+        assert np.array_equal(res.theta[1::2], phi[1:].imag)
+
+    @pytest.mark.parametrize("d, n_copies, trials, least", [(3, 250, 100, 50), (4, 1000, 40, 8)])
+    def test_certified_loglik_is_not_beaten(self, d, n_copies, trials, least):
+        # neither the fallback starts nor 2,000 Haar-random states beat a
+        # certified point by more than its bound
+        model = pure_state_model(d)
+        rng = np.random.default_rng(7)
+        certified = 0
+        for trial in range(trials):
+            data = seed_2024_trial(model, trial, n_copies, bump=0.5)
             acols, counts = likelihood_table(data, model)
-            count_ascents.clear()
-            res = mle_estimate(data, model)
-            assert len(count_ascents) == 3
-            f, phi, converged = max(
-                ascents(acols, counts, sphere_starts(acols, counts)[1:]),
-                key=lambda run: run[0])
-            phi = phi * (phi[0].conj() / abs(phi[0]))
-            assert res.loglik == f and res.converged == converged
-            assert np.array_equal(res.theta[0::2], phi[1:].real)
-            assert np.array_equal(res.theta[1::2], phi[1:].imag)
+            runs = four_start_ascents(acols, counts)
+            f, phi, converged = runs[0]
+            gap = _pure_gap(acols, counts, phi)
+            if not (converged and gap <= margin(counts)):
+                continue
+            certified += 1
+            assert max(run[0] for run in runs) - f <= gap + 1e-12 * abs(f)
+            assert_not_beaten(acols, counts, phi, gap, haar_states(rng, d, 2000))
+        assert certified >= least
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bound_holds_at_haar_states(self, d):
+        # at random points of random small tables no state of 2,000
+        # Haar-random ones beats the bound, which equals the Gell-Mann form
+        model = pure_state_model(d)
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            theta = rng.uniform(-0.3, 0.3, model.num_params)
+            data = sample_outcomes(model, theta, random_basis_scheme(),
+                                   int(rng.integers(3, 40)), seed=rng)
+            acols, counts = likelihood_table(data, model)
+            phi = haar_states(rng, d, 1)[0]
+            gap = _pure_gap(acols, counts, phi)
+            assert gap == pytest.approx(gell_mann_gap(acols, counts, phi), rel=1e-9)
+            assert_not_beaten(acols, counts, phi, gap, haar_states(rng, d, 2000))
 
 
 def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
