@@ -100,13 +100,13 @@ class Prior:
         random numbers, so one call weighs the candidates of all generators
         and each generator's sequence of draws stays as it is alone."""
         p = self.domain.dim
-        cands = []
-        for rng in rngs:
-            x = rng.standard_normal((m, p))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            cands.append(x * (self.domain.radius * rng.random(m)[:, None] ** (1.0 / p)))
-        dens = self.density(np.concatenate(cands)).reshape(len(rngs), m)
-        return [x[rng.random(m) * self.peak <= d] for x, d, rng in zip(cands, dens, rngs)]
+        draws = [(rng.standard_normal((m, p)), rng.random(m)) for rng in rngs]
+        x = np.stack([z for z, _ in draws])  # (G, m, p), normalised and scaled at once
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        x *= self.domain.radius * np.stack([u for _, u in draws])[..., None] ** (1.0 / p)
+        dens = self.density(x.reshape(-1, p)).reshape(len(rngs), m)
+        accept = np.stack([rng.random(m) for rng in rngs]) * self.peak <= dens
+        return [cands[keep] for cands, keep in zip(x, accept)]
 
     def __reduce__(self):
         """Pickle as the prior's JSON spec (see prior_to_spec), so that a

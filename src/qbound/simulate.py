@@ -4,16 +4,17 @@ Schemes draw one projective basis per copy (fixed, alternating, uniformly
 random, or two-step adaptive), sample outcomes through the Born rule, and
 feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
 Estimators see outcome count tables, and one count log-likelihood
-sum c log p serves them all.  A risk run takes its trials in blocks of
-_TRIAL_BLOCK: per trial only the calls of its RNG, derived from
-(seed, spawn_key=t), for the prior's rejection draws and the uniforms of
-the Born sampling into a count table.  The prior densities of the first
-rejection round (Prior.sample_each), the Born thresholds (_thresholds),
-estimation (as arrays over the tables; pure tables one at a time) and the
-fidelity loss run once per block; two-step estimates its stage-1 tables in
-one MLE before it draws stage 2.  No sum's rounding depends on the block,
-so results do not depend on how trials fall into blocks or onto workers;
-sample_outcomes, mle_estimate and bayes_mean_estimate run blocks of one.
+sum c log p serves them all.  A risk run takes its trials in blocks sized
+by the rows of a table (see _run_trials): per trial only the calls of its
+RNG, derived from (seed, spawn_key=t), for the prior's rejection draws and
+the uniforms of the Born sampling into a count table.  The prior densities
+of the first rejection round (Prior.sample_each), the Born thresholds
+(_thresholds), estimation (as arrays over the tables; pure tables one at a
+time) and the fidelity loss run once per block; two-step estimates its
+stage-1 tables in one MLE before it draws stage 2.  No sum's rounding
+depends on the block, so results do not depend on how trials fall into
+blocks or onto workers; sample_outcomes, mle_estimate and
+bayes_mean_estimate run blocks of one.
 A serial run works on the caller's model, prior, scheme and estimator; a
 process pool pickles them, and models and priors pickle through their JSON
 specs, so an object without a spec needs workers=1.
@@ -288,7 +289,8 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
-# affine tables with more rows (a row per copy) weigh posterior draws table by table
+# rows of a block of small tables (two-step: stage 1), so each (T, 256, rows)
+# posterior-mean array is about 0.5 MB; more rows weigh its draws table by table
 _STACKED_ROWS = 256
 
 
@@ -296,11 +298,14 @@ def _count_loglik(probs, counts):
     """sum c log p over the last axis of the table's outcome probabilities
     (..., rows): a float for one point, an array for a stack.  A row of
     count 0 adds 0; -inf where an observed outcome has probability at most
-    _P_FLOOR (or NaN)."""
+    _P_FLOOR (or NaN).  probs, a temporary of the caller, is overwritten."""
     seen = counts > 0
-    logp = np.log(probs, where=seen & (probs > _P_FLOOR),
-                  out=np.where(seen, -np.inf, np.zeros(probs.shape)))
-    ll = (counts * logp).sum(axis=-1)
+    ok = seen & (probs > _P_FLOOR)
+    ll = np.log(probs, where=ok, out=probs)
+    np.copyto(ll, 0.0, where=~ok)
+    ll *= counts  # c log p where ok, 0 elsewhere
+    np.copyto(ll, -np.inf, where=ok ^ seen)
+    ll = ll.sum(axis=-1)
     return float(ll) if ll.ndim == 0 else ll
 
 
@@ -312,12 +317,12 @@ def _affine_loglik(a, bt, counts, theta):
 
 
 def _affine_probs(a, bt, theta):
-    # a + theta bt term by term, which rounds a probability alike for every
-    # shape of points and tables; a matmul's rounding can depend on the
-    # shapes, and so a table's result on its block
-    probs = a
-    for k in range(theta.shape[-1]):
-        probs = probs + theta[..., k, None] * bt[..., k, :]
+    # a + theta bt term by term (in place after the first), which rounds a
+    # probability alike for every shape of points and tables; a matmul's
+    # rounding can depend on the shapes, and so a table's result on its block
+    probs = a + theta[..., 0, None] * bt[..., 0, :]
+    for k in range(1, theta.shape[-1]):
+        probs += theta[..., k, None] * bt[..., k, :]
     return probs
 
 
@@ -650,8 +655,7 @@ def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, s
     root = (v * np.sqrt(np.clip(w, 1e-12, None))[:, None]) @ np.swapaxes(v, 1, 2)
     z = np.random.default_rng(seed).standard_normal((n_samples, p))
     draws = center + z @ np.swapaxes(root, 1, 2)
-    dev = draws - center
-    logq = -0.5 * np.sum(dev @ np.linalg.inv(cov) * dev, axis=-1)
+    logq = -0.5 * np.sum((draws - center) @ np.linalg.inv(cov) * (draws - center), axis=-1)
     dens = prior.density(draws.reshape(-1, p)).reshape(n_tables, n_samples)
     usable = dom.contains(draws) & (dens > 0.0)
     logw = np.where(usable, loglik(draws) - logq
@@ -724,15 +728,16 @@ class RiskEstimate:
                 "boundary_hits": self.boundary_hits}
 
 
-# trials per block: the generator draws run per trial, the rest once per block
+# the fewest trials per block, kept by random bases (a row per copy; fewer ran slower)
 _TRIAL_BLOCK = 16
 
 
 def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
-    """(losses, boundary hits, errors) of the trials in indices, in
-    consecutive blocks of _TRIAL_BLOCK (see _trial_block).  A block that
-    raises runs again one trial at a time, so that each error is charged to
-    its own trial."""
+    """(losses, boundary hits, errors) of the trials in indices, in blocks
+    (see _trial_block) of _STACKED_ROWS // rows trials, at least
+    _TRIAL_BLOCK, for tables of K d rows (two-step: its stage 1) or N
+    (random bases).  A block that raises runs again one trial at a time, so
+    that each error is charged to its own trial."""
     def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
                 for t in trials]
@@ -741,8 +746,10 @@ def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     run = functools.partial(_trial_block, model, prior, scheme, estimator, n_copies)
     losses, boundary, errors = [], 0, []
     indices = list(indices)
-    for lo in range(0, len(indices), _TRIAL_BLOCK):
-        block = indices[lo:lo + _TRIAL_BLOCK]
+    rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
+    size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
+    for lo in range(0, len(indices), size):
+        block = indices[lo:lo + size]
         first = starts(block)
         try:
             runs = [run(first)]
@@ -769,13 +776,11 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     keep = functools.partial(_table, per_copy=scheme.kind == "random_basis_covariant")
     coeffs, counts = _table_block(model, _sample_block(
         model, scheme, n_copies, rhos, [rng for rng, _ in starts], keep))
-    hits = 0
-    if estimator.kind == "oracle":
-        theta_hat = thetas
-    elif estimator.kind == "mle":
+    theta_hat, hits = thetas, 0  # the oracle's
+    if estimator.kind == "mle":
         res = _mle_block(model, coeffs, counts, **estimator.options)
         theta_hat, hits = res.theta, int(res.boundary.sum())
-    else:
+    elif estimator.kind == "bayes_mean":
         theta_hat, res = _bayes_mean_block(model, coeffs, counts, estimator.prior or prior,
                                            **estimator.options)
         hits = int(res.boundary.sum())

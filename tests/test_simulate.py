@@ -976,6 +976,10 @@ BLOCK_CONFIGS = {
     # a row per copy: more rows than the posterior mean stacks
     "bf_random_bayes_300": ("bloch_full", 0.9, "random", "bayes_mean", 300),
 }
+# trials per block of each config: 256 // rows for tables of K d rows (two-step:
+# stage 1), at least 16; a table of random bases has N rows
+BLOCK_TRIALS = {"eq_alt_mle_20": 64, "bf_two_step_mle_4000": 42, "eq_two_step_mle_4000": 64,
+                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "bf_random_bayes_300": 16}
 
 
 def block_config(all_models, name):
@@ -991,7 +995,7 @@ class TestTrialBlocks:
     def test_block_does_not_change_a_trial(self, all_models, name):
         # each trial of a full block against the same trial as a block of one
         model, prior, scheme, estimator, n = block_config(all_models, name)
-        trials = range(simulate._TRIAL_BLOCK)
+        trials = range(BLOCK_TRIALS[name])
         est, hits = block_estimates(model, prior, scheme, estimator, n, trials)
         if n == 20:
             assert 0 < hits.sum() < len(trials)  # the rim and the inside
@@ -1010,12 +1014,51 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("name", ["eq_two_step_mle_4000", "eq_alt_bayes_4000"])
     def test_workers_are_bit_identical(self, all_models, name):
-        # 300 trials: the pool's chunks of 38 trials split into blocks that
-        # start at other trials than the serial run's blocks of 16
+        # 300 trials: the pool's chunks of 38 trials are blocks of their own,
+        # which start at other trials than the serial run's blocks of 64
         model, prior, scheme, estimator, n = block_config(all_models, name)
         runs = [bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, trials=300,
                               seed=2024, workers=w) for w in (1, 2)]
         assert runs[0].to_dict() == runs[1].to_dict()
+
+    @pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
+    def test_row_sized_blocks_equal_blocks_of_16(self, all_models, monkeypatch, name):
+        # the blocks _run_trials picks, run as they are and cut into blocks of
+        # 16: equal losses, boundary hits and errors
+        model, prior, scheme, estimator, n = block_config(all_models, name)
+        sizes, real = [], simulate._trial_block
+
+        def blocks_of(split):
+            def run(*args):
+                *head, starts = args
+                sizes.append(len(starts))
+                step = split or len(starts)
+                runs = [real(*head, starts[lo:lo + step]) for lo in range(0, len(starts), step)]
+                return sum((vals for vals, _ in runs), []), sum(hits for _, hits in runs)
+            return run
+
+        results = []
+        for split in (None, 16):
+            monkeypatch.setattr(simulate, "_trial_block", blocks_of(split))
+            results.append(simulate._run_trials(model, prior, scheme, Estimator(estimator),
+                                                n, 2024, range(100)))
+        size = BLOCK_TRIALS[name]
+        assert sizes == 2 * ([size] * (100 // size) + [100 % size])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("n", [300, 4000])
+    def test_random_bases_keep_blocks_of_16(self, all_models, monkeypatch, n):
+        # a block of per-copy tables holds 16 of them, whatever N (its memory)
+        sizes = []
+
+        def no_work(*args):  # records the block's size, estimates nothing
+            sizes.append(len(args[-1]))
+            return [0.0] * sizes[-1], 0
+
+        monkeypatch.setattr(simulate, "_trial_block", no_work)
+        simulate._run_trials(all_models["pure_qubit"], bump_prior(2, 0.8), random_basis_scheme(),
+                             Estimator("mle"), n, 2024, range(40))
+        assert sizes == [16, 16, 8]
 
     def test_failing_trial_is_charged_alone(self, all_models, monkeypatch):
         # trial 5's table makes estimation raise: its block runs again trial
@@ -1127,7 +1170,8 @@ class TestBayesRisk:
 
     def test_estimator_failures_abort(self, all_models, monkeypatch):
         # every third estimation call raises: whole blocks, then the trials
-        # of a block that raised, run again one at a time
+        # of a block that raised, run again one at a time; 200 trials make
+        # four blocks of (up to) 64 on bloch_equatorial's 4-row tables
         import qbound.simulate as sim
         model = all_models["bloch_equatorial"]
         real = sim._mle_block
@@ -1143,7 +1187,7 @@ class TestBayesRisk:
         with pytest.raises(NumericalError, match="failed.*synthetic estimator failure"):
             sim.bayes_risk_mc(model, bump_prior(2, 0.8),
                               alternating_scheme(PAULI_BASES[:2]),
-                              Estimator("mle"), 100, trials=60, seed=13, workers=1)
+                              Estimator("mle"), 100, trials=200, seed=13, workers=1)
 
     def test_single_trial_loss_is_fidelity_deficit(self, all_models):
         # the harness's loss of trial 0 against one drawn by the public
