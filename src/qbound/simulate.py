@@ -2,22 +2,19 @@
 
 Schemes draw one projective basis per copy (fixed, alternating, uniformly
 random, or two-step adaptive), sample outcomes through the Born rule, and
-feed estimators (maximum likelihood, posterior mean, or a test-only oracle).
-Estimators see outcome count tables, and one count log-likelihood
-sum c log p serves them all.  A risk run takes its trials in blocks sized
-by the rows of a table (see _run_trials): per trial only the calls of its
-RNG, derived from (seed, spawn_key=t), for the prior's rejection draws and
-the uniforms of the Born sampling into a count table.  The prior densities
-of the first rejection round (Prior.sample_each), the Born thresholds
-(_thresholds), estimation (as arrays over the tables; pure tables one at a
-time) and the fidelity loss run once per block; two-step estimates its
-stage-1 tables in one MLE before it draws stage 2.  No sum's rounding
-depends on the block, so results do not depend on how trials fall into
-blocks or onto workers; sample_outcomes, mle_estimate and
-bayes_mean_estimate run blocks of one.
-A serial run works on the caller's model, prior, scheme and estimator; a
-process pool pickles them, and models and priors pickle through their JSON
-specs, so an object without a spec needs workers=1.
+feed estimators (maximum likelihood, posterior mean, or a test-only oracle)
+outcome count tables; one count log-likelihood sum c log p serves them all.
+A risk run takes its trials in blocks sized by the rows of a table (see
+_run_trials).  Per trial only its RNG, from (seed, spawn_key=t), is called:
+the prior's rejection draws and the uniforms (and Haar bases).  The rest
+runs once per block: the prior densities (Prior.sample_each), the Born
+thresholds against which shared-basis uniforms are counted straight into
+tables (_draw_stage), estimation (as arrays over the tables; pure tables
+one at a time) and the loss.  No sum's rounding depends on the block, so
+results do not depend on how trials fall into blocks or onto workers;
+sample_outcomes, mle_estimate and bayes_mean_estimate run blocks of one.
+A process pool pickles the model, prior, scheme and estimator, models and
+priors through their JSON specs, so an object without a spec needs workers=1.
 """
 
 import functools
@@ -54,6 +51,9 @@ class MeasurementScheme:
     first_fraction: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("fixed_basis", "alternating_bases", "random_basis_covariant",
+                             "two_step_adaptive"):
+            raise ValueError(f"unknown scheme kind {self.kind!r}")
         object.__setattr__(self, "bases",
                            tuple(np.asarray(b, dtype=complex) for b in self.bases))
 
@@ -151,14 +151,11 @@ class SampleData:
 
 def _thresholds(rhos, bases):
     """Inverse-CDF thresholds (T, d-1, K) of the Born probabilities of each
-    state of rhos (T, d, d) in bases shared by all states (K, d, d) or given
-    per state (T, K, d, d).  A uniform u falls on the outcome that counts
-    the thresholds of its basis below u; the last CDF entry is 1, above
-    every uniform, and is left out."""
+    state of rhos (T, d, d) in bases (K, d, d) or (T, K, d, d).  A uniform u
+    falls on the outcome that counts the thresholds of its basis below u;
+    the last CDF entry is 1, above every uniform, and is left out."""
     k, d = bases.shape[-3:-1]
-    # <e|rho|e> for every basis vector e at once: the bases side by side as
-    # one (d, K*d) matrix, one product with rho
-    ut = np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d)
+    ut = _columns(bases).conj()  # <e|rho|e> of every basis vector: one product with rho
     rho_ut = rhos @ ut
     probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=-2).reshape(-1, k, d)
     cum = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
@@ -166,96 +163,120 @@ def _thresholds(rhos, bases):
     return np.swapaxes(cum[..., :-1], -1, -2)
 
 
-def _outcomes(rng, thr, idx):
-    """Outcomes of copies measured in bases idx with thresholds thr (d-1, K)."""
-    return (rng.random(idx.size) > thr[:, idx]).sum(axis=0)
+def _draw_stage(u, rngs, rhos, bases):
+    """(thr, counts) of a stage of bases (K, d, d) or (T, K, d, d): fills u
+    (T, n) row by row from rngs, copy i in basis i % K.  The Born thresholds
+    thr (T, d-1, K) rise with the outcome, so outcome j or above in basis k
+    is u[:, k::K] above thr[:, j-1, k]; tables (T, K d) of exact counts."""
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    thr = _thresholds(rhos, bases)
+    t, m, k = thr.shape
+    above = np.zeros((t, k, m + 2))
+    above[..., 0] = [u[:, b::k].shape[-1] for b in range(k)]
+    for b, j in np.ndindex(k, m):
+        above[:, b, j + 1] = np.count_nonzero(u[:, b::k] > thr[:, j, b, None], axis=-1)
+    return thr, (above[..., :-1] - above[..., 1:]).reshape(t, -1)
 
 
-def _sample_block(model, scheme, n_copies, rhos, rngs, keep):
-    """keep(bases, basis index, outcomes) of each trial of a block, drawn in
-    state rhos[t] with generator rngs[t].  The Born thresholds of the block
-    are one call (see _thresholds); per trial only the uniforms (and the
-    Haar bases, each a block of one) are drawn.  Two-step estimates the
-    stage-1 tables of the block in one MLE and draws stage 2 from the same
-    generators: the uniforms of a trial are those of one draw of n_copies."""
-    if scheme.kind not in ("fixed_basis", "alternating_bases", "two_step_adaptive",
-                           "random_basis_covariant"):
-        raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+def _cycle_draws(model, scheme, n_copies, rhos, rngs):
+    """(bases (T, K, d, d), idx, u, thr, counts) of fixed, alternating or
+    two-step trials in states rhos[t] drawn with rngs[t]: the basis of each
+    copy, the uniforms (T, N), thresholds and tables (see _draw_stage).
+    Two-step estimates stage 1 in one MLE, then draws stage 2 alike."""
     two_step = scheme.kind == "two_step_adaptive"
     n1 = (min(max(1, math.ceil(scheme.first_fraction * n_copies)), n_copies - 1)
           if two_step else n_copies)
-    per_copy = scheme.kind == "random_basis_covariant"
-    stage1 = None if per_copy else np.stack(scheme.bases)
-    idx = np.arange(n1) if per_copy else np.arange(n1) % len(stage1)
-    thr = None if per_copy else _thresholds(rhos, stage1)
-    kept = []
-    for t, rng in enumerate(rngs):
-        if per_copy:  # a block of one over the trial's own bases
-            bases = haar_unitaries(model.dim, n_copies, rng)
-            draws = (bases, idx, _outcomes(rng, _thresholds(rhos[t], bases)[0], idx))
-        else:
-            draws = (stage1, idx, _outcomes(rng, thr[t], idx))
-        kept.append(draws if two_step else keep(*draws))
+    k1, u = len(scheme.bases), np.empty((len(rngs), n_copies))
+    bases = np.broadcast_to(np.stack(scheme.bases), (len(rngs), k1, *rhos.shape[1:]))
+    (thr, counts), idx = _draw_stage(u[:, :n1], rngs, rhos, bases[0]), np.arange(n1) % k1
     if two_step:
-        theta1 = _mle_block(model, *_table_block(model, [_table(*d) for d in kept])).theta
+        theta1 = _mle_block(model, *_table_block(model, _columns(bases), counts)).theta
         stage2 = np.stack(adapted_bases(model, theta1), axis=1)
-        thr2 = _thresholds(rhos, stage2)
-        idx2 = np.arange(n_copies - n1) % stage2.shape[1]
-        for t, rng in enumerate(rngs):
-            kept[t] = keep(np.concatenate([stage1, stage2[t]]),
-                           np.concatenate([idx, len(stage1) + idx2]),
-                           np.concatenate([kept[t][2], _outcomes(rng, thr2[t], idx2)]))
-    return kept
+        thr2, counts2 = _draw_stage(u[:, n1:], rngs, rhos, stage2)
+        thr, counts = np.concatenate([thr, thr2], -1), np.concatenate([counts, counts2], 1)
+        bases = np.concatenate([bases, stage2], axis=1)
+        idx = np.concatenate([idx, k1 + np.arange(n_copies - n1) % stage2.shape[1]])
+    return bases, idx, u, thr, counts
+
+
+def _random_trial(dim, n_copies, rho, rng):
+    """(bases, idx, outcomes) of a random-basis trial: its N Haar bases, then
+    its uniforms, copy i in basis i (thresholds of a block of one)."""
+    bases = haar_unitaries(dim, n_copies, rng)
+    return bases, np.arange(n_copies), (rng.random(n_copies) > _thresholds(rho, bases)[0]).sum(0)
+
+
+def _columns(bases):
+    """Conjugated vectors of bases (..., K, d, d), C-ordered columns (..., d, K d)."""
+    k, d = bases.shape[-3:-1]
+    return np.conjugate(np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d),
+                        order="C")
+
+
+def _sample_block(model, scheme, n_copies, rhos, rngs):
+    """(coeffs, counts) of the tables (see _table_block) of trials in states
+    rhos[t] drawn with generators rngs[t]: counted from the uniforms, or a
+    row per copy of random bases, taken from its basis (bases are not kept)."""
+    if scheme.kind == "random_basis_covariant":
+        cols = [_table(*_random_trial(model.dim, n_copies, rho, rng), per_copy=True)[0]
+                for rho, rng in zip(rhos, rngs)]
+        return _table_block(model, cols, np.ones((len(rngs), n_copies)))
+    bases, _, _, _, counts = _cycle_draws(model, scheme, n_copies, rhos, rngs)
+    return _table_block(model, _columns(bases), counts)
 
 
 def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
                     n_copies, seed=0) -> SampleData:
-    """i.i.d. Born sampling of a scheme; reproducible for a fixed seed.  A
-    block of one trial of the risk harness (see _sample_block)."""
+    """i.i.d. Born sampling of a scheme; reproducible for a fixed seed: the
+    draws of a block of one of the risk harness (see _sample_block)."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     rng = np.random.default_rng(seed)  # a Generator is used as it is
-    [(bases, idx, outcomes)] = _sample_block(model, scheme, n_copies, model.state(theta)[None],
-                                             [rng], lambda *draws: draws)
-    k1 = len(scheme.bases) if scheme.kind == "two_step_adaptive" else 0
-    # stage-1 copies are those measured in one of the first k1 bases
+    rho = model.state(theta)[None]
+    if scheme.kind == "random_basis_covariant":
+        bases, idx, outcomes = _random_trial(model.dim, n_copies, rho[0], rng)
+    else:
+        (bases,), idx, (u,), (thr,), _ = _cycle_draws(model, scheme, n_copies, rho, [rng])
+        outcomes = (u > thr[:, idx]).sum(axis=0)
+    k1 = len(scheme.bases) if scheme.kind == "two_step_adaptive" else 0  # stage-1 bases
     return SampleData(bases, idx, outcomes, n_copies, scheme.kind, k1, int(np.sum(idx < k1)))
 
 
 def _table(bases, idx, outcomes, per_copy=False):
-    """(vecs, counts): a row per (basis, outcome) pair of bases (K, d, d) in
-    that order, zero counts included, so that a block's tables share one
-    shape; or, per_copy (random bases), a row per copy, counted once."""
+    """(cols, counts): conjugated outcome vectors as columns (d, rows), a
+    row per (basis, outcome) pair of bases (K, d, d), zero counts kept so
+    that a block's tables share one shape; per_copy, a row per copy."""
     if per_copy:
-        return bases[idx, :, outcomes], np.ones(idx.size)
+        return (np.conjugate(np.swapaxes(bases, 0, 1)[:, idx, outcomes], order="C"),
+                np.ones(idx.size))
     k, d = bases.shape[:2]
     counts = np.bincount(idx * d + outcomes, minlength=k * d).astype(float)
-    return np.swapaxes(bases, 1, 2).reshape(k * d, d), counts
+    return _columns(bases), counts
 
 
-def _table_block(model, tables):
-    """(coeffs, counts) of a list of (vecs, counts) tables.  Affine: outcome
-    probabilities a + theta bt, with a, bt and counts stacked as (T, R),
-    (T, p, R) and (T, R).  Pure: per table, the conjugated outcome vectors
-    as columns (d, rows) and the counts, zero-count rows dropped."""
-    vecs, counts = zip(*tables)
+def _table_block(model, cols, counts):
+    """(coeffs, counts) of count tables (T, R) with conjugated outcome vectors
+    cols (T, d, R) or [(d, R)] * T.  Affine: probabilities a + theta bt, a
+    (T, R), bt (T, p, R).  Pure: per table, cols and counts, zeros dropped."""
     if model.is_pure:  # a table of positive counts (a row per copy) is not copied
-        rows = [(v, c) if np.all(c > 0) else (v[c > 0], c[c > 0]) for v, c in zip(vecs, counts)]
-        return ([np.conjugate(v.T, out=np.empty(v.T.shape, dtype=complex)) for v, _ in rows],
-                [c for _, c in rows])
-    vecs = np.stack(vecs)
+        seen = counts > 0
+        return ([c if s.all() else c.compress(s, axis=1) for c, s in zip(cols, seen)],
+                [n if s.all() else n[s] for n, s in zip(counts, seen)])
+    vecs = np.conjugate(np.swapaxes(np.asarray(cols), -1, -2), order="C")
 
     def expect(m):  # <e|m|e> of every row, one matrix product per table
         return np.sum(vecs.conj() * (vecs @ m.T), axis=-1).real
 
     bt = np.stack([expect(b) for b in model.basis], axis=1)
-    return (expect(model.rho0), bt), np.stack(counts)
+    return (expect(model.rho0), bt), counts
 
 
 def _likelihood_table(data: SampleData, model: ParametricModel):
     """The count likelihood of sampled data, a block of one table."""
-    return _table_block(model, [_table(data.bases, data.basis_index, data.outcomes,
-                                       data.scheme_kind == "random_basis_covariant")])
+    cols, counts = _table(data.bases, data.basis_index, data.outcomes,
+                          data.scheme_kind == "random_basis_covariant")
+    return _table_block(model, cols[None], counts[None])
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +310,23 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
-# rows of a block of small tables (two-step: stage 1), so each (T, 256, rows)
+# rows of a block of small tables (two-step: stage 1), so each (T, rows, 256)
 # posterior-mean array is about 0.5 MB; more rows weigh its draws table by table
 _STACKED_ROWS = 256
 
 
-def _count_loglik(probs, counts):
-    """sum c log p over the last axis of the table's outcome probabilities
-    (..., rows): a float for one point, an array for a stack.  A row of
-    count 0 adds 0; -inf where an observed outcome has probability at most
-    _P_FLOOR (or NaN).  probs, a temporary of the caller, is overwritten."""
+def _count_loglik(probs, counts, axis=-1):
+    """sum c log p over the rows axis (the last unless given) of the table's
+    outcome probabilities: a float for one point, an array for a stack.  A
+    row of count 0 adds 0; -inf where an observed outcome has probability at
+    most _P_FLOOR (or NaN).  probs, a temporary of the caller, is overwritten."""
     seen = counts > 0
     ok = seen & (probs > _P_FLOOR)
     ll = np.log(probs, where=ok, out=probs)
     np.copyto(ll, 0.0, where=~ok)
     ll *= counts  # c log p where ok, 0 elsewhere
     np.copyto(ll, -np.inf, where=ok ^ seen)
-    ll = ll.sum(axis=-1)
+    ll = ll.sum(axis=axis)
     return float(ll) if ll.ndim == 0 else ll
 
 
@@ -621,29 +642,36 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     return est[0], _row(mle)
 
 
+def _draws_loglik(a, bt, counts, points):
+    """Log-likelihoods (T, M) of affine tables (a, bt, counts) at draws
+    (T, p, M): _affine_probs (T, R, M), draws innermost, summed over rows."""
+    probs = _affine_probs(a[..., None], points[:, None], np.swapaxes(bt, 1, 2))
+    return _count_loglik(probs, counts[..., None], axis=-2)
+
+
 def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, seed=0):
     """(estimates (T, p), MleResult) of the posterior means of a block: the
     stencils of all affine count tables in one likelihood call and their
     draws, weighed as one stack (domain, prior density, likelihood), in
     another; pure tables one at a time.  Every table draws the standard
-    normals of default_rng(seed), so they are drawn once."""
+    normals of default_rng(seed), drawn once and stacked innermost, (T, p, M)."""
     mle = _mle_block(model, coeffs, counts)
     if model.is_pure or counts.shape[-1] > _STACKED_ROWS:
         charts = [_chart_loglik(model, c, n)
                   for c, n in zip(coeffs if model.is_pure else zip(*coeffs), counts)]
 
-        def loglik(points):  # (T, M, p) -> (T, M)
-            return np.stack([chart(x) for chart, x in zip(charts, points)])
+        def loglik(points):  # (T, p, M) -> (T, M)
+            return np.stack([chart(x.T) for chart, x in zip(charts, points)])
     else:
-        loglik = _chart_loglik(model, (coeffs[0][:, None], coeffs[1][:, None]), counts[:, None])
+        loglik = functools.partial(_draws_loglik, *coeffs, counts)
     dom = model.domain
     n_tables, p = mle.theta.shape
-    center = dom.project(mle.theta * (1.0 - 1e-9))[:, None]
+    center = dom.project(mle.theta * (1.0 - 1e-9))[..., None]
     h = 1e-4
     step = h * np.eye(p)
     iu, ju = np.triu_indices(p)
-    vals = loglik(np.concatenate([center, center + step, center + step[iu] + step[ju]],
-                                 axis=1))
+    vals = loglik(np.concatenate([center, center + step, center + step[:, iu] + step[:, ju]],
+                                 axis=2))
     laplace = np.all(np.isfinite(vals), axis=-1)
     vals[~laplace] = 0.0  # these tables keep their MLE
     f0, fi, fij = vals[:, :1], vals[:, 1:p + 1], vals[:, p + 1:]
@@ -654,10 +682,12 @@ def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, s
     w, v = np.linalg.eigh(cov)
     root = (v * np.sqrt(np.clip(w, 1e-12, None))[:, None]) @ np.swapaxes(v, 1, 2)
     z = np.random.default_rng(seed).standard_normal((n_samples, p))
-    draws = center + z @ np.swapaxes(root, 1, 2)
-    logq = -0.5 * np.sum((draws - center) @ np.linalg.inv(cov) * (draws - center), axis=-1)
-    dens = prior.density(draws.reshape(-1, p)).reshape(n_tables, n_samples)
-    usable = dom.contains(draws) & (dens > 0.0)
+    draws = center + root @ z.T
+    logq = -0.5 * np.add.reduce(np.swapaxes(np.linalg.inv(cov), 1, 2) @ (draws - center)
+                                * (draws - center), axis=1)
+    points = np.ascontiguousarray(np.swapaxes(draws, 1, 2))  # (T, M, p)
+    dens = prior.density(points.reshape(-1, p)).reshape(n_tables, n_samples)
+    usable = dom.contains(np.swapaxes(draws, 1, 2)) & (dens > 0.0)
     logw = np.where(usable, loglik(draws) - logq
                     + np.log(dens, where=usable, out=np.zeros_like(dens)), -np.inf)
     finite = np.isfinite(logw)
@@ -666,8 +696,7 @@ def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, s
                                    initial=-np.inf))
         total = wts.sum(axis=-1)
         ess = total ** 2 / np.sum(wts ** 2, axis=-1)
-        mean = dom.project(np.sum(wts[:, None] * np.swapaxes(draws, 1, 2), axis=-1)
-                           / total[:, None])
+        mean = dom.project(np.sum(wts[:, :, None] * points, axis=1) / total[:, None])
     keep = laplace & (finite.sum(axis=-1) >= 8) & (ess >= 8)
     return np.where(keep[:, None], mean, mle.theta), mle
 
@@ -698,12 +727,10 @@ def empirical_fisher(model: ParametricModel, theta, scheme: MeasurementScheme,
         mats = infos(haar_unitaries(model.dim, n_bases, rng))
         se = mats.std(axis=0, ddof=1) / math.sqrt(n_bases) if n_bases > 1 else zero
         return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=se)
-    if scheme.kind == "two_step_adaptive":
-        f = scheme.first_fraction
-        stage1 = infos(scheme.bases).mean(axis=0)
-        stage2 = infos(adapted_bases(model, theta)).mean(axis=0)
-        return InfoMatrix(f * stage1 + (1.0 - f) * stage2, "povm_fisher", std_error=zero)
-    raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+    f = scheme.first_fraction  # two-step
+    stage1 = infos(scheme.bases).mean(axis=0)
+    stage2 = infos(adapted_bases(model, theta)).mean(axis=0)
+    return InfoMatrix(f * stage1 + (1.0 - f) * stage2, "povm_fisher", std_error=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +800,7 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     rho(theta)), one fidelity call for the block."""
     thetas = np.array([theta for _, theta in starts])
     rhos = model.state(thetas)
-    keep = functools.partial(_table, per_copy=scheme.kind == "random_basis_covariant")
-    coeffs, counts = _table_block(model, _sample_block(
-        model, scheme, n_copies, rhos, [rng for rng, _ in starts], keep))
+    coeffs, counts = _sample_block(model, scheme, n_copies, rhos, [rng for rng, _ in starts])
     theta_hat, hits = thetas, 0  # the oracle's
     if estimator.kind == "mle":
         res = _mle_block(model, coeffs, counts, **estimator.options)

@@ -20,9 +20,11 @@ from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 
 
 def outcome_table(data):
-    """(vecs, counts): the count table of sampled data."""
-    return _table(data.bases, data.basis_index, data.outcomes,
-                  data.scheme_kind == "random_basis_covariant")
+    """(vecs, counts): the count table of sampled data, its rows the outcome
+    vectors (the conjugate transpose of the table's columns)."""
+    cols, counts = _table(data.bases, data.basis_index, data.outcomes,
+                          data.scheme_kind == "random_basis_covariant")
+    return cols.T.conj(), counts
 
 
 def likelihood_table(data, model):
@@ -86,11 +88,14 @@ class TestSampling:
 
     def test_outcomes_equal_per_basis_reference(self, all_models):
         # the stacked Born probabilities differ from the einsum ones in the
-        # last bit of many CDF entries; no outcome may change
-        n = 4000
+        # last bit of many CDF entries; no outcome may change.  The harness
+        # counts its tables straight from the same uniforms: its counts must
+        # be the bincount of these outcomes, bit for bit.  Three bases at
+        # N = 1000 or 4000 leave N % K = 1; pure_dim_3 has two thresholds a basis
         for seed in range(50):
             model = all_models[("bloch_full", "bloch_equatorial", "pure_qubit",
                                 "pure_dim_3")[seed % 4]]
+            n = (4000, 1000)[seed % 8 // 4]
             rng = np.random.default_rng(seed)
             theta = bump_prior(model.num_params, 0.9).sample(rng)
             haar = haar_unitaries(model.dim, 3, rng)
@@ -98,13 +103,52 @@ class TestSampling:
             if model.dim == 2:
                 schemes += [alternating_scheme(PAULI_BASES), two_step_scheme(model, 0.1)]
             for scheme in schemes:
-                ref_rng = np.random.default_rng()
+                ref_rng, harness_rng = np.random.default_rng(), np.random.default_rng()
                 ref_rng.bit_generator.state = rng.bit_generator.state
+                harness_rng.bit_generator.state = rng.bit_generator.state
                 data = sample_outcomes(model, theta, scheme, n, seed=rng)
                 u = ref_rng.random(n)
                 ref = per_basis_outcomes(model.state(theta), data.bases,
                                          data.basis_index, u)
                 assert np.array_equal(data.outcomes, ref)
+                draws = simulate._cycle_draws(model, scheme, n, model.state(theta)[None],
+                                              [harness_rng])
+                rows = len(data.bases) * model.dim
+                assert np.array_equal(draws[4][0], np.bincount(
+                    data.basis_index * model.dim + data.outcomes, minlength=rows))
+                assert harness_rng.random() == rng.random()  # the same draws consumed
+
+    def test_harness_tables_equal_sampled_data_tables(self, all_models):
+        # a block's tables, counted from the uniforms or (random bases) taken
+        # column by column from the drawn bases, against the tables of the
+        # per-copy outcomes of sample_outcomes, trial by trial, bit for bit
+        for name, n in (("pure_qubit", 300), ("pure_dim_3", 250), ("bloch_full", 200),
+                        ("bloch_equatorial", 1000)):
+            model = all_models[name]
+            rng = np.random.default_rng(60 + n)
+            thetas = bump_prior(model.num_params, 0.8).sample(rng, 3)
+            schemes = [random_basis_scheme(),
+                       alternating_scheme(haar_unitaries(model.dim, 3, rng))]
+            if model.dim == 2:
+                schemes.append(two_step_scheme(model, 0.1))
+            for scheme in schemes:
+                rngs = [np.random.default_rng(61 + t) for t in range(3)]
+                coeffs, counts = simulate._sample_block(model, scheme, n, model.state(thetas),
+                                                        rngs)
+                for t in range(3):
+                    data = sample_outcomes(model, thetas[t], scheme, n, seed=61 + t)
+                    ref_coeffs, ref_counts = _likelihood_table(data, model)
+                    if model.is_pure:
+                        assert coeffs[t].flags["C_CONTIGUOUS"]
+                        assert np.array_equal(coeffs[t], ref_coeffs[0])
+                    else:
+                        assert np.array_equal(coeffs[0][t], ref_coeffs[0][0])
+                        assert np.array_equal(coeffs[1][t], ref_coeffs[1][0])
+                    if model.is_pure and scheme.kind == "random_basis_covariant":
+                        # and against each copy's outcome vector, gathered apart
+                        vecs = data.bases[np.arange(n), :, data.outcomes]
+                        assert np.array_equal(coeffs[t], vecs.T.conj())
+                    assert np.array_equal(counts[t], ref_counts[0])
 
     def test_block_thresholds_equal_blocks_of_one(self, all_models):
         # bit for bit: the Born thresholds of a block are one call, and a
@@ -909,6 +953,30 @@ class TestBayesMean:
             ref = model.domain.project(per_draw_bayes_mean(data, model, prior, seed=37))
             assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
+    def test_draws_likelihood_on_crafted_tables(self, all_models):
+        # the rows-first likelihood of the posterior mean's draws against
+        # _chart_loglik, table by table: a zero-count row adds 0 whatever
+        # its probability (table 0: 0 and NaN; table 3: every row), and an
+        # observed row at _P_FLOOR (table 1) or of NaN probability (table 2)
+        # gives -inf
+        model = all_models["bloch_equatorial"]
+        a = np.full((4, 4), 0.5)
+        bt = np.tile(0.5 * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]), (4, 1, 1))
+        counts = np.tile([3.0, 0.0, 5.0, 0.0], (4, 1))
+        a[0, 1], bt[0, :, 1], a[0, 3] = 0.0, 0.0, np.nan
+        a[1, 0], bt[1, :, 0] = simulate._P_FLOOR, 0.0
+        a[2, 2] = np.nan
+        counts[3], a[3, 1] = 0.0, np.nan
+        points = np.random.default_rng(70).uniform(-0.5, 0.5, (4, 2, 32))
+        ll = simulate._draws_loglik(a, bt, counts, points)
+        assert ll.shape == (4, 32)
+        for t in range(4):
+            chart = _chart_loglik(model, (a[t], bt[t]), counts[t])
+            assert np.array_equal(ll[t], chart(points[t].T))
+        assert np.all(np.isfinite(ll[0])) and np.all(ll[0] < 0.0)
+        assert np.all(ll[1] == -np.inf) and np.all(ll[2] == -np.inf)
+        assert np.all(ll[3] == 0.0)
+
 
 class TestTwoStep:
     def test_stage2_bases_replayable(self, all_models):
@@ -954,10 +1022,8 @@ def block_estimates(model, prior, scheme, estimator, n_copies, trials, seed=2024
     one block, the way bayes_risk_mc runs a block."""
     starts = [trial_start(prior, seed, t) for t in trials]
     rhos = model.state(np.array([theta for _, theta in starts]))
-    per_copy = scheme.kind == "random_basis_covariant"
-    coeffs, counts = simulate._table_block(model, simulate._sample_block(
-        model, scheme, n_copies, rhos, [rng for rng, _ in starts],
-        lambda *draws: _table(*draws, per_copy)))
+    coeffs, counts = simulate._sample_block(model, scheme, n_copies, rhos,
+                                            [rng for rng, _ in starts])
     if estimator == "mle":
         res = simulate._mle_block(model, coeffs, counts)
         return res.theta, res.boundary
@@ -973,20 +1039,28 @@ BLOCK_CONFIGS = {
     "eq_two_step_mle_4000": ("bloch_equatorial", 0.8, "two_step", "mle", 4000),
     "eq_alt_bayes_4000": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 4000),
     "eq_alt_bayes_20": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 20),
+    # two-step tables of 8 rows (stage 1 and the adapted bases) in the
+    # posterior mean's stacked likelihood
+    "eq_two_step_bayes_4000": ("bloch_equatorial", 0.8, "two_step", "bayes_mean", 4000),
     # a row per copy: more rows than the posterior mean stacks
     "bf_random_bayes_300": ("bloch_full", 0.9, "random", "bayes_mean", 300),
+    # pure tables of three Haar bases, two thresholds a basis
+    "p3_haar_mle_250": ("pure_dim_3", 0.5, "haar", "mle", 250),
 }
 # trials per block of each config: 256 // rows for tables of K d rows (two-step:
 # stage 1), at least 16; a table of random bases has N rows
 BLOCK_TRIALS = {"eq_alt_mle_20": 64, "bf_two_step_mle_4000": 42, "eq_two_step_mle_4000": 64,
-                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "bf_random_bayes_300": 16}
+                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "eq_two_step_bayes_4000": 64,
+                "bf_random_bayes_300": 16, "p3_haar_mle_250": 28}
 
 
 def block_config(all_models, name):
     family, radius, scheme, estimator, n = BLOCK_CONFIGS[name]
     model = all_models[family]
-    scheme = {"two_step": two_step_scheme(model, 0.1), "random": random_basis_scheme(),
-              "alternating": alternating_scheme(PAULI_BASES[:model.num_params])}[scheme]
+    scheme = {"two_step": lambda: two_step_scheme(model, 0.1), "random": random_basis_scheme,
+              "alternating": lambda: alternating_scheme(PAULI_BASES[:model.num_params]),
+              "haar": lambda: alternating_scheme(
+                  haar_unitaries(model.dim, 3, np.random.default_rng(5)))}[scheme]()
     return model, bump_prior(model.num_params, radius), scheme, estimator, n
 
 
@@ -1065,8 +1139,8 @@ class TestTrialBlocks:
         # by trial, trial 5 fails with its own error, the rest keep their losses
         model, prior, scheme, _, n = block_config(all_models, "eq_alt_bayes_4000")
         starts = [trial_start(prior, 2024, 5)]
-        _, counts = simulate._table_block(model, simulate._sample_block(
-            model, scheme, n, model.state(starts[0][1][None]), [starts[0][0]], _table))
+        _, counts = simulate._sample_block(model, scheme, n, model.state(starts[0][1][None]),
+                                           [starts[0][0]])
         real = simulate._mle_block
 
         def refuses_trial_5(model, coeffs, counts_, *rest):
@@ -1232,3 +1306,8 @@ class TestBayesRisk:
     def test_unknown_estimator_kind(self):
         with pytest.raises(ValueError):
             Estimator("maximum_wishful_thinking")
+
+    def test_unknown_scheme_kind(self):
+        # refused when the scheme is made, before any sampling or risk run
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            simulate.MeasurementScheme("adaptive_guesswork", tuple(PAULI_BASES[:2]))
