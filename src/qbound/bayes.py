@@ -19,7 +19,8 @@ from .errors import DivergentIntegralError, InfeasibleTaperError, NumericalError
 # ``solve_holevo`` is not called here; it stays a name of this module
 # because perfbench/tracer.py wraps qbound.bayes.solve_holevo
 from .holevo import SolverOptions, _solve_batch, solve_holevo  # noqa: F401
-from .models import Domain, ParametricModel, embedding_loss_scale, fidelity_embedding
+from .models import (Domain, ParametricModel, _squared_norms, embedding_loss_scale,
+                     fidelity_embedding)
 
 # Nodes per batch solve; bounds the memory of a batch.
 _NODE_BATCH = 256
@@ -114,25 +115,17 @@ class Prior:
         return (prior_from_spec, (prior_to_spec(self),))
 
 
-def _sq_norms(theta):
-    """|theta|^2 of each point of a stack (n, p), in the arithmetic of
-    ``theta @ theta`` for one point, which a sum over the last axis does
-    not reproduce to the last bit."""
-    return (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
-
-
 def _ball_volume(p, r):
     return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * r ** p
 
 
 def _radial_mass(p, r0, radial_fn, n=128):
-    """integral over the ball of radial_fn(r/r0) using Gauss-Legendre."""
+    """integral over the ball of radial_fn(r/r0), one call on Gauss-Legendre nodes."""
     x, w = np.polynomial.legendre.leggauss(n)
     r = 0.5 * r0 * (x + 1.0)
     wr = 0.5 * r0 * w
     surf = _ball_volume(p, 1.0) * p  # surface area of the unit sphere in R^p
-    vals = np.array([radial_fn(ri / r0) for ri in r])
-    return float(np.sum(wr * surf * r ** (p - 1) * vals))
+    return float(np.sum(wr * surf * r ** (p - 1) * radial_fn(r / r0)))
 
 
 def _check_radius(r0):
@@ -150,11 +143,11 @@ def bump_prior(p, r0=0.9):
     c = 1.0 / mass
 
     def dens(theta):
-        u2 = _sq_norms(theta) / (r0 * r0)
+        u2 = _squared_norms(theta) / (r0 * r0)
         return np.where(u2 < 1.0, c * (1.0 - u2) ** 2, 0.0)
 
     def grad(theta):
-        u2 = _sq_norms(theta)[:, None] / (r0 * r0)
+        u2 = _squared_norms(theta)[:, None] / (r0 * r0)
         return np.where(u2 < 1.0, -4.0 * c * (1.0 - u2) / (r0 * r0) * theta, 0.0)
 
     return Prior(Domain("ball", radius=r0, dim=p), dens, grad,
@@ -222,7 +215,7 @@ def prior_taper(base: Prior, eps, delta):
     # endpoint, where the narrow cutoff window lives
     grid = _BallGrid(p, b, 128, max(48, 8 * p))
     kept = float(np.sum(grid.weights * base.density(grid.nodes)
-                        * cutoff(np.sqrt(_sq_norms(grid.nodes)))))
+                        * cutoff(np.sqrt(_squared_norms(grid.nodes)))))
     if kept <= 0.0 or 1.0 / kept > 1.0 + eps + 1e-9:
         raise InfeasibleTaperError(
             f"taper removes mass {1.0 - kept:.4f}; renormalization factor "
@@ -230,10 +223,10 @@ def prior_taper(base: Prior, eps, delta):
     scale = 1.0 / kept
 
     def dens(theta):
-        return scale * base.density(theta) * cutoff(np.sqrt(_sq_norms(theta)))
+        return scale * base.density(theta) * cutoff(np.sqrt(_squared_norms(theta)))
 
     def grad(theta):
-        r = np.sqrt(_sq_norms(theta))[:, None]
+        r = np.sqrt(_squared_norms(theta))[:, None]
         radial = np.divide(theta, r, out=np.zeros_like(theta), where=r > 0.0)
         return scale * (base.density_grad(theta) * cutoff(r)
                         + base.density(theta)[:, None] * cutoff_deriv(r) * radial)

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -226,24 +227,25 @@ def cmd_simulate(args):
 
 def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
     """(claim, expected, computed, tolerance) regression rows."""
-    rows = []
+    return list(_row_stream(seed, n_bases, quick, closed_tol))
+
+
+def _row_stream(seed, n_bases, quick, closed_tol):  # yields each row once computed
     bf = builtin_model("bloch_full")
     for r in (0.0, 0.5, 0.8):
         theta = np.array([0.0, 0.0, r])
         sol = solve_holevo(bf, theta, quarter_helstrom_weight(bf, theta))
-        rows.append((f"full-qubit C_{{H/4}} at r={r}", (3 + 2 * r) / 4, sol.value,
-                     closed_tol))
+        yield (f"full-qubit C_{{H/4}} at r={r}", (3 + 2 * r) / 4, sol.value, closed_tol)
 
     eq = builtin_model("bloch_equatorial")
     for theta in (np.array([0.3, 0.0]), np.array([0.35, -0.45])):
         sol = solve_holevo(eq, theta, quarter_helstrom_weight(eq, theta))
-        rows.append((f"equatorial C_{{H/4}} at {theta.tolist()}", 0.5, sol.value,
-                     closed_tol))
+        yield (f"equatorial C_{{H/4}} at {theta.tolist()}", 0.5, sol.value, closed_tol)
 
     for d, theta in ((2, np.array([0.3, -0.2])), (3, np.array([0.2, 0.1, -0.15, 0.25]))):
         model = builtin_model("pure_qubit") if d == 2 else builtin_model("pure_dim_d", dim=3)
         sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
-        rows.append((f"pure d={d} C_{{H/4}}", d - 1, sol.value, closed_tol))
+        yield (f"pure d={d} C_{{H/4}}", d - 1, sol.value, closed_tol)
 
     theta = np.array([0.3, 0.0])
     g = quarter_helstrom_weight(eq, theta)
@@ -251,41 +253,35 @@ def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
     k0, ck = dual_bound(sol, g)
     i0 = np.linalg.inv(sol.v0)
     resolved = solve_holevo(eq, theta, i0 @ k0 @ i0)
-    rows.append(("dual roundtrip equatorial |C^K - C_G'|", 0.0,
-                 abs(ck - resolved.value), 1e-5))
+    yield ("dual roundtrip equatorial |C^K - C_G'|", 0.0, abs(ck - resolved.value), 1e-5)
 
     for d in (2, 3):
         model = builtin_model("pure_qubit") if d == 2 else builtin_model("pure_dim_d", dim=3)
         theta = np.array([0.25, -0.1]) if d == 2 else np.array([0.2, 0.1, -0.15, 0.25])
         h = helstrom_matrix(model, theta).matrix
-        emp = empirical_fisher(model, theta, random_basis_scheme(),
-                               n_bases=n_bases, seed=seed)
+        emp = empirical_fisher(model, theta, random_basis_scheme(), n_bases=n_bases, seed=seed)
         tr = float(np.trace(np.linalg.inv(h) @ emp.matrix))
         sigma = float(np.trace(np.linalg.inv(h) @ emp.std_error))
-        rows.append((f"Gill-Massar equality pure d={d} ({n_bases} random bases)",
-                     d - 1, tr, max(3 * sigma, 1e-9)))
+        yield (f"Gill-Massar equality pure d={d} ({n_bases} random bases)",
+               d - 1, tr, max(3 * sigma, 1e-9))
         if d == 2:
             dev = float(np.linalg.norm(emp.matrix - 0.5 * h))
             sig = float(np.linalg.norm(emp.std_error))
-            rows.append(("covariant scheme: ||Ibar - H/2||_F", 0.0, dev, 3 * sig))
+            yield ("covariant scheme: ||Ibar - H/2||_F", 0.0, dev, 3 * sig)
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20 if quick else 100):
-        a = rng.uniform(-0.6, 0.6, 3)
-        b = rng.uniform(-0.6, 0.6, 3)
-        closed = 0.5 * (1 + a @ b + np.sqrt(1 - a @ a) * np.sqrt(1 - b @ b))
-        worst = max(worst, abs(fidelity(builtin_model("bloch_full").state(a),
-                                        builtin_model("bloch_full").state(b)) - closed))
-    rows.append(("Bloch fidelity closed form (max dev)", 0.0, worst, 1e-12))
+    pairs = np.random.default_rng(seed).uniform(-0.6, 0.6, (20 if quick else 100, 2, 3))
+    a, b = pairs[:, 0], pairs[:, 1]  # each pair drawn a first, as a loop over pairs would
+    ab, aa, bb = ((x[:, None] @ y[..., None])[:, 0, 0] for x, y in ((a, b), (a, a), (b, b)))
+    closed = 0.5 * (1 + ab + np.sqrt(1 - aa) * np.sqrt(1 - bb))
+    worst = float(np.max(np.abs(fidelity(bf.state(a), bf.state(b)) - closed)))
+    yield ("Bloch fidelity closed form (max dev)", 0.0, worst, 1e-12)
 
     prior = bump_prior(3, 0.9)
     quad = QuadratureOptions(n_radial=8, n_angular=8, levels=2)
     res = integrated_holevo(bf, fidelity_loss(bf), prior, quad)
     er = prior_expectation(lambda t: float(np.linalg.norm(t)), prior, quad)
-    rows.append(("integrated bound full qubit vs (3+2E|theta|)/4",
-                 (3 + 2 * er) / 4, res.value, max(2 * res.error_estimate, 1e-8)))
-    return rows
+    yield ("integrated bound full qubit vs (3+2E|theta|)/4",
+           (3 + 2 * er) / 4, res.value, max(2 * res.error_estimate, 1e-8))
 
 
 def cmd_verify_paper(args):
@@ -294,8 +290,11 @@ def cmd_verify_paper(args):
     if args.n_bases < 2:
         # one sampled basis has no standard error to compare against
         raise UsageError(f"--n-bases must be at least 2, got {args.n_bases}")
-    rows = _verify_rows(args.seed, args.n_bases, quick=args.quick,
-                        closed_tol=args.tol)
+    rows, start = [], time.perf_counter()
+    for row in _row_stream(args.seed, args.n_bases, args.quick, args.tol):
+        rows.append(row)  # each row's seconds since the previous row, on stderr
+        print(f"{row[0]}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+        start = time.perf_counter()
     failures = 0
     width = max(len(r[0]) for r in rows) + 2
     print(f"{'claim':<{width}}{'expected':>12}{'computed':>14}{'tol':>10}  status")

@@ -16,12 +16,12 @@ import numpy as np
 from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import IrregularModelError, RankDeficiencyError
 from .linalg import hermitize
-from .models import ParametricModel, Povm, born_distribution
+from .models import ParametricModel, Povm, _real_traces, born_distribution
 
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Real symmetric PSD information matrix with its provenance kind."""
+    """Real symmetric PSD information matrix (or a stack) with its provenance kind."""
 
     matrix: np.ndarray
     kind: str  # "helstrom" | "povm_fisher"
@@ -29,12 +29,12 @@ class InfoMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        m = 0.5 * (m + m.T)
+        m = 0.5 * (m + np.swapaxes(m, -1, -2))
         object.__setattr__(self, "matrix", m)
 
     @property
     def num_params(self):
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def sld_from_state(rho, drho, pure=False, numerics: NumericsConfig = DEFAULT_NUMERICS):
@@ -82,35 +82,32 @@ def helstrom_matrix(model: ParametricModel, theta,
 
 
 def classical_fisher(probs, dprobs, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """Fisher information of a finite distribution with derivative rows.
-
-    probs: (n,) outcome probabilities; dprobs: (p, n) derivatives.
-    Outcomes with p_x <= prob_floor and all |dp_x| <= prob_floor are
+    """Fisher information (p, p) of outcome probabilities (n,) with derivative
+    rows (p, n), or (..., p, p) of a stack (..., n) and (..., p, n).
+    Outcomes with p_x <= prob_floor and all |dp_x| <= fisher_grad_tol are
     skipped; a vanishing outcome with |dp_x| > fisher_grad_tol makes the
-    model irregular and raises.
-    """
+    model irregular and raises."""
     probs = np.asarray(probs, dtype=float)
-    dprobs = np.atleast_2d(np.asarray(dprobs, dtype=float))
-    p = dprobs.shape[0]
-    info = np.zeros((p, p))
-    for x in range(probs.size):
-        px = probs[x]
-        dx = dprobs[:, x]
-        if px <= numerics.prob_floor:
-            if np.max(np.abs(dx)) > numerics.fisher_grad_tol:
-                raise IrregularModelError(
-                    f"outcome {x} has probability {px:.3e} but derivative "
-                    f"{np.max(np.abs(dx)):.3e}; Fisher information diverges")
-            continue
-        info += np.outer(dx, dx) / px
-    return 0.5 * (info + info.T)
+    dprobs = np.asarray(dprobs, dtype=float)
+    vanishing = probs <= numerics.prob_floor
+    grad = np.max(np.abs(dprobs), axis=-2)
+    irregular = np.argwhere(vanishing & (grad > numerics.fisher_grad_tol))
+    if len(irregular):
+        at = tuple(irregular[0])
+        raise IrregularModelError(
+            f"outcome {at[-1]} has probability {probs[at]:.3e} but derivative "
+            f"{grad[at]:.3e}; Fisher information diverges")
+    # dp_i dp_j / p_x of each outcome, summed in outcome order; skipped ones add 0
+    d = np.where(vanishing[..., None, :], 0.0, dprobs)
+    px = np.where(vanishing, 1.0, probs)[..., None, None, :]
+    info = np.sum(d[..., :, None, :] * d[..., None, :, :] / px, axis=-1)
+    return 0.5 * (info + np.swapaxes(info, -1, -2))
 
 
 def povm_fisher(model: ParametricModel, theta, povm: Povm,
                 numerics: NumericsConfig = DEFAULT_NUMERICS) -> InfoMatrix:
-    """Fisher information of the Born distribution of a measurement."""
-    rho = model.state(theta)
-    drho = model.derivs(theta)
-    probs = born_distribution(rho, povm, numerics)
-    dprobs = np.array([[np.trace(dr @ e).real for e in povm.elements] for dr in drho])
+    """Fisher information of the Born distribution of a measurement; of a
+    stacked Povm, each POVM's (..., p, p), the same as alone."""
+    probs = born_distribution(model.state(theta), povm, numerics)
+    dprobs = _real_traces(model.derivs(theta), povm.elements)
     return InfoMatrix(classical_fisher(probs, dprobs, numerics), "povm_fisher")

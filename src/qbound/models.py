@@ -66,9 +66,7 @@ class Domain:
         point of a stack (..., p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "ball":
-            # |theta| row by row, rounded as theta @ theta for one point
-            sq = _squared_norms(theta.reshape(-1, theta.shape[-1]))
-            r = np.sqrt(sq).reshape(theta.shape[:-1] + (1,))
+            r = np.sqrt(_squared_norms(theta))[..., None]
             return theta * (self.radius / np.maximum(r, self.radius))
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
@@ -88,46 +86,41 @@ class Domain:
 class Povm:
     """Finite-outcome positive operator valued measure.
 
-    Elements must be PSD and sum to the identity; both are validated at
-    construction time.
+    Elements (n, d, d) must be PSD and sum to the identity; a stack
+    (..., n, d, d) holds one POVM per leading index, with shared outcome
+    labels.  All are validated at construction time, as one stack.
     """
 
-    elements: tuple
+    elements: np.ndarray
     outcomes: tuple = ()
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        numerics = DEFAULT_NUMERICS
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            check_hermitian(e, 1e-10, "POVM element")
-            if np.linalg.eigvalsh(hermitize(e))[0] < -numerics.psd_tol:
-                raise ValueError("POVM element is not PSD")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > numerics.trace_tol:
+        elems = np.asarray(self.elements, dtype=complex)
+        if elems.ndim < 3 or not elems.shape[-3]:
+            raise ValueError("POVM needs at least one (d, d) element")
+        object.__setattr__(self, "elements", check_hermitian(elems, 1e-10, "POVM element"))
+        if np.min(np.linalg.eigvalsh(hermitize(elems))[..., 0]) < -DEFAULT_NUMERICS.psd_tol:
+            raise ValueError("POVM element is not PSD")
+        if np.max(np.abs(elems.sum(axis=-3) - np.eye(self.dim))) > DEFAULT_NUMERICS.trace_tol:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
         if not self.outcomes:
-            object.__setattr__(self, "outcomes", tuple(range(len(elems))))
-        elif len(self.outcomes) != len(elems):
+            object.__setattr__(self, "outcomes", tuple(range(len(self))))
+        elif len(self.outcomes) != len(self):
             raise ValueError("one outcome label per element required")
 
     @property
     def dim(self):
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self):
-        return len(self.elements)
+        return self.elements.shape[-3]
 
 
 def basis_povm(u):
-    """Projective POVM built from the columns of a unitary."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    return Povm(tuple(np.outer(u[:, x], u[:, x].conj()) for x in range(d)))
+    """Projective POVM built from the columns of a unitary (d, d), or the
+    stacked POVM of the bases of a stack of unitaries (..., d, d)."""
+    cols = np.swapaxes(np.asarray(u, dtype=complex), -1, -2)[..., None]
+    return Povm(cols * np.swapaxes(cols, -1, -2).conj())
 
 
 def pauli_basis_povm(axis):
@@ -136,8 +129,19 @@ def pauli_basis_povm(axis):
     return basis_povm(v[:, ::-1])  # descending eigenvalue order: "+1" first
 
 
+def _real_traces(mats, elems):
+    """Re trace(A_k E_x) of matrices (m, d, d) and POVM elements (..., n, d, d),
+    shape (..., m, n): one real matmul per POVM, so a POVM gets the same
+    values in a stack as alone (see the note above holevo.z_matrix)."""
+    a = np.swapaxes(np.asarray(mats, dtype=complex), -1, -2).reshape(len(mats), -1)
+    e = np.ascontiguousarray(elems).reshape(*elems.shape[:-2], -1)  # kernels follow layout
+    return np.concatenate([a.real, -a.imag], axis=-1) @ np.swapaxes(
+        np.concatenate([e.real, e.imag], axis=-1), -1, -2)
+
+
 def born_distribution(rho, povm: Povm, numerics: NumericsConfig = DEFAULT_NUMERICS):
-    """Outcome distribution of a measurement: p_x = trace(rho M_x).
+    """Outcome distribution of a measurement: p_x = trace(rho M_x), shape
+    (n,), or (..., n) for a stacked Povm.
 
     Tiny negative values (above -prob_floor) are clipped to zero.
     """
@@ -145,12 +149,12 @@ def born_distribution(rho, povm: Povm, numerics: NumericsConfig = DEFAULT_NUMERI
     if rho.shape[0] != povm.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.shape[0]} != POVM dimension {povm.dim}")
-    p = np.array([np.trace(rho @ e).real for e in povm.elements])
+    p = _real_traces(rho[None], povm.elements)[..., 0, :]
     if np.min(p) < -1e3 * numerics.prob_floor:
         raise ValueError(f"negative Born probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)
-    s = p.sum()
-    if abs(s - 1.0) > numerics.trace_tol:
+    s = p.sum(axis=-1)
+    if np.max(np.abs(s - 1.0)) > numerics.trace_tol:
         raise ValueError(f"Born probabilities sum to {s!r}")
     return p
 
@@ -316,8 +320,10 @@ def affine_model(rho0, basis, domain=None, numerics: NumericsConfig = DEFAULT_NU
 
 
 def _squared_norms(theta):
-    """|theta|^2 of each row of a stack (n, p), rounded as ``theta @ theta``."""
-    return np.matmul(theta[:, None, :], theta[:, :, None])[:, 0, 0]
+    """|theta|^2 of each point of a stack (..., p), in the arithmetic of
+    ``theta @ theta`` for one point, which a sum over the last axis does
+    not reproduce to the last bit."""
+    return (theta[..., None, :] @ theta[..., :, None])[..., 0, 0]
 
 
 def _pure_amplitudes(theta, d):

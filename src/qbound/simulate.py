@@ -310,7 +310,7 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
-# rows of a block of small tables (two-step: stage 1), so each (T, rows, 256)
+# rows of a block of small tables (see _run_trials), so each (T, rows, 256)
 # posterior-mean array is about 0.5 MB; more rows weigh its draws table by table
 _STACKED_ROWS = 256
 
@@ -712,25 +712,25 @@ def empirical_fisher(model: ParametricModel, theta, scheme: MeasurementScheme,
     basis is part of the outcome, so the scheme information is the basis
     average) and report an entrywise Monte Carlo standard error.  For the
     two-step scheme the stage-2 bases are adapted at theta itself, i.e. the
-    reported matrix is the scheme's asymptotic per-copy information.
-    """
-    def infos(bases):  # the povm_fisher matrix of each basis, stacked
-        return np.stack([povm_fisher(model, theta, basis_povm(u)).matrix for u in bases])
-
+    reported matrix is the scheme's asymptotic per-copy information.  One
+    povm_fisher call on the stacked bases gives each basis its own matrix."""
     zero = np.zeros((model.num_params,) * 2)
-    if scheme.kind in ("fixed_basis", "alternating_bases"):
-        return InfoMatrix(infos(scheme.bases).mean(axis=0), "povm_fisher", std_error=zero)
+    bases = scheme.bases
     if scheme.kind == "random_basis_covariant":
         if n_bases < 1:
             raise ValueError("n_bases must be >= 1 for randomized schemes")
-        rng = np.random.default_rng(seed)
-        mats = infos(haar_unitaries(model.dim, n_bases, rng))
+        bases = haar_unitaries(model.dim, n_bases, np.random.default_rng(seed))
+    elif scheme.kind == "two_step_adaptive":
+        bases += adapted_bases(model, theta)
+    mats = povm_fisher(model, theta, basis_povm(bases)).matrix
+    if scheme.kind == "random_basis_covariant":
         se = mats.std(axis=0, ddof=1) / math.sqrt(n_bases) if n_bases > 1 else zero
         return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=se)
-    f = scheme.first_fraction  # two-step
-    stage1 = infos(scheme.bases).mean(axis=0)
-    stage2 = infos(adapted_bases(model, theta)).mean(axis=0)
-    return InfoMatrix(f * stage1 + (1.0 - f) * stage2, "povm_fisher", std_error=zero)
+    if scheme.kind == "two_step_adaptive":
+        f, k = scheme.first_fraction, len(scheme.bases)
+        return InfoMatrix(f * mats[:k].mean(axis=0) + (1.0 - f) * mats[k:].mean(axis=0),
+                          "povm_fisher", std_error=zero)
+    return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -762,9 +762,9 @@ _TRIAL_BLOCK = 16
 def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     """(losses, boundary hits, errors) of the trials in indices, in blocks
     (see _trial_block) of _STACKED_ROWS // rows trials, at least
-    _TRIAL_BLOCK, for tables of K d rows (two-step: its stage 1) or N
-    (random bases).  A block that raises runs again one trial at a time, so
-    that each error is charged to its own trial."""
+    _TRIAL_BLOCK, for tables of K d rows (two-step: stage 1, and stage 2 for
+    the posterior mean) or N (random bases).  A block that raises runs
+    again one trial at a time, so that each error is charged to its own trial."""
     def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
                 for t in trials]
@@ -774,6 +774,8 @@ def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     losses, boundary, errors = [], 0, []
     indices = list(indices)
     rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
+    if scheme.kind == "two_step_adaptive" and estimator.kind == "bayes_mean":
+        rows += len(adapted_bases(model, model.domain.reference_point)) * model.dim
     size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
     for lo in range(0, len(indices), size):
         block = indices[lo:lo + size]

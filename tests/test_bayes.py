@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from qbound import (DivergentIntegralError, InfeasibleTaperError,
                     prior_taper, quarter_helstrom_weight, solve_holevo,
                     uniform_ball_prior, van_trees_parts, van_trees_rhs)
 from qbound.bayes import LossSpec, _BallGrid, _solve_nodes
+from qbound.models import _squared_norms
 
 QUICK = QuadratureOptions(n_radial=8, n_angular=12, levels=2)
 
@@ -50,6 +52,24 @@ class TestPriors:
         assert mass == pytest.approx(1.0, abs=1e-3)
         ok, worst = check_boundary_zero(prior)
         assert ok and worst < 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_bump_mass_is_the_per_node_quadrature(self, p):
+        # one radial_fn call on all Gauss-Legendre nodes against one call per
+        # node: the same normalisation, bit for bit
+        r0 = 0.9
+        x, w = np.polynomial.legendre.leggauss(128)
+        r = 0.5 * r0 * (x + 1.0)
+        vals = np.array([(1.0 - (ri / r0) * (ri / r0)) ** 2 for ri in r])
+        surf = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * p
+        mass = float(np.sum(0.5 * r0 * w * surf * r ** (p - 1) * vals))
+        assert bump_prior(p, r0).peak == 1.0 / mass
+
+    def test_squared_norms_of_any_stack_are_dot_products(self):
+        theta = np.random.default_rng(4).standard_normal((3, 5, 4))
+        sq = _squared_norms(theta)
+        assert sq.shape == (3, 5)
+        assert all(sq[i] == theta[i] @ theta[i] for i in np.ndindex(3, 5))
 
     def test_bump_gradient_matches_fd(self):
         prior = bump_prior(2, 0.8)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbound import check_dual, povm_fisher, bloch_equatorial
-from qbound.cli import main
+from qbound.cli import _verify_rows, main
 from qbound.models import basis_povm
 from qbound.simulate import PAULI_BASES
 
@@ -205,6 +205,20 @@ class TestVerifyPaper:
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert "FAIL" not in a.stdout
+
+    def test_row_timings_on_stderr(self):
+        # one "claim: seconds s" line per row, in table order; stdout holds
+        # the table alone
+        code, out, err = _run_main(["verify-paper", "--quick", "--n-bases", "60",
+                                    "--seed", "11"])
+        assert code == 0
+        claims = [row[0] for row in _verify_rows(11, 60, quick=True)]
+        lines = err.splitlines()
+        assert [line.rsplit(": ", 1)[0] for line in lines] == claims
+        assert all(float(line.rsplit(": ", 1)[1].removesuffix(" s")) >= 0.0 for line in lines)
+        table = out.splitlines()
+        assert table[0].startswith("claim") and table[-1] == f"{len(claims)}/{len(claims)} rows pass"
+        assert all(line.startswith(claim) for line, claim in zip(table[1:], claims))
 
     def test_impossible_tolerance_fails_with_exit_one(self):
         res = run_cli("verify-paper", "--quick", "--n-bases", "60",

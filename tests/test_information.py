@@ -155,6 +155,31 @@ class TestPovmFisher:
         with pytest.raises(IrregularModelError):
             classical_fisher(np.array([1.0, 0.0]), np.array([[0.5, -0.5]]))
 
+    def test_stack_equals_one_call_per_distribution(self):
+        # (2, 3) distributions over 4 outcomes with 3 derivative rows each;
+        # one outcome vanishes with a vanishing derivative and is skipped
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet(np.ones(4), size=(2, 3))
+        dprobs = rng.standard_normal((2, 3, 3, 4))
+        dprobs -= dprobs.mean(axis=-1, keepdims=True)
+        probs[1, 2] = [0.5, 0.0, 0.25, 0.25]
+        dprobs[1, 2, :, 1] = 0.0
+        stacked = classical_fisher(probs, dprobs)
+        assert stacked.shape == (2, 3, 3, 3)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i], classical_fisher(probs[i], dprobs[i]))
+            # the loop over outcomes, in the same order: the same arithmetic
+            ref = np.zeros((3, 3))
+            for x in np.flatnonzero(probs[i] > 0.0):
+                ref += np.outer(dprobs[i][:, x], dprobs[i][:, x]) / probs[i][x]
+            assert np.array_equal(stacked[i], 0.5 * (ref + ref.T))
+
+    def test_irregular_outcome_inside_a_stack_raises(self):
+        probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+        dprobs = np.array([[[0.1, -0.1]], [[0.5, -0.5]], [[0.2, -0.2]]])
+        with pytest.raises(IrregularModelError, match="outcome 1 has probability 0"):
+            classical_fisher(probs, dprobs)
+
     def test_additivity_over_independent_repetitions(self, all_models):
         # measuring one copy in each of two distinct bases: the joint
         # experiment's information is the sum of the per-basis informations

@@ -12,7 +12,7 @@ from qbound import (Domain, DomainError, Povm, affine_model, basis_povm,
                     check_density_matrix, embedding_loss_scale, fidelity,
                     fidelity_embedding, model_from_spec, model_to_spec,
                     pauli_basis_povm)
-from qbound.linalg import PAULI_X, PAULI_Z, haar_unitary, random_hermitian
+from qbound.linalg import PAULI_X, PAULI_Z, haar_unitaries, haar_unitary, random_hermitian
 from qbound.models import FAMILIES
 
 from conftest import fd_jacobian, interior_points, random_mixed_model
@@ -84,9 +84,34 @@ class TestPovm:
     def test_basis_povm_is_valid(self):
         rng = np.random.default_rng(1)
         for d in (2, 3, 4):
-            m = basis_povm(haar_unitary(d, rng))
+            u = haar_unitary(d, rng)
+            m = basis_povm(u)
             assert len(m) == d
             assert m.dim == d
+            for x in range(d):
+                assert np.array_equal(m.elements[x], np.outer(u[:, x], u[:, x].conj()))
+
+    def test_stacked_povm_is_each_basis(self):
+        # a stack of bases validates as one POVM stack, and each basis gets
+        # its elements and Born probabilities bit for bit
+        us = haar_unitaries(3, 40, np.random.default_rng(6))
+        stacked = basis_povm(us)
+        assert len(stacked) == 3 and stacked.dim == 3 and stacked.outcomes == (0, 1, 2)
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        probs = born_distribution(rho, stacked)
+        assert probs.shape == (40, 3)
+        for k, u in enumerate(us):
+            assert np.array_equal(stacked.elements[k], basis_povm(u).elements)
+            assert np.array_equal(probs[k], born_distribution(rho, basis_povm(u)))
+
+    def test_one_bad_povm_in_a_stack_rejected(self):
+        good = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(ValueError, match="sum to the identity"):
+            Povm(np.stack([good, good, 0.9 * good]))
+        with pytest.raises(ValueError, match="not PSD"):
+            Povm(np.stack([good, np.stack([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])]))
+        with pytest.raises(ValueError, match="at least one"):
+            Povm(())
 
 
 class TestBornDistribution:

@@ -12,7 +12,7 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
                     sample_outcomes, two_step_scheme)
 from qbound.models import Domain, affine_model, basis_povm, fidelity, pure_state_model
 from qbound import simulate
-from qbound.simulate import (PAULI_BASES, SampleData, _CERT_MARGIN,
+from qbound.simulate import (PAULI_BASES, MeasurementScheme, SampleData, _CERT_MARGIN,
                              _ascend_sphere, _chart_loglik, _count_loglik,
                              _direction_basis, _likelihood_table, _pure_gap,
                              _pure_probs, _table)
@@ -1039,19 +1039,21 @@ BLOCK_CONFIGS = {
     "eq_two_step_mle_4000": ("bloch_equatorial", 0.8, "two_step", "mle", 4000),
     "eq_alt_bayes_4000": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 4000),
     "eq_alt_bayes_20": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 20),
-    # two-step tables of 8 rows (stage 1 and the adapted bases) in the
-    # posterior mean's stacked likelihood
+    # two-step tables of 8 and 12 rows (stage 1 and the adapted bases) in
+    # the posterior mean's stacked likelihood
     "eq_two_step_bayes_4000": ("bloch_equatorial", 0.8, "two_step", "bayes_mean", 4000),
+    "bf_two_step_bayes_300": ("bloch_full", 0.9, "two_step", "bayes_mean", 300),
     # a row per copy: more rows than the posterior mean stacks
     "bf_random_bayes_300": ("bloch_full", 0.9, "random", "bayes_mean", 300),
     # pure tables of three Haar bases, two thresholds a basis
     "p3_haar_mle_250": ("pure_dim_3", 0.5, "haar", "mle", 250),
 }
 # trials per block of each config: 256 // rows for tables of K d rows (two-step:
-# stage 1), at least 16; a table of random bases has N rows
+# stage 1, and stage 2 for the posterior mean), at least 16; a table of random
+# bases has N rows
 BLOCK_TRIALS = {"eq_alt_mle_20": 64, "bf_two_step_mle_4000": 42, "eq_two_step_mle_4000": 64,
-                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "eq_two_step_bayes_4000": 64,
-                "bf_random_bayes_300": 16, "p3_haar_mle_250": 28}
+                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "eq_two_step_bayes_4000": 32,
+                "bf_two_step_bayes_300": 21, "bf_random_bayes_300": 16, "p3_haar_mle_250": 28}
 
 
 def block_config(all_models, name):
@@ -1220,6 +1222,60 @@ class TestEmpiricalFisher:
         stage2 = np.mean([povm_fisher(model, theta, basis_povm(b)).matrix
                           for b in adapted_bases(model, theta)], axis=0)
         assert np.allclose(emp.matrix, 0.2 * stage1 + 0.8 * stage2, atol=1e-12)
+
+    @pytest.mark.parametrize("name, scheme", [
+        ("pure_qubit", "random"), ("bloch_full", "random"), ("pure_dim_3", "random"),
+        ("bloch_full", "fixed"), ("bloch_equatorial", "alternating"),
+        ("bloch_full", "two_step"), ("pure_qubit", "two_step")])
+    def test_equals_per_basis_reference(self, all_models, name, scheme):
+        # one povm_fisher call per basis, averaged as the scheme weighs them
+        model = all_models[name]
+        theta = 0.6 * bump_prior(model.num_params, 0.9).sample(np.random.default_rng(3))
+
+        def per_basis(bases):
+            return [povm_fisher(model, theta, basis_povm(u)).matrix for u in bases]
+
+        if scheme == "random":
+            emp = empirical_fisher(model, theta, random_basis_scheme(), n_bases=400, seed=21)
+            mats = per_basis(haar_unitaries(model.dim, 400, np.random.default_rng(21)))
+            ref, se = np.mean(mats, axis=0), np.std(mats, axis=0, ddof=1) / math.sqrt(400)
+        elif scheme == "two_step":
+            sch = two_step_scheme(model, 0.3)
+            emp = empirical_fisher(model, theta, sch)
+            ref = (0.3 * np.mean(per_basis(sch.bases), axis=0)
+                   + 0.7 * np.mean(per_basis(adapted_bases(model, theta)), axis=0))
+            se = np.zeros_like(ref)
+        else:
+            bases = PAULI_BASES[2:] if scheme == "fixed" else PAULI_BASES[:2]
+            sch = fixed_basis_scheme(bases[0]) if scheme == "fixed" else alternating_scheme(bases)
+            emp = empirical_fisher(model, theta, sch)
+            ref, se = np.mean(per_basis(bases), axis=0), np.zeros((model.num_params,) * 2)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(emp.matrix - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(emp.std_error - se)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["pure_qubit", "bloch_full", "pure_dim_3"])
+    def test_stacked_povm_fisher_is_each_basis_bit_for_bit(self, all_models, name):
+        # haar_unitaries returns a strided stack; its contiguous copy and a
+        # tuple of the bases must give the same matrices as one basis at a time
+        model = all_models[name]
+        theta = 0.6 * bump_prior(model.num_params, 0.9).sample(np.random.default_rng(4))
+        us = haar_unitaries(model.dim, 64, np.random.default_rng(8))
+        singles = np.stack([povm_fisher(model, theta, basis_povm(u)).matrix for u in us])
+        for stack in (us, np.ascontiguousarray(us), tuple(us)):
+            assert np.array_equal(povm_fisher(model, theta, basis_povm(stack)).matrix, singles)
+
+    def test_non_unitary_scheme_basis_rejected(self, all_models):
+        model = all_models["bloch_full"]
+        theta = np.array([0.1, 0.2, -0.3])
+        skewed = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
+        for scheme in (fixed_basis_scheme(skewed),
+                       alternating_scheme((PAULI_BASES[0], 1.01 * PAULI_BASES[1])),
+                       MeasurementScheme("two_step_adaptive", (PAULI_BASES[0], skewed), 0.5)):
+            with pytest.raises(ValueError, match="sum to the identity"):
+                empirical_fisher(model, theta, scheme)
+        with pytest.raises(ValueError, match="sum to the identity"):
+            basis_povm(skewed)  # the per-basis POVM says the same
 
 
 class TestBayesRisk:
