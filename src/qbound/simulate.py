@@ -20,7 +20,7 @@ priors through their JSON specs, so an object without a spec needs workers=1.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -299,7 +299,6 @@ class Estimator:
 
     kind: str = "mle"
     prior: Optional[Prior] = None
-    options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("mle", "bayes_mean", "oracle"):
@@ -310,8 +309,9 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
-# rows of a block of small tables (see _run_trials), so each (T, rows, 256)
-# posterior-mean array is about 0.5 MB; more rows weigh its draws table by table
+# rows per array pass: of a block of small tables (see _run_trials) and of a
+# chunk of tables weighing the posterior mean's draws (see _draws_loglik), so
+# each (tables, rows, 256) array is about 0.5 MB
 _STACKED_ROWS = 256
 
 
@@ -548,8 +548,7 @@ def _pure_gap(acols, counts, phi):
     y = np.concatenate([acols.real ** 2 + acols.imag ** 2 - 1.0 / d, cross.real, cross.imag])
     yc = y * counts
     ell = max(0.0, np.linalg.eigvalsh(yc @ y.T)[1])
-    amp = phi @ acols
-    g = yc @ (1.0 / (amp.real ** 2 + amp.imag ** 2))
+    g = yc @ (1.0 / _pure_probs(acols, phi))
     big = np.diag(g[:d] + 0j)
     big[upper] = (g[d:len(cross) + d] + 1j * g[len(cross) + d:]) / math.sqrt(2.0)
     big[upper[::-1]] = big[upper].conj()
@@ -608,25 +607,6 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
     return f, phi, False
 
 
-def _chart_loglik(model, coeffs, counts):
-    """Log-likelihood of one table (see _table_block) on the parameter
-    chart, at one point (p,) or at each point of a stack (n, p); -inf off
-    the chart.  Affine tables stacked along leading axes take points stacked
-    along the same axes."""
-    if model.is_pure:
-
-        def loglik(theta):
-            theta = np.asarray(theta, dtype=float)
-            nsq = np.sum(theta * theta, axis=-1)
-            head = np.sqrt(np.where(nsq < 1.0, 1.0 - nsq, np.nan))  # NaN: -inf
-            phi = np.concatenate([head[..., None],
-                                  theta[..., 0::2] + 1j * theta[..., 1::2]], axis=-1)
-            return _count_loglik(_pure_probs(coeffs, phi), counts)
-
-        return loglik
-    return lambda theta: _affine_loglik(*coeffs, counts, theta)
-
-
 def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
                         n_samples=256, spread=1.3, seed=0):
     """Posterior mean via Laplace-guided importance sampling.
@@ -643,25 +623,38 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
 
 
 def _draws_loglik(a, bt, counts, points):
-    """Log-likelihoods (T, M) of affine tables (a, bt, counts) at draws
-    (T, p, M): _affine_probs (T, R, M), draws innermost, summed over rows."""
-    probs = _affine_probs(a[..., None], points[:, None], np.swapaxes(bt, 1, 2))
-    return _count_loglik(probs, counts[..., None], axis=-2)
+    """Log-likelihoods (T, M) of affine tables (a, bt, counts) of R rows at
+    draws (T, p, M): _affine_probs (chunk, R, M), draws innermost, summed over
+    rows, in chunks of _STACKED_ROWS // R tables (at least one)."""
+    size = max(1, _STACKED_ROWS // counts.shape[-1])
+    a, bt, counts = a[..., None], np.swapaxes(bt, 1, 2), counts[..., None]
+    return np.concatenate([
+        _count_loglik(_affine_probs(a[lo:lo + size], points[lo:lo + size, None],
+                                    bt[lo:lo + size]), counts[lo:lo + size], axis=-2)
+        for lo in range(0, len(a), size)])
+
+
+def _pure_draws_loglik(acols, counts, points):
+    """Log-likelihoods (T, M) of pure tables (lists of acols and counts) at
+    draws (T, p, M) on the parameter chart, -inf off it; a table at a time."""
+    theta = np.swapaxes(points, 1, 2)
+    nsq = np.sum(theta * theta, axis=-1)
+    head = np.sqrt(np.where(nsq < 1.0, 1.0 - nsq, np.nan))  # NaN: -inf
+    phis = np.concatenate([head[..., None], theta[..., 0::2] + 1j * theta[..., 1::2]], axis=-1)
+    return np.stack([_count_loglik(_pure_probs(c, phi), n)
+                     for c, n, phi in zip(acols, counts, phis)])
 
 
 def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, seed=0):
     """(estimates (T, p), MleResult) of the posterior means of a block: the
-    stencils of all affine count tables in one likelihood call and their
-    draws, weighed as one stack (domain, prior density, likelihood), in
-    another; pure tables one at a time.  Every table draws the standard
-    normals of default_rng(seed), drawn once and stacked innermost, (T, p, M)."""
+    stencils of all count tables in one likelihood call and their draws,
+    weighed as one stack (domain, prior density, likelihood), in another;
+    the likelihood takes affine tables in chunks (see _draws_loglik), pure
+    tables one at a time.  Every table draws the standard normals of
+    default_rng(seed), drawn once and stacked innermost, (T, p, M)."""
     mle = _mle_block(model, coeffs, counts)
-    if model.is_pure or counts.shape[-1] > _STACKED_ROWS:
-        charts = [_chart_loglik(model, c, n)
-                  for c, n in zip(coeffs if model.is_pure else zip(*coeffs), counts)]
-
-        def loglik(points):  # (T, p, M) -> (T, M)
-            return np.stack([chart(x.T) for chart, x in zip(charts, points)])
+    if model.is_pure:
+        loglik = functools.partial(_pure_draws_loglik, coeffs, counts)
     else:
         loglik = functools.partial(_draws_loglik, *coeffs, counts)
     dom = model.domain
@@ -762,9 +755,9 @@ _TRIAL_BLOCK = 16
 def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     """(losses, boundary hits, errors) of the trials in indices, in blocks
     (see _trial_block) of _STACKED_ROWS // rows trials, at least
-    _TRIAL_BLOCK, for tables of K d rows (two-step: stage 1, and stage 2 for
-    the posterior mean) or N (random bases).  A block that raises runs
-    again one trial at a time, so that each error is charged to its own trial."""
+    _TRIAL_BLOCK, for tables of K d rows (two-step: of stage 1) or N (random
+    bases).  A block that raises runs again one trial at a time, so that
+    each error is charged to its own trial."""
     def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
                 for t in trials]
@@ -774,8 +767,6 @@ def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
     losses, boundary, errors = [], 0, []
     indices = list(indices)
     rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
-    if scheme.kind == "two_step_adaptive" and estimator.kind == "bayes_mean":
-        rows += len(adapted_bases(model, model.domain.reference_point)) * model.dim
     size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
     for lo in range(0, len(indices), size):
         block = indices[lo:lo + size]
@@ -805,11 +796,10 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     coeffs, counts = _sample_block(model, scheme, n_copies, rhos, [rng for rng, _ in starts])
     theta_hat, hits = thetas, 0  # the oracle's
     if estimator.kind == "mle":
-        res = _mle_block(model, coeffs, counts, **estimator.options)
+        res = _mle_block(model, coeffs, counts)
         theta_hat, hits = res.theta, int(res.boundary.sum())
     elif estimator.kind == "bayes_mean":
-        theta_hat, res = _bayes_mean_block(model, coeffs, counts, estimator.prior or prior,
-                                           **estimator.options)
+        theta_hat, res = _bayes_mean_block(model, coeffs, counts, estimator.prior or prior)
         hits = int(res.boundary.sum())
     safe = model.domain.project(theta_hat)
     if model.is_pure:

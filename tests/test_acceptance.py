@@ -76,6 +76,14 @@ BOUNDARY_LIMITS = {
     "eq_alt_bayes_20": ("bloch_equatorial", "bayes_mean", 20, 0.561825828914909, 0, 135),
     "bf_alt_30": ("bloch_full", "mle", 30, 2.8786434161881056, 0, 279),
 }
+# posterior-mean configs whose likelihood is weighed in chunks of tables:
+# (family, scheme, N, trials, prior radius, value, failures, boundary hits)
+BAYES_MEAN_LIMITS = {
+    "eq_ts_bayes_4000": ("bloch_equatorial", "two_step", 4000, 2000, 0.8,
+                         0.9943749659667657, 0, 0),
+    # a row per copy, 300 rows: chunks of one table
+    "bf_rb_bayes_300": ("bloch_full", "random", 300, 400, 0.9, 2.250054310471622, 0, 1),
+}
 # pure_dim_d, d = 3, random bases, MLE, bump 0.5 prior, N = 250, 400 trials:
 # (value, failures, boundary hits)
 PURE_DIM_3_LIMIT = (2.165575919312448, 0, 0)
@@ -369,6 +377,20 @@ class TestHardLimits:
         prior = bump_prior(p, {2: 0.8, 3: 0.9}[p])
         runs = [bayes_risk_mc(model, prior, alternating_scheme(PAULI_BASES[:p]),
                               Estimator(estimator), n, trials=2000, seed=SEED,
+                              workers=workers)
+                for workers in (1, 2)]
+        for risk in runs:
+            assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
+            assert (risk.failures, risk.boundary_hits) == (failures, hits)
+        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+
+    @pytest.mark.parametrize("name", list(BAYES_MEAN_LIMITS))
+    def test_bayes_mean_values(self, name):
+        family, scheme, n, trials, radius, value, failures, hits = BAYES_MEAN_LIMITS[name]
+        model = builtin_model(family)
+        scheme = two_step_scheme(model, 0.1) if scheme == "two_step" else random_basis_scheme()
+        runs = [bayes_risk_mc(model, bump_prior(model.num_params, radius), scheme,
+                              Estimator("bayes_mean"), n, trials=trials, seed=SEED,
                               workers=workers)
                 for workers in (1, 2)]
         for risk in runs:

@@ -437,6 +437,32 @@ class TestSolverAgainstIndependentOracle:
                 direct = holevo_objective(g, z_matrix(model.state(theta), xs))
                 assert sol.value == pytest.approx(direct, rel=2e-5), (case, sol.value, direct)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_two_parameter_qubits_match_suzuki(self, seed):
+        # any two-parameter qubit model (Suzuki, J. Math. Phys. 57, 042201
+        # (2016)): C_H = C_R if C_R >= (C_Z + C_S)/2, else
+        # C_R + ((C_Z + C_S)/2 - C_R)^2 / (C_Z - C_R), with the SLD bound C_S,
+        # C_Z at the SLD collection X = J_S^-1 L and the RLD bound C_R at
+        # J_R^-1, (J_R)_ij = tr(d_i rho rho^-1 d_j rho)
+        rng = np.random.default_rng(seed)
+        w = rng.random(2) + 0.2
+        u = haar_unitary(2, rng)
+        model = affine_model((u * (w / w.sum())) @ u.conj().T,
+                             [0.05 * random_hermitian(2, rng, traceless=True) for _ in range(2)],
+                             Domain("ball", radius=0.2, dim=2))
+        theta, g = np.zeros(2), _spd(rng, 2)
+        rho, drho = model.state(theta), model.derivs(theta)
+        jinv = np.linalg.inv(helstrom_matrix(model, theta).matrix)
+        c_s = np.trace(g @ jinv)
+        xs = np.einsum("jk,kab->jab", jinv, np.stack(sld(model, theta)))
+        c_z = holevo_objective(g, z_matrix(rho, xs))
+        c_r = holevo_objective(
+            g, np.linalg.inv(np.einsum("iab,bc,jca->ij", drho, np.linalg.inv(rho), drho)))
+        mid = 0.5 * (c_z + c_s)
+        expected = c_r if c_r >= mid else c_r + (mid - c_r) ** 2 / (c_z - c_r)
+        assert solve_holevo(model, theta, g).value == pytest.approx(expected, rel=1e-10)
+
     @staticmethod
     def _random_case(rng, p):
         d = 3 if p < 4 else 4

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import multiprocessing
 
@@ -13,7 +14,7 @@ from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme
 from qbound.models import Domain, affine_model, basis_povm, fidelity, pure_state_model
 from qbound import simulate
 from qbound.simulate import (PAULI_BASES, MeasurementScheme, SampleData, _CERT_MARGIN,
-                             _ascend_sphere, _chart_loglik, _count_loglik,
+                             _affine_loglik, _ascend_sphere, _count_loglik,
                              _direction_basis, _likelihood_table, _pure_gap,
                              _pure_probs, _table)
 from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
@@ -35,6 +36,15 @@ def likelihood_table(data, model):
     if model.is_pure:
         return coeffs[0], counts[0]
     return (coeffs[0][0], coeffs[1][0]), counts[0]
+
+
+def draws_loglik(data, model):
+    """The posterior mean's likelihood of the one table of sampled data, at
+    draws (1, p, M) -> (1, M)."""
+    coeffs, counts = _likelihood_table(data, model)
+    if model.is_pure:
+        return functools.partial(simulate._pure_draws_loglik, coeffs, counts)
+    return functools.partial(simulate._draws_loglik, *coeffs, counts)
 
 
 def axis_submodel():
@@ -427,12 +437,12 @@ class TestCountTable:
     def test_count_loglik_equals_per_copy_sum(self, all_models):
         rng = np.random.default_rng(31)
         for model, data in affine_runs(all_models):
-            loglik = _chart_loglik(model, *likelihood_table(data, model))
+            (a, bt), counts = likelihood_table(data, model)
             vecs = per_copy_vectors(data)
             for _ in range(5):
                 theta = 0.7 * model.domain.project(rng.uniform(-1, 1, model.num_params))
                 ref = per_copy_affine_loglik(vecs, model, theta)
-                assert loglik(theta) == pytest.approx(ref, rel=1e-12)
+                assert _affine_loglik(a, bt, counts, theta) == pytest.approx(ref, rel=1e-12)
 
     def test_mle_matches_per_copy_ascent(self, all_models):
         for model, data in affine_runs(all_models):
@@ -452,6 +462,7 @@ class TestCountTable:
             assert_reaches_per_copy_maximum(data, model)
 
     def test_stacked_chart_equals_point_calls(self, all_models):
+        # the draws of one table as a stack (1, p, 64) against 64 calls (1, p, 1)
         rng = np.random.default_rng(34)
         for name, scheme in (("bloch_equatorial", alternating_scheme(PAULI_BASES[:2])),
                              ("bloch_full", alternating_scheme(PAULI_BASES)),
@@ -459,11 +470,11 @@ class TestCountTable:
             model = all_models[name]
             data = sample_outcomes(model, 0.3 * np.ones(model.num_params), scheme,
                                    500, seed=35)
-            loglik = _chart_loglik(model, *likelihood_table(data, model))
+            loglik = draws_loglik(data, model)
             # reaching past the domain: points off the chart give -inf
             thetas = rng.uniform(-1.1, 1.1, (64, model.num_params))
-            stacked = loglik(thetas)
-            points = np.array([loglik(t) for t in thetas])
+            stacked = loglik(thetas.T[None])[0]
+            points = np.array([loglik(t[None, :, None])[0, 0] for t in thetas])
             assert stacked.shape == (64,)
             assert np.array_equal(np.isfinite(stacked), np.isfinite(points))
             assert np.isfinite(points).sum() >= 16
@@ -900,7 +911,11 @@ class TestPureCertificate:
 def per_draw_bayes_mean(data, model, prior, n_samples=256, spread=1.3, seed=0):
     """The posterior mean with one likelihood call per draw."""
     mle = mle_estimate(data, model)
-    loglik = _chart_loglik(model, *likelihood_table(data, model))
+    stack = draws_loglik(data, model)
+
+    def loglik(theta):  # a draw (p,), weighed as a stack of one
+        return stack(theta[None, :, None])[0, 0]
+
     p = model.num_params
     center = model.domain.project(mle.theta * (1.0 - 1e-9))
     h, hess, f0 = 1e-4, np.zeros((p, p)), loglik(center)
@@ -953,13 +968,12 @@ class TestBayesMean:
             ref = model.domain.project(per_draw_bayes_mean(data, model, prior, seed=37))
             assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
-    def test_draws_likelihood_on_crafted_tables(self, all_models):
+    def test_draws_likelihood_on_crafted_tables(self):
         # the rows-first likelihood of the posterior mean's draws against
-        # _chart_loglik, table by table: a zero-count row adds 0 whatever
+        # _affine_loglik, table by table: a zero-count row adds 0 whatever
         # its probability (table 0: 0 and NaN; table 3: every row), and an
         # observed row at _P_FLOOR (table 1) or of NaN probability (table 2)
         # gives -inf
-        model = all_models["bloch_equatorial"]
         a = np.full((4, 4), 0.5)
         bt = np.tile(0.5 * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]), (4, 1, 1))
         counts = np.tile([3.0, 0.0, 5.0, 0.0], (4, 1))
@@ -971,11 +985,27 @@ class TestBayesMean:
         ll = simulate._draws_loglik(a, bt, counts, points)
         assert ll.shape == (4, 32)
         for t in range(4):
-            chart = _chart_loglik(model, (a[t], bt[t]), counts[t])
-            assert np.array_equal(ll[t], chart(points[t].T))
+            assert np.array_equal(ll[t], _affine_loglik(a[t], bt[t], counts[t], points[t].T))
         assert np.all(np.isfinite(ll[0])) and np.all(ll[0] < 0.0)
         assert np.all(ll[1] == -np.inf) and np.all(ll[2] == -np.inf)
         assert np.all(ll[3] == 0.0)
+
+    def test_draws_likelihood_chunks_equal_tables_alone(self):
+        # chunks of _STACKED_ROWS // R tables: 5 tables of 100 rows (chunks of
+        # 2, 2 and 1) and 3 of 300 rows (chunks of 1), each against the table
+        # weighed alone, bit for bit
+        rng = np.random.default_rng(72)
+        for n_tables, rows in ((5, 100), (3, 300)):
+            a = rng.uniform(0.3, 0.7, (n_tables, rows))
+            bt = rng.uniform(-0.1, 0.1, (n_tables, 3, rows))
+            counts = rng.integers(0, 4, (n_tables, rows)).astype(float)
+            points = rng.uniform(-1.0, 1.0, (n_tables, 3, 256))
+            ll = simulate._draws_loglik(a, bt, counts, points)
+            assert ll.shape == (n_tables, 256) and np.all(np.isfinite(ll))
+            for t in range(n_tables):
+                one = simulate._draws_loglik(a[t:t + 1], bt[t:t + 1], counts[t:t + 1],
+                                             points[t:t + 1])
+                assert np.array_equal(ll[t], one[0])
 
 
 class TestTwoStep:
@@ -1040,20 +1070,20 @@ BLOCK_CONFIGS = {
     "eq_alt_bayes_4000": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 4000),
     "eq_alt_bayes_20": ("bloch_equatorial", 0.8, "alternating", "bayes_mean", 20),
     # two-step tables of 8 and 12 rows (stage 1 and the adapted bases) in
-    # the posterior mean's stacked likelihood
+    # the posterior mean's stacked likelihood, chunks of 32 and 21 tables
     "eq_two_step_bayes_4000": ("bloch_equatorial", 0.8, "two_step", "bayes_mean", 4000),
     "bf_two_step_bayes_300": ("bloch_full", 0.9, "two_step", "bayes_mean", 300),
-    # a row per copy: more rows than the posterior mean stacks
+    # a row per copy: more rows than a chunk of the posterior mean holds,
+    # so its likelihood takes one table at a time
     "bf_random_bayes_300": ("bloch_full", 0.9, "random", "bayes_mean", 300),
     # pure tables of three Haar bases, two thresholds a basis
     "p3_haar_mle_250": ("pure_dim_3", 0.5, "haar", "mle", 250),
 }
 # trials per block of each config: 256 // rows for tables of K d rows (two-step:
-# stage 1, and stage 2 for the posterior mean), at least 16; a table of random
-# bases has N rows
+# stage 1), at least 16; a table of random bases has N rows
 BLOCK_TRIALS = {"eq_alt_mle_20": 64, "bf_two_step_mle_4000": 42, "eq_two_step_mle_4000": 64,
-                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "eq_two_step_bayes_4000": 32,
-                "bf_two_step_bayes_300": 21, "bf_random_bayes_300": 16, "p3_haar_mle_250": 28}
+                "eq_alt_bayes_4000": 64, "eq_alt_bayes_20": 64, "eq_two_step_bayes_4000": 64,
+                "bf_two_step_bayes_300": 42, "bf_random_bayes_300": 16, "p3_haar_mle_250": 28}
 
 
 def block_config(all_models, name):
@@ -1362,6 +1392,12 @@ class TestBayesRisk:
     def test_unknown_estimator_kind(self):
         with pytest.raises(ValueError):
             Estimator("maximum_wishful_thinking")
+
+    def test_estimator_takes_no_options(self):
+        # estimator settings are keyword arguments of mle_estimate and
+        # bayes_mean_estimate; the risk harness runs their defaults
+        with pytest.raises(TypeError):
+            Estimator("mle", options={"n_samples": 64})
 
     def test_unknown_scheme_kind(self):
         # refused when the scheme is made, before any sampling or risk run
