@@ -13,7 +13,6 @@ from .bayes import (BayesBoundResult, LossSpec, Prior, QuadratureOptions,
                     prior_expectation, prior_from_spec, prior_taper,
                     prior_to_spec, uniform_ball_prior, van_trees_parts,
                     van_trees_rhs)
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import (DimensionMismatchError, DivergentIntegralError,
                      DomainError, InfeasibleTaperError, IrregularModelError,
                      NonConvergenceError, NumericalError, RankDeficiencyError)

@@ -14,11 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS
 from .errors import DivergentIntegralError, InfeasibleTaperError, NumericalError
 # ``solve_holevo`` is not called here; it stays a name of this module
 # because perfbench/tracer.py wraps qbound.bayes.solve_holevo
 from .holevo import SolverOptions, _solve_batch, solve_holevo  # noqa: F401
+from .linalg import WEIGHT_EIG_FLOOR
 from .models import (Domain, ParametricModel, _squared_norms, embedding_loss_scale,
                      fidelity_embedding)
 
@@ -27,6 +27,9 @@ _NODE_BATCH = 256
 # Rejection rounds before Prior.sample gives up: a density that is zero (or
 # far below ``peak``) on the envelope would otherwise never fill the draw.
 _MAX_REJECTION_ROUNDS = 1000
+_BOUNDARY_POINTS = 64   # sampled directions of check_boundary_zero
+_BOUNDARY_TOL = 1e-9    # boundary density, relative to max(1, peak), that counts as zero
+_J_DRIFT_TOL = 0.05     # largest relative change of J(pi) across the last refinement
 
 # ---------------------------------------------------------------------------
 # priors
@@ -268,7 +271,7 @@ class LossSpec:
         jac = self.psi_jac(theta)
         g = np.swapaxes(jac, -1, -2) @ self.gtilde(theta) @ jac
         g = 0.5 * (g + np.swapaxes(g, -1, -2))
-        if np.any(np.linalg.eigvalsh(g)[..., 0] <= DEFAULT_NUMERICS.weight_eig_floor):
+        if np.any(np.linalg.eigvalsh(g)[..., 0] <= WEIGHT_EIG_FLOOR):
             raise NumericalError("induced weight G0 is not positive-definite")
         return g
 
@@ -524,19 +527,19 @@ def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
 # ---------------------------------------------------------------------------
 # the prior-regularity functional J(pi)
 
-def check_boundary_zero(prior: Prior, n_points=64, tol=1e-9):
+def check_boundary_zero(prior: Prior):
     """Sampled check that the density vanishes on the support boundary."""
     p = prior.domain.dim
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_points, p))
+    dirs = rng.standard_normal((_BOUNDARY_POINTS, p))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_edge = prior.domain.radius * (1.0 - 1e-9)
     worst = float(np.max(prior.density(r_edge * dirs)))
-    return worst <= tol * max(1.0, prior.peak), worst
+    return worst <= _BOUNDARY_TOL * max(1.0, prior.peak), worst
 
 
 def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
-                 c_fn=None, base_n=21, levels=3, drift_tol=0.05,
+                 c_fn=None, base_n=21, levels=3,
                  solver_opts: Optional[SolverOptions] = None):
     """E_pi (C pi)'^T Gtilde^{-1} (C pi)' / pi^2 on nested Cartesian grids.
 
@@ -546,7 +549,7 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     stays integrable near the support boundary.  Priors that do not vanish
     on their boundary (the known failure mode, e.g. a truncated uniform)
     carry an infinite functional and are rejected, as is any estimate that
-    keeps drifting by more than drift_tol across two refinements, which
+    keeps drifting by more than _J_DRIFT_TOL across two refinements, which
     needs levels >= 2.  The Holevo solves of a level run as one node stack,
     and its weighted sum is one stacked pass over the nodes with positive
     density.
@@ -613,7 +616,7 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
         values.append(float(np.sum(np.einsum("ni,nij,nj->n", w, gi, w) / dens)) * h ** p)
         n = 2 * n - 1
     drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-12)
-    if drift > drift_tol:
+    if drift > _J_DRIFT_TOL:
         raise DivergentIntegralError(
             f"J(pi) drifts by {100 * drift:.1f}% under refinement "
             f"(values {values}); the prior likely violates the smoothness "

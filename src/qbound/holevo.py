@@ -41,14 +41,13 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
 # ``sld`` is not called here; it stays a name of this module because
 # perfbench/tracer.py wraps qbound.holevo.sld
-from .information import helstrom_matrix, sld, sld_from_state  # noqa: F401
-from .linalg import (_rise, hermitian_basis, hermitize, min_eigenvalue,
+from .information import RANK_TOL, helstrom_matrix, sld, sld_from_state  # noqa: F401
+from .linalg import (WEIGHT_EIG_FLOOR, _rise, hermitian_basis, hermitize, min_eigenvalue,
                      sym_sqrt_and_inv_sqrt)
-from .models import ParametricModel, check_density_matrix
+from .models import DERIV_TRACE_TOL, ParametricModel, check_density_matrix
 
 # A point whose value is within CERTIFY_RTOL * max(1, |value|) of its
 # certified lower bound is solved; only the others ascend the dual.
@@ -56,22 +55,27 @@ CERTIFY_RTOL = 1e-9
 # Eigenvalues of the dual's Hessian below _PINV_CUTOFF * trace G are
 # dropped from its pseudo-inverse.
 _PINV_CUTOFF = 1e-10
+CONSTRAINT_TOL = 1e-8   # |trace(drho_i X_j) - delta_ij| and |trace(rho X_j)| of a valid X
+DUAL_SLACK_TOL = 1e-7   # allowed violation of trace(K I) <= C^K
+_DELTA_MAX = 1e3        # largest shift delta that embedding_sequence adds to diag(V, 0)
 
 
 # ---------------------------------------------------------------------------
 # problem data and options
 
-def _check_problem(rho, drho, g, numerics: NumericsConfig):
+def _check_problem(rho, drho, g):
     """Validate stacks of states (n, d, d), derivatives (n, p, d, d) and
     weights (n, p, p); returns the symmetrized weights."""
-    check_density_matrix(rho, numerics)
+    check_density_matrix(rho)
     traces = np.abs(np.trace(drho, axis1=-2, axis2=-1))
-    if np.any(traces > numerics.deriv_trace_tol):
+    if np.any(traces > DERIV_TRACE_TOL):
         i = int(np.argmax(np.max(traces, axis=0)))
         raise ValueError(f"drho[{i}] is not traceless")
     p = drho.shape[1]
     if g.shape[1:] != (p, p):
         raise ValueError("weight dimension != number of parameters")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("weight matrix has a non-finite entry")
     gt = np.swapaxes(g, 1, 2)
     if np.max(np.abs(g - gt)) > 1e-9:
         raise ValueError("weight matrix must be symmetric")
@@ -172,13 +176,13 @@ def constraint_residual(drho, xs):
     return np.max(np.abs(c - np.eye(c.shape[-1])), axis=(-2, -1))
 
 
-def check_x_collection(rho, drho, xs, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def check_x_collection(rho, drho, xs):
     """Validate a candidate X collection (feasibility and rho-centering)."""
     res = constraint_residual(drho, xs)
-    if res > numerics.constraint_tol:
+    if res > CONSTRAINT_TOL:
         raise ValueError(f"constraint residual {res:.3e} exceeds tolerance")
     centering = float(np.max(np.abs(np.einsum("ab,jba->j", rho, np.asarray(xs)))))
-    if centering > numerics.constraint_tol:
+    if centering > CONSTRAINT_TOL:
         raise ValueError(f"X collection not rho-centered (|trace(rho X)| = {centering:.3e})")
     return res
 
@@ -400,8 +404,7 @@ def _certified(dual: _Dual, t, floor, idx=slice(None)):
     return xs, zs, value, v0, np.maximum(floor, dual.value(m, xs, _sign_weight(w, v), idx))
 
 
-def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
-                 numerics: NumericsConfig = DEFAULT_NUMERICS):
+def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions):
     """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
 
     Each point is computed as it would be computed alone.  A point the SLD
@@ -412,13 +415,13 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
     """
     rho = model.state(thetas)                  # the one state/derivs evaluation
     drho = np.asarray(model.derivs(thetas), dtype=complex)
-    g = _check_problem(rho, drho, np.asarray(g, dtype=float), numerics)
+    g = _check_problem(rho, drho, np.asarray(g, dtype=float))
 
-    lams = sld_from_state(rho, drho, model.is_pure, numerics)   # the one SLD evaluation
+    lams = sld_from_state(rho, drho, model.is_pure)   # the one SLD evaluation
     hmat = z_matrix(rho, lams).real
     hmat = 0.5 * (hmat + np.swapaxes(hmat, 1, 2))
     h_min = np.linalg.eigvalsh(hmat)[:, 0]
-    if np.any(h_min <= numerics.weight_eig_floor):
+    if np.any(h_min <= WEIGHT_EIG_FLOOR):
         worst = float(np.min(h_min))
         raise RankDeficiencyError(
             f"Helstrom matrix is singular (eigenvalue {worst:.3e}); "
@@ -451,8 +454,8 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions,
     return _BatchSolution(value, xs, zs, v0, diagnostics)
 
 
-def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions] = None,
-                 numerics: NumericsConfig = DEFAULT_NUMERICS) -> HolevoSolution:
+def solve_holevo(model: ParametricModel, theta, g,
+                 opts: Optional[SolverOptions] = None) -> HolevoSolution:
     """Compute the Holevo bound C_G(theta) and its minimizer V0.
 
     Raises RankDeficiencyError when the Helstrom matrix is singular (the
@@ -461,7 +464,7 @@ def solve_holevo(model: ParametricModel, theta, g, opts: Optional[SolverOptions]
     """
     opts = opts or SolverOptions()
     thetas = np.asarray(theta, dtype=float).reshape(1, -1)
-    batch = _solve_batch(model, thetas, np.asarray(g, dtype=float)[None], opts, numerics)
+    batch = _solve_batch(model, thetas, np.asarray(g, dtype=float)[None], opts)
     if not batch.diagnostics["converged"][0]:
         raise batch.nonconvergence(0, opts)
     return batch.solution(0)
@@ -490,31 +493,30 @@ def quarter_helstrom_weight(model: ParametricModel, theta):
 # ---------------------------------------------------------------------------
 # dual bounds
 
-def dual_bound(solution: HolevoSolution, g,
-               numerics: NumericsConfig = DEFAULT_NUMERICS):
+def dual_bound(solution: HolevoSolution, g):
     """Dual weight K0 = V0 G V0 with trace(K0 I_M) <= C^{K0} = C_G.
 
     Requires a nonsingular V0 (singular weights are out of scope).
     """
     v0 = solution.v0
-    if np.linalg.eigvalsh(v0)[0] <= numerics.weight_eig_floor:
+    if np.linalg.eigvalsh(v0)[0] <= WEIGHT_EIG_FLOOR:
         raise NumericalError("V0 is singular; dual construction unsupported")
     g = np.asarray(g, dtype=float)
     k0 = v0 @ g @ v0
     return 0.5 * (k0 + k0.T), solution.value
 
 
-def check_dual(k, info, c_k, slack_tol=DEFAULT_NUMERICS.dual_slack_tol):
+def check_dual(k, info, c_k):
     """Evaluate trace(K I) <= C^K; returns (holds, slack = C^K - trace(K I))."""
     imat = info.matrix if hasattr(info, "matrix") else np.asarray(info, dtype=float)
     slack = float(c_k - np.trace(np.asarray(k, dtype=float) @ imat))
-    return slack >= -slack_tol, slack
+    return slack >= -DUAL_SLACK_TOL, slack
 
 
 # ---------------------------------------------------------------------------
 # full-model embedding (convexity machinery)
 
-def full_model_collection(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def full_model_collection(rho):
     """Unique Y collection of the completely-unknown-state model at rho.
 
     Coordinates are Bloch-normalized: the derivative along coordinate i is
@@ -523,7 +525,7 @@ def full_model_collection(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
     """
     rho = check_density_matrix(rho)
     w = np.linalg.eigvalsh(rho)
-    if w[0] <= numerics.rank_tol:
+    if w[0] <= RANK_TOL:
         raise RankDeficiencyError(
             f"full model needs a nonsingular state (eigenvalue {w[0]:.3e})",
             eigenvalue=float(w[0]))
@@ -536,9 +538,9 @@ def full_model_collection(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
     return list(ys), z_matrix(rho, ys)
 
 
-def full_model_z(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def full_model_z(rho):
     """Z(Y) of the completely-unknown-state model at rho."""
-    return full_model_collection(rho, numerics)[1]
+    return full_model_collection(rho)[1]
 
 
 @dataclass(frozen=True)
@@ -550,8 +552,7 @@ class EmbeddingStep:
 
 
 def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
-                       eps_schedule=(1e-1, 1e-2, 1e-3), delta_max=1e3,
-                       numerics: NumericsConfig = DEFAULT_NUMERICS):
+                       eps_schedule=(1e-1, 1e-2, 1e-3)):
     """Embed a submodel solution into the full-model picture.
 
     Augments X* with a basis of its rho-orthocomplement, solves for the
@@ -562,7 +563,7 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
     """
     rho = model.state(theta)
     w = np.linalg.eigvalsh(rho)
-    if w[0] <= numerics.rank_tol:
+    if w[0] <= RANK_TOL:
         raise RankDeficiencyError("embedding requires a nonsingular state",
                                   eigenvalue=float(w[0]))
     drho = model.derivs(theta)
@@ -593,7 +594,7 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
     rhs = np.vstack([np.eye(q), np.zeros((1, q))])
     ys = np.einsum("aj,acd->jcd", np.linalg.solve(amat, rhs), basis)
     lead_err = max(float(np.max(np.abs(ys[j] - xs[j]))) for j in range(p))
-    if lead_err > 1e3 * numerics.constraint_tol:
+    if lead_err > 1e3 * CONSTRAINT_TOL:
         raise NumericalError(
             f"leading block of the full collection differs from X* by {lead_err:.3e}")
     z_full = z_matrix(rho, ys)
@@ -607,9 +608,9 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
         m_eps = z_full * np.outer(dvec, dvec)
         viol = float(np.linalg.eigvalsh(hermitize(m_eps - v_ext))[-1])
         delta = 1.01 * max(viol, 0.0) + 1e-12
-        if delta > delta_max:
+        if delta > _DELTA_MAX:
             raise NumericalError(
-                f"no delta < {delta_max} makes W > Z_full at eps={eps} "
+                f"no delta < {_DELTA_MAX} makes W > Z_full at eps={eps} "
                 f"(violating eigenvalue {viol:.3e})")
         w_eps = (v_ext + delta * np.eye(q)) / np.outer(dvec, dvec)
         margin = min_eigenvalue(w_eps - z_full)

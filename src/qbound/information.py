@@ -13,10 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import IrregularModelError, RankDeficiencyError
 from .linalg import hermitize
-from .models import ParametricModel, Povm, _real_traces, born_distribution
+from .models import PROB_FLOOR, ParametricModel, Povm, _real_traces, born_distribution
+
+RANK_TOL = 1e-8          # a state eigenvalue at or below this makes the state singular
+FISHER_GRAD_TOL = 1e-8   # |dp_x| above this at a vanishing outcome makes a model irregular
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class InfoMatrix:
         return self.matrix.shape[-1]
 
 
-def sld_from_state(rho, drho, pure=False, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def sld_from_state(rho, drho, pure=False):
     """SLDs of a state (d, d) with derivatives (p, d, d), shape (p, d, d);
     of stacks (n, d, d) and (n, p, d, d), shape (n, p, d, d).
 
@@ -48,23 +50,21 @@ def sld_from_state(rho, drho, pure=False, numerics: NumericsConfig = DEFAULT_NUM
     drho = np.asarray(drho, dtype=complex)
     w, v = np.linalg.eigh(rho)
     w_min = float(np.min(w[..., 0]))
-    if w_min <= numerics.rank_tol and not pure:
+    if w_min <= RANK_TOL and not pure:
         raise RankDeficiencyError(
-            f"state is singular (eigenvalue {w_min:.3e} <= {numerics.rank_tol:g}); "
+            f"state is singular (eigenvalue {w_min:.3e} <= {RANK_TOL:g}); "
             "SLDs are only computed for nonsingular or pure models",
             eigenvalue=w_min)
     denom = w[..., :, None] + w[..., None, :]
-    scale = np.where(denom > numerics.rank_tol,
-                     2.0 / np.maximum(denom, numerics.rank_tol), 0.0)
+    scale = np.where(denom > RANK_TOL, 2.0 / np.maximum(denom, RANK_TOL), 0.0)
     v = v[..., None, :, :]              # one eigenbasis for all p derivatives
     vh = np.swapaxes(v.conj(), -1, -2)
     return hermitize(v @ (scale[..., None, :, :] * (vh @ drho @ v)) @ vh)
 
 
-def sld(model: ParametricModel, theta, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def sld(model: ParametricModel, theta):
     """Symmetric logarithmic derivatives lambda_i at theta, shape (p, d, d)."""
-    return sld_from_state(model.state(theta), model.derivs(theta), model.is_pure,
-                          numerics)
+    return sld_from_state(model.state(theta), model.derivs(theta), model.is_pure)
 
 
 def sld_residual(rho, drho, lams):
@@ -73,25 +73,24 @@ def sld_residual(rho, drho, lams):
     return float(np.max(np.abs(rho @ lams + lams @ rho - 2.0 * np.asarray(drho))))
 
 
-def helstrom_matrix(model: ParametricModel, theta,
-                    numerics: NumericsConfig = DEFAULT_NUMERICS) -> InfoMatrix:
+def helstrom_matrix(model: ParametricModel, theta) -> InfoMatrix:
     """Helstrom quantum information matrix H_ij = Re trace(rho L_i L_j)."""
     rho = model.state(theta)
-    lams = sld_from_state(rho, model.derivs(theta), model.is_pure, numerics)
+    lams = sld_from_state(rho, model.derivs(theta), model.is_pure)
     return InfoMatrix(np.einsum("ab,ibc,jca->ij", rho, lams, lams).real, "helstrom")
 
 
-def classical_fisher(probs, dprobs, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def classical_fisher(probs, dprobs):
     """Fisher information (p, p) of outcome probabilities (n,) with derivative
     rows (p, n), or (..., p, p) of a stack (..., n) and (..., p, n).
-    Outcomes with p_x <= prob_floor and all |dp_x| <= fisher_grad_tol are
-    skipped; a vanishing outcome with |dp_x| > fisher_grad_tol makes the
+    Outcomes with p_x <= PROB_FLOOR and all |dp_x| <= FISHER_GRAD_TOL are
+    skipped; a vanishing outcome with |dp_x| > FISHER_GRAD_TOL makes the
     model irregular and raises."""
     probs = np.asarray(probs, dtype=float)
     dprobs = np.asarray(dprobs, dtype=float)
-    vanishing = probs <= numerics.prob_floor
+    vanishing = probs <= PROB_FLOOR
     grad = np.max(np.abs(dprobs), axis=-2)
-    irregular = np.argwhere(vanishing & (grad > numerics.fisher_grad_tol))
+    irregular = np.argwhere(vanishing & (grad > FISHER_GRAD_TOL))
     if len(irregular):
         at = tuple(irregular[0])
         raise IrregularModelError(
@@ -104,10 +103,9 @@ def classical_fisher(probs, dprobs, numerics: NumericsConfig = DEFAULT_NUMERICS)
     return 0.5 * (info + np.swapaxes(info, -1, -2))
 
 
-def povm_fisher(model: ParametricModel, theta, povm: Povm,
-                numerics: NumericsConfig = DEFAULT_NUMERICS) -> InfoMatrix:
+def povm_fisher(model: ParametricModel, theta, povm: Povm) -> InfoMatrix:
     """Fisher information of the Born distribution of a measurement; of a
     stacked Povm, each POVM's (..., p, p), the same as alone."""
-    probs = born_distribution(model.state(theta), povm, numerics)
+    probs = born_distribution(model.state(theta), povm)
     dprobs = _real_traces(model.derivs(theta), povm.elements)
-    return InfoMatrix(classical_fisher(probs, dprobs, numerics), "povm_fisher")
+    return InfoMatrix(classical_fisher(probs, dprobs), "povm_fisher")

@@ -6,7 +6,8 @@ Everything here works on plain ``numpy`` arrays; dimensions stay small
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS
+HERMITIAN_TOL = 1e-12      # per-entry |A - A^H| of a Hermitian state
+WEIGHT_EIG_FLOOR = 1e-10   # smallest admissible eigenvalue of a weight G, K or V0
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -20,15 +21,11 @@ def hermitize(a):
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def is_hermitian(a, tol=DEFAULT_NUMERICS.hermitian_tol):
-    """Whether a square matrix, or every matrix of a stack, is Hermitian."""
+def check_hermitian(a, tol=HERMITIAN_TOL, name="matrix"):
+    """A square matrix, or a stack, as complex; ValueError unless Hermitian."""
     a = np.asarray(a)
-    return a.ndim >= 2 and a.shape[-2] == a.shape[-1] and \
-        np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))) <= tol
-
-
-def check_hermitian(a, tol=DEFAULT_NUMERICS.hermitian_tol, name="matrix"):
-    if not is_hermitian(a, tol):
+    if not (a.ndim >= 2 and a.shape[-2] == a.shape[-1]
+            and np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))) <= tol):
         raise ValueError(f"{name} is not Hermitian within {tol:g}")
     return np.asarray(a, dtype=complex)
 
@@ -48,12 +45,12 @@ def psd_sqrt(a):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def sym_sqrt_and_inv_sqrt(g, eig_floor=DEFAULT_NUMERICS.weight_eig_floor):
+def sym_sqrt_and_inv_sqrt(g):
     """(G^{1/2}, G^{-1/2}) for a real symmetric positive-definite matrix or
     a stack of them."""
     g = np.asarray(g, dtype=float)
     w, v = np.linalg.eigh(0.5 * (g + np.swapaxes(g, -1, -2)))
-    if np.any(w[..., 0] <= eig_floor):
+    if np.any(w[..., 0] <= WEIGHT_EIG_FLOOR):
         raise ValueError("matrix not positive-definite "
                          f"(min eigenvalue {np.min(w[..., 0]):.3e})")
     root = np.sqrt(w)[..., None, :]

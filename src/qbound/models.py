@@ -20,24 +20,29 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import DimensionMismatchError, DomainError
 from .linalg import PAULIS, check_hermitian, hermitize, psd_sqrt
 
 FAMILIES = ("bloch_full", "bloch_equatorial", "pure_qubit", "pure_dim_d", "affine_custom")
 
+PSD_TOL = 1e-9           # eigenvalue floor of a numerically PSD state or POVM element
+TRACE_TOL = 1e-9         # |trace(rho) - 1| of a state; each entry of a POVM's sum - 1
+DERIV_TRACE_TOL = 1e-9   # |trace(drho_i)| of a model derivative
+PROB_FLOOR = 1e-12       # a Born probability at or below this vanishes
+_DOMAIN_TOL = 1e-12      # how far outside its domain a point still counts as inside
+
 
 # ---------------------------------------------------------------------------
 # basic validation
 
-def check_density_matrix(rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def check_density_matrix(rho):
     """Validate Hermiticity, positivity and unit trace of a state or a stack."""
-    rho = check_hermitian(rho, numerics.hermitian_tol, "density matrix")
+    rho = check_hermitian(rho, name="density matrix")
     w = np.min(np.linalg.eigvalsh(rho)[..., 0])
-    if w < -numerics.psd_tol:
+    if w < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > numerics.trace_tol
+    bad = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(bad):
         raise ValueError(f"density matrix trace {float(tr[bad].flat[0])!r} != 1")
     return rho
@@ -52,14 +57,14 @@ class Domain:
     bounds: Optional[tuple] = None  # box: ((lo, hi), ...) per coordinate
     dim: int = 0
 
-    def contains(self, theta, tol=1e-12):
+    def contains(self, theta):
         """Membership of one point (p,), or of each point of a stack (n, p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "ball":
-            return np.add.reduce(theta * theta, axis=-1) <= (self.radius + tol) ** 2
+            return np.add.reduce(theta * theta, axis=-1) <= (self.radius + _DOMAIN_TOL) ** 2
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
-        return np.all((theta >= lo - tol) & (theta <= hi + tol), axis=-1)
+        return np.all((theta >= lo - _DOMAIN_TOL) & (theta <= hi + _DOMAIN_TOL), axis=-1)
 
     def project(self, theta):
         """The nearest point of the domain to one point (p,), or to each
@@ -99,9 +104,9 @@ class Povm:
         if elems.ndim < 3 or not elems.shape[-3]:
             raise ValueError("POVM needs at least one (d, d) element")
         object.__setattr__(self, "elements", check_hermitian(elems, 1e-10, "POVM element"))
-        if np.min(np.linalg.eigvalsh(hermitize(elems))[..., 0]) < -DEFAULT_NUMERICS.psd_tol:
+        if np.min(np.linalg.eigvalsh(hermitize(elems))[..., 0]) < -PSD_TOL:
             raise ValueError("POVM element is not PSD")
-        if np.max(np.abs(elems.sum(axis=-3) - np.eye(self.dim))) > DEFAULT_NUMERICS.trace_tol:
+        if np.max(np.abs(elems.sum(axis=-3) - np.eye(self.dim))) > TRACE_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         if not self.outcomes:
             object.__setattr__(self, "outcomes", tuple(range(len(self))))
@@ -139,22 +144,22 @@ def _real_traces(mats, elems):
         np.concatenate([e.real, e.imag], axis=-1), -1, -2)
 
 
-def born_distribution(rho, povm: Povm, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def born_distribution(rho, povm: Povm):
     """Outcome distribution of a measurement: p_x = trace(rho M_x), shape
     (n,), or (..., n) for a stacked Povm.
 
-    Tiny negative values (above -prob_floor) are clipped to zero.
+    Tiny negative values (above -1e3 PROB_FLOOR) are clipped to zero.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[0] != povm.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.shape[0]} != POVM dimension {povm.dim}")
     p = _real_traces(rho[None], povm.elements)[..., 0, :]
-    if np.min(p) < -1e3 * numerics.prob_floor:
+    if np.min(p) < -1e3 * PROB_FLOOR:
         raise ValueError(f"negative Born probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)
     s = p.sum(axis=-1)
-    if np.max(np.abs(s - 1.0)) > numerics.trace_tol:
+    if np.max(np.abs(s - 1.0)) > TRACE_TOL:
         raise ValueError(f"Born probabilities sum to {s!r}")
     return p
 
@@ -162,7 +167,7 @@ def born_distribution(rho, povm: Povm, numerics: NumericsConfig = DEFAULT_NUMERI
 # ---------------------------------------------------------------------------
 # fidelity
 
-def fidelity(rho_hat, rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def fidelity(rho_hat, rho):
     """(trace sqrt(rho^1/2 rho_hat rho^1/2))^2, in [0, 1], of one pair of
     states (d, d), a float, or of each pair of two stacks (..., d, d).
 
@@ -183,16 +188,16 @@ def fidelity(rho_hat, rho, numerics: NumericsConfig = DEFAULT_NUMERICS):
         return float(val) if rho.ndim == 2 else val
     if rho.ndim > 2:
         pairs = zip(rho_hat.reshape(-1, *rho.shape[-2:]), rho.reshape(-1, *rho.shape[-2:]))
-        return np.array([fidelity(a, b, numerics) for a, b in pairs]).reshape(rho.shape[:-2])
+        return np.array([fidelity(a, b) for a, b in pairs]).reshape(rho.shape[:-2])
     for a, b in ((rho, rho_hat), (rho_hat, rho)):
         w, v = np.linalg.eigh(a)
-        if w[-1] >= 1.0 - 1e3 * numerics.psd_tol:
+        if w[-1] >= 1.0 - 1e3 * PSD_TOL:
             phi = v[:, -1]
             return min(max(float((phi.conj() @ b @ phi).real), 0.0), 1.0)
     root = psd_sqrt(rho)
     inner = hermitize(root @ rho_hat @ root)
     w = np.linalg.eigvalsh(inner)
-    if w[0] < -1e3 * numerics.psd_tol:
+    if w[0] < -1e3 * PSD_TOL:
         raise ValueError(f"inner matrix not PSD (eigenvalue {w[0]:.3e})")
     val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
     return min(val, 1.0)
@@ -297,17 +302,17 @@ def bloch_equatorial():
                          "bloch_equatorial", 2)
 
 
-def affine_model(rho0, basis, domain=None, numerics: NumericsConfig = DEFAULT_NUMERICS):
+def affine_model(rho0, basis, domain=None):
     """User-defined affine family rho(theta) = rho0 + sum_i theta_i B_i.
 
     The B_i must be traceless Hermitian; rho0 must be a valid state.
     """
-    rho0 = check_density_matrix(rho0, numerics)
+    rho0 = check_density_matrix(rho0)
     d = rho0.shape[0]
     mats = []
     for i, b in enumerate(basis):
         b = check_hermitian(b, 1e-10, f"basis[{i}]")
-        if abs(np.trace(b)) > numerics.deriv_trace_tol:
+        if abs(np.trace(b)) > DERIV_TRACE_TOL:
             raise ValueError(f"basis[{i}] has trace {np.trace(b)!r}, must be traceless")
         if b.shape[0] != d:
             raise DimensionMismatchError("basis dimension != rho0 dimension")
@@ -315,7 +320,7 @@ def affine_model(rho0, basis, domain=None, numerics: NumericsConfig = DEFAULT_NU
     if domain is None:
         domain = Domain("ball", radius=1.0, dim=len(mats))
     model = _affine_model(rho0, mats, domain, "affine_custom", d)
-    check_density_matrix(model.state(domain.reference_point), numerics)
+    check_density_matrix(model.state(domain.reference_point))
     return model
 
 

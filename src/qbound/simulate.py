@@ -309,6 +309,10 @@ class Estimator:
 _P_FLOOR = 1e-300
 # per copy: how far a certified pure MLE may fall short of the global maximum
 _CERT_MARGIN = 1e-9
+_MLE_TOL = 1e-8          # per-copy gradient length at which an MLE ascent stops
+_MLE_MAX_ITERS = 400     # steps after which an MLE ascent stops unconverged
+_POSTERIOR_DRAWS = 256   # importance draws of the posterior mean
+_PROPOSAL_SPREAD = 1.3   # how much wider than the Laplace fit its proposal is
 # rows per array pass: of a block of small tables (see _run_trials) and of a
 # chunk of tables weighing the posterior mean's draws (see _draws_loglik), so
 # each (tables, rows, 256) array is about 0.5 MB
@@ -354,8 +358,7 @@ def _pure_probs(acols, phi):
     return amp.real ** 2 + amp.imag ** 2
 
 
-def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
-                 max_iters=400) -> MleResult:
+def mle_estimate(data: SampleData, model: ParametricModel) -> MleResult:
     """Maximum likelihood estimate of theta from sampled outcomes.
 
     The likelihood is evaluated on the outcome count table.  Affine
@@ -370,7 +373,7 @@ def mle_estimate(data: SampleData, model: ParametricModel, tol=1e-8,
     A degenerate all-boundary likelihood sets the boundary flag instead of
     raising.  A block of one of the risk harness (see _mle_block).
     """
-    return _row(_mle_block(model, *_likelihood_table(data, model), tol, max_iters))
+    return _row(_mle_block(model, *_likelihood_table(data, model)))
 
 
 def _row(res):
@@ -379,17 +382,17 @@ def _row(res):
                      float(res.loglik[0]))
 
 
-def _mle_block(model, coeffs, counts, tol=1e-8, max_iters=400):
+def _mle_block(model, coeffs, counts):
     """The MleResult of every table of a block (see _table_block): one
     ascent over the stacked tables of an affine family, one table at a time
     for a pure family."""
     if model.is_pure:
-        runs = [_mle_pure(c, n, tol, max_iters) for c, n in zip(coeffs, counts)]
+        runs = [_mle_pure(c, n) for c, n in zip(coeffs, counts)]
         return MleResult(*map(np.array, zip(*runs)))
-    return _mle_affine(*coeffs, counts, model.domain, tol, max_iters)
+    return _mle_affine(*coeffs, counts, model.domain)
 
 
-def _mle_affine(a, bt, counts, dom, tol, max_iters):
+def _mle_affine(a, bt, counts, dom):
     """Safeguarded Newton ascent of the concave count log-likelihood of an
     affine family over its domain, for all tables of a block at once: a
     (T, R), bt (T, p, R) and counts (T, R).
@@ -402,9 +405,10 @@ def _mle_affine(a, bt, counts, dom, tol, max_iters):
     bloch_equatorial).  The candidate dom.project(theta + t step) halves t
     until the likelihood rises (see linalg._rise); where the Newton
     direction cannot rise the gradient direction is tried.  A table stops
-    when its projected gradient step is shorter than tol, which inside the
-    domain is |g| < tol*N and on its boundary detects a constrained maximum,
-    or when no candidate rises.  Every decision and every sum is per table.
+    when its projected gradient step is shorter than _MLE_TOL, which inside
+    the domain is |g| < _MLE_TOL*N and on its boundary detects a constrained
+    maximum, or when no candidate rises.  Every decision and every sum is
+    per table.
     """
     loglik = functools.partial(_affine_loglik, a, bt, counts)
     n_copies = np.maximum(1.0, counts.sum(axis=-1))[:, None]
@@ -413,11 +417,11 @@ def _mle_affine(a, bt, counts, dom, tol, max_iters):
     f = loglik(theta)
     live = np.ones(len(a), dtype=bool)
     converged = np.zeros(len(a), dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(_MLE_MAX_ITERS):
         probs = _affine_probs(a, bt, theta)
         r = np.divide(counts, probs, out=np.zeros_like(probs), where=seen)
         grad = np.sum(bt * r[:, None], axis=-1)
-        done = np.linalg.norm(dom.project(theta + grad / n_copies) - theta, axis=-1) < tol
+        done = np.linalg.norm(dom.project(theta + grad / n_copies) - theta, axis=-1) < _MLE_TOL
         converged |= live & done
         live &= ~done
         if not live.any():
@@ -476,7 +480,7 @@ def _face_newton(theta, grad, hess, dom):
     return step
 
 
-def _mle_pure(acols, counts, tol, max_iters):
+def _mle_pure(acols, counts):
     """(theta, boundary, converged, loglik) of the pure-state MLE of one
     table on the amplitude sphere (see mle_estimate).
 
@@ -496,7 +500,7 @@ def _mle_pure(acols, counts, tol, max_iters):
         return _count_loglik(_pure_probs(acols, phi), counts)
 
     def ascend(start):
-        return _ascend_sphere(acols, counts, start, loglik, tol, max_iters)
+        return _ascend_sphere(acols, counts, start, loglik)
 
     # the top eigenvector of sum c conj(e) e^T, the conjugate of that of sum c e e^H
     top = np.linalg.eigh((acols * counts) @ acols.T.conj())[1][:, -1]
@@ -556,7 +560,7 @@ def _pure_gap(acols, counts, phi):
     return float(np.linalg.eigvalsh(big)[-1] - (phi.conj() @ big @ phi).real)
 
 
-def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
+def _ascend_sphere(acols, counts, phi, loglik):
     """(loglik, phi, converged) after a safeguarded Newton ascent from phi.
 
     About the current phi, with Q an orthonormal basis of phi-perp and
@@ -567,7 +571,7 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
     coordinates (Re v, Im v) the step is the Newton step of that model where
     its Hessian is negative definite and the gradient step g/(2N) elsewhere;
     it is halved until the likelihood rises.  |s1| is the norm of the
-    Riemannian gradient, and the ascent stops when it falls below tol*N.
+    Riemannian gradient, and the ascent stops when it falls below _MLE_TOL*N.
     """
     n_copies = max(1.0, float(counts.sum()))
     phi = phi / np.linalg.norm(phi)
@@ -579,14 +583,14 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
             return f, phi, False
     m = phi.size - 1
     h = np.empty((2 * m, 2 * m))
-    for _ in range(max_iters):
+    for _ in range(_MLE_MAX_ITERS):
         frame = np.linalg.eigh(np.outer(phi, phi.conj()))[1]
         frame[:, m] = phi  # the eigenvalue-1 vector, up to its phase
         amps = frame.T @ acols
         w = amps[:m] / amps[m]
         cw = w * counts
         s1 = cw.sum(axis=1)
-        if np.linalg.norm(s1) < tol * n_copies:
+        if np.linalg.norm(s1) < _MLE_TOL * n_copies:
             return f, phi, True
         s2 = cw @ w.T
         # g and h: half the gradient and minus half the Hessian of the model
@@ -607,8 +611,7 @@ def _ascend_sphere(acols, counts, phi, loglik, tol, max_iters):
     return f, phi, False
 
 
-def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
-                        n_samples=256, spread=1.3, seed=0):
+def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior, seed=0):
     """Posterior mean via Laplace-guided importance sampling.
 
     Proposes from a normal centred at the MLE with covariance from a
@@ -617,8 +620,7 @@ def bayes_mean_estimate(data: SampleData, model: ParametricModel, prior: Prior,
     effective sample size degenerates.  Returns (estimate, MleResult).  A
     block of one of the risk harness (see _bayes_mean_block).
     """
-    est, mle = _bayes_mean_block(model, *_likelihood_table(data, model), prior,
-                                 n_samples, spread, seed)
+    est, mle = _bayes_mean_block(model, *_likelihood_table(data, model), prior, seed)
     return est[0], _row(mle)
 
 
@@ -645,7 +647,7 @@ def _pure_draws_loglik(acols, counts, points):
                      for c, n, phi in zip(acols, counts, phis)])
 
 
-def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, seed=0):
+def _bayes_mean_block(model, coeffs, counts, prior, seed=0):
     """(estimates (T, p), MleResult) of the posterior means of a block: the
     stencils of all count tables in one likelihood call and their draws,
     weighed as one stack (domain, prior density, likelihood), in another;
@@ -670,16 +672,16 @@ def _bayes_mean_block(model, coeffs, counts, prior, n_samples=256, spread=1.3, s
     f0, fi, fij = vals[:, :1], vals[:, 1:p + 1], vals[:, p + 1:]
     hess = np.empty((n_tables, p, p))
     hess[:, iu, ju] = hess[:, ju, iu] = (fij - fi[:, iu] - fi[:, ju] + f0) / h ** 2
-    cov = np.linalg.inv(-hess + 1e-6 * np.eye(p)) * spread ** 2
+    cov = np.linalg.inv(-hess + 1e-6 * np.eye(p)) * _PROPOSAL_SPREAD ** 2
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     w, v = np.linalg.eigh(cov)
     root = (v * np.sqrt(np.clip(w, 1e-12, None))[:, None]) @ np.swapaxes(v, 1, 2)
-    z = np.random.default_rng(seed).standard_normal((n_samples, p))
+    z = np.random.default_rng(seed).standard_normal((_POSTERIOR_DRAWS, p))
     draws = center + root @ z.T
     logq = -0.5 * np.add.reduce(np.swapaxes(np.linalg.inv(cov), 1, 2) @ (draws - center)
                                 * (draws - center), axis=1)
     points = np.ascontiguousarray(np.swapaxes(draws, 1, 2))  # (T, M, p)
-    dens = prior.density(points.reshape(-1, p)).reshape(n_tables, n_samples)
+    dens = prior.density(points.reshape(-1, p)).reshape(n_tables, _POSTERIOR_DRAWS)
     usable = dom.contains(np.swapaxes(draws, 1, 2)) & (dens > 0.0)
     logw = np.where(usable, loglik(draws) - logq
                     + np.log(dens, where=usable, out=np.zeros_like(dens)), -np.inf)

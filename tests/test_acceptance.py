@@ -16,14 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from qbound import (Estimator, QuadratureOptions,
-                    alternating_scheme, basis_povm, bayes_risk_mc, bump_prior,
-                    bloch_equatorial, bloch_full, builtin_model, check_dual,
-                    dual_bound, empirical_fisher, fidelity, fidelity_loss,
-                    helstrom_matrix, integrated_holevo, prior_expectation,
-                    pure_qubit, pure_state_model, quarter_helstrom_weight,
-                    random_basis_scheme, sld, sld_residual, solve_holevo,
-                    two_step_scheme, z_matrix)
+from qbound import (Domain, Estimator, IrregularModelError, QuadratureOptions,
+                    RankDeficiencyError, alternating_scheme, basis_povm, bayes_risk_mc,
+                    bump_prior, bloch_equatorial, bloch_full, builtin_model, check_dual,
+                    check_density_matrix, classical_fisher, dual_bound, empirical_fisher,
+                    fidelity, fidelity_loss, helstrom_matrix, integrated_holevo,
+                    prior_expectation, pure_qubit, pure_state_model,
+                    quarter_helstrom_weight, random_basis_scheme, sld, sld_residual,
+                    solve_holevo, two_step_scheme, z_matrix)
+from qbound.information import sld_from_state
 from qbound.linalg import haar_unitary, random_hermitian, sym_sqrt_and_inv_sqrt
 from qbound.cli import _verify_rows
 from qbound.simulate import PAULI_BASES
@@ -106,6 +107,46 @@ VERIFY_QUICK_ROWS = [
     ("Bloch fidelity closed form (max dev)", 0.0, 2.220446049250313e-16, 1e-12),
     ("integrated bound full qubit vs (3+2E|theta|)/4", 0.99609375, 0.9960937499999998, 1e-08),
 ]
+
+
+def _accepts(check, error):
+    """x -> whether check(x) returns without raising error."""
+    def accepted(x):
+        try:
+            check(x)
+        except error:
+            return False
+        return True
+    return accepted
+
+
+def _fisher_skips(grad):
+    """Whether an outcome of probability 1e-12 and derivative grad is skipped
+    (adds nothing), not irregular."""
+    try:
+        info = classical_fisher([1e-12, 1.0 - 1e-12], [[grad, -grad]])
+    except IrregularModelError:
+        return False
+    return info[0, 0] == pytest.approx(grad * grad / (1.0 - 1e-12), rel=1e-12)
+
+
+# each module tolerance: (x -> whether x is accepted, values just inside the
+# tolerance, values just outside it)
+TOLERANCE_EDGES = {
+    "density trace": (_accepts(lambda x: check_density_matrix(np.diag([0.5 + x, 0.5])),
+                               ValueError), [0.5e-9, -0.5e-9], [2e-9]),
+    "density eigenvalue": (_accepts(lambda x: check_density_matrix(np.diag([1.0 - x, x])),
+                                    ValueError), [-0.5e-9], [-2e-9]),
+    "SLD rank": (_accepts(lambda x: sld_from_state(np.diag([1.0 - x, x]),
+                                                   np.diag([0.5, -0.5])[None]),
+                          RankDeficiencyError), [2e-8], [0.5e-8]),
+    "Fisher gradient": (_fisher_skips, [0.5e-8], [2e-8]),
+    "dual slack": (lambda x: check_dual(np.zeros((2, 2)), np.eye(2), x)[0], [-0.5e-7], [-2e-7]),
+    "weight eigenvalue": (_accepts(lambda x: sym_sqrt_and_inv_sqrt(np.diag([1.0, x])),
+                                   ValueError), [2e-10], [0.5e-10]),
+    "ball domain": (lambda x: bool(Domain("ball", dim=2).contains([1.0 + x, 0.0])),
+                    [0.5e-12], [2e-12]),
+}
 
 
 def _model(name):
@@ -416,6 +457,14 @@ class TestHardLimits:
         assert [row[:2] for row in rows] == [row[:2] for row in VERIFY_QUICK_ROWS]
         for row, pinned in zip(rows, VERIFY_QUICK_ROWS):
             assert row[2:] == pytest.approx(pinned[2:], rel=1e-9), row[0]
+
+
+class TestToleranceEdges:
+    @pytest.mark.parametrize("name", list(TOLERANCE_EDGES))
+    def test_inside_accepted_outside_rejected(self, name):
+        accepted, inside, outside = TOLERANCE_EDGES[name]
+        assert all(accepted(x) for x in inside)
+        assert not any(accepted(x) for x in outside)
 
 
 class TestCriterion9ConvexityMachinery:

@@ -486,6 +486,19 @@ class TestVanTrees:
             assert rhs >= 0.5 - jv / n - 1e-6
         assert values[0] < values[1] < values[2]
 
+    def test_canonical_c_matches_closed_form(self, all_models):
+        # c_fn=None solves every node for C = Gtilde psi' V0
+        model = all_models["bloch_equatorial"]
+        prior = bump_prior(2, 0.8)
+        loss = fidelity_loss(model)
+        info_fn = _alternating_info_fn(model)
+        solved = van_trees_parts(model, prior, loss, info_fn, 1000, quad=QUICK)
+        closed = van_trees_parts(model, prior, loss, info_fn, 1000,
+                                 c_fn=equatorial_c_fn, quad=QUICK)
+        assert solved["numerator_mean"] == pytest.approx(closed["numerator_mean"], abs=1e-9)
+        assert solved["info_mean"] == pytest.approx(closed["info_mean"], abs=1e-9)
+        assert solved["j_value"] == pytest.approx(closed["j_value"], rel=1e-6)
+
     def test_degenerate_denominator_raises(self, all_models):
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)

@@ -24,6 +24,10 @@ def run_cli(*args, env_seed=None):
                           capture_output=True, text=True, env=env)
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("trials ran before the bound was checked")
+
+
 def assert_usage_error(res):
     """Exit 2 with a one-line ``error:`` message and no traceback."""
     assert res.returncode == 2, res.stderr
@@ -83,6 +87,15 @@ class TestHolevoCommand:
         res = run_cli("holevo", "--model", "bloch_equatorial", "--theta", "0.3,0",
                       "--weight", f"file:{bad}")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_weight_file_rejected(self, tmp_path, entry):
+        bad = tmp_path / "w.json"
+        bad.write_text(f"[[{entry}, 0], [0, 1]]")
+        res = run_cli("holevo", "--model", "bloch_equatorial", "--theta", "0.3,0",
+                      "--weight", f"file:{bad}")
+        assert_usage_error(res)
+        assert res.stdout == ""
 
     def test_nonconvergence_exit_code(self, tmp_path):
         # builtin families certify at the SLD start and never ascend the
@@ -184,6 +197,26 @@ class TestSimulateCommand:
         vb = json.loads(b.stdout)["rows"][0]["value"]
         assert va == vb
 
+    def test_pure_dim_3_bound_by_monte_carlo(self):
+        # p = 4 is past the ball grids
+        res = run_cli("simulate", "--model", "pure_dim_d", "--dim", "3",
+                      "--n-copies", "50", "--trials", "4")
+        assert res.returncode == 0, res.stderr
+        (row,) = json.loads(res.stdout)["rows"]
+        assert row["bound"] == pytest.approx(2.0, abs=1e-9)  # d - 1
+
+    def test_model_without_bound_fails_before_trials(self, tmp_path, monkeypatch):
+        from qbound import cli
+        from qbound.models import model_to_spec
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(model_to_spec(
+            random_mixed_model(np.random.default_rng(0), 2, 2))))
+        monkeypatch.setattr(cli, "bayes_risk_mc", _no_trials)
+        code, out, err = _run_main(["simulate", "--model", str(spec), "--prior", "bump:0.1",
+                                    "--n-copies", "50", "--trials", "4"])
+        assert code == 2 and out == ""
+        assert "fidelity embedding" in err
+
     def test_zero_copies_rejected(self):
         assert_usage_error(run_cli("simulate", "--model", "bloch_equatorial",
                                    "--n-copies", "0", "--trials", "4"))
@@ -278,8 +311,8 @@ _PRIOR = _flag("--prior", ["bump:0.5", "bump:", "uniform:0.5"],
                 "uniform:-0.1", "cauchy:1", ":0.5"])
 _GRID = ["1", "2", "4"], ["0", "-1"]
 _WORKERS = _flag("--workers", ["1"], ["0", "-1"])
-# simulate integrates the bound on a fixed 8/12/2 grid once its Monte Carlo
-# part succeeds; on bloch_full that takes seconds, so it is left out
+# simulate integrates the bound on a fixed 8/12/2 grid (p > 3: 2000 prior
+# draws) before its trials; on bloch_full that takes seconds, so it is left out
 _ARGV = st.one_of(
     st.tuples(st.just(["helstrom"]), _model_and_theta(list(_PARAMS))),
     st.tuples(st.just(["holevo"]), _model_and_theta(list(_PARAMS)),

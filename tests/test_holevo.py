@@ -292,7 +292,9 @@ class TestSolver:
     @pytest.mark.parametrize("weight, message", [
         (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
         (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive-definite"),
-        (np.eye(3), "dimension")])
+        (np.eye(3), "dimension"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite")])
     def test_bad_weight_rejected(self, all_models, weight, message):
         with pytest.raises(ValueError, match=message):
             solve_holevo(all_models["bloch_equatorial"], [0.3, 0.1], weight)

@@ -613,7 +613,7 @@ class TestNewtonAscent:
                 raise
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        f, phi, converged = _ascend_sphere(acols, counts, start, loglik, 1e-8, 400)
+        f, phi, converged = _ascend_sphere(acols, counts, start, loglik)
         assert refused  # the gradient step was taken
         assert converged
         peak = _direction_basis(corners[0])[:, 0]
@@ -664,7 +664,7 @@ def sphere_starts(acols, counts):
 def ascents(acols, counts, starts):
     """(loglik, phi, converged) of _ascend_sphere from each start."""
     loglik = sphere_loglik(acols, counts)
-    return [_ascend_sphere(acols, counts, s, loglik, 1e-8, 400) for s in starts]
+    return [_ascend_sphere(acols, counts, s, loglik) for s in starts]
 
 
 def four_start_ascents(acols, counts):
