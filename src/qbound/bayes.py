@@ -251,15 +251,14 @@ class LossSpec:
     """Quadratic loss  (psi_hat - psi)^T Gtilde (psi_hat - psi).
 
     ``g0(theta) = psi'(theta)^T Gtilde psi'(theta)`` is the induced weight
-    for the underlying parameter.  ``g0`` takes one point (p,) or a stack
-    (n, p) when ``psi_jac`` and ``gtilde`` do.  ``j_functional`` calls
-    ``gtilde`` with a stack and takes (n, q, q) or one (q, q) for all.
+    for the underlying parameter.  ``psi_jac`` and ``gtilde`` take a stack
+    of points (n, p): ``psi_jac`` returns (n, q, p) and ``gtilde`` (n, q, q)
+    or one (q, q) for all; ``g0`` takes one point (p,) or a stack.
     """
 
     psi: Callable = field(repr=False)
     psi_jac: Callable = field(repr=False)
     gtilde: Callable = field(repr=False)
-    loss: Callable = field(repr=False)
     name: str = "custom"
 
     def to_spec(self):
@@ -294,14 +293,9 @@ def fidelity_loss(model: ParametricModel) -> LossSpec:
     s = embedding_loss_scale(model)
     q = len(fidelity_embedding(model, model.domain.reference_point)[0])
     eye = s * np.eye(q)
-
-    def loss(theta_hat, theta):
-        dpsi = fidelity_embedding(model, theta_hat)[0] - fidelity_embedding(model, theta)[0]
-        return float(s * dpsi @ dpsi)
-
     return LossSpec(psi=lambda t: fidelity_embedding(model, t)[0],
                     psi_jac=lambda t: fidelity_embedding(model, t)[1],
-                    gtilde=lambda t: eye, loss=loss, name="fidelity")
+                    gtilde=lambda t: eye, name="fidelity")
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +367,19 @@ class BayesBoundResult:
                 "iterations": self.iterations}
 
 
-def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None):
-    """E_pi[fn(theta)] on the module's grid, normalized by the on-grid mass."""
+def _first_grid(prior, quad):
+    """The first grid level of quad on the prior's support, for the
+    integrals that take grid quadrature only."""
     quad = quad or QuadratureOptions()
-    grid = _BallGrid(prior.domain.dim, prior.domain.radius,
-                     quad.n_radial, quad.n_angular)
+    if quad.method != "grid":
+        raise ValueError(f"this integral takes grid quadrature only, not method {quad.method!r}")
+    return _BallGrid(prior.domain.dim, prior.domain.radius, quad.n_radial, quad.n_angular)
+
+
+def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None):
+    """E_pi[fn(theta)] on the first level of the module's grid, normalized by
+    the on-grid mass; fn is called once per node."""
+    grid = _first_grid(prior, quad)
     dens = prior.density(grid.nodes)
     vals = np.array([fn(t) for t in grid.nodes])
     mass = float(np.sum(grid.weights * dens))
@@ -467,9 +469,13 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
 # ---------------------------------------------------------------------------
 # van Trees machinery
 
-def _canonical_c_fn(model, loss, thetas, solver_opts):
-    """C(theta) = Gtilde psi' V0(theta) at a node stack thetas (n, p)."""
-    v0s = _solve_nodes(model, loss, thetas, solver_opts, strict=True)[1]
+def _c_nodes(model, loss, thetas, c_fn, solver_opts):
+    """C (n, q, p) at a node stack thetas (n, p): c_fn called at each node,
+    or, for c_fn None, the canonical C = Gtilde psi' V0 from one stack of
+    Holevo solves."""
+    if c_fn is not None:
+        return np.stack([np.asarray(c_fn(theta), dtype=float) for theta in thetas])
+    v0s = _solve_nodes(model, loss, thetas, solver_opts or SolverOptions(), strict=True)[1]
     return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
 
 
@@ -477,32 +483,24 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
                     info_fn, n_copies, c_fn=None,
                     quad: Optional[QuadratureOptions] = None,
                     solver_opts: Optional[SolverOptions] = None):
-    """Numerator and denominator pieces of the van Trees bound.
+    """Numerator and denominator pieces of the van Trees bound, integrated on
+    the first grid level of quad (grid quadrature only).
 
-    c_fn: matrix function theta -> C (dim psi x dim theta); None selects the
-    canonical C = Gtilde psi' V0.  info_fn: theta -> per-copy information of
-    the scheme under study.
+    c_fn: matrix function theta -> C (dim psi x dim theta), called once per
+    node; None selects the canonical C = Gtilde psi' V0 from one stack of
+    Holevo solves.  info_fn: theta -> per-copy information of the scheme
+    under study (a matrix or an object with ``.matrix``), called once per
+    node.  ``loss.psi_jac`` and ``loss.gtilde`` are called on the node stack.
     """
-    quad = quad or QuadratureOptions()
-    solver_opts = solver_opts or SolverOptions()
-    grid = _BallGrid(prior.domain.dim, prior.domain.radius,
-                     quad.n_radial, quad.n_angular)
-    if c_fn is None:
-        cs = _canonical_c_fn(model, loss, grid.nodes, solver_opts)
-    else:
-        cs = np.stack([np.asarray(c_fn(theta), dtype=float) for theta in grid.nodes])
+    grid = _first_grid(prior, quad)
+    cs = _c_nodes(model, loss, grid.nodes, c_fn, solver_opts)
+    infos = [info_fn(theta) for theta in grid.nodes]
+    imats = np.stack([np.asarray(getattr(info, "matrix", info), dtype=float) for info in infos])
+    gis = np.linalg.inv(loss.gtilde(grid.nodes))
     dens = prior.density(grid.nodes)
     mass = float(np.sum(grid.weights * dens))
-    num_terms = np.empty(len(grid.nodes))
-    den_terms = np.empty(len(grid.nodes))
-    for idx, theta in enumerate(grid.nodes):
-        c = cs[idx]
-        jac = loss.psi_jac(theta)
-        gi = np.linalg.inv(loss.gtilde(theta))
-        info = info_fn(theta)
-        imat = info.matrix if hasattr(info, "matrix") else np.asarray(info, dtype=float)
-        num_terms[idx] = np.trace(c @ jac.T)
-        den_terms[idx] = np.trace(gi @ c @ imat @ c.T)
+    num_terms = np.trace(cs @ np.swapaxes(loss.psi_jac(grid.nodes), -1, -2), axis1=-2, axis2=-1)
+    den_terms = np.trace(gis @ cs @ imats @ np.swapaxes(cs, -1, -2), axis1=-2, axis2=-1)
     numerator_mean = float(np.sum(grid.weights * dens * num_terms) / mass)
     info_mean = float(np.sum(grid.weights * dens * den_terms) / mass)
     jf = j_functional(model, prior, loss, c_fn=c_fn, solver_opts=solver_opts)
@@ -550,11 +548,14 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
     on their boundary (the known failure mode, e.g. a truncated uniform)
     carry an infinite functional and are rejected, as is any estimate that
     keeps drifting by more than _J_DRIFT_TOL across two refinements, which
-    needs levels >= 2.  The Holevo solves of a level run as one node stack,
-    and its weighted sum is one stacked pass over the nodes with positive
-    density.
+    needs levels >= 2.  c_fn, as in van_trees_parts, is called once per
+    node, and ``loss.psi_jac`` and ``loss.gtilde`` on node stacks.  A refined
+    level halves the grid step, so the coarser level's nodes are its
+    even-index nodes, bit for bit: their C is copied, and only the other
+    nodes inside the stencil shell go to one c_fn pass or one stack of Holevo
+    solves.  The weighted sum of a level is one stacked pass over the nodes
+    with positive density.
     """
-    solver_opts = solver_opts or SolverOptions()
     p = prior.domain.dim
     if p > 3:
         raise ValueError("j_functional supports p <= 3")
@@ -567,25 +568,9 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
             "diverges for priors that do not vanish there")
     r0 = prior.domain.radius
     half = 1.02 * r0
-
-    if c_fn is None:
-        v0_cache = {}  # a refined grid keeps every node of the coarser one
-
-        def c_stack(thetas):
-            """C at a stack of nodes, solving only the nodes not seen before."""
-            keys = [tuple(np.round(t, 12)) for t in thetas]
-            todo = [i for i, key in enumerate(keys) if key not in v0_cache]
-            if todo:
-                v0s = _solve_nodes(model, loss, thetas[todo], solver_opts, strict=True)[1]
-                v0_cache.update(zip((keys[i] for i in todo), v0s))
-            v0s = np.stack([v0_cache[key] for key in keys])
-            return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
-    else:
-        def c_stack(thetas):
-            return np.stack([np.asarray(c_fn(t), dtype=float) for t in thetas])
-
     q = len(loss.psi(prior.domain.reference_point))
-    values = []
+    values, coarse = [], None
+    even = (slice(None, None, 2),) * p
     n = base_n
     for _ in range(levels):
         axes = [np.linspace(-half, half, n)] * p
@@ -595,26 +580,24 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
             raise ValueError(
                 f"prior support radius {r0} leaves no room for the difference "
                 f"stencil inside the model domain (need radius > {shell:.3f})")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        norms = np.linalg.norm(pts, axis=1)
-        cgrid = np.zeros((pts.shape[0], q, p))
-        inner = norms <= shell
-        cgrid[inner] = c_stack(pts[inner])
-        cgrid = cgrid.reshape(*([n] * p), q, p)
-        divc = np.zeros((*([n] * p), q))
-        for axis in range(p):
-            divc += np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
-        cgrid = cgrid.reshape(-1, q, p)
-        divc = divc.reshape(-1, q)
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        inner = (np.linalg.norm(pts, axis=1) <= shell).reshape([n] * p)
+        cgrid = np.zeros((*inner.shape, q, p))
+        todo = inner.copy()
+        if coarse is not None:  # the shell shrinks: C of every inner coarse node is known
+            cgrid[even] = np.where(inner[even][..., None, None], coarse, 0.0)
+            todo[even] = False
+        cgrid[todo] = _c_nodes(model, loss, pts[todo.ravel()], c_fn, solver_opts)
+        divc = sum(np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
+                   for axis in range(p)).reshape(-1, q)
         dens = prior.density(pts)
         keep = dens > 1e-12 * prior.peak
         pts, dens = pts[keep], dens[keep]
-        w = (np.einsum("nqp,np->nq", cgrid[keep], prior.density_grad(pts))
+        w = (np.einsum("nqp,np->nq", cgrid.reshape(-1, q, p)[keep], prior.density_grad(pts))
              + divc[keep] * dens[:, None])
         gi = np.broadcast_to(np.linalg.inv(loss.gtilde(pts)), (len(pts), q, q))
         values.append(float(np.sum(np.einsum("ni,nij,nj->n", w, gi, w) / dens)) * h ** p)
-        n = 2 * n - 1
+        coarse, n = cgrid, 2 * n - 1
     drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-12)
     if drift > _J_DRIFT_TOL:
         raise DivergentIntegralError(

@@ -368,22 +368,35 @@ class TestJFunctional:
                           c_fn=lambda t: c * equatorial_c_fn(t), base_n=13, levels=2)
         assert j2 == pytest.approx(c * j1, rel=1e-6)
 
-
-    def test_one_batch_per_level(self, all_models, monkeypatch):
-        # one node stack per level, over the nodes a coarser level left unsolved
+    @pytest.mark.parametrize("path", ["solver", "c_fn"])
+    def test_one_batch_per_level(self, all_models, monkeypatch, path):
+        # C once per node: one node stack (or c_fn pass) per level, over the
+        # nodes a coarser level left out, and every inner node of the finest
+        # level covered
         import qbound.bayes as bayes
-        real, sizes = bayes._solve_nodes, []
+        real, sizes, seen = bayes._solve_nodes, [], []
 
         def counting(model, loss, thetas, *args, **kwargs):
             sizes.append(len(thetas))
+            seen.extend(map(tuple, thetas))
             return real(model, loss, thetas, *args, **kwargs)
 
-        monkeypatch.setattr(bayes, "_solve_nodes", counting)
+        def recording_c_fn(theta):
+            seen.append(tuple(theta))
+            return equatorial_c_fn(theta)
+
+        monkeypatch.setattr(bayes, "_solve_nodes", counting if path == "solver" else _no_solve)
         model = all_models["bloch_equatorial"]
         j_functional(model, bump_prior(2, 0.8), fidelity_loss(model),
-                     base_n=13, levels=3)
-        assert len(sizes) == 3
-        assert sizes[0] > 1 and sizes[1] > sizes[0] and sizes[2] > sizes[1]
+                     c_fn=recording_c_fn if path == "c_fn" else None, base_n=13, levels=3)
+        assert len(set(seen)) == len(seen)
+        axis = np.linspace(-1.02 * 0.8, 1.02 * 0.8, 49)   # the third level's axis
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        inner = pts[np.linalg.norm(pts, axis=1) <= 0.8 + 1.2 * (axis[1] - axis[0])]
+        assert set(map(tuple, inner)) <= set(seen)
+        if path == "solver":
+            assert len(sizes) == 3
+            assert sizes[0] > 1 and sizes[1] > sizes[0] and sizes[2] > sizes[1]
 
     @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit"])
     def test_batch_equals_warm_chained_solves(self, all_models, name):
@@ -439,7 +452,60 @@ class TestSerialization:
         assert np.allclose(again.g0(theta), loss.g0(theta))
 
 
+def per_node_van_trees_parts(prior, loss, info_fn, c_fn, quad):
+    """numerator_mean and info_mean of van_trees_parts with every term
+    evaluated node by node, as before the terms were stacked."""
+    grid = _BallGrid(prior.domain.dim, prior.domain.radius, quad.n_radial, quad.n_angular)
+    num_terms, den_terms = np.empty(len(grid.nodes)), np.empty(len(grid.nodes))
+    for idx, theta in enumerate(grid.nodes):
+        c = c_fn(theta)
+        jac = loss.psi_jac(theta)
+        gi = np.linalg.inv(loss.gtilde(theta))
+        info = info_fn(theta)
+        imat = info.matrix if hasattr(info, "matrix") else np.asarray(info, dtype=float)
+        num_terms[idx] = np.trace(c @ jac.T)
+        den_terms[idx] = np.trace(gi @ c @ imat @ c.T)
+    weights = grid.weights * np.array([prior.density(t) for t in grid.nodes])
+    return (np.sum(weights * num_terms) / np.sum(weights),
+            np.sum(weights * den_terms) / np.sum(weights))
+
+
 class TestVanTrees:
+    @pytest.mark.parametrize("case", ["solver", "closed form", "random affine"])
+    def test_stacked_terms_equal_per_node_loop(self, all_models, monkeypatch, case):
+        # J(pi) has its own per-node check; a stub keeps this one to the grid terms
+        import qbound.bayes as bayes
+        from qbound import helstrom_matrix
+        monkeypatch.setattr(bayes, "j_functional", lambda *args, **kwargs: 0.0)
+        if case == "random affine":   # non-identity Gtilde, Helstrom information
+            model, loss = _random_affine_case()
+            prior = bump_prior(2, 0.4)
+            info_fn = lambda theta: helstrom_matrix(model, theta)
+        else:
+            model = all_models["bloch_equatorial"]
+            loss, prior = fidelity_loss(model), bump_prior(2, 0.8)
+            info_fn = _alternating_info_fn(model)
+        c_fn = equatorial_c_fn if case == "closed form" else None
+        parts = van_trees_parts(model, prior, loss, info_fn, 1000, c_fn=c_fn, quad=QUICK)
+        numerator, info = per_node_van_trees_parts(prior, loss, info_fn,
+                                                   c_fn or solver_c_fn(model, loss), QUICK)
+        assert parts["numerator_mean"] == pytest.approx(numerator, rel=1e-12, abs=0.0)
+        assert parts["info_mean"] == pytest.approx(info, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["mc", "MC"])
+    def test_grid_only_functions_reject_other_methods(self, all_models, monkeypatch,
+                                                      method):
+        import qbound.bayes as bayes
+        monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
+        model = all_models["bloch_equatorial"]
+        loss, prior = fidelity_loss(model), bump_prior(2, 0.8)
+        info_fn, quad = _alternating_info_fn(model), QuadratureOptions(method=method)
+        for call in (lambda: van_trees_parts(model, prior, loss, info_fn, 1000, quad=quad),
+                     lambda: van_trees_rhs(model, prior, loss, info_fn, 1000, quad=quad),
+                     lambda: prior_expectation(np.linalg.norm, prior, quad)):
+            with pytest.raises(ValueError, match=f"method {method!r}"):
+                call()
+
     def test_numerator_equals_integrated_bound(self, all_models):
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
@@ -549,7 +615,7 @@ def _random_affine_case():
     gt = a @ a.T + 0.5 * np.eye(2)
     loss = LossSpec(psi=lambda t: np.asarray(t, dtype=float),
                     psi_jac=lambda t: np.broadcast_to(np.eye(2), np.shape(t) + (2,)),
-                    gtilde=lambda t: gt, loss=None)
+                    gtilde=lambda t: gt)
     return model, loss
 
 
