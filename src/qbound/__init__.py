@@ -9,18 +9,16 @@ __version__ = "0.1.0"
 
 from .bayes import (BayesBoundResult, LossSpec, Prior, QuadratureOptions,
                     bump_prior, check_boundary_zero, fidelity_loss,
-                    integrated_holevo, j_functional, loss_from_spec,
-                    prior_expectation, prior_from_spec, prior_taper,
-                    prior_to_spec, uniform_ball_prior, van_trees_parts,
-                    van_trees_rhs)
+                    integrated_holevo, j_functional, prior_expectation,
+                    prior_from_spec, prior_taper, prior_to_spec,
+                    uniform_ball_prior, van_trees_parts, van_trees_rhs)
 from .errors import (DimensionMismatchError, DivergentIntegralError,
                      DomainError, InfeasibleTaperError, IrregularModelError,
                      NonConvergenceError, NumericalError, RankDeficiencyError)
-from .holevo import (EmbeddingStep, HolevoSolution,
-                     SolverOptions, check_dual, check_x_collection, dual_bound,
-                     embedding_sequence, full_model_collection, full_model_z,
-                     holevo_objective, quarter_helstrom_weight, recover_v0,
-                     solve_holevo, z_matrix)
+from .holevo import (EmbeddingStep, HolevoSolution, SolverOptions, check_dual,
+                     check_x_collection, dual_bound, embedding_sequence,
+                     full_model_collection, holevo_objective,
+                     quarter_helstrom_weight, recover_v0, solve_holevo, z_matrix)
 from .information import (InfoMatrix, classical_fisher, helstrom_matrix,
                           povm_fisher, sld, sld_residual)
 from .models import (Domain, ParametricModel, Povm, affine_model, basis_povm,

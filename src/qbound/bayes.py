@@ -259,12 +259,6 @@ class LossSpec:
     psi: Callable = field(repr=False)
     psi_jac: Callable = field(repr=False)
     gtilde: Callable = field(repr=False)
-    name: str = "custom"
-
-    def to_spec(self):
-        if self.name != "fidelity":
-            raise ValueError(f"loss {self.name!r} has no JSON form")
-        return {"family": "fidelity"}
 
     def g0(self, theta):
         jac = self.psi_jac(theta)
@@ -273,15 +267,6 @@ class LossSpec:
         if np.any(np.linalg.eigvalsh(g)[..., 0] <= WEIGHT_EIG_FLOOR):
             raise NumericalError("induced weight G0 is not positive-definite")
         return g
-
-
-def loss_from_spec(spec, model: ParametricModel) -> "LossSpec":
-    unknown = set(spec) - {"family"}
-    if unknown:
-        raise ValueError(f"unknown loss spec keys: {sorted(unknown)}")
-    if spec.get("family") != "fidelity":
-        raise ValueError(f"unknown loss family {spec.get('family')!r}")
-    return fidelity_loss(model)
 
 
 def fidelity_loss(model: ParametricModel) -> LossSpec:
@@ -295,7 +280,7 @@ def fidelity_loss(model: ParametricModel) -> LossSpec:
     eye = s * np.eye(q)
     return LossSpec(psi=lambda t: fidelity_embedding(model, t)[0],
                     psi_jac=lambda t: fidelity_embedding(model, t)[1],
-                    gtilde=lambda t: eye, name="fidelity")
+                    gtilde=lambda t: eye)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +465,7 @@ def _c_nodes(model, loss, thetas, c_fn, solver_opts):
 
 
 def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
-                    info_fn, n_copies, c_fn=None,
+                    info_fn, c_fn=None,
                     quad: Optional[QuadratureOptions] = None,
                     solver_opts: Optional[SolverOptions] = None):
     """Numerator and denominator pieces of the van Trees bound, integrated on
@@ -504,22 +489,23 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
     numerator_mean = float(np.sum(grid.weights * dens * num_terms) / mass)
     info_mean = float(np.sum(grid.weights * dens * den_terms) / mass)
     jf = j_functional(model, prior, loss, c_fn=c_fn, solver_opts=solver_opts)
-    return {"numerator_mean": numerator_mean, "info_mean": info_mean,
-            "j_value": jf, "n_copies": n_copies}
+    return {"numerator_mean": numerator_mean, "info_mean": info_mean, "j_value": jf}
 
 
 def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
                   info_fn, n_copies, c_fn=None,
                   quad: Optional[QuadratureOptions] = None,
                   solver_opts: Optional[SolverOptions] = None):
-    """Lower bound on N x Bayes risk for a scheme with information info_fn."""
-    parts = van_trees_parts(model, prior, loss, info_fn, n_copies, c_fn,
-                            quad, solver_opts)
-    den = parts["info_mean"] + parts["j_value"] / n_copies
-    if den <= 1e-14:
+    """Lower bound on N x Bayes risk for a scheme with information info_fn:
+    a float at one N, an array at each N of an array; the parts are
+    integrated once for every N."""
+    parts = van_trees_parts(model, prior, loss, info_fn, c_fn, quad, solver_opts)
+    den = parts["info_mean"] + parts["j_value"] / np.asarray(n_copies, dtype=float)
+    if np.any(den <= 1e-14):
         raise NumericalError("van Trees denominator vanishes "
                              f"(information term {parts['info_mean']:.3e})")
-    return parts["numerator_mean"] ** 2 / den
+    rhs = parts["numerator_mean"] ** 2 / den
+    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
 # ``sld`` is not called here; it stays a name of this module because
 # perfbench/tracer.py wraps qbound.holevo.sld
 from .information import RANK_TOL, helstrom_matrix, sld, sld_from_state  # noqa: F401
-from .linalg import (WEIGHT_EIG_FLOOR, _rise, hermitian_basis, hermitize, min_eigenvalue,
+from .linalg import (WEIGHT_EIG_FLOOR, _rise, hermitian_basis, hermitize,
                      sym_sqrt_and_inv_sqrt)
 from .models import DERIV_TRACE_TOL, ParametricModel, check_density_matrix
 
@@ -58,6 +58,7 @@ _PINV_CUTOFF = 1e-10
 CONSTRAINT_TOL = 1e-8   # |trace(drho_i X_j) - delta_ij| and |trace(rho X_j)| of a valid X
 DUAL_SLACK_TOL = 1e-7   # allowed violation of trace(K I) <= C^K
 _DELTA_MAX = 1e3        # largest shift delta that embedding_sequence adds to diag(V, 0)
+_EMBEDDING_EPS = (1e-1, 1e-2, 1e-3)  # the eps of embedding_sequence's steps
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +530,9 @@ def full_model_collection(rho):
         raise RankDeficiencyError(
             f"full model needs a nonsingular state (eigenvalue {w[0]:.3e})",
             eigenvalue=float(w[0]))
-    basis = hermitian_basis(rho.shape[0])
-    derivs = basis[1:] / np.sqrt(2.0)        # the traceless part of the basis
-    amat = _coords(basis, np.concatenate([derivs, rho[None]]))
-    q = len(derivs)
-    rhs = np.vstack([np.eye(q), np.zeros((1, q))])
-    ys = np.einsum("aj,acd->jcd", np.linalg.solve(amat, rhs), basis)
+    derivs = hermitian_basis(rho.shape[0])[1:] / np.sqrt(2.0)  # the traceless part
+    ys = _FeasibleSet(rho[None], derivs[None]).pmats[0]  # no null space: the unique one
     return list(ys), z_matrix(rho, ys)
-
-
-def full_model_z(rho):
-    """Z(Y) of the completely-unknown-state model at rho."""
-    return full_model_collection(rho)[1]
 
 
 @dataclass(frozen=True)
@@ -551,14 +543,14 @@ class EmbeddingStep:
     gap: float      # |(W_eps^{-1})_11 - V^{-1}| in max-entry norm
 
 
-def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
-                       eps_schedule=(1e-1, 1e-2, 1e-3)):
+def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta):
     """Embed a submodel solution into the full-model picture.
 
     Augments X* with a basis of its rho-orthocomplement, solves for the
     unique full-model collection Y (whose leading block is X*), and for
-    each eps constructs W_eps = D_eps^{-1}(diag(V,0) + delta 1)D_eps^{-1}
-    with delta(eps) = 1.01 * max(0, lambda_max(D_eps Z_full D_eps - diag(V,0))).
+    each eps of _EMBEDDING_EPS constructs
+    W_eps = D_eps^{-1}(diag(V,0) + delta 1)D_eps^{-1} with
+    delta(eps) = 1.01 * max(0, lambda_max(D_eps Z_full D_eps - diag(V,0))).
     Each step verifies W_eps > Z_full and reports the 11-block inversion gap.
     """
     rho = model.state(theta)
@@ -589,10 +581,7 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
     nmats = np.einsum("qm,qcd->mcd", ncols, lmats)
 
     smats = hermitize(rho @ nmats + nmats @ rho) * 0.5
-    amat = np.vstack([_coords(basis, np.asarray(drho)), _coords(basis, smats),
-                      rvec])                                # (d^2, d^2)
-    rhs = np.vstack([np.eye(q), np.zeros((1, q))])
-    ys = np.einsum("aj,acd->jcd", np.linalg.solve(amat, rhs), basis)
+    ys = _FeasibleSet(rho[None], np.concatenate([drho, smats])[None]).pmats[0]
     lead_err = max(float(np.max(np.abs(ys[j] - xs[j]))) for j in range(p))
     if lead_err > 1e3 * CONSTRAINT_TOL:
         raise NumericalError(
@@ -603,7 +592,7 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
     v_ext[:p, :p] = v
     v_inv = np.linalg.inv(v)
     steps = []
-    for eps in eps_schedule:
+    for eps in _EMBEDDING_EPS:
         dvec = np.concatenate([np.ones(p), np.full(q - p, eps)])
         m_eps = z_full * np.outer(dvec, dvec)
         viol = float(np.linalg.eigvalsh(hermitize(m_eps - v_ext))[-1])
@@ -613,7 +602,7 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta,
                 f"no delta < {_DELTA_MAX} makes W > Z_full at eps={eps} "
                 f"(violating eigenvalue {viol:.3e})")
         w_eps = (v_ext + delta * np.eye(q)) / np.outer(dvec, dvec)
-        margin = min_eigenvalue(w_eps - z_full)
+        margin = float(np.linalg.eigvalsh(hermitize(w_eps - z_full))[0])
         if margin <= 0.0:
             raise NumericalError(
                 f"W - Z_full not positive definite at eps={eps} (margin {margin:.3e})")

@@ -23,10 +23,9 @@ FISHER_GRAD_TOL = 1e-8   # |dp_x| above this at a vanishing outcome makes a mode
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Real symmetric PSD information matrix (or a stack) with its provenance kind."""
+    """Real symmetric PSD information matrix (or a stack)."""
 
     matrix: np.ndarray
-    kind: str  # "helstrom" | "povm_fisher"
     std_error: Optional[np.ndarray] = None  # entrywise MC error, when sampled
 
     def __post_init__(self):
@@ -77,7 +76,7 @@ def helstrom_matrix(model: ParametricModel, theta) -> InfoMatrix:
     """Helstrom quantum information matrix H_ij = Re trace(rho L_i L_j)."""
     rho = model.state(theta)
     lams = sld_from_state(rho, model.derivs(theta), model.is_pure)
-    return InfoMatrix(np.einsum("ab,ibc,jca->ij", rho, lams, lams).real, "helstrom")
+    return InfoMatrix(np.einsum("ab,ibc,jca->ij", rho, lams, lams).real)
 
 
 def classical_fisher(probs, dprobs):
@@ -108,4 +107,4 @@ def povm_fisher(model: ParametricModel, theta, povm: Povm) -> InfoMatrix:
     stacked Povm, each POVM's (..., p, p), the same as alone."""
     probs = born_distribution(model.state(theta), povm)
     dprobs = _real_traces(model.derivs(theta), povm.elements)
-    return InfoMatrix(classical_fisher(probs, dprobs), "povm_fisher")
+    return InfoMatrix(classical_fisher(probs, dprobs))

@@ -30,10 +30,6 @@ def check_hermitian(a, tol=HERMITIAN_TOL, name="matrix"):
     return np.asarray(a, dtype=complex)
 
 
-def min_eigenvalue(a):
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
-
-
 def psd_sqrt(a):
     """Square root of a numerically-PSD Hermitian matrix.
 

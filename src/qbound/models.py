@@ -92,12 +92,11 @@ class Povm:
     """Finite-outcome positive operator valued measure.
 
     Elements (n, d, d) must be PSD and sum to the identity; a stack
-    (..., n, d, d) holds one POVM per leading index, with shared outcome
-    labels.  All are validated at construction time, as one stack.
+    (..., n, d, d) holds one POVM per leading index, with shared outcomes.
+    All are validated at construction time, as one stack.
     """
 
     elements: np.ndarray
-    outcomes: tuple = ()
 
     def __post_init__(self):
         elems = np.asarray(self.elements, dtype=complex)
@@ -108,10 +107,6 @@ class Povm:
             raise ValueError("POVM element is not PSD")
         if np.max(np.abs(elems.sum(axis=-3) - np.eye(self.dim))) > TRACE_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        if not self.outcomes:
-            object.__setattr__(self, "outcomes", tuple(range(len(self))))
-        elif len(self.outcomes) != len(self):
-            raise ValueError("one outcome label per element required")
 
     @property
     def dim(self):

@@ -21,7 +21,6 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -143,10 +142,7 @@ class SampleData:
     bases: np.ndarray        # (K, d, d); columns of each unitary are the basis
     basis_index: np.ndarray  # (N,)
     outcomes: np.ndarray     # (N,)
-    n_copies: int
     scheme_kind: str
-    stage1_bases: int = 0    # two-step: bases[:stage1_bases] are stage 1
-    stage1_copies: int = 0
 
 
 def _thresholds(rhos, bases):
@@ -239,8 +235,7 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
     else:
         (bases,), idx, (u,), (thr,), _ = _cycle_draws(model, scheme, n_copies, rho, [rng])
         outcomes = (u > thr[:, idx]).sum(axis=0)
-    k1 = len(scheme.bases) if scheme.kind == "two_step_adaptive" else 0  # stage-1 bases
-    return SampleData(bases, idx, outcomes, n_copies, scheme.kind, k1, int(np.sum(idx < k1)))
+    return SampleData(bases, idx, outcomes, scheme.kind)
 
 
 def _table(bases, idx, outcomes, per_copy=False):
@@ -298,7 +293,6 @@ class Estimator:
     """mle | bayes_mean (posterior mean) | oracle (test-only, returns truth)."""
 
     kind: str = "mle"
-    prior: Optional[Prior] = None
 
     def __post_init__(self):
         if self.kind not in ("mle", "bayes_mean", "oracle"):
@@ -508,6 +502,9 @@ def _mle_pure(acols, counts):
     f, phi, converged = runs[0]
     if not (converged and _pure_gap(acols, counts, phi)
             <= _CERT_MARGIN * max(1.0, float(counts.sum()))):
+        # the random starts stay: where sum c e e^H is degenerate (2 * 1 on the
+        # tetrahedron table of test_tied_maxima_are_refused) both eigenvector
+        # starts stop at a saddle, log(1/36), and only these reach a corner, log(1/27)
         rng = np.random.default_rng(0)
         starts = [top]
         for _ in range(2):
@@ -720,12 +717,12 @@ def empirical_fisher(model: ParametricModel, theta, scheme: MeasurementScheme,
     mats = povm_fisher(model, theta, basis_povm(bases)).matrix
     if scheme.kind == "random_basis_covariant":
         se = mats.std(axis=0, ddof=1) / math.sqrt(n_bases) if n_bases > 1 else zero
-        return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=se)
+        return InfoMatrix(mats.mean(axis=0), std_error=se)
     if scheme.kind == "two_step_adaptive":
         f, k = scheme.first_fraction, len(scheme.bases)
         return InfoMatrix(f * mats[:k].mean(axis=0) + (1.0 - f) * mats[k:].mean(axis=0),
-                          "povm_fisher", std_error=zero)
-    return InfoMatrix(mats.mean(axis=0), "povm_fisher", std_error=zero)
+                          std_error=zero)
+    return InfoMatrix(mats.mean(axis=0), std_error=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +798,7 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
         res = _mle_block(model, coeffs, counts)
         theta_hat, hits = res.theta, int(res.boundary.sum())
     elif estimator.kind == "bayes_mean":
-        theta_hat, res = _bayes_mean_block(model, coeffs, counts, estimator.prior or prior)
+        theta_hat, res = _bayes_mean_block(model, coeffs, counts, prior)
         hits = int(res.boundary.sum())
     safe = model.domain.project(theta_hat)
     if model.is_pure:
@@ -819,10 +816,10 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     1 - Fid(rho(theta_hat), rho(theta)); trials run in blocks (see
     _run_trials).  Aborts if more than 1% of the trials fail in the
     estimator.  With workers=1 the trials run on the caller's objects.  A
-    pool of workers > 1 pickles the model, the prior and the estimator's
-    prior through their JSON specs, so an object without a spec (a custom
-    prior, a ParametricModel of a family that model_to_spec cannot
-    describe) raises ValueError there.
+    pool of workers > 1 pickles the model and the prior through their JSON
+    specs, so an object without a spec (a custom prior, a ParametricModel
+    of a family that model_to_spec cannot describe) raises ValueError
+    there.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")

@@ -492,7 +492,7 @@ class TestCriterion9ConvexityMachinery:
         model = bloch_equatorial()
         theta = np.array([0.3, 0.0])
         sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
-        steps = embedding_sequence(sol, model, theta, (1e-1, 1e-2, 1e-3))
+        steps = embedding_sequence(sol, model, theta)
         gaps = [s.gap for s in steps]
         ok = all(s.margin > 0 for s in steps) and gaps[0] > gaps[1] > gaps[2]
         assert report("9b", ok,

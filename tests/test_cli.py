@@ -382,3 +382,32 @@ def test_verify_paper_fuzz_exit_codes(argv):
     if code == 2:   # rejected before any row is computed or printed
         assert out == "", (argv, out)
         assert len(err.strip().splitlines()) >= 1
+
+
+_NUMPY_ONLY = """
+import sys
+startup = set(sys.modules)        # the interpreter's own, site hooks included
+import numpy as np
+import numpy.linalg, numpy.random
+startup |= set(sys.modules)       # and what numpy's compiled modules register
+import qbound
+from qbound.simulate import PAULI_BASES
+model = qbound.bloch_equatorial()
+theta = np.array([0.3, 0.1])
+qbound.solve_holevo(model, theta, qbound.quarter_helstrom_weight(model, theta))
+qbound.bayes_risk_mc(model, qbound.bump_prior(2, 0.8), qbound.alternating_scheme(PAULI_BASES[:2]),
+                     qbound.Estimator("mle"), 100, 2)
+main = sys.modules["__main__"]     # multiprocessing aliases it as __mp_main__
+top = {name.partition(".")[0] for name, module in sys.modules.items()
+       if name not in startup and module is not main}
+print(sorted(top - set(sys.stdlib_module_names) - {"qbound", "numpy"}))
+"""
+
+
+def test_library_loads_only_numpy_and_the_standard_library():
+    # the library is numpy-only: a Holevo solve and a risk run load no
+    # other third-party module
+    res = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], capture_output=True,
+                         text=True, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

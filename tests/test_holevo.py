@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qbound import (Domain, NonConvergenceError, NumericalError,
                     RankDeficiencyError, SolverOptions, affine_model,
                     basis_povm, check_dual, check_x_collection, dual_bound,
-                    embedding_sequence, full_model_collection, full_model_z,
+                    embedding_sequence, full_model_collection,
                     helstrom_matrix, holevo_objective, povm_fisher,
                     quarter_helstrom_weight, recover_v0, sld, solve_holevo,
                     z_matrix)
@@ -13,7 +13,8 @@ from qbound.holevo import CERTIFY_RTOL, _Dual, _FeasibleSet, _barrier, _solve_ba
 from qbound.linalg import (PAULIS, PAULI_Z, haar_unitary, hermitize,
                            random_hermitian)
 
-from conftest import interior_points, random_mixed_model
+from conftest import (interior_points, random_mixed_model, random_qubit_pair_model,
+                      suzuki_bound)
 
 # The certificate bounds the error of the exact-arithmetic value; the
 # computed value and bound each carry a few ulps of rounding.
@@ -442,27 +443,11 @@ class TestSolverAgainstIndependentOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_two_parameter_qubits_match_suzuki(self, seed):
-        # any two-parameter qubit model (Suzuki, J. Math. Phys. 57, 042201
-        # (2016)): C_H = C_R if C_R >= (C_Z + C_S)/2, else
-        # C_R + ((C_Z + C_S)/2 - C_R)^2 / (C_Z - C_R), with the SLD bound C_S,
-        # C_Z at the SLD collection X = J_S^-1 L and the RLD bound C_R at
-        # J_R^-1, (J_R)_ij = tr(d_i rho rho^-1 d_j rho)
+        # any two-parameter qubit model has a closed-form bound (suzuki_bound)
         rng = np.random.default_rng(seed)
-        w = rng.random(2) + 0.2
-        u = haar_unitary(2, rng)
-        model = affine_model((u * (w / w.sum())) @ u.conj().T,
-                             [0.05 * random_hermitian(2, rng, traceless=True) for _ in range(2)],
-                             Domain("ball", radius=0.2, dim=2))
+        model = random_qubit_pair_model(rng, 0.05, 0.2)
         theta, g = np.zeros(2), _spd(rng, 2)
-        rho, drho = model.state(theta), model.derivs(theta)
-        jinv = np.linalg.inv(helstrom_matrix(model, theta).matrix)
-        c_s = np.trace(g @ jinv)
-        xs = np.einsum("jk,kab->jab", jinv, np.stack(sld(model, theta)))
-        c_z = holevo_objective(g, z_matrix(rho, xs))
-        c_r = holevo_objective(
-            g, np.linalg.inv(np.einsum("iab,bc,jca->ij", drho, np.linalg.inv(rho), drho)))
-        mid = 0.5 * (c_z + c_s)
-        expected = c_r if c_r >= mid else c_r + (mid - c_r) ** 2 / (c_z - c_r)
+        expected = suzuki_bound(model, theta[None], g)[0]
         assert solve_holevo(model, theta, g).value == pytest.approx(expected, rel=1e-10)
 
     @staticmethod
@@ -703,7 +688,7 @@ class TestFullModel:
         w /= w.sum()
         u = haar_unitary(3, rng)
         rho = (u * w) @ u.conj().T
-        zf = full_model_z(rho)
+        zf = full_model_collection(rho)[1]
         diag = np.diag(zf)
         assert np.max(np.abs(diag.imag)) < 1e-12
         assert np.all(diag.real > 0)
@@ -718,7 +703,7 @@ class TestFullModel:
 
     def test_singular_state_rejected(self):
         with pytest.raises(RankDeficiencyError):
-            full_model_z(np.diag([1.0, 0.0]))
+            full_model_collection(np.diag([1.0, 0.0]))
 
 
 class TestEmbedding:
@@ -727,7 +712,7 @@ class TestEmbedding:
         theta = np.array([0.2, 0.1, -0.3])
         g = quarter_helstrom_weight(model, theta)
         sol = solve_holevo(model, theta, g)
-        steps = embedding_sequence(sol, model, theta, (1e-2, 1e-3))
+        steps = embedding_sequence(sol, model, theta)
         vinv = np.linalg.inv(sol.v0)
         for step in steps:
             assert step.margin > 0
@@ -738,7 +723,7 @@ class TestEmbedding:
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, 0.0])
         sol = solve_holevo(model, theta, quarter_helstrom_weight(model, theta))
-        steps = embedding_sequence(sol, model, theta, (1e-1, 1e-2, 1e-3))
+        steps = embedding_sequence(sol, model, theta)
         gaps = [s.gap for s in steps]
         assert all(s.margin > 0 for s in steps)
         assert gaps[0] > gaps[1] > gaps[2]

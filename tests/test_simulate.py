@@ -278,8 +278,7 @@ class TestMle:
         model = all_models["pure_qubit"]
         data = SampleData(bases=np.stack([np.eye(2, dtype=complex)]),
                           basis_index=np.zeros(50, dtype=np.int64),
-                          outcomes=np.ones(50, dtype=np.int64),
-                          n_copies=50, scheme_kind="fixed_basis")
+                          outcomes=np.ones(50, dtype=np.int64), scheme_kind="fixed_basis")
         res = mle_estimate(data, model)
         assert res.boundary
 
@@ -429,7 +428,7 @@ class TestCountTable:
         # a row per (basis, outcome) pair, in that order, zero counts included
         for model, data in affine_runs(all_models):
             vecs, counts = outcome_table(data)
-            assert counts.sum() == data.n_copies
+            assert counts.sum() == len(data.outcomes)
             assert np.all(counts >= 0)
             assert len(counts) == len(data.bases) * model.dim
             assert np.array_equal(vecs, np.concatenate([u.T for u in data.bases]))
@@ -489,7 +488,7 @@ def rim_data(y_ones):
     outcomes = np.zeros(120, dtype=np.int64)
     outcomes[1:2 * y_ones:2] = 1
     return SampleData(bases=np.stack(PAULI_BASES[:2]), basis_index=np.arange(120) % 2,
-                      outcomes=outcomes, n_copies=120, scheme_kind="alternating_bases")
+                      outcomes=outcomes, scheme_kind="alternating_bases")
 
 
 def box_model():
@@ -564,8 +563,7 @@ def tetrahedron_data():
     corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
     bases = np.stack([_direction_basis(c) for c in corners])
     data = SampleData(bases=bases, basis_index=np.arange(4),
-                      outcomes=np.zeros(4, dtype=np.int64), n_copies=4,
-                      scheme_kind="alternating_bases")
+                      outcomes=np.zeros(4, dtype=np.int64), scheme_kind="alternating_bases")
     return corners, data
 
 
@@ -1014,11 +1012,11 @@ class TestTwoStep:
         model = all_models["bloch_equatorial"]
         scheme = two_step_scheme(model, 0.1)
         data = sample_outcomes(model, [0.4, 0.2], scheme, 2000, seed=8)
-        k1, n1 = data.stage1_bases, data.stage1_copies
+        k1 = len(scheme.bases)
+        n1 = int(np.sum(data.basis_index < k1))
         stage1 = SampleData(bases=data.bases[:k1],
                             basis_index=data.basis_index[:n1],
-                            outcomes=data.outcomes[:n1], n_copies=n1,
-                            scheme_kind="alternating_bases")
+                            outcomes=data.outcomes[:n1], scheme_kind="alternating_bases")
         theta1 = mle_estimate(stage1, model).theta
         replay = np.stack(adapted_bases(model, theta1))
         assert np.allclose(replay, data.bases[k1:], atol=1e-12)
@@ -1365,28 +1363,23 @@ class TestBayesRisk:
         assert losses == [deficit]
         assert 0.0 <= deficit < 0.2
 
-    @pytest.mark.parametrize("kind", ["prior", "estimator_prior", "model"])
+    @pytest.mark.parametrize("kind", ["prior", "model"])
     def test_spec_less_objects_run_serially_only(self, all_models, kind):
         # a serial run works on the caller's objects; a pool pickles models
         # and priors through their specs and refuses an object without one
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         scheme = alternating_scheme(PAULI_BASES[:2])
-        estimator = Estimator("bayes_mean", prior=prior) if kind == "estimator_prior" \
-            else Estimator("mle")
-        builtin = (model, prior, estimator)
         if kind == "model":
-            custom = (dataclasses.replace(model, family="my_family"), prior, estimator)
+            custom = (dataclasses.replace(model, family="my_family"), prior)
         else:
-            spec_less = dataclasses.replace(prior, family="my_family", spec=None)
-            custom = (model, spec_less, estimator) if kind == "prior" else \
-                (model, prior, Estimator("bayes_mean", prior=spec_less))
+            custom = (model, dataclasses.replace(prior, family="my_family", spec=None))
         kwargs = dict(n_copies=200, trials=40, seed=17)
-        twin = bayes_risk_mc(builtin[0], builtin[1], scheme, builtin[2], **kwargs)
-        run = bayes_risk_mc(custom[0], custom[1], scheme, custom[2], **kwargs)
+        twin = bayes_risk_mc(model, prior, scheme, Estimator("mle"), **kwargs)
+        run = bayes_risk_mc(*custom, scheme, Estimator("mle"), **kwargs)
         assert run.to_dict() == twin.to_dict()
         with pytest.raises(ValueError, match="my_family"):
-            bayes_risk_mc(custom[0], custom[1], scheme, custom[2], workers=2, **kwargs)
+            bayes_risk_mc(*custom, scheme, Estimator("mle"), workers=2, **kwargs)
         assert multiprocessing.active_children() == []
 
     def test_unknown_estimator_kind(self):
