@@ -30,6 +30,7 @@ _MAX_REJECTION_ROUNDS = 1000
 _BOUNDARY_POINTS = 64   # sampled directions of check_boundary_zero
 _BOUNDARY_TOL = 1e-9    # boundary density, relative to max(1, peak), that counts as zero
 _J_DRIFT_TOL = 0.05     # largest relative change of J(pi) across the last refinement
+_J_STEP = 1e-5          # central-difference step of div C in J(pi)
 
 # ---------------------------------------------------------------------------
 # priors
@@ -256,7 +257,6 @@ class LossSpec:
     or one (q, q) for all; ``g0`` takes one point (p,) or a stack.
     """
 
-    psi: Callable = field(repr=False)
     psi_jac: Callable = field(repr=False)
     gtilde: Callable = field(repr=False)
 
@@ -278,8 +278,7 @@ def fidelity_loss(model: ParametricModel) -> LossSpec:
     s = embedding_loss_scale(model)
     q = len(fidelity_embedding(model, model.domain.reference_point)[0])
     eye = s * np.eye(q)
-    return LossSpec(psi=lambda t: fidelity_embedding(model, t)[0],
-                    psi_jac=lambda t: fidelity_embedding(model, t)[1],
+    return LossSpec(psi_jac=lambda t: fidelity_embedding(model, t)[1],
                     gtilde=lambda t: eye)
 
 
@@ -469,7 +468,8 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
                     quad: Optional[QuadratureOptions] = None,
                     solver_opts: Optional[SolverOptions] = None):
     """Numerator and denominator pieces of the van Trees bound, integrated on
-    the first grid level of quad (grid quadrature only).
+    the first grid level of quad (grid quadrature only), with J(pi) and its
+    error from j_functional on the grid levels of quad.
 
     c_fn: matrix function theta -> C (dim psi x dim theta), called once per
     node; None selects the canonical C = Gtilde psi' V0 from one stack of
@@ -477,6 +477,7 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
     under study (a matrix or an object with ``.matrix``), called once per
     node.  ``loss.psi_jac`` and ``loss.gtilde`` are called on the node stack.
     """
+    j_value, j_error = j_functional(model, prior, loss, c_fn, quad, solver_opts)
     grid = _first_grid(prior, quad)
     cs = _c_nodes(model, loss, grid.nodes, c_fn, solver_opts)
     infos = [info_fn(theta) for theta in grid.nodes]
@@ -486,10 +487,9 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
     mass = float(np.sum(grid.weights * dens))
     num_terms = np.trace(cs @ np.swapaxes(loss.psi_jac(grid.nodes), -1, -2), axis1=-2, axis2=-1)
     den_terms = np.trace(gis @ cs @ imats @ np.swapaxes(cs, -1, -2), axis1=-2, axis2=-1)
-    numerator_mean = float(np.sum(grid.weights * dens * num_terms) / mass)
-    info_mean = float(np.sum(grid.weights * dens * den_terms) / mass)
-    jf = j_functional(model, prior, loss, c_fn=c_fn, solver_opts=solver_opts)
-    return {"numerator_mean": numerator_mean, "info_mean": info_mean, "j_value": jf}
+    return {"numerator_mean": float(np.sum(grid.weights * dens * num_terms) / mass),
+            "info_mean": float(np.sum(grid.weights * dens * den_terms) / mass),
+            "j_value": j_value, "j_error": j_error}
 
 
 def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
@@ -522,72 +522,52 @@ def check_boundary_zero(prior: Prior):
     return worst <= _BOUNDARY_TOL * max(1.0, prior.peak), worst
 
 
-def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec,
-                 c_fn=None, base_n=21, levels=3,
+def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec, c_fn=None,
+                 quad: Optional[QuadratureOptions] = None,
                  solver_opts: Optional[SolverOptions] = None):
-    """E_pi (C pi)'^T Gtilde^{-1} (C pi)' / pi^2 on nested Cartesian grids.
+    """(value, error) of E_pi (C pi)'^T Gtilde^{-1} (C pi)' / pi^2 on the
+    grid levels of quad (grid quadrature only, levels >= 2).
 
-    The divergence is expanded as (C pi)' = C grad(pi) + div(C) pi with the
-    prior gradient analytic and div(C) by central differences; only the
-    differentiated C is multiplied by pi, so the finite-difference error
-    stays integrable near the support boundary.  Priors that do not vanish
-    on their boundary (the known failure mode, e.g. a truncated uniform)
-    carry an infinite functional and are rejected, as is any estimate that
-    keeps drifting by more than _J_DRIFT_TOL across two refinements, which
-    needs levels >= 2.  c_fn, as in van_trees_parts, is called once per
-    node, and ``loss.psi_jac`` and ``loss.gtilde`` on node stacks.  A refined
-    level halves the grid step, so the coarser level's nodes are its
-    even-index nodes, bit for bit: their C is copied, and only the other
-    nodes inside the stencil shell go to one c_fn pass or one stack of Holevo
-    solves.  The weighted sum of a level is one stacked pass over the nodes
-    with positive density.
+    (C pi)' = C grad(pi) + div(C) pi, with grad(pi) analytic; only div(C)
+    takes central differences (step _J_STEP), which keeps their error
+    integrable near the support boundary.  Each level gets C, c_fn once per
+    point as in van_trees_parts, from one _c_nodes stack: the nodes of
+    positive density and their 2p stencil points.  The error is the
+    refinement difference plus _J_STEP^2 |J| for the stencil bias.  A prior
+    that does not vanish on its boundary (J diverges), or a refinement
+    difference above _J_DRIFT_TOL relative, raises DivergentIntegralError.
     """
-    p = prior.domain.dim
-    if p > 3:
-        raise ValueError("j_functional supports p <= 3")
-    if levels < 2:
-        raise ValueError(f"j_functional needs levels >= 2 for its drift check, got {levels}")
+    quad = quad or QuadratureOptions()
+    grid = _first_grid(prior, quad)
+    if quad.levels < 2:
+        raise ValueError(f"j_functional needs levels >= 2 for its drift check, got {quad.levels}")
     ok, worst = check_boundary_zero(prior)
     if not ok:
         raise DivergentIntegralError(
             f"prior density is {worst:.3e} on its support boundary; J(pi) "
             "diverges for priors that do not vanish there")
-    r0 = prior.domain.radius
-    half = 1.02 * r0
-    q = len(loss.psi(prior.domain.reference_point))
-    values, coarse = [], None
-    even = (slice(None, None, 2),) * p
-    n = base_n
-    for _ in range(levels):
-        axes = [np.linspace(-half, half, n)] * p
-        h = axes[0][1] - axes[0][0]
-        shell = r0 + 1.2 * h  # central differences at pi > 0 reach one step out
-        if model.domain.kind == "ball" and shell >= model.domain.radius:
-            raise ValueError(
-                f"prior support radius {r0} leaves no room for the difference "
-                f"stencil inside the model domain (need radius > {shell:.3f})")
-        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        inner = (np.linalg.norm(pts, axis=1) <= shell).reshape([n] * p)
-        cgrid = np.zeros((*inner.shape, q, p))
-        todo = inner.copy()
-        if coarse is not None:  # the shell shrinks: C of every inner coarse node is known
-            cgrid[even] = np.where(inner[even][..., None, None], coarse, 0.0)
-            todo[even] = False
-        cgrid[todo] = _c_nodes(model, loss, pts[todo.ravel()], c_fn, solver_opts)
-        divc = sum(np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
-                   for axis in range(p)).reshape(-1, q)
-        dens = prior.density(pts)
+    p, r0 = prior.domain.dim, prior.domain.radius
+    if model.domain.kind == "ball" and r0 + _J_STEP >= model.domain.radius:
+        raise ValueError(
+            f"prior support radius {r0} leaves no room for the difference "
+            f"stencil inside the model domain (need radius > {r0 + _J_STEP})")
+    stencil = np.concatenate([np.zeros((1, p)), _J_STEP * np.eye(p), -_J_STEP * np.eye(p)])
+    values = []
+    for _ in range(quad.levels):
+        dens = prior.density(grid.nodes)
         keep = dens > 1e-12 * prior.peak
-        pts, dens = pts[keep], dens[keep]
-        w = (np.einsum("nqp,np->nq", cgrid.reshape(-1, q, p)[keep], prior.density_grad(pts))
-             + divc[keep] * dens[:, None])
-        gi = np.broadcast_to(np.linalg.inv(loss.gtilde(pts)), (len(pts), q, q))
-        values.append(float(np.sum(np.einsum("ni,nij,nj->n", w, gi, w) / dens)) * h ** p)
-        coarse, n = cgrid, 2 * n - 1
-    drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-12)
+        x, dens = grid.nodes[keep], dens[keep]
+        cs = _c_nodes(model, loss, (stencil[:, None, :] + x).reshape(-1, p), c_fn, solver_opts)
+        cs = cs.reshape(2 * p + 1, len(x), *cs.shape[1:])
+        divc = np.einsum("knqk->nq", cs[1:p + 1] - cs[p + 1:]) / (2.0 * _J_STEP)
+        w = np.einsum("nqp,np->nq", cs[0], prior.density_grad(x)) + divc * dens[:, None]
+        gi_w = (np.linalg.inv(loss.gtilde(x)) @ w[..., None])[..., 0]
+        values.append(float(np.sum(grid.weights[keep] * np.sum(w * gi_w, axis=-1) / dens)))
+        grid = grid.refined()
+    refine_err = abs(values[-1] - values[-2])
+    drift = refine_err / max(abs(values[-1]), 1e-12)
     if drift > _J_DRIFT_TOL:
         raise DivergentIntegralError(
-            f"J(pi) drifts by {100 * drift:.1f}% under refinement "
-            f"(values {values}); the prior likely violates the smoothness "
-            "hypotheses")
-    return values[-1]
+            f"J(pi) drifts by {100 * drift:.1f}% under refinement (values {values}); "
+            "the prior likely violates the smoothness hypotheses")
+    return values[-1], refine_err + _J_STEP ** 2 * abs(values[-1])

@@ -151,8 +151,8 @@ def _thresholds(rhos, bases):
     falls on the outcome that counts the thresholds of its basis below u;
     the last CDF entry is 1, above every uniform, and is left out."""
     k, d = bases.shape[-3:-1]
-    ut = _columns(bases).conj()  # <e|rho|e> of every basis vector: one product with rho
-    rho_ut = rhos @ ut
+    ut = np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d)
+    rho_ut = rhos @ ut  # <e|rho|e> of every basis vector e: one product with rho
     probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=-2).reshape(-1, k, d)
     cum = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
     cum /= cum[..., -1:]

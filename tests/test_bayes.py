@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -11,7 +12,7 @@ from qbound import (DivergentIntegralError, InfeasibleTaperError,
                     integrated_holevo, j_functional, prior_expectation,
                     prior_taper, quarter_helstrom_weight, solve_holevo,
                     uniform_ball_prior, van_trees_parts, van_trees_rhs)
-from qbound.bayes import LossSpec, _BallGrid, _solve_nodes
+from qbound.bayes import _J_STEP, LossSpec, _BallGrid, _solve_nodes
 from qbound.models import _squared_norms
 
 from conftest import random_qubit_pair_model, suzuki_bound
@@ -285,35 +286,25 @@ class TestIntegratedHolevo:
             integrated_holevo(model, fidelity_loss(model), bump_prior(2, 0.8), quad)
 
 
-def per_node_j_functional(prior, loss, c_fn, base_n, levels):
-    """J(pi) with C from c_fn and the weighted sum looped node by node, as
-    evaluated before the sum was one stacked pass."""
-    p, r0 = prior.domain.dim, prior.domain.radius
-    half = 1.02 * r0
-    q = len(loss.psi(prior.domain.reference_point))
-    values, n = [], base_n
-    for _ in range(levels):
-        axes = [np.linspace(-half, half, n)] * p
-        h = axes[0][1] - axes[0][0]
-        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        cgrid = np.zeros((len(pts), q, p))
-        for i, t in enumerate(pts):
-            if np.linalg.norm(t) <= r0 + 1.2 * h:
-                cgrid[i] = c_fn(t)
-        cgrid = cgrid.reshape(*([n] * p), q, p)
-        divc = np.zeros((*([n] * p), q))
-        for axis in range(p):
-            divc += np.gradient(cgrid[..., axis], h, axis=axis, edge_order=2)
-        cgrid, divc = cgrid.reshape(-1, q, p), divc.reshape(-1, q)
+def per_node_j_functional(prior, loss, c_fn, quad):
+    """(value, error) of J(pi) with C from c_fn, and the stencil, the
+    divergence and the weighted sum looped node by node on the ball grid
+    levels of quad."""
+    p, h = prior.domain.dim, _J_STEP
+    grid = _BallGrid(p, prior.domain.radius, quad.n_radial, quad.n_angular)
+    values = []
+    for _ in range(quad.levels):
         total = 0.0
-        for i, t in enumerate(pts):
-            dens = prior.density(t)
+        for theta, weight in zip(grid.nodes, grid.weights):
+            dens = prior.density(theta)
             if dens > 1e-12 * prior.peak:
-                w = cgrid[i] @ prior.density_grad(t) + divc[i] * dens
-                total += float(w @ np.linalg.inv(loss.gtilde(t)) @ w) / dens
-        values.append(total * h ** p)
-        n = 2 * n - 1
-    return values[-1]
+                divc = sum((c_fn(theta + h * e) - c_fn(theta - h * e))[:, k]
+                           for k, e in enumerate(np.eye(p))) / (2 * h)
+                w = c_fn(theta) @ prior.density_grad(theta) + divc * dens
+                total += weight * float(w @ np.linalg.inv(loss.gtilde(theta)) @ w) / dens
+        values.append(total)
+        grid = grid.refined()
+    return values[-1], abs(values[-1] - values[-2]) + h * h * abs(values[-1])
 
 
 def solver_c_fn(model, loss):
@@ -324,54 +315,68 @@ def solver_c_fn(model, loss):
     return c_fn
 
 
+# J(pi) on bloch_equatorial with a bump prior of each radius: closed-form C
+# with div C by complex-step derivatives, exact to rounding, on a 200/400
+# Gauss ball grid (100/200 agrees to 4e-15); so the central differences'
+# bias (8e-12 of J at radius 0.8) counts against j_functional's error
+J_REFERENCE = {0.8: 7.430574421921241, 0.5: 22.01741595619815}
+
+
 class TestJFunctional:
-    @pytest.mark.parametrize("case", ["analytic 21/3", "scaled gtilde", "solver",
+    @pytest.mark.parametrize("case", ["analytic default", "scaled gtilde", "solver",
                                       "solver pure_qubit"])
     def test_stacked_sum_equals_per_node_loop(self, all_models, case):
         name = "pure_qubit" if case == "solver pure_qubit" else "bloch_equatorial"
         model = all_models[name]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
-        c_fn, base_n, levels = equatorial_c_fn, 13, 2
-        if case == "analytic 21/3":
-            base_n, levels = 21, 3
+        c_fn, quad = equatorial_c_fn, QUICK
+        if case == "analytic default":
+            quad = QuadratureOptions()
         elif case == "scaled gtilde":
             loss = dataclasses.replace(loss, gtilde=lambda t: 0.75 * np.eye(3))
             c_fn = lambda t: 3.0 * equatorial_c_fn(t)
         if case.startswith("solver"):
             c_fn = solver_c_fn(model, loss)
-            value = j_functional(model, prior, loss, base_n=base_n, levels=levels)
+            value, error = j_functional(model, prior, loss, quad=quad)
         else:
-            value = j_functional(model, prior, loss, c_fn=c_fn, base_n=base_n,
-                                 levels=levels)
-        ref = per_node_j_functional(prior, loss, c_fn, base_n, levels)
-        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+            value, error = j_functional(model, prior, loss, c_fn=c_fn, quad=quad)
+        ref_value, ref_error = per_node_j_functional(prior, loss, c_fn, quad)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        # the error is a difference of two levels: rounding of 1e-12 of J
+        assert error == pytest.approx(ref_error, rel=0.0, abs=1e-12 * value)
 
     def test_matches_independent_oracle(self, all_models):
-        # frozen value 7.4306 from analytic C and high-order radial quadrature
+        # both radii, both paths, at 8/12/2 and the default 12/24/2
         model = all_models["bloch_equatorial"]
-        prior = bump_prior(2, 0.8)
-        jv = j_functional(model, prior, fidelity_loss(model),
-                          c_fn=equatorial_c_fn, base_n=21, levels=3)
-        assert jv == pytest.approx(7.4306, rel=0.01)
+        for r0, c_fn, quad in itertools.product(J_REFERENCE, [equatorial_c_fn, None],
+                                                [QUICK, None]):
+            value, error = j_functional(model, bump_prior(2, r0), fidelity_loss(model),
+                                        c_fn=c_fn, quad=quad)
+            assert value == pytest.approx(J_REFERENCE[r0], rel=1e-7)
+            assert error >= abs(value - J_REFERENCE[r0])
 
     def test_solver_path_agrees_with_analytic_c(self, all_models):
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
-        j_solver = j_functional(model, prior, loss, base_n=13, levels=2)
-        j_analytic = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
-                                  base_n=13, levels=2)
-        assert j_solver == pytest.approx(j_analytic, rel=1e-4)
+        j_solver, _ = j_functional(model, prior, loss, quad=QUICK)
+        j_analytic, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
+        assert j_solver == pytest.approx(j_analytic, rel=1e-9)
 
     @pytest.mark.parametrize("levels", [0, 1])
     def test_fewer_than_two_levels_rejected(self, all_models, monkeypatch, levels):
-        # the drift check compares the last two levels
+        # the drift check compares the last two levels; van_trees_parts runs J first
         import qbound.bayes as bayes
         monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
         model = all_models["bloch_equatorial"]
-        with pytest.raises(ValueError, match="levels >= 2"):
-            j_functional(model, bump_prior(2, 0.5), fidelity_loss(model), levels=levels)
+        prior, loss = bump_prior(2, 0.5), fidelity_loss(model)
+        quad = QuadratureOptions(levels=levels)
+        for call in (lambda: j_functional(model, prior, loss, quad=quad),
+                     lambda: van_trees_parts(model, prior, loss, _alternating_info_fn(model),
+                                             quad=quad)):
+            with pytest.raises(ValueError, match="levels >= 2"):
+                call()
 
     def test_truncated_uniform_diverges(self, all_models):
         model = all_models["bloch_equatorial"]
@@ -379,23 +384,42 @@ class TestJFunctional:
             j_functional(model, uniform_ball_prior(2, 0.8), fidelity_loss(model),
                          c_fn=equatorial_c_fn)
 
+    def test_tapered_prior_needs_a_finer_grid(self, all_models):
+        # the taper's cutoff window is 0.008 wide: the default grid misses it
+        # and is rejected by its refinement check; 24/48 is accepted, and its
+        # error bounds the gap to a finer run (48/48 agrees with 48/96 to 1e-13)
+        model = all_models["bloch_equatorial"]
+        prior, loss = prior_taper(bump_prior(2, 0.8), 0.2, 0.05), fidelity_loss(model)
+        with pytest.raises(DivergentIntegralError, match="refinement"):
+            j_functional(model, prior, loss, c_fn=equatorial_c_fn)
+        value, error = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
+                                    quad=QuadratureOptions(n_radial=24, n_angular=48))
+        finer, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
+                                quad=QuadratureOptions(n_radial=48, n_angular=48))
+        assert error >= abs(value - finer) > 0.0
+
+    def test_stencil_must_fit_in_the_model_domain(self, all_models, monkeypatch):
+        import qbound.bayes as bayes
+        monkeypatch.setattr(bayes, "_solve_nodes", _no_solve)
+        model = all_models["bloch_equatorial"]
+        with pytest.raises(ValueError, match="stencil"):
+            j_functional(model, bump_prior(2, 1.0 - 0.5 * _J_STEP), fidelity_loss(model))
+
     def test_scales_linearly_in_gtilde(self, all_models):
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
         c = 3.0
         scaled = dataclasses.replace(loss, gtilde=lambda t: c * 0.25 * np.eye(3))
-        j1 = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
-                          base_n=13, levels=2)
-        j2 = j_functional(model, prior, scaled,
-                          c_fn=lambda t: c * equatorial_c_fn(t), base_n=13, levels=2)
+        j1, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
+        j2, _ = j_functional(model, prior, scaled, c_fn=lambda t: c * equatorial_c_fn(t),
+                             quad=QUICK)
         assert j2 == pytest.approx(c * j1, rel=1e-6)
 
     @pytest.mark.parametrize("path", ["solver", "c_fn"])
     def test_one_batch_per_level(self, all_models, monkeypatch, path):
-        # C once per node: one node stack (or c_fn pass) per level, over the
-        # nodes a coarser level left out, and every inner node of the finest
-        # level covered
+        # C once per point: one stack per level of the n nodes and their 2p
+        # stencil points, (2p + 1) n = 480 and 1,920 at QUICK
         import qbound.bayes as bayes
         real, sizes, seen = bayes._solve_nodes, [], []
 
@@ -411,19 +435,17 @@ class TestJFunctional:
         monkeypatch.setattr(bayes, "_solve_nodes", counting if path == "solver" else _no_solve)
         model = all_models["bloch_equatorial"]
         j_functional(model, bump_prior(2, 0.8), fidelity_loss(model),
-                     c_fn=recording_c_fn if path == "c_fn" else None, base_n=13, levels=3)
-        assert len(set(seen)) == len(seen)
-        axis = np.linspace(-1.02 * 0.8, 1.02 * 0.8, 49)   # the third level's axis
-        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
-        inner = pts[np.linalg.norm(pts, axis=1) <= 0.8 + 1.2 * (axis[1] - axis[0])]
-        assert set(map(tuple, inner)) <= set(seen)
+                     c_fn=recording_c_fn if path == "c_fn" else None, quad=QUICK)
+        assert len(set(seen)) == len(seen) == 480 + 1920
+        for n_radial, n_angular in ((8, 12), (16, 24)):
+            nodes = _BallGrid(2, 0.8, n_radial, n_angular).nodes
+            assert set(map(tuple, nodes)) <= set(seen)
         if path == "solver":
-            assert len(sizes) == 3
-            assert sizes[0] > 1 and sizes[1] > sizes[0] and sizes[2] > sizes[1]
+            assert sizes == [480, 1920]
 
     @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit"])
     def test_batch_equals_warm_chained_solves(self, all_models, name):
-        # the chain of per-node solves in raster order, each one cold from
+        # the chain of per-node solves in stack order, each one cold from
         # its SLD start (the solver has no warm start)
         model = all_models[name]
         loss = fidelity_loss(model)
@@ -433,8 +455,8 @@ class TestJFunctional:
             return loss.gtilde(theta) @ loss.psi_jac(theta) @ sol.v0
 
         prior = bump_prior(2, 0.8)
-        batched = j_functional(model, prior, loss, base_n=13, levels=2)
-        chained = j_functional(model, prior, loss, c_fn=chained_c, base_n=13, levels=2)
+        batched, _ = j_functional(model, prior, loss, quad=QUICK)
+        chained, _ = j_functional(model, prior, loss, c_fn=chained_c, quad=QUICK)
         assert batched == pytest.approx(chained, rel=1e-9)
 
 class TestSerialization:
@@ -491,7 +513,7 @@ class TestVanTrees:
         # J(pi) has its own per-node check; a stub keeps this one to the grid terms
         import qbound.bayes as bayes
         from qbound import helstrom_matrix
-        monkeypatch.setattr(bayes, "j_functional", lambda *args, **kwargs: 0.0)
+        monkeypatch.setattr(bayes, "j_functional", lambda *args, **kwargs: (0.0, 0.0))
         if case == "random affine":   # non-identity Gtilde, Helstrom information
             model, loss = _random_affine_case()
             prior = bump_prior(2, 0.4)
@@ -541,8 +563,7 @@ class TestVanTrees:
             return np.linalg.inv(solve_holevo(model, theta, loss.g0(theta)).v0)
 
         bound = integrated_holevo(model, loss, prior, QUICK).value
-        jv = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
-                          base_n=13, levels=2)
+        jv, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
         n = np.array([100, 1000, 10000])
         rhs = van_trees_rhs(model, prior, loss, info_i0, n, c_fn=equatorial_c_fn, quad=QUICK)
         assert np.all(rhs <= bound + 1e-6)
@@ -554,8 +575,7 @@ class TestVanTrees:
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
         info_fn = _alternating_info_fn(model)
-        jv = j_functional(model, prior, loss, c_fn=equatorial_c_fn,
-                          base_n=13, levels=2)
+        jv, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
         n = np.array([100, 1000, 10000])
         rhs = van_trees_rhs(model, prior, loss, info_fn, n, c_fn=equatorial_c_fn, quad=QUICK)
         assert np.all(rhs >= 0.5 - jv / n - 1e-6)
@@ -571,7 +591,10 @@ class TestVanTrees:
         closed = van_trees_parts(model, prior, loss, info_fn, c_fn=equatorial_c_fn, quad=QUICK)
         assert solved["numerator_mean"] == pytest.approx(closed["numerator_mean"], abs=1e-9)
         assert solved["info_mean"] == pytest.approx(closed["info_mean"], abs=1e-9)
-        assert solved["j_value"] == pytest.approx(closed["j_value"], rel=1e-6)
+        assert solved["j_value"] == pytest.approx(closed["j_value"], rel=1e-9)
+        # J(pi) on the grid levels of quad, with its error
+        assert (closed["j_value"], closed["j_error"]) == j_functional(
+            model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
 
     def test_rhs_at_many_n_integrates_once(self, monkeypatch):
         # one van_trees_parts call for every N; each value is the scalar
@@ -640,8 +663,7 @@ def _theta_loss(rng):
     """Loss with psi = theta and a random SPD Gtilde (2, 2), so G0 = Gtilde."""
     a = rng.standard_normal((2, 2))
     gt = a @ a.T + 0.5 * np.eye(2)
-    return LossSpec(psi=lambda t: np.asarray(t, dtype=float),
-                    psi_jac=lambda t: np.broadcast_to(np.eye(2), np.shape(t) + (2,)),
+    return LossSpec(psi_jac=lambda t: np.broadcast_to(np.eye(2), np.shape(t) + (2,)),
                     gtilde=lambda t: gt)
 
 
