@@ -1,11 +1,11 @@
 """Priors, quadratic loss specs, the integrated Holevo bound and van Trees.
 
-Quadrature uses polar/spherical product grids (Gauss-Legendre radial x
-uniform angular) on ball supports, with a Monte Carlo fallback; every
-grid bound carries an error estimate, the refinement difference plus the
-certified solver gaps.  Every Holevo solve of the module goes through
-``_solve_nodes``: a stack of nodes, each solved cold from its SLD start,
-in consecutive batches of ``_NODE_BATCH`` nodes.
+Every prior expectation (the integrated bound, the van Trees terms, J(pi)
+and prior_expectation) is formed by ``_grid_levels`` on product grids
+(Gauss-Legendre radial x uniform angular) on ball supports, with its
+refinement difference; the integrated bound has a Monte Carlo fallback.
+Every Holevo solve goes through ``_solve_nodes``: a stack of nodes, each
+solved cold from its SLD start, in batches of ``_NODE_BATCH`` nodes.
 """
 
 import math
@@ -351,23 +351,33 @@ class BayesBoundResult:
                 "iterations": self.iterations}
 
 
-def _first_grid(prior, quad):
-    """The first grid level of quad on the prior's support, for the
-    integrals that take grid quadrature only."""
+def _grid_levels(prior: Prior, quad: Optional[QuadratureOptions], node_fn, levels):
+    """Means sum(weights * dens * values) / mass of each column of
+    node_fn(nodes (n, p), dens (n,), mass) -> values (n, k) or (n,) on the
+    first ``levels`` grid levels of quad (grid quadrature only), mass being
+    the on-grid mass; returns them (levels, k) with the refinement
+    difference (k,) of the last two levels, zero for one level."""
     quad = quad or QuadratureOptions()
     if quad.method != "grid":
         raise ValueError(f"this integral takes grid quadrature only, not method {quad.method!r}")
-    return _BallGrid(prior.domain.dim, prior.domain.radius, quad.n_radial, quad.n_angular)
+    grid = _BallGrid(prior.domain.dim, prior.domain.radius, quad.n_radial, quad.n_angular)
+    means = []
+    for _ in range(levels):
+        dens = prior.density(grid.nodes)
+        mass = float(np.sum(grid.weights * dens))
+        vals = np.asarray(node_fn(grid.nodes, dens, mass), dtype=float).reshape(len(dens), -1)
+        means.append([np.sum(grid.weights * dens * col) / mass for col in vals.T])
+        grid = grid.refined()
+    means = np.array(means)
+    return means, np.abs(means[-1] - means[-2]) if levels > 1 else np.zeros(means.shape[1])
 
 
 def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None):
     """E_pi[fn(theta)] on the first level of the module's grid, normalized by
-    the on-grid mass; fn is called once per node."""
-    grid = _first_grid(prior, quad)
-    dens = prior.density(grid.nodes)
-    vals = np.array([fn(t) for t in grid.nodes])
-    mass = float(np.sum(grid.weights * dens))
-    return float(np.sum(grid.weights * dens * vals) / mass)
+    the on-grid mass.  fn maps one node (p,) to a float and is called once
+    per node: a reduction such as np.linalg.norm, passed as fn, would reduce
+    a whole node stack to one number."""
+    return float(_grid_levels(prior, quad, lambda nodes, *_: [fn(t) for t in nodes], 1)[0][0, 0])
 
 
 def _solve_nodes(model, loss, thetas, solver_opts, strict):
@@ -404,11 +414,11 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                       strict=True) -> BayesBoundResult:
     """E_pi C_{G0}, the integrated Holevo bound of the main theorem.
 
-    The error estimate is the refinement difference plus the prior-weighted
-    mean of the certified per-node gaps (value minus the node's dual lower
-    bound) of the last level, plus a 1e-10 linear-algebra floor.  A node
-    that failed (``strict=False``) has no certificate and makes the
-    estimate infinite.
+    The error estimate is the refinement difference (grid) or standard
+    error (Monte Carlo), plus the prior mean of the certified per-node gaps
+    (value minus the node's dual lower bound) of the last level or the
+    samples, plus a 1e-10 linear-algebra floor.  A node that failed
+    (``strict=False``) has no certificate and makes the estimate infinite.
     """
     quad = quad or QuadratureOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -420,76 +430,88 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
         if quad.mc_samples < 2:
             raise ValueError("Monte Carlo quadrature needs mc_samples >= 2 for an "
                              f"error estimate, got {quad.mc_samples}")
-        rng = np.random.default_rng(quad.seed)
-        thetas = prior.sample(rng, quad.mc_samples)
-        vals, _, _, _, iterations = _solve_nodes(model, loss, thetas, solver_opts, True)
+        thetas = prior.sample(np.random.default_rng(quad.seed), quad.mc_samples)
+        vals, _, gaps, _, iterations = _solve_nodes(model, loss, thetas, solver_opts, True)
         value = float(np.mean(vals))
-        err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)) + np.mean(gaps) + 1e-10)
         return BayesBoundResult(value, err, len(vals), 0, (value,), iterations=iterations)
 
-    grid = _BallGrid(prior.domain.dim, prior.domain.radius,
-                     quad.n_radial, quad.n_angular)
-    levels = []
-    failures = iterations = 0
-    for _ in range(quad.levels):
-        dens = prior.density(grid.nodes)
-        mass = float(np.sum(grid.weights * dens))
+    solved = []  # (failures, iterations, nodes, mass) of each level
+
+    def node_fn(nodes, dens, mass):
         if abs(mass - 1.0) > 1e-3:
             raise NumericalError(f"prior mass on the grid is {mass:.6f}, not 1")
-        values, _, gaps, fails, iters = _solve_nodes(model, loss, grid.nodes,
-                                                     solver_opts, strict)
-        failures += fails
-        iterations += iters
-        gap_mean = float(np.sum(grid.weights * dens * np.where(dens > 0.0, gaps, 0.0)) / mass)
-        levels.append(float(np.sum(grid.weights * dens * values) / mass))
-        nodes = len(grid.nodes)
-        grid = grid.refined()
-    refine_err = abs(levels[-1] - levels[-2]) if len(levels) > 1 else 0.0
-    err = refine_err + gap_mean + 1e-10
-    return BayesBoundResult(levels[-1], err, nodes, failures, tuple(levels), mass,
-                            iterations)
+        values, _, gaps, fails, iters = _solve_nodes(model, loss, nodes, solver_opts, strict)
+        solved.append((fails, iters, len(nodes), mass))
+        return np.stack([values, np.where(dens > 0.0, gaps, 0.0)], axis=-1)
+
+    means, refine = _grid_levels(prior, quad, node_fn, quad.levels)
+    err = float(refine[0] + means[-1, 1] + 1e-10)
+    return BayesBoundResult(float(means[-1, 0]), err, solved[-1][2],
+                            sum(s[0] for s in solved), tuple(means[:, 0].tolist()),
+                            solved[-1][3], sum(s[1] for s in solved))
 
 
 # ---------------------------------------------------------------------------
-# van Trees machinery
-
-def _c_nodes(model, loss, thetas, c_fn, solver_opts):
-    """C (n, q, p) at a node stack thetas (n, p): c_fn called at each node,
-    or, for c_fn None, the canonical C = Gtilde psi' V0 from one stack of
-    Holevo solves."""
-    if c_fn is not None:
-        return np.stack([np.asarray(c_fn(theta), dtype=float) for theta in thetas])
-    v0s = _solve_nodes(model, loss, thetas, solver_opts or SolverOptions(), strict=True)[1]
-    return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
-
+# van Trees machinery and the prior-regularity functional J(pi)
 
 def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
                     info_fn, c_fn=None,
                     quad: Optional[QuadratureOptions] = None,
                     solver_opts: Optional[SolverOptions] = None):
-    """Numerator and denominator pieces of the van Trees bound, integrated on
-    the first grid level of quad (grid quadrature only), with J(pi) and its
-    error from j_functional on the grid levels of quad.
+    """The van Trees terms E_pi trace(C psi'^T) and E_pi trace(Gtilde^{-1} C
+    I C^T) on the last grid level of quad, each with its refinement
+    difference plus a 1e-10 floor as its error, and J(pi) with its error
+    (see j_functional), from one C stack per level.  c_fn: node stack (n, p)
+    -> C (n, dim psi, dim theta); None selects the canonical C = Gtilde psi'
+    V0 from Holevo solves.  info_fn: node stack -> per-copy information (n,
+    p, p) of the scheme under study, or an object with ``.matrix``."""
+    quad = quad or QuadratureOptions()
+    if quad.levels < 2:
+        raise ValueError(f"J(pi) needs levels >= 2 for its drift check, got {quad.levels}")
+    ok, worst = check_boundary_zero(prior)
+    if not ok:
+        raise DivergentIntegralError(
+            f"prior density is {worst:.3e} on its support boundary; J(pi) "
+            "diverges for priors that do not vanish there")
+    p, r0 = prior.domain.dim, prior.domain.radius
+    if model.domain.kind == "ball" and r0 + _J_STEP >= model.domain.radius:
+        raise ValueError(
+            f"prior support radius {r0} leaves no room for the difference "
+            f"stencil inside the model domain (need radius > {r0 + _J_STEP})")
+    if c_fn is None:
+        def c_fn(thetas):  # the canonical C = Gtilde psi' V0, one stack of solves
+            v0s = _solve_nodes(model, loss, thetas, solver_opts or SolverOptions(), True)[1]
+            return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
+    stencil = np.concatenate([np.zeros((1, p)), _J_STEP * np.eye(p), -_J_STEP * np.eye(p)])
 
-    c_fn: matrix function theta -> C (dim psi x dim theta), called once per
-    node; None selects the canonical C = Gtilde psi' V0 from one stack of
-    Holevo solves.  info_fn: theta -> per-copy information of the scheme
-    under study (a matrix or an object with ``.matrix``), called once per
-    node.  ``loss.psi_jac`` and ``loss.gtilde`` are called on the node stack.
-    """
-    j_value, j_error = j_functional(model, prior, loss, c_fn, quad, solver_opts)
-    grid = _first_grid(prior, quad)
-    cs = _c_nodes(model, loss, grid.nodes, c_fn, solver_opts)
-    infos = [info_fn(theta) for theta in grid.nodes]
-    imats = np.stack([np.asarray(getattr(info, "matrix", info), dtype=float) for info in infos])
-    gis = np.linalg.inv(loss.gtilde(grid.nodes))
-    dens = prior.density(grid.nodes)
-    mass = float(np.sum(grid.weights * dens))
-    num_terms = np.trace(cs @ np.swapaxes(loss.psi_jac(grid.nodes), -1, -2), axis1=-2, axis2=-1)
-    den_terms = np.trace(gis @ cs @ imats @ np.swapaxes(cs, -1, -2), axis1=-2, axis2=-1)
-    return {"numerator_mean": float(np.sum(grid.weights * dens * num_terms) / mass),
-            "info_mean": float(np.sum(grid.weights * dens * den_terms) / mass),
-            "j_value": j_value, "j_error": j_error}
+    def node_fn(nodes, dens, mass):
+        # C at the nodes of positive density and at their 2p stencil points
+        keep = dens > 1e-12 * prior.peak
+        x, dens = nodes[keep], dens[keep]
+        cs = np.asarray(c_fn((stencil[:, None, :] + x).reshape(-1, p)), dtype=float)
+        cs = cs.reshape(2 * p + 1, len(x), *cs.shape[1:])
+        c, divc = cs[0], np.einsum("knqk->nq", cs[1:p + 1] - cs[p + 1:]) / (2.0 * _J_STEP)
+        w = np.einsum("nqp,np->nq", c, prior.density_grad(x)) + divc * dens[:, None]
+        gis, info = np.linalg.inv(loss.gtilde(x)), info_fn(x)
+        imats = np.asarray(getattr(info, "matrix", info), dtype=float)
+        vals = np.zeros((len(nodes), 3))
+        # J(pi) is an integral, not a mean: the factor mass undoes the division by it
+        vals[keep, 0] = mass * np.sum(w * (gis @ w[..., None])[..., 0], axis=-1) / dens ** 2
+        vals[keep, 1] = np.trace(c @ np.swapaxes(loss.psi_jac(x), -1, -2), axis1=-2, axis2=-1)
+        vals[keep, 2] = np.trace(gis @ c @ imats @ np.swapaxes(c, -1, -2), axis1=-2, axis2=-1)
+        return vals
+
+    means, refine = _grid_levels(prior, quad, node_fn, quad.levels)
+    j_value = float(means[-1, 0])
+    drift = refine[0] / max(abs(j_value), 1e-12)
+    if drift > _J_DRIFT_TOL:
+        raise DivergentIntegralError(
+            f"J(pi) drifts by {100 * drift:.1f}% under refinement (values "
+            f"{means[:, 0].tolist()}); the prior likely violates the smoothness hypotheses")
+    return {"numerator_mean": float(means[-1, 1]), "info_mean": float(means[-1, 2]),
+            "numerator_error": float(refine[1] + 1e-10), "info_error": float(refine[2] + 1e-10),
+            "j_value": j_value, "j_error": float(refine[0] + _J_STEP ** 2 * abs(j_value))}
 
 
 def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
@@ -507,9 +529,6 @@ def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
     rhs = parts["numerator_mean"] ** 2 / den
     return float(rhs) if rhs.ndim == 0 else rhs
 
-
-# ---------------------------------------------------------------------------
-# the prior-regularity functional J(pi)
 
 def check_boundary_zero(prior: Prior):
     """Sampled check that the density vanishes on the support boundary."""
@@ -530,44 +549,15 @@ def j_functional(model: ParametricModel, prior: Prior, loss: LossSpec, c_fn=None
 
     (C pi)' = C grad(pi) + div(C) pi, with grad(pi) analytic; only div(C)
     takes central differences (step _J_STEP), which keeps their error
-    integrable near the support boundary.  Each level gets C, c_fn once per
-    point as in van_trees_parts, from one _c_nodes stack: the nodes of
-    positive density and their 2p stencil points.  The error is the
-    refinement difference plus _J_STEP^2 |J| for the stencil bias.  A prior
-    that does not vanish on its boundary (J diverges), or a refinement
-    difference above _J_DRIFT_TOL relative, raises DivergentIntegralError.
+    integrable near the support boundary.  It is the J(pi) of
+    van_trees_parts, run with zero information: each level gets C from one
+    stack of the nodes of positive density and their 2p stencil points.
+    The error is the refinement difference plus _J_STEP^2 |J| for the
+    stencil bias.  A prior that does not vanish on its boundary (J
+    diverges), or a refinement difference above _J_DRIFT_TOL relative,
+    raises DivergentIntegralError.
     """
-    quad = quad or QuadratureOptions()
-    grid = _first_grid(prior, quad)
-    if quad.levels < 2:
-        raise ValueError(f"j_functional needs levels >= 2 for its drift check, got {quad.levels}")
-    ok, worst = check_boundary_zero(prior)
-    if not ok:
-        raise DivergentIntegralError(
-            f"prior density is {worst:.3e} on its support boundary; J(pi) "
-            "diverges for priors that do not vanish there")
-    p, r0 = prior.domain.dim, prior.domain.radius
-    if model.domain.kind == "ball" and r0 + _J_STEP >= model.domain.radius:
-        raise ValueError(
-            f"prior support radius {r0} leaves no room for the difference "
-            f"stencil inside the model domain (need radius > {r0 + _J_STEP})")
-    stencil = np.concatenate([np.zeros((1, p)), _J_STEP * np.eye(p), -_J_STEP * np.eye(p)])
-    values = []
-    for _ in range(quad.levels):
-        dens = prior.density(grid.nodes)
-        keep = dens > 1e-12 * prior.peak
-        x, dens = grid.nodes[keep], dens[keep]
-        cs = _c_nodes(model, loss, (stencil[:, None, :] + x).reshape(-1, p), c_fn, solver_opts)
-        cs = cs.reshape(2 * p + 1, len(x), *cs.shape[1:])
-        divc = np.einsum("knqk->nq", cs[1:p + 1] - cs[p + 1:]) / (2.0 * _J_STEP)
-        w = np.einsum("nqp,np->nq", cs[0], prior.density_grad(x)) + divc * dens[:, None]
-        gi_w = (np.linalg.inv(loss.gtilde(x)) @ w[..., None])[..., 0]
-        values.append(float(np.sum(grid.weights[keep] * np.sum(w * gi_w, axis=-1) / dens)))
-        grid = grid.refined()
-    refine_err = abs(values[-1] - values[-2])
-    drift = refine_err / max(abs(values[-1]), 1e-12)
-    if drift > _J_DRIFT_TOL:
-        raise DivergentIntegralError(
-            f"J(pi) drifts by {100 * drift:.1f}% under refinement (values {values}); "
-            "the prior likely violates the smoothness hypotheses")
-    return values[-1], refine_err + _J_STEP ** 2 * abs(values[-1])
+    p = prior.domain.dim
+    parts = van_trees_parts(model, prior, loss, lambda x: np.zeros((len(x), p, p)), c_fn,
+                            quad, solver_opts)
+    return parts["j_value"], parts["j_error"]

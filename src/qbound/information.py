@@ -73,10 +73,10 @@ def sld_residual(rho, drho, lams):
 
 
 def helstrom_matrix(model: ParametricModel, theta) -> InfoMatrix:
-    """Helstrom quantum information matrix H_ij = Re trace(rho L_i L_j)."""
+    """Helstrom information H_ij = Re trace(rho L_i L_j) at a point or a stack (n, p)."""
     rho = model.state(theta)
     lams = sld_from_state(rho, model.derivs(theta), model.is_pure)
-    return InfoMatrix(np.einsum("ab,ibc,jca->ij", rho, lams, lams).real)
+    return InfoMatrix(np.einsum("...ab,...ibc,...jca->...ij", rho, lams, lams).real)
 
 
 def classical_fisher(probs, dprobs):

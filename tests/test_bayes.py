@@ -9,7 +9,7 @@ import pytest
 from qbound import (DivergentIntegralError, InfeasibleTaperError,
                     NonConvergenceError, NumericalError, QuadratureOptions, SolverOptions,
                     bump_prior, check_boundary_zero, fidelity_loss,
-                    integrated_holevo, j_functional, prior_expectation,
+                    helstrom_matrix, integrated_holevo, j_functional, prior_expectation,
                     prior_taper, quarter_helstrom_weight, solve_holevo,
                     uniform_ball_prior, van_trees_parts, van_trees_rhs)
 from qbound.bayes import _J_STEP, LossSpec, _BallGrid, _solve_nodes
@@ -20,12 +20,14 @@ from conftest import random_qubit_pair_model, suzuki_bound
 QUICK = QuadratureOptions(n_radial=8, n_angular=12, levels=2)
 
 
-def equatorial_c_fn(theta):
-    """Canonical C = Gtilde psi' V0 for the equatorial family, closed form."""
-    theta = np.asarray(theta, dtype=float)
-    t = np.sqrt(1 - theta @ theta)
-    v0 = np.eye(2) - np.outer(theta, theta)      # V0 = H^{-1}
-    jac = np.vstack([np.eye(2), -theta / t])
+def equatorial_c_fn(thetas):
+    """Canonical C = Gtilde psi' V0 for the equatorial family, closed form,
+    at each point of a stack (n, 2)."""
+    thetas = np.asarray(thetas, dtype=float)
+    t = np.sqrt(1 - _squared_norms(thetas))
+    v0 = np.eye(2) - thetas[:, :, None] * thetas[:, None, :]      # V0 = H^{-1}
+    jac = np.concatenate([np.broadcast_to(np.eye(2), v0.shape),
+                          -(thetas / t[:, None])[:, None, :]], axis=1)
     return 0.25 * jac @ v0
 
 
@@ -38,12 +40,18 @@ def _alternating_info_fn(model):
     from qbound.models import basis_povm
     from qbound.simulate import PAULI_BASES
 
-    def info(theta):
-        i1 = povm_fisher(model, theta, basis_povm(PAULI_BASES[0])).matrix
-        i2 = povm_fisher(model, theta, basis_povm(PAULI_BASES[1])).matrix
-        return 0.5 * (i1 + i2)
+    def info(thetas):
+        return np.stack([0.5 * (povm_fisher(model, theta, basis_povm(PAULI_BASES[0])).matrix
+                                + povm_fisher(model, theta, basis_povm(PAULI_BASES[1])).matrix)
+                         for theta in thetas])
 
     return info
+
+
+def _at(fn, theta):
+    """A node-stack callable at one point."""
+    value = fn(np.asarray(theta, dtype=float)[None])
+    return np.asarray(getattr(value, "matrix", value), dtype=float)[0]
 
 
 class TestPriors:
@@ -265,6 +273,21 @@ class TestIntegratedHolevo:
         res = integrated_holevo(model, fidelity_loss(model), bump_prior(2, 0.8), quad)
         assert res.value == pytest.approx(0.5, abs=1e-4)
 
+    def test_monte_carlo_error_adds_gaps_and_floor(self, all_models):
+        # the standard error, the mean certified gap of the samples and the
+        # 1e-10 floor, as on the grid; each sample from a cold solve_holevo
+        model = all_models["bloch_equatorial"]
+        loss, prior = fidelity_loss(model), bump_prior(2, 0.8)
+        quad = QuadratureOptions(method="mc", mc_samples=100, seed=4)
+        res = integrated_holevo(model, loss, prior, quad)
+        sols = [solve_holevo(model, theta, loss.g0(theta))
+                for theta in prior.sample(np.random.default_rng(4), 100)]
+        values = np.array([sol.value for sol in sols])
+        gaps = np.array([sol.diagnostics["gap_estimate"] for sol in sols])
+        assert res.value == np.mean(values)
+        assert res.error_estimate == (np.std(values, ddof=1) / math.sqrt(100)
+                                      + np.mean(gaps) + 1e-10)
+
     def test_bad_prior_mass_rejected(self):
         from qbound import bloch_equatorial
         base = bump_prior(2, 0.8)
@@ -298,9 +321,9 @@ def per_node_j_functional(prior, loss, c_fn, quad):
         for theta, weight in zip(grid.nodes, grid.weights):
             dens = prior.density(theta)
             if dens > 1e-12 * prior.peak:
-                divc = sum((c_fn(theta + h * e) - c_fn(theta - h * e))[:, k]
+                divc = sum((_at(c_fn, theta + h * e) - _at(c_fn, theta - h * e))[:, k]
                            for k, e in enumerate(np.eye(p))) / (2 * h)
-                w = c_fn(theta) @ prior.density_grad(theta) + divc * dens
+                w = _at(c_fn, theta) @ prior.density_grad(theta) + divc * dens
                 total += weight * float(w @ np.linalg.inv(loss.gtilde(theta)) @ w) / dens
         values.append(total)
         grid = grid.refined()
@@ -308,10 +331,11 @@ def per_node_j_functional(prior, loss, c_fn, quad):
 
 
 def solver_c_fn(model, loss):
-    """Canonical C at one point from a cold solve_holevo."""
-    def c_fn(theta):
-        v0 = solve_holevo(model, theta, loss.g0(theta)).v0
-        return loss.gtilde(theta) @ loss.psi_jac(theta) @ v0
+    """Canonical C at each point of a stack, from one cold solve_holevo
+    per point."""
+    def c_fn(thetas):
+        v0s = np.stack([solve_holevo(model, theta, loss.g0(theta)).v0 for theta in thetas])
+        return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
     return c_fn
 
 
@@ -428,9 +452,10 @@ class TestJFunctional:
             seen.extend(map(tuple, thetas))
             return real(model, loss, thetas, *args, **kwargs)
 
-        def recording_c_fn(theta):
-            seen.append(tuple(theta))
-            return equatorial_c_fn(theta)
+        def recording_c_fn(thetas):
+            sizes.append(len(thetas))
+            seen.extend(map(tuple, thetas))
+            return equatorial_c_fn(thetas)
 
         monkeypatch.setattr(bayes, "_solve_nodes", counting if path == "solver" else _no_solve)
         model = all_models["bloch_equatorial"]
@@ -440,8 +465,7 @@ class TestJFunctional:
         for n_radial, n_angular in ((8, 12), (16, 24)):
             nodes = _BallGrid(2, 0.8, n_radial, n_angular).nodes
             assert set(map(tuple, nodes)) <= set(seen)
-        if path == "solver":
-            assert sizes == [480, 1920]
+        assert sizes == [480, 1920]
 
     @pytest.mark.parametrize("name", ["bloch_equatorial", "pure_qubit"])
     def test_batch_equals_warm_chained_solves(self, all_models, name):
@@ -449,14 +473,9 @@ class TestJFunctional:
         # its SLD start (the solver has no warm start)
         model = all_models[name]
         loss = fidelity_loss(model)
-
-        def chained_c(theta):
-            sol = solve_holevo(model, theta, loss.g0(theta))
-            return loss.gtilde(theta) @ loss.psi_jac(theta) @ sol.v0
-
         prior = bump_prior(2, 0.8)
         batched, _ = j_functional(model, prior, loss, quad=QUICK)
-        chained, _ = j_functional(model, prior, loss, c_fn=chained_c, quad=QUICK)
+        chained, _ = j_functional(model, prior, loss, c_fn=solver_c_fn(model, loss), quad=QUICK)
         assert batched == pytest.approx(chained, rel=1e-9)
 
 class TestSerialization:
@@ -491,15 +510,17 @@ class TestSerialization:
 
 def per_node_van_trees_parts(prior, loss, info_fn, c_fn, quad):
     """numerator_mean and info_mean of van_trees_parts with every term
-    evaluated node by node, as before the terms were stacked."""
+    evaluated node by node on the last grid level of quad, as before the
+    terms were stacked."""
     grid = _BallGrid(prior.domain.dim, prior.domain.radius, quad.n_radial, quad.n_angular)
+    for _ in range(quad.levels - 1):
+        grid = grid.refined()
     num_terms, den_terms = np.empty(len(grid.nodes)), np.empty(len(grid.nodes))
     for idx, theta in enumerate(grid.nodes):
-        c = c_fn(theta)
+        c = _at(c_fn, theta)
         jac = loss.psi_jac(theta)
         gi = np.linalg.inv(loss.gtilde(theta))
-        info = info_fn(theta)
-        imat = info.matrix if hasattr(info, "matrix") else np.asarray(info, dtype=float)
+        imat = _at(info_fn, theta)
         num_terms[idx] = np.trace(c @ jac.T)
         den_terms[idx] = np.trace(gi @ c @ imat @ c.T)
     weights = grid.weights * np.array([prior.density(t) for t in grid.nodes])
@@ -509,25 +530,57 @@ def per_node_van_trees_parts(prior, loss, info_fn, c_fn, quad):
 
 class TestVanTrees:
     @pytest.mark.parametrize("case", ["solver", "closed form", "random affine"])
-    def test_stacked_terms_equal_per_node_loop(self, all_models, monkeypatch, case):
-        # J(pi) has its own per-node check; a stub keeps this one to the grid terms
-        import qbound.bayes as bayes
-        from qbound import helstrom_matrix
-        monkeypatch.setattr(bayes, "j_functional", lambda *args, **kwargs: (0.0, 0.0))
+    def test_stacked_terms_equal_per_node_loop(self, all_models, case):
+        # the terms take C from J(pi)'s stacks, on the last level of quad
+        quad = QUICK
         if case == "random affine":   # non-identity Gtilde, Helstrom information
             model, loss = _random_affine_case()
-            prior = bump_prior(2, 0.4)
-            info_fn = lambda theta: helstrom_matrix(model, theta)
+            prior, quad = bump_prior(2, 0.4), QuadratureOptions(4, 6, 2)
+            info_fn = lambda thetas: helstrom_matrix(model, thetas)
         else:
             model = all_models["bloch_equatorial"]
             loss, prior = fidelity_loss(model), bump_prior(2, 0.8)
             info_fn = _alternating_info_fn(model)
         c_fn = equatorial_c_fn if case == "closed form" else None
-        parts = van_trees_parts(model, prior, loss, info_fn, c_fn=c_fn, quad=QUICK)
+        parts = van_trees_parts(model, prior, loss, info_fn, c_fn=c_fn, quad=quad)
         numerator, info = per_node_van_trees_parts(prior, loss, info_fn,
-                                                   c_fn or solver_c_fn(model, loss), QUICK)
+                                                   c_fn or solver_c_fn(model, loss), quad)
         assert parts["numerator_mean"] == pytest.approx(numerator, rel=1e-12, abs=0.0)
         assert parts["info_mean"] == pytest.approx(info, rel=1e-12, abs=0.0)
+
+    def test_each_node_solved_once(self, all_models, monkeypatch):
+        # one stack of (2p + 1) n points per level, 1,440 and 5,760 at
+        # 12/24/2: the terms reuse the C that J(pi) solved at the nodes
+        import qbound.bayes as bayes
+        real, sizes = bayes._solve_nodes, []
+
+        def counting(model, loss, thetas, *args, **kwargs):
+            sizes.append(len(thetas))
+            return real(model, loss, thetas, *args, **kwargs)
+
+        monkeypatch.setattr(bayes, "_solve_nodes", counting)
+        model = all_models["bloch_equatorial"]
+        prior, loss, quad = bump_prior(2, 0.8), fidelity_loss(model), QuadratureOptions()
+        parts = van_trees_parts(model, prior, loss, lambda t: helstrom_matrix(model, t),
+                                quad=quad)
+        assert sizes == [1440, 5760]
+        assert (parts["j_value"], parts["j_error"]) == j_functional(model, prior, loss,
+                                                                    quad=quad)
+
+    @pytest.mark.parametrize("r0", [0.8, 0.5])
+    def test_part_errors_bound_true_error(self, all_models, r0):
+        # the reference's last level is the 48/96 grid
+        model = all_models["bloch_equatorial"]
+        prior, loss = bump_prior(2, r0), fidelity_loss(model)
+        for info_fn in (_alternating_info_fn(model), lambda t: helstrom_matrix(model, t)):
+            reference = van_trees_parts(model, prior, loss, info_fn, c_fn=equatorial_c_fn,
+                                        quad=QuadratureOptions(24, 48, 2))
+            for quad in (QUICK, QuadratureOptions(12, 24, 2)):
+                parts = van_trees_parts(model, prior, loss, info_fn, c_fn=equatorial_c_fn,
+                                        quad=quad)
+                for part in ("numerator", "info"):
+                    error = abs(parts[f"{part}_mean"] - reference[f"{part}_mean"])
+                    assert error <= parts[f"{part}_error"], (quad, part, error)
 
     @pytest.mark.parametrize("method", ["mc", "MC"])
     def test_grid_only_functions_reject_other_methods(self, all_models, monkeypatch,
@@ -559,8 +612,9 @@ class TestVanTrees:
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
 
-        def info_i0(theta):
-            return np.linalg.inv(solve_holevo(model, theta, loss.g0(theta)).v0)
+        def info_i0(thetas):
+            return np.linalg.inv(np.stack([solve_holevo(model, theta, loss.g0(theta)).v0
+                                           for theta in thetas]))
 
         bound = integrated_holevo(model, loss, prior, QUICK).value
         jv, _ = j_functional(model, prior, loss, c_fn=equatorial_c_fn, quad=QUICK)
@@ -614,7 +668,7 @@ class TestVanTrees:
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         loss = fidelity_loss(model)
-        zero_c = lambda theta: np.zeros((3, 2))
+        zero_c = lambda thetas: np.zeros((len(thetas), 3, 2))
         with pytest.raises(NumericalError, match="denominator"):
             van_trees_rhs(model, prior, loss, _alternating_info_fn(model), 1000,
                           c_fn=zero_c, quad=QUICK)

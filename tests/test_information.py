@@ -110,6 +110,15 @@ class TestHelstrom:
                 assert np.allclose(h, h.T, atol=1e-9)
                 assert np.linalg.eigvalsh(h)[0] > -1e-9
 
+    def test_stack_equals_per_point(self, all_models):
+        # bit for bit: a stack of points is an info_fn of van_trees_parts
+        rng = np.random.default_rng(4)
+        for name, model in all_models.items():
+            pts = np.array(interior_points(model, 40, rng))
+            stacked = helstrom_matrix(model, pts).matrix
+            assert stacked.shape == (40,) + 2 * (model.num_params,)
+            assert np.array_equal(stacked, [helstrom_matrix(model, t).matrix for t in pts]), name
+
 
 class TestPovmFisher:
     def test_bernoulli_closed_form(self, all_models):
