@@ -520,9 +520,12 @@ def van_trees_rhs(model: ParametricModel, prior: Prior, loss: LossSpec,
                   solver_opts: Optional[SolverOptions] = None):
     """Lower bound on N x Bayes risk for a scheme with information info_fn:
     a float at one N, an array at each N of an array; the parts are
-    integrated once for every N."""
+    integrated once for every N, after each N is checked to be finite and >= 1."""
+    n_copies = np.asarray(n_copies, dtype=float)
+    if not np.all(np.isfinite(n_copies) & (n_copies >= 1.0)):
+        raise ValueError(f"n_copies must be finite and at least 1, got {n_copies.tolist()}")
     parts = van_trees_parts(model, prior, loss, info_fn, c_fn, quad, solver_opts)
-    den = parts["info_mean"] + parts["j_value"] / np.asarray(n_copies, dtype=float)
+    den = parts["info_mean"] + parts["j_value"] / n_copies
     if np.any(den <= 1e-14):
         raise NumericalError("van Trees denominator vanishes "
                              f"(information term {parts['info_mean']:.3e})")

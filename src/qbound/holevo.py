@@ -28,10 +28,12 @@ Solver design:
   max(trace(G H^-1), D(B_s)), B_s = Im sign(i Im M), is solved with no
   iterations.  Every node of the builtin families certifies there: weak
   commutativity on bloch_equatorial, pure states on the pure families;
-- every other point maximizes D alone by Newton ascent of
-  D(B) + mu log det(1 + iB) as mu falls to 0; the barrier keeps ||B|| < 1
-  for every p, so each D(B) on the way is a certified bound, and the
-  minimizer of trace(W_B Z(X)) at the last B is the primal point;
+- the other points of a batch maximize D together, each with its own
+  Newton steps on D(B) + mu log det(1 + iB) as its mu falls to 0; the
+  barrier keeps ||B|| < 1 for every p, so each D(B) on the way is a
+  certified bound, and the minimizer of trace(W_B Z(X)) at the last B is
+  the primal point; D, its derivatives and the certificate come from one
+  evaluator, ``_Dual.terms``;
 - ``gap_estimate`` is value minus the largest lower bound found, so it
   bounds the error of the value.
 """
@@ -257,108 +259,106 @@ class _Dual:
         # states rho N = 0 and every entry of A is rounding noise
         self.cutoff = _PINV_CUTOFF * np.trace(g, axis1=1, axis2=2)
 
-    def _alpha(self, xs, idx):
-        """trace(rho N_a X_j) as (k, p, m)."""
-        return _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]
+    def terms(self, m, xs, b, dirs, idx=slice(None)):
+        """(D, s, gradient, minus Hessian) of D(B) at points idx, for real
+        antisymmetric B (k, p, p), along directions E (nb, p, p), which may
+        be empty; X (k, p, d, d) is feasible and M = G^1/2 Z(X) G^1/2.
 
-    def parts(self, w, xs, idx=slice(None)):
-        """c (k, p*m) and A (k, p*m, p*m), linear in the weights w (k, p, p):
-        moving the feasible X_j by sum_a s_ja N_a changes trace(W Z(X)) by
-        c.s + s^T A s, with c = 2 Re(W L), L_ja = trace(rho X_j N_a), and
-        A = Re(W^T kron K)."""
-        lin = 2.0 * (w @ self._alpha(xs, idx).conj()).real
-        k, p, nm = lin.shape
-        hess = (np.swapaxes(w, 1, 2)[:, :, None, :, None]
-                * self.fs.kmat[idx][:, None, :, None, :]).real.reshape(k, p * nm, p * nm)
-        return lin.reshape(k, p * nm), hess
-
-    def value(self, m, xs, b, idx=slice(None)):
-        """D(B) = min over feasible X of trace(W_B Z(X)) at points idx, a
-        lower bound on C_G for every real antisymmetric B (k, p, p) with
-        norm <= 1; W_B = G^1/2 (1 + iB) G^1/2 is then PSD.
-
-        Expanded about feasible X (k, p, d, d) with M = G^1/2 Z(X) G^1/2,
-        D(B) = trace(W_B Z(X)) - c^T A^+ c / 4 with c, A the parts of W_B.
+        D(B) = min over feasible X of trace(W_B Z(X)), W_B = G + i G^1/2 B
+        G^1/2, is a lower bound on C_G when ||B|| <= 1.  Moving X_j by
+        sum_a s_ja N_a changes trace(W Z(X)) by c.s + s^T A s, with c =
+        2 Re(W L), L_ja = trace(rho X_j N_a), and A = Re(W^T kron K); so
+        D = e - c^T A^+ c / 4, e = trace Re M - trace(B Im M), at s =
+        -A^+ c / 2.  With the slopes e_k, c_k, A_k of W_k = i G^1/2 E_k
+        G^1/2, the gradient is e_k + c_k.s + s.A_k s and minus the Hessian
+        r_k.A^+ r_l / 2, r_k = c_k + 2 A_k s.
         """
-        gh = self.gh[idx]
-        lin, hess = self.parts(self.g[idx] + 1j * (gh @ b @ gh), xs, idx)
-        lam, u = np.linalg.eigh(hess)
+        gh = self.gh[idx][:, None]
+        w = np.concatenate([self.g[idx][:, None] + 1j * (gh @ b[:, None] @ gh),
+                            1j * (gh @ dirs @ gh)], axis=1)          # (k, 1 + nb, p, p)
+        alpha = _flat(np.swapaxes(xs, -1, -2)) @ self.fs.rho_n[idx]   # trace(rho N_a X_j)
+        lin = 2.0 * (w @ alpha.conj()[:, None]).real
+        k, nw, p, nm = lin.shape
+        lin = lin.reshape(k, nw, p * nm)
+        hess = (np.swapaxes(w, -1, -2)[..., :, None, :, None]
+                * self.fs.kmat[idx][:, None, None, :, None, :]).real.reshape(k, nw, p * nm, -1)
+        lam, u = np.linalg.eigh(hess[:, 0])
         keep = lam > self.cutoff[idx][:, None]
-        proj = (np.swapaxes(u, 1, 2) @ lin[..., None])[..., 0]
-        decrement = np.sum(np.where(keep, proj * proj / np.where(keep, lam, 1.0), 0.0), axis=1)
-        const = np.trace(m, axis1=1, axis2=2).real - np.trace(b @ m.imag, axis1=1, axis2=2)
-        return const - 0.25 * decrement
-
-    def newton_terms(self, m, xs, i, basis, b):
-        """(D, s, gradient, minus Hessian) at point i, m and xs (p, d, d) as
-        in ``value``, and B = sum_k b_k E_k, basis (nb, p, p).  e, c and A
-        of D = e - c^T A^+ c / 4 are affine in b, with the slopes of
-        W_k = i G^1/2 E_k G^1/2.  With s = -A^+ c / 2, D = e + c.s/2, the
-        gradient is e_k + c_k.s + s.A_k s and minus the Hessian is
-        r_k.A^+ r_l / 2, r_k = c_k + 2 A_k s."""
-        w = np.concatenate([(np.eye(len(m)) + 1j * np.einsum("k,kij->ij", b, basis))[None],
-                            1j * basis])
-        e = np.einsum("kij,ji->k", w, m).real     # trace(G^1/2 w G^1/2 Z(X))
-        lin, hess = self.parts(self.gh[i] @ w @ self.gh[i], xs[None], [i])
-        lam, u = np.linalg.eigh(hess[0])
-        keep = lam > self.cutoff[i]
-        apinv = (u * np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)) @ u.T
-        s = -0.5 * apinv @ lin[0]
-        a_s = hess[1:] @ s
-        r = lin[1:] + 2.0 * a_s
-        return e[0] + 0.5 * lin[0] @ s, s, e[1:] + lin[1:] @ s + a_s @ s, 0.5 * r @ apinv @ r.T
+        lam = np.where(keep, lam, 1.0)
+        proj = (np.swapaxes(u, 1, 2) @ lin[:, 0, :, None])[..., 0]
+        decrement = np.sum(np.where(keep, proj * proj / lam, 0.0), axis=1)
+        e = np.trace(m, axis1=1, axis2=2).real - np.trace(b @ m.imag, axis1=1, axis2=2)
+        inv = np.where(keep, 1.0 / lam, 0.0)         # A^+ = u diag(inv) u^T
+        s = -0.5 * (u @ (inv * proj)[..., None])
+        a_s = (hess[:, 1:] @ s[:, None])[..., 0]                      # (k, nb, p m)
+        ru = (lin[:, 1:] + 2.0 * a_s) @ u
+        grad = (-np.trace(dirs @ m.imag[:, None], axis1=-2, axis2=-1)
+                + ((lin[:, 1:] + a_s) @ s)[..., 0])
+        nhess = 0.5 * (ru * inv[:, None]) @ np.swapaxes(ru, 1, 2)
+        return e - 0.25 * decrement, s[..., 0], grad, nhess
 
 
 def _barrier(b, basis):
-    """(log det(1 + iB), gradient, minus Hessian) in the coordinates b of
-    B = sum_k b_k E_k; with S = (1 + iB)^-1 the last two are trace(S iE_k)
-    and trace(S iE_k S iE_l).  The log det is -inf unless ||B|| < 1."""
-    ib = 1j * np.einsum("k,kij->ij", b, basis)
+    """(log det(1 + iB), gradient, minus Hessian) at a stack of coordinates
+    b (k, nb) of B = sum_k b_k E_k; with S = (1 + iB)^-1 the last two are
+    trace(S iE_k) and trace(S iE_k S iE_l).  A row with ||B|| >= 1 gets
+    log det -inf and zero derivatives."""
+    ib = 1j * np.tensordot(b, basis, 1)
     w = np.linalg.eigvalsh(ib)          # pairs +-sigma, and 0 for odd p
-    if w[0] <= -1.0:
-        return -np.inf, None, None
-    se = np.linalg.inv(np.eye(len(ib)) + ib) @ (1j * basis)
-    return (np.sum(np.log1p(w)), np.trace(se, axis1=1, axis2=2).real,
-            (_flat(se) @ _flat(np.swapaxes(se, 1, 2)).T).real)
+    inside = w[:, 0] > -1.0
+    se = np.zeros((len(b),) + basis.shape, dtype=complex)
+    se[inside] = np.linalg.inv(np.eye(basis.shape[-1]) + ib[inside])[:, None] @ (1j * basis)
+    log_det = np.sum(np.log1p(np.where(inside[:, None], w, 0.0)), axis=1)
+    return (np.where(inside, log_det, -np.inf), np.trace(se, axis1=2, axis2=3).real,
+            (_flat(se) @ _flat(np.swapaxes(se, 2, 3)).swapaxes(1, 2)).real)
 
 
-def _ascend(dual: _Dual, xs, m, i, max_iters):
-    """Maximize D over ||B|| <= 1 at point i, from B = 0; xs and m as in
-    ``_Dual.value``.  Returns (s, D(b), Newton steps), with X + s the
-    minimizer of trace(W_B Z(X)) at the last B.
+def _ascend(dual: _Dual, xs, m, idx, max_iters):
+    """Maximize D over ||B|| <= 1 at the points idx, each from B = 0; xs
+    and m as in ``_Dual.terms``.  Returns (s, D(b), Newton steps) per
+    point, with X + s the minimizer of trace(W_B Z(X)) at the last B.
 
     Newton steps on D + mu log det(1 + iB) are halved until that rises, or,
     once the decrement is below 1e-9 max(1, |D|) and a rise can be below
     rounding, until they stay inside the ball.  Once the decrement is below
     mu/10, or no halving rises, the point is centred and within about p mu
-    of C_G: stop if p mu < 1e-12 max(1, |D|), else divide mu by 50.
+    of C_G: stop if p mu < 1e-12 max(1, |D|), else divide mu by 50.  The
+    points step together, each with its own mu, halvings and stop, and
+    each computes what it would compute alone.
     """
     p = m.shape[-1]
     eye, (j, k) = np.eye(p), np.triu_indices(p, 1)
     basis = eye[j, :, None] * eye[k, None, :] - eye[k, :, None] * eye[j, None, :]   # E_k
-    b = np.zeros(len(basis))
+
+    def evaluate(b):   # (D, s, its gradient and minus Hessian, the barrier's three)
+        return dual.terms(m, xs, np.tensordot(b, basis, 1), basis, idx) + _barrier(b, basis)
 
     def objective(b):   # keeps the terms at b; -inf outside the ball, as mu > 0
-        terms[:] = dual.newton_terms(m, xs, i, basis, b)
-        return terms[0] + mu * _barrier(b, basis)[0]
+        seen[:] = evaluate(b)
+        return seen[0] + mu * seen[4]
 
-    terms = list(dual.newton_terms(m, xs, i, basis, b))
-    d_b, s, grad_d, hess_d = terms
-    mu, steps = 0.01 * max(1.0, abs(d_b)) / p, 0
-    while steps < max_iters:
-        log_det, grad_b, hess_b = _barrier(b, basis)
-        grad = grad_d + mu * grad_b
-        step = np.linalg.solve(hess_d + mu * hess_b, grad)
-        decrement, steps = grad @ step, steps + 1
-        f = -np.inf if decrement < 1e-9 * max(1.0, abs(d_b)) else d_b + mu * log_det
-        _, b, rose = _rise(f, b, [step], lambda x: x, objective)
-        if rose:   # the accepted candidate is the last one objective saw
-            d_b, s, grad_d, hess_d = terms
-        if not rose or decrement < mu / 10.0:
-            if p * mu < 1e-12 * max(1.0, abs(d_b)):
-                break
-            mu /= 50.0
-    return s, d_b, steps
+    b = np.zeros((len(m), len(basis)))
+    kept = evaluate(b)
+    seen = list(kept)
+    mu = 0.01 * np.maximum(1.0, np.abs(kept[0])) / p
+    steps, live = np.zeros(len(m), dtype=int), np.full(len(m), max_iters > 0)
+    while live.any():
+        d_b, _, grad_d, hess_d, log_det, grad_b, hess_b = kept
+        grad, step = grad_d + mu[:, None] * grad_b, np.zeros_like(b)
+        step[live] = np.linalg.solve((hess_d + mu[:, None, None] * hess_b)[live],
+                                     grad[live][..., None])[..., 0]
+        decrement = (grad[:, None] @ step[..., None])[:, 0, 0]
+        steps += live
+        f = np.where(decrement < 1e-9 * np.maximum(1.0, np.abs(d_b)), -np.inf, d_b + mu * log_det)
+        _, b, rose = _rise(f, b, [step], lambda x: x, objective, live)
+        # a point that rose was last evaluated at its accepted candidate
+        kept = tuple(np.where(rose.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+                     for new, old in zip(seen, kept))
+        centred = live & (~rose | (decrement < mu / 10.0))
+        done = centred & (p * mu < 1e-12 * np.maximum(1.0, np.abs(kept[0])))
+        mu = np.where(centred & ~done, mu / 50.0, mu)
+        live &= ~done & (steps < max_iters)
+    return kept[1], kept[0], steps
 
 
 @dataclass(frozen=True)
@@ -402,17 +402,18 @@ def _certified(dual: _Dual, t, floor, idx=slice(None)):
     value, v0, m, (w, v) = _exact_terms(dual.gh[idx], dual.ghinv[idx], zs)
     if fs.m == 0:
         return xs, zs, value, v0, value.copy()
-    return xs, zs, value, v0, np.maximum(floor, dual.value(m, xs, _sign_weight(w, v), idx))
+    bound = dual.terms(m, xs, _sign_weight(w, v), np.zeros((0,) + m.shape[1:]), idx)[0]
+    return xs, zs, value, v0, np.maximum(floor, bound)
 
 
 def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions):
     """Holevo solves at a stack of points thetas (n, p) with weights g (n, p, p).
 
     Each point is computed as it would be computed alone.  A point the SLD
-    collection certifies keeps it, with no iterations; each other point
-    ascends the dual alone (see _ascend) and is certified again at the
-    primal point that the ascent ends on.  Non-convergence is reported per
-    point in the diagnostics, not raised.
+    collection certifies keeps it, with no iterations; the other points
+    ascend the dual in one lockstep call (see _ascend) and are certified
+    again at the primal points that the ascent ends on.  Non-convergence is
+    reported per point in the diagnostics, not raised.
     """
     rho = model.state(thetas)                  # the one state/derivs evaluation
     drho = np.asarray(model.derivs(thetas), dtype=complex)
@@ -436,11 +437,13 @@ def _solve_batch(model: ParametricModel, thetas, g, opts: SolverOptions):
     xs, zs, value, v0, lower = _certified(dual, t, helstrom_value)
 
     iters = np.zeros(len(thetas), dtype=int)
-    for i in np.nonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))[0]:
-        gh, row = dual.gh[i], [i]
-        s, d_b, iters[i] = _ascend(dual, xs[i], gh @ zs[i] @ gh, i, opts.max_iters)
-        xs[row], zs[row], value[row], v0[row], lower[row] = _certified(   # every D(B) bounds C_G
-            dual, t[row] + s, np.maximum(lower[row], d_b), row)
+    rows = np.flatnonzero(value - lower > CERTIFY_RTOL * np.maximum(1.0, np.abs(value)))
+    if rows.size:
+        gh = dual.gh[rows]
+        s, d_b, iters[rows] = _ascend(dual, xs[rows], gh @ zs[rows] @ gh, rows, opts.max_iters)
+        # every D(B) bounds C_G
+        xs[rows], zs[rows], value[rows], v0[rows], lower[rows] = _certified(
+            dual, t[rows] + s, np.maximum(lower[rows], d_b), rows)
 
     diagnostics = {
         "iterations": iters,
@@ -566,19 +569,12 @@ def embedding_sequence(solution: HolevoSolution, model: ParametricModel, theta):
     q = d * d - 1
 
     basis = hermitian_basis(d)
-    rvec = _coords(basis, rho)
-    # euclidean-orthonormal basis of {A : trace(rho A) = 0}
-    _, _, vt = np.linalg.svd(rvec[None, :])
-    lcols = vt[1:].T                                        # (d^2, q)
-    lmats = np.einsum("am,acd->mcd", lcols, basis)
-    gram = np.einsum("ab,mbc,nca->mn", rho, lmats, lmats).real
-    gram = 0.5 * (gram + gram.T)
-    xcoords = _coords(basis, np.stack(xs)) @ lcols
-    # nu basis: orthocomplement of span{X*} under <A,B> = Re trace(rho A B)
-    _, s, vt = np.linalg.svd(xcoords @ gram)
-    rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
-    ncols = vt[rank:].T                                     # (q, q - p)
-    nmats = np.einsum("qm,qcd->mcd", ncols, lmats)
+    # nu basis: {N : trace(rho N) = 0, Re trace(rho X*_j N) = 0}, the null
+    # space of the coordinates of [Herm(rho X*_j); rho], as Re trace(rho X N)
+    # = trace(Herm(rho X) N).  Their rank is p + 1: pairing sum a_j
+    # Herm(rho X*_j) + c rho = 0 with X*_k gives (Re Z) a = 0, so a = 0, c = 0
+    rows = _coords(basis, np.concatenate([hermitize(rho @ np.stack(xs)), rho[None]]))
+    nmats = (np.linalg.svd(rows)[2][p + 1:] @ _flat(basis)).reshape(-1, d, d)
 
     smats = hermitize(rho @ nmats + nmats @ rho) * 0.5
     ys = _FeasibleSet(rho[None], np.concatenate([drho, smats])[None]).pmats[0]

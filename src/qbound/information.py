@@ -103,8 +103,8 @@ def classical_fisher(probs, dprobs):
 
 
 def povm_fisher(model: ParametricModel, theta, povm: Povm) -> InfoMatrix:
-    """Fisher information of the Born distribution of a measurement; of a
-    stacked Povm, each POVM's (..., p, p), the same as alone."""
+    """Fisher information of the Born distribution of a measurement; at points
+    (n, p) or of a stacked Povm, each (..., p, p) is the same as alone."""
     probs = born_distribution(model.state(theta), povm)
     dprobs = _real_traces(model.derivs(theta), povm.elements)
     return InfoMatrix(classical_fisher(probs, dprobs))

@@ -130,10 +130,10 @@ def pauli_basis_povm(axis):
 
 
 def _real_traces(mats, elems):
-    """Re trace(A_k E_x) of matrices (m, d, d) and POVM elements (..., n, d, d),
-    shape (..., m, n): one real matmul per POVM, so a POVM gets the same
-    values in a stack as alone (see the note above holevo.z_matrix)."""
-    a = np.swapaxes(np.asarray(mats, dtype=complex), -1, -2).reshape(len(mats), -1)
+    """Re trace(A_k E_x) of stacks of matrices (..., m, d, d) and POVM elements
+    (..., n, d, d), shape (..., m, n): one real matmul per entry, so an entry
+    gets the same values in a stack as alone (see the note above holevo.z_matrix)."""
+    a = np.swapaxes(np.asarray(mats, dtype=complex), -1, -2).reshape(*np.shape(mats)[:-2], -1)
     e = np.ascontiguousarray(elems).reshape(*elems.shape[:-2], -1)  # kernels follow layout
     return np.concatenate([a.real, -a.imag], axis=-1) @ np.swapaxes(
         np.concatenate([e.real, e.imag], axis=-1), -1, -2)
@@ -141,15 +141,15 @@ def _real_traces(mats, elems):
 
 def born_distribution(rho, povm: Povm):
     """Outcome distribution of a measurement: p_x = trace(rho M_x), shape
-    (n,), or (..., n) for a stacked Povm.
+    (n,), or (..., n) for states (..., d, d) and a stacked Povm, broadcast.
 
     Tiny negative values (above -1e3 PROB_FLOOR) are clipped to zero.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != povm.dim:
+    if rho.shape[-1] != povm.dim:
         raise DimensionMismatchError(
-            f"state dimension {rho.shape[0]} != POVM dimension {povm.dim}")
-    p = _real_traces(rho[None], povm.elements)[..., 0, :]
+            f"state dimension {rho.shape[-1]} != POVM dimension {povm.dim}")
+    p = _real_traces(rho[..., None, :, :], povm.elements)[..., 0, :]
     if np.min(p) < -1e3 * PROB_FLOOR:
         raise ValueError(f"negative Born probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)

@@ -41,9 +41,8 @@ def _alternating_info_fn(model):
     from qbound.simulate import PAULI_BASES
 
     def info(thetas):
-        return np.stack([0.5 * (povm_fisher(model, theta, basis_povm(PAULI_BASES[0])).matrix
-                                + povm_fisher(model, theta, basis_povm(PAULI_BASES[1])).matrix)
-                         for theta in thetas])
+        return 0.5 * (povm_fisher(model, thetas, basis_povm(PAULI_BASES[0])).matrix
+                      + povm_fisher(model, thetas, basis_povm(PAULI_BASES[1])).matrix)
 
     return info
 
@@ -663,6 +662,17 @@ class TestVanTrees:
         assert len(calls) == 1
         assert rhs.tolist() == [0.51 ** 2 / (0.73 + 3.1 / n) for n in ns]
         assert van_trees_rhs(None, None, None, None, 1000) == 0.51 ** 2 / (0.73 + 3.1 / 1000)
+
+    @pytest.mark.parametrize("n_copies", [0, -5, np.nan, np.inf, 0.5, [10, 0]])
+    def test_bad_n_rejected_before_any_solve(self, monkeypatch, n_copies):
+        import qbound.bayes as bayes
+
+        def unexpected(*args):
+            raise AssertionError("van_trees_parts ran")
+
+        monkeypatch.setattr(bayes, "van_trees_parts", unexpected)
+        with pytest.raises(ValueError, match="n_copies"):
+            van_trees_rhs(None, None, None, None, n_copies)
 
     def test_degenerate_denominator_raises(self, all_models):
         model = all_models["bloch_equatorial"]

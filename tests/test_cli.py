@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qbound.cli import _verify_rows, main
 from qbound.models import basis_povm
 from qbound.simulate import PAULI_BASES
 
-from conftest import cli_env, random_mixed_model
+from conftest import SRC, cli_env, random_mixed_model
 
 
 def run_cli(*args, env_seed=None):
@@ -386,6 +387,7 @@ def test_verify_paper_fuzz_exit_codes(argv):
 
 _NUMPY_ONLY = """
 import sys
+from pathlib import Path
 startup = set(sys.modules)        # the interpreter's own, site hooks included
 import numpy as np
 import numpy.linalg, numpy.random
@@ -411,3 +413,10 @@ def test_library_loads_only_numpy_and_the_standard_library():
                          text=True, env=cli_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_library_lines_fit_99_columns():
+    src = Path(SRC) / "qbound"
+    long = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert not long, long

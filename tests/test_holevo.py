@@ -317,19 +317,97 @@ class TestSolver:
             b *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.tensordot(b, basis, 1), 2)
 
             def dual(b):
-                d_b, _, grad, nhess = point.dual.newton_terms(m, xs, 0, basis, b)
-                return d_b, grad, nhess
+                d_b, _, grad, nhess = point.dual.terms(
+                    m[None], xs[None], np.tensordot(b, basis, 1)[None], basis)
+                return d_b[0], grad[0], nhess[0]
 
-            for name, fn in (("dual", dual), ("barrier", lambda x: _barrier(x, basis))):
+            def barrier(b):
+                return [a[0] for a in _barrier(b[None], basis)]
+
+            for name, fn in (("dual", dual), ("barrier", barrier)):
                 value, grad, nhess = fn(b)
                 scale = max(1.0, abs(value))
                 gf = _central(lambda x: fn(x)[0], b, 1e-5)
                 hf = _central(lambda x: fn(x)[1], b, 1e-5)
                 assert np.max(np.abs(grad - gf)) < 1e-7 * scale, (d, p, name)
                 assert np.max(np.abs(nhess + hf)) < 1e-6 * scale, (d, p, name)
-            # the Newton terms' D(b) agrees with _Dual.value, which certifies the start
+            # D(b) along the ascent's directions agrees with the certificate's D,
+            # taken along none
             assert dual(b)[0] == pytest.approx(point.dual_value(t, np.tensordot(b, basis, 1)),
                                                rel=1e-12)
+
+
+class TestLockstepAscent:
+    """The uncertified points of a batch ascend the dual together, each as
+    it would alone."""
+
+    @staticmethod
+    def _case():
+        # eight points of a random mixed qutrit model that ascend in 15 to 39
+        # Newton steps
+        rng = np.random.default_rng(4)
+        model = random_mixed_model(rng, 3, 3)
+        thetas = np.stack(interior_points(model, 8, rng, radius=0.15))
+        g = np.stack([a @ a.T + 0.5 * np.eye(3) for a in rng.standard_normal((8, 3, 3))])
+        return model, thetas, g
+
+    def test_points_that_stop_early_or_run_out(self):
+        # with 16 steps one point stops on its own, and at least one point
+        # that runs out of steps is not certified
+        model, thetas, g = self._case()
+        steps = _solve_batch(model, thetas, g, SolverOptions()).diagnostics["iterations"]
+        assert steps.min() < 16 < steps.max()
+        opts = SolverOptions(max_iters=16)
+        batch = _solve_batch(model, thetas, g, opts)
+        ok = batch.diagnostics["converged"]
+        assert ok.any() and not ok.all()
+        for i in range(len(thetas)):
+            one = _solve_batch(model, thetas[i:i + 1], g[i:i + 1], opts)
+            for key in ("value", "x_star"):
+                assert np.array_equal(getattr(one, key)[0], getattr(batch, key)[i]), key
+            for key in ("iterations", "converged", "gap_estimate"):
+                assert one.diagnostics[key][0] == batch.diagnostics[key][i], key
+
+    def test_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(6)
+        model, thetas, g = self._case()
+        fs = _FeasibleSet(model.state(thetas), model.derivs(thetas))
+        dual = _Dual(fs, g)
+        xs = hermitize(fs.x_mats(rng.standard_normal((len(thetas), fs.p * fs.m))))
+        m = dual.gh @ z_matrix(fs.rho, xs) @ dual.gh
+        basis = np.array([np.outer(e, f) - np.outer(f, e)
+                          for k, e in enumerate(np.eye(3)) for f in np.eye(3)[k + 1:]])
+        b = rng.standard_normal((len(thetas), 3))
+        b *= rng.uniform(0.1, 0.9, (len(b), 1)) / np.linalg.norm(b, axis=1, keepdims=True)
+        b[2] *= 1.5 / np.linalg.norm(b[2])   # ||B|| = |b| for p = 3: outside the ball
+        bmats = np.tensordot(b, basis, 1)
+        stacked = dual.terms(m, xs, bmats, basis) + _barrier(b, basis)
+        assert stacked[4][2] == -np.inf and np.all(np.isfinite(np.delete(stacked[4], 2)))
+        for i in range(len(thetas)):
+            one = dual.terms(m[i:i + 1], xs[i:i + 1], bmats[i:i + 1], basis, [i])
+            for got, want in zip(stacked, one + _barrier(b[i:i + 1], basis)):
+                assert np.array_equal(got[i], want[0])
+
+    def test_one_barrier_evaluation_per_objective_evaluation(self, monkeypatch):
+        import qbound.holevo as holevo
+        counts = {"barrier": 0, "objective": 0}
+        real_barrier, real_rise = holevo._barrier, holevo._rise
+
+        def barrier(*args):
+            counts["barrier"] += 1
+            return real_barrier(*args)
+
+        def rise(f, x, steps, retract, objective, live):
+            def counted(b):
+                counts["objective"] += 1
+                return objective(b)
+            return real_rise(f, x, steps, retract, counted, live)
+
+        monkeypatch.setattr(holevo, "_barrier", barrier)
+        monkeypatch.setattr(holevo, "_rise", rise)
+        batch = _solve_batch(*self._case(), SolverOptions())
+        assert counts["objective"] >= batch.diagnostics["iterations"].max() > 0
+        assert counts["barrier"] == counts["objective"] + 1
 
 
 class _Point:
@@ -359,7 +437,8 @@ class _Point:
     def dual_value(self, t, b):
         """D(B) from the expansion about the feasible point at coordinates t."""
         m, xs = self.expansion(t)
-        return float(self.dual.value(m[None], xs[None], np.asarray(b, dtype=float)[None])[0])
+        b = np.asarray(b, dtype=float)
+        return float(self.dual.terms(m[None], xs[None], b[None], np.zeros((0,) + b.shape))[0][0])
 
 
 def _central(fn, x, step):

@@ -183,6 +183,22 @@ class TestPovmFisher:
                 ref += np.outer(dprobs[i][:, x], dprobs[i][:, x]) / probs[i][x]
             assert np.array_equal(stacked[i], 0.5 * (ref + ref.T))
 
+    def test_point_stack_equals_per_point(self, all_models):
+        # bit for bit: a stack of points is an info_fn of van_trees_parts;
+        # a stacked Povm of one basis per point broadcasts with the points
+        rng = np.random.default_rng(9)
+        for name, model in all_models.items():
+            pts = np.array(interior_points(model, 40, rng))
+            for u in [haar_unitary(model.dim, rng) for _ in range(2)]:
+                stacked = povm_fisher(model, pts, basis_povm(u)).matrix
+                assert stacked.shape == (40,) + 2 * (model.num_params,)
+                assert np.array_equal(stacked, [povm_fisher(model, t, basis_povm(u)).matrix
+                                                for t in pts]), name
+            us = np.stack([haar_unitary(model.dim, rng) for _ in pts])
+            assert np.array_equal(povm_fisher(model, pts, basis_povm(us)).matrix,
+                                  [povm_fisher(model, t, basis_povm(u)).matrix
+                                   for t, u in zip(pts, us)]), name
+
     def test_irregular_outcome_inside_a_stack_raises(self):
         probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
         dprobs = np.array([[[0.1, -0.1]], [[0.5, -0.5]], [[0.2, -0.2]]])
