@@ -9,14 +9,13 @@ solved cold from its SLD start, in batches of ``_NODE_BATCH`` nodes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DivergentIntegralError, InfeasibleTaperError, NumericalError
-# ``solve_holevo`` is not called here; it stays a name of this module
-# because perfbench/tracer.py wraps qbound.bayes.solve_holevo
+# not called here: solve_holevo stays a name of this module for perfbench/tracer.py
 from .holevo import SolverOptions, _solve_batch, solve_holevo  # noqa: F401
 from .linalg import WEIGHT_EIG_FLOOR
 from .models import (Domain, ParametricModel, _squared_norms, embedding_loss_scale,
@@ -339,16 +338,13 @@ class BayesBoundResult:
     value: float
     error_estimate: float
     nodes: int
-    solver_failures: int
+    solver_failures: int = 0  # always 0, a failed node raises; read by perfbench and qbound bayes
     levels: tuple = ()
     mass: float = 1.0
     iterations: int = 0    # dual-ascent Newton steps summed over all nodes and levels
 
     def to_dict(self):
-        return {"value": self.value, "error_estimate": self.error_estimate,
-                "nodes": self.nodes, "solver_failures": self.solver_failures,
-                "levels": list(self.levels), "mass": self.mass,
-                "iterations": self.iterations}
+        return asdict(self)
 
 
 def _grid_levels(prior: Prior, quad: Optional[QuadratureOptions], node_fn, levels):
@@ -380,45 +376,41 @@ def prior_expectation(fn, prior: Prior, quad: Optional[QuadratureOptions] = None
     return float(_grid_levels(prior, quad, lambda nodes, *_: [fn(t) for t in nodes], 1)[0][0, 0])
 
 
-def _solve_nodes(model, loss, thetas, solver_opts, strict):
+def _solve_nodes(model, loss, thetas, solver_opts):
     """Holevo solves at a node stack thetas (n, p), each cold from its SLD
-    start, in consecutive batches of _NODE_BATCH nodes.
-
-    A node that does not converge raises NumericalError under ``strict``;
-    otherwise it keeps its best value with an infinite gap and a NaN V0.
-    Returns (values, v0s, gaps, failures, iterations) in node order.
+    start, in consecutive batches of _NODE_BATCH nodes.  A node that does
+    not converge raises NumericalError from its NonConvergenceError.
+    Returns (values, v0s, gaps, iterations) in node order.
     """
     n, p = thetas.shape
     values, gaps, v0s = np.empty(n), np.empty(n), np.empty((n, p, p))
-    failures = iterations = 0
+    iterations = 0
     for lo in range(0, n, _NODE_BATCH):
         rows = slice(lo, lo + _NODE_BATCH)
         batch = _solve_batch(model, thetas[rows], loss.g0(thetas[rows]), solver_opts)
         ok = batch.diagnostics["converged"]
-        if strict and not ok.all():
+        if not ok.all():
             i = int(np.argmin(ok))
             raise NumericalError(
                 f"Holevo solve failed at theta={thetas[lo + i].tolist()}"
             ) from batch.nonconvergence(i, solver_opts)
         values[rows] = batch.value
-        gaps[rows] = np.where(ok, batch.diagnostics["gap_estimate"], np.inf)
-        v0s[rows] = np.where(ok[:, None, None], batch.v0, np.nan)
-        failures += int(np.sum(~ok))
+        gaps[rows] = batch.diagnostics["gap_estimate"]
+        v0s[rows] = batch.v0
         iterations += int(np.sum(batch.diagnostics["iterations"]))
-    return values, v0s, gaps, failures, iterations
+    return values, v0s, gaps, iterations
 
 
 def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
                       quad: Optional[QuadratureOptions] = None,
-                      solver_opts: Optional[SolverOptions] = None,
-                      strict=True) -> BayesBoundResult:
+                      solver_opts: Optional[SolverOptions] = None) -> BayesBoundResult:
     """E_pi C_{G0}, the integrated Holevo bound of the main theorem.
 
     The error estimate is the refinement difference (grid) or standard
     error (Monte Carlo), plus the prior mean of the certified per-node gaps
     (value minus the node's dual lower bound) of the last level or the
-    samples, plus a 1e-10 linear-algebra floor.  A node that failed
-    (``strict=False``) has no certificate and makes the estimate infinite.
+    samples, plus a 1e-10 linear-algebra floor.  A node that does not
+    converge raises NumericalError (see _solve_nodes).
     """
     quad = quad or QuadratureOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -431,25 +423,25 @@ def integrated_holevo(model: ParametricModel, loss: LossSpec, prior: Prior,
             raise ValueError("Monte Carlo quadrature needs mc_samples >= 2 for an "
                              f"error estimate, got {quad.mc_samples}")
         thetas = prior.sample(np.random.default_rng(quad.seed), quad.mc_samples)
-        vals, _, gaps, _, iterations = _solve_nodes(model, loss, thetas, solver_opts, True)
+        vals, _, gaps, iterations = _solve_nodes(model, loss, thetas, solver_opts)
         value = float(np.mean(vals))
         err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)) + np.mean(gaps) + 1e-10)
-        return BayesBoundResult(value, err, len(vals), 0, (value,), iterations=iterations)
+        return BayesBoundResult(value, err, len(vals), levels=(value,), iterations=iterations)
 
-    solved = []  # (failures, iterations, nodes, mass) of each level
+    solved = []  # (iterations, nodes, mass) of each level
 
     def node_fn(nodes, dens, mass):
         if abs(mass - 1.0) > 1e-3:
             raise NumericalError(f"prior mass on the grid is {mass:.6f}, not 1")
-        values, _, gaps, fails, iters = _solve_nodes(model, loss, nodes, solver_opts, strict)
-        solved.append((fails, iters, len(nodes), mass))
+        values, _, gaps, iters = _solve_nodes(model, loss, nodes, solver_opts)
+        solved.append((iters, len(nodes), mass))
         return np.stack([values, np.where(dens > 0.0, gaps, 0.0)], axis=-1)
 
     means, refine = _grid_levels(prior, quad, node_fn, quad.levels)
     err = float(refine[0] + means[-1, 1] + 1e-10)
-    return BayesBoundResult(float(means[-1, 0]), err, solved[-1][2],
-                            sum(s[0] for s in solved), tuple(means[:, 0].tolist()),
-                            solved[-1][3], sum(s[1] for s in solved))
+    return BayesBoundResult(float(means[-1, 0]), err, solved[-1][1],
+                            levels=tuple(means[:, 0].tolist()), mass=solved[-1][2],
+                            iterations=sum(s[0] for s in solved))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +473,7 @@ def van_trees_parts(model: ParametricModel, prior: Prior, loss: LossSpec,
             f"stencil inside the model domain (need radius > {r0 + _J_STEP})")
     if c_fn is None:
         def c_fn(thetas):  # the canonical C = Gtilde psi' V0, one stack of solves
-            v0s = _solve_nodes(model, loss, thetas, solver_opts or SolverOptions(), True)[1]
+            v0s = _solve_nodes(model, loss, thetas, solver_opts or SolverOptions())[1]
             return loss.gtilde(thetas) @ loss.psi_jac(thetas) @ v0s
     stencil = np.concatenate([np.zeros((1, p)), _J_STEP * np.eye(p), -_J_STEP * np.eye(p)])
 

@@ -58,9 +58,7 @@ def _parse_model(args):
     if name.startswith("file:"):
         name = name[5:]
     if os.path.exists(name) or name.endswith(".json"):
-        if not os.path.exists(name):
-            raise UsageError(f"model spec file {name!r} does not exist")
-        return model_from_spec(name)
+        return model_from_spec(name)  # an OSError of a missing file exits 2
     try:
         return builtin_model(name, dim=getattr(args, "dim", None))
     except ValueError as exc:
@@ -83,10 +81,7 @@ def _parse_weight(spec, model, theta):
     if spec == "identity":
         return np.eye(model.num_params)
     if spec.startswith("file:"):
-        path = spec[5:]
-        if not os.path.exists(path):
-            raise UsageError(f"weight file {path!r} does not exist")
-        with open(path, encoding="utf-8") as fh:
+        with open(spec[5:], encoding="utf-8") as fh:
             mat = np.array(json.load(fh), dtype=float)
         if mat.shape != (model.num_params, model.num_params):
             raise UsageError("weight matrix has the wrong shape")
@@ -146,11 +141,12 @@ def _matrix(obj):
 
 
 def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2,
+                                                                sort_keys=True) + "\n"
+    if args.output:  # first: a bad path exits 2 before any result is printed
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +215,7 @@ def cmd_simulate(args):
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-        print(text, end="")
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        _emit(buf.getvalue(), args)
     else:
         _emit({"rows": rows, "seed": args.seed}, args)
     return EXIT_OK
@@ -381,7 +373,7 @@ def main(argv=None):
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (UsageError, DomainError, DimensionMismatchError, ValueError) as exc:
+    except (UsageError, DomainError, DimensionMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:

@@ -44,8 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalError, RankDeficiencyError
-# ``sld`` is not called here; it stays a name of this module because
-# perfbench/tracer.py wraps qbound.holevo.sld
+# not called here: sld stays a name of this module for perfbench/tracer.py
 from .information import RANK_TOL, helstrom_matrix, sld, sld_from_state  # noqa: F401
 from .linalg import (WEIGHT_EIG_FLOOR, _rise, hermitian_basis, hermitize,
                      sym_sqrt_and_inv_sqrt)

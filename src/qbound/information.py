@@ -33,10 +33,6 @@ class InfoMatrix:
         m = 0.5 * (m + np.swapaxes(m, -1, -2))
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def num_params(self):
-        return self.matrix.shape[-1]
-
 
 def sld_from_state(rho, drho, pure=False):
     """SLDs of a state (d, d) with derivatives (p, d, d), shape (p, d, d);

@@ -13,6 +13,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# the eigenbases of PAULIS as unitaries, the +1 eigenvector first
+PAULI_BASES = tuple(np.linalg.eigh(s)[1][:, ::-1] for s in PAULIS)
 
 
 def hermitize(a):

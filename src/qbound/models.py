@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import PAULIS, check_hermitian, hermitize, psd_sqrt
+from .linalg import PAULI_BASES, PAULIS, check_hermitian, hermitize, psd_sqrt
 
 FAMILIES = ("bloch_full", "bloch_equatorial", "pure_qubit", "pure_dim_d", "affine_custom")
 
@@ -124,9 +124,8 @@ def basis_povm(u):
 
 
 def pauli_basis_povm(axis):
-    """Eigenbasis POVM of sigma_1, sigma_2 or sigma_3 (axis = 0, 1, 2)."""
-    _, v = np.linalg.eigh(PAULIS[axis])
-    return basis_povm(v[:, ::-1])  # descending eigenvalue order: "+1" first
+    """Eigenbasis POVM of sigma_1, sigma_2 or sigma_3 (axis = 0, 1, 2), "+1" first."""
+    return basis_povm(PAULI_BASES[axis])
 
 
 def _real_traces(mats, elems):
@@ -252,16 +251,8 @@ class ParametricModel:
 
 
 def bloch_state(theta):
-    """Qubit state (1 + theta.sigma)/2 for theta in the unit ball."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != 3:
-        raise DimensionMismatchError("bloch_state expects a 3-vector")
-    if np.linalg.norm(theta) > 1.0 + 1e-12:
-        raise DomainError(f"Bloch vector norm {np.linalg.norm(theta)!r} > 1")
-    rho = 0.5 * np.eye(2, dtype=complex)
-    for t, s in zip(theta, PAULIS):
-        rho = rho + 0.5 * t * s
-    return rho
+    """Qubit state (1 + theta.sigma)/2 for theta in the unit ball: bloch_full().state."""
+    return bloch_full().state(theta)
 
 
 def _affine_model(rho0, basis, domain, family, dim):
@@ -440,8 +431,22 @@ def _matrix_to_json(a):
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
-def _matrix_from_json(obj):
-    return np.array([[complex(e[0], e[1]) for e in row] for row in obj])
+def _json_array(obj, valid, what):
+    """obj as a C-ordered float array if valid(array) holds; else ValueError: must be what."""
+    try:
+        a = np.array(obj, dtype=float, order="C")
+    except (TypeError, ValueError):
+        a = None
+    if a is None or not valid(a):
+        raise ValueError(f"{what}, got {obj!r}")
+    return a
+
+
+def _matrix_from_json(obj, name):
+    """A d x d complex matrix from its d x d array of [re, im] pairs."""
+    a = _json_array(obj, lambda a: a.ndim == 3 and a.shape[1:] == (len(a), 2) and len(a),
+                    f"{name} must be a d x d array of [re, im] pairs")
+    return a.view(complex)[..., 0]
 
 
 def model_to_spec(model: ParametricModel):
@@ -474,23 +479,33 @@ def model_from_spec(spec):
     family = spec.get("family")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if not isinstance(spec.get("dim", 0), int):
+        raise ValueError(f"model dim must be an integer, got {spec['dim']!r}")
     if family != "affine_custom":
         return builtin_model(family, dim=spec.get("dim"))
     if "rho0" not in spec or "basis" not in spec:
         raise ValueError("affine_custom spec requires rho0 and basis")
-    rho0 = _matrix_from_json(spec["rho0"])
-    basis = [_matrix_from_json(b) for b in spec["basis"]]
-    domain = None
+    if not (isinstance(spec["basis"], list) and spec["basis"]):
+        raise ValueError("model basis must be a non-empty list of matrices")
+    rho0 = _matrix_from_json(spec["rho0"], "rho0")
+    basis = [_matrix_from_json(b, f"basis[{i}]") for i, b in enumerate(spec["basis"])]
+    p, domain = len(basis), None
     if "domain" in spec:
         dd = spec["domain"]
+        if not isinstance(dd, dict):
+            raise ValueError("model domain must be a JSON object")
         unknown = set(dd) - {"kind", "radius", "bounds"}
         if unknown:
             raise ValueError(f"unknown domain keys: {sorted(unknown)}")
         if dd.get("kind") == "ball":
-            domain = Domain("ball", radius=float(dd.get("radius", 1.0)), dim=len(basis))
+            radius = _json_array(dd.get("radius", 1.0), lambda r: r.ndim == 0 and 0.0 < r < np.inf,
+                                 "ball radius must be positive and finite")
+            domain = Domain("ball", radius=float(radius), dim=p)
         elif dd.get("kind") == "box":
-            domain = Domain("box", bounds=tuple(tuple(b) for b in dd["bounds"]),
-                            dim=len(basis))
+            bounds = _json_array(dd.get("bounds"), lambda b: b.shape == (p, 2) and np.all(
+                np.isfinite(b) & (b[:, :1] < b[:, 1:])),
+                f"box bounds must be {p} pairs [lo, hi] of finite numbers with lo < hi")
+            domain = Domain("box", bounds=tuple(map(tuple, bounds.tolist())), dim=p)
         else:
             raise ValueError(f"unknown domain kind {dd.get('kind')!r}")
     return affine_model(rho0, basis, domain)

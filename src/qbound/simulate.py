@@ -5,7 +5,7 @@ random, or two-step adaptive), sample outcomes through the Born rule, and
 feed estimators (maximum likelihood, posterior mean, or a test-only oracle)
 outcome count tables; one count log-likelihood sum c log p serves them all.
 A risk run takes its trials in blocks sized by the rows of a table (see
-_run_trials).  Per trial only its RNG, from (seed, spawn_key=t), is called:
+bayes_risk_mc).  Per trial only its RNG, from (seed, spawn_key=t), is called:
 the prior's rejection draws and the uniforms (and Haar bases).  The rest
 runs once per block: the prior densities (Prior.sample_each), the Born
 thresholds against which shared-basis uniforms are counted straight into
@@ -20,17 +20,15 @@ priors through their JSON specs, so an object without a spec needs workers=1.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bayes import Prior
-from .errors import NumericalError
+from .errors import DimensionMismatchError, NumericalError
 from .information import InfoMatrix, povm_fisher
-from .linalg import PAULIS, _rise, haar_unitaries
+from .linalg import PAULI_BASES, PAULIS, _rise, haar_unitaries
 from .models import ParametricModel, basis_povm, fidelity
-
-PAULI_BASES = tuple(np.linalg.eigh(s)[1][:, ::-1] for s in PAULIS)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +51,18 @@ class MeasurementScheme:
         if self.kind not in ("fixed_basis", "alternating_bases", "random_basis_covariant",
                              "two_step_adaptive"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        object.__setattr__(self, "bases",
-                           tuple(np.asarray(b, dtype=complex) for b in self.bases))
+        bases = tuple(np.asarray(b, dtype=complex) for b in self.bases)
+        for k, b in enumerate(bases):
+            if not (b.ndim == 2 and len(b) == b.shape[1]
+                    and np.all(np.abs(b.conj().T @ b - np.eye(len(b))) <= 1e-10)):
+                raise ValueError(f"scheme basis {k} is not a square unitary within 1e-10")
+        object.__setattr__(self, "bases", bases)
+
+
+def _check_dim(model, scheme):
+    """DimensionMismatchError, before any trial, unless every basis is model.dim x model.dim."""
+    if any(len(b) != model.dim for b in scheme.bases):
+        raise DimensionMismatchError(f"scheme bases must be {model.dim} x {model.dim}")
 
 
 def fixed_basis_scheme(basis):
@@ -228,6 +236,7 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
     draws of a block of one of the risk harness (see _sample_block)."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
+    _check_dim(model, scheme)
     rng = np.random.default_rng(seed)  # a Generator is used as it is
     rho = model.state(theta)[None]
     if scheme.kind == "random_basis_covariant":
@@ -307,7 +316,7 @@ _MLE_TOL = 1e-8          # per-copy gradient length at which an MLE ascent stops
 _MLE_MAX_ITERS = 400     # steps after which an MLE ascent stops unconverged
 _POSTERIOR_DRAWS = 256   # importance draws of the posterior mean
 _PROPOSAL_SPREAD = 1.3   # how much wider than the Laplace fit its proposal is
-# rows per array pass: of a block of small tables (see _run_trials) and of a
+# rows per array pass: of a block of small tables (see bayes_risk_mc) and of a
 # chunk of tables weighing the posterior mean's draws (see _draws_loglik), so
 # each (tables, rows, 256) array is about 0.5 MB
 _STACKED_ROWS = 256
@@ -741,49 +750,29 @@ class RiskEstimate:
     boundary_hits: int = 0
 
     def to_dict(self):
-        return {"n_copies": self.n_copies, "trials": self.trials,
-                "value": self.value, "std_error": self.std_error,
-                "loss_summary": self.loss_summary, "failures": self.failures,
-                "boundary_hits": self.boundary_hits}
+        return asdict(self)
 
 
 # the fewest trials per block, kept by random bases (a row per copy; fewer ran slower)
 _TRIAL_BLOCK = 16
 
 
-def _run_trials(model, prior, scheme, estimator, n_copies, seed, indices):
-    """(losses, boundary hits, errors) of the trials in indices, in blocks
-    (see _trial_block) of _STACKED_ROWS // rows trials, at least
-    _TRIAL_BLOCK, for tables of K d rows (two-step: of stage 1) or N (random
-    bases).  A block that raises runs again one trial at a time, so that
-    each error is charged to its own trial."""
-    def starts(trials):  # (rng, theta): rng from (seed, spawn_key=t), theta its prior draw
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-                for t in trials]
-        return list(zip(rngs, prior.sample_each(rngs)))
-
-    run = functools.partial(_trial_block, model, prior, scheme, estimator, n_copies)
-    losses, boundary, errors = [], 0, []
-    indices = list(indices)
-    rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
-    size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
-    for lo in range(0, len(indices), size):
-        block = indices[lo:lo + size]
-        first = starts(block)
-        try:
-            runs = [run(first)]
-        except Exception:
-            runs = []
-            for t in block:
-                try:
-                    runs.append(run(starts([t])))
-                except Exception as exc:  # counted; run aborts if the rate exceeds 1%
-                    runs.append(([np.nan], 0))
-                    errors.append(repr(exc))
-        for vals, hits in runs:
-            losses += vals
-            boundary += hits
-    return losses, boundary, errors
+def _run_block(model, prior, scheme, estimator, n_copies, seed, trials):
+    """(losses, boundary hits, errors) of a block of trials (see _trial_block),
+    trial t started from a generator from (seed, spawn_key=t) and its prior
+    draw.  A block that raises runs again one trial at a time, so that each
+    error is charged to its own trial."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+            for t in trials]
+    starts = list(zip(rngs, prior.sample_each(rngs)))  # a prior that cannot be sampled raises
+    try:
+        return (*_trial_block(model, prior, scheme, estimator, n_copies, starts), [])
+    except Exception as exc:  # counted; bayes_risk_mc aborts if the rate exceeds 1%
+        if len(trials) == 1:
+            return [np.nan], 0, [repr(exc)]
+    losses, hits, errors = zip(*[_run_block(model, prior, scheme, estimator, n_copies, seed,
+                                            [t]) for t in trials])
+    return sum(losses, []), sum(hits), sum(errors, [])
 
 
 def _trial_block(model, prior, scheme, estimator, n_copies, starts):
@@ -813,28 +802,30 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     """N x empirical Bayes fidelity-risk over seeded independent trials.
 
     Draws theta from the prior, runs the scheme, estimates, and averages
-    1 - Fid(rho(theta_hat), rho(theta)); trials run in blocks (see
-    _run_trials).  Aborts if more than 1% of the trials fail in the
-    estimator.  With workers=1 the trials run on the caller's objects.  A
-    pool of workers > 1 pickles the model and the prior through their JSON
-    specs, so an object without a spec (a custom prior, a ParametricModel
-    of a family that model_to_spec cannot describe) raises ValueError
-    there.
+    1 - Fid(rho(theta_hat), rho(theta)), in blocks (see _run_block) of
+    _STACKED_ROWS // rows trials, at least _TRIAL_BLOCK, for tables of K d
+    rows (two-step: of stage 1) or N (random bases).  Aborts if more than 1%
+    of the trials fail in the estimator.  With workers=1 the blocks run on
+    the caller's objects.  A pool of workers > 1 maps the same blocks; it
+    pickles the model and the prior through their JSON specs, so an object
+    without a spec (a custom prior, a ParametricModel of a family that
+    model_to_spec cannot describe) raises ValueError there.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    run = functools.partial(_run_trials, model, prior, scheme, estimator,
-                            int(n_copies), seed)
+    _check_dim(model, scheme)
+    rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
+    size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
+    blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    run = functools.partial(_run_block, model, prior, scheme, estimator, int(n_copies), seed)
     if workers <= 1:
-        results = [run(range(trials))]
-    else:
-        size = max(1, math.ceil(trials / (4 * workers)))
-        chunks = [range(start, min(start + size, trials))
-                  for start in range(0, trials, size)]
+        results = list(map(run, blocks))
+    else:  # about 4 tasks per worker: a task per block ran slower
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))  # in chunk order
+            results = list(pool.map(run, blocks,  # in block order
+                                    chunksize=math.ceil(len(blocks) / (4 * workers))))
     losses = np.array([loss for vals, _, _ in results for loss in vals])
     boundary = sum(bnd for _, bnd, _ in results)
     errors = [err for _, _, errs in results for err in errs]

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from qbound import (Domain, affine_model, bloch_equatorial, bloch_full,
-                    pure_qubit, pure_state_model)
+                    model_to_spec, pure_qubit, pure_state_model)
 from qbound.information import sld_from_state
-from qbound.linalg import haar_unitary, random_hermitian
+from qbound.linalg import PAULI_X, PAULI_Y, haar_unitary, random_hermitian
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -30,6 +31,39 @@ def all_models():
         "pure_qubit": pure_qubit(),
         "pure_dim_3": pure_state_model(3),
     }
+
+
+# malformed changes of a valid affine spec (see malformed_spec): the entry at
+# a path of keys, and the value it is set to
+MALFORMED_SPECS = {
+    "rho0 not an array": (("rho0",), "abc"),
+    "rho0 not square": (("rho0",), [[[0.5, 0.0], [0.0, 0.0]]]),
+    "entry a string": (("rho0", 0, 0), "a"),
+    "entry not a pair": (("rho0", 0, 0), [0.5]),
+    "entry NaN": (("basis", 0, 0, 1), ["NaN", 0]),
+    "basis not a list": (("basis",), 5),
+    "basis empty": (("basis",), []),
+    "dim not an integer": (("dim",), [3]),
+    "domain not an object": (("domain",), 3),
+    "box without bounds": (("domain",), {"kind": "box"}),
+    "box bounds ragged": (("domain",), {"kind": "box", "bounds": [[0], [1, 2]]}),
+    "box bounds too few": (("domain",), {"kind": "box", "bounds": [[-1, 1]]}),
+    "box lo above hi": (("domain",), {"kind": "box", "bounds": [[0.5, 0.1], [-1, 1]]}),
+    "box bound infinite": (("domain",), {"kind": "box", "bounds": [[-math.inf, 1], [-1, 1]]}),
+    "ball radius negative": (("domain", "radius"), -1),
+    "ball radius infinite": (("domain", "radius"), math.inf),
+}
+
+
+def malformed_spec(name):
+    """The spec of affine_model(1/2, [X/2, Y/2]) with MALFORMED_SPECS[name] made."""
+    spec = model_to_spec(affine_model(0.5 * np.eye(2), [0.5 * PAULI_X, 0.5 * PAULI_Y]))
+    (*keys, last), value = MALFORMED_SPECS[name]
+    entry = spec
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    return spec
 
 
 def interior_points(model, n, rng, radius=0.6):

@@ -110,6 +110,13 @@ class TestPriors:
             prior.sample(np.random.default_rng(0))
         with pytest.raises(NumericalError, match="rejection sampling"):
             prior.sample(np.random.default_rng(0), 5)
+        # a risk run draws its starts outside the estimator's retry: it
+        # raises this at once instead of charging it to every trial
+        from qbound import Estimator, alternating_scheme, bayes_risk_mc, bloch_equatorial
+        from qbound.linalg import PAULI_BASES
+        with pytest.raises(NumericalError, match="^rejection sampling"):
+            bayes_risk_mc(bloch_equatorial(), prior, alternating_scheme(PAULI_BASES[:2]),
+                          Estimator("mle"), 10, 4)
 
     def test_sample_each_equals_sample(self):
         # one draw per generator, bit for bit that of sample(rng), and the
@@ -744,10 +751,9 @@ class TestBatchedSolves:
             loss = fidelity_loss(model)
         prior = bump_prior(model.num_params, 0.4)
         grid = _BallGrid(model.num_params, 0.4, 4, 6)
-        values, _, gaps, failures, _ = _solve_nodes(model, loss, grid.nodes,
-                                                    SolverOptions(), strict=True)
+        values, _, gaps, _ = _solve_nodes(model, loss, grid.nodes, SolverOptions())
         reference, _ = _serial_chain(model, loss, grid)
-        assert failures == 0 and np.all(np.isfinite(gaps))
+        assert np.all(np.isfinite(gaps))
         assert np.max(np.abs(values - reference)) <= tol
         quad = QuadratureOptions(n_radial=4, n_angular=6, levels=1)
         res = integrated_holevo(model, loss, prior, quad)
@@ -769,8 +775,7 @@ class TestBatchedSolves:
             return batch
 
         monkeypatch.setattr(qbound.bayes, "_solve_batch", recording)
-        values, _, _, _, total = _solve_nodes(model, loss, grid.nodes, SolverOptions(),
-                                              strict=True)
+        values, _, _, total = _solve_nodes(model, loss, grid.nodes, SolverOptions())
         reference, serial = _serial_chain(model, loss, grid)
         assert np.array_equal(np.concatenate(per_batch), serial)
         assert total == serial.sum() > 0
@@ -778,7 +783,7 @@ class TestBatchedSolves:
 
     def test_one_failed_node(self, all_models, monkeypatch):
         # batches of 5 nodes; the wrapper marks node 6, the second node of
-        # the second batch, as not converged
+        # the second batch, as not converged, and the stack raises there
         import qbound.bayes
         model = all_models["bloch_equatorial"]
         loss = fidelity_loss(model)
@@ -792,19 +797,9 @@ class TestBatchedSolves:
             batch.diagnostics["converged"] = batch.diagnostics["converged"] & ~hit
             return batch
 
-        clean = _solve_nodes(model, loss, grid.nodes, SolverOptions(), strict=False)
         monkeypatch.setattr(qbound.bayes, "_solve_batch", failing)
         monkeypatch.setattr(qbound.bayes, "_NODE_BATCH", 5)
         with pytest.raises(NumericalError, match="solve failed at theta") as err:
-            _solve_nodes(model, loss, grid.nodes, SolverOptions(), strict=True)
+            _solve_nodes(model, loss, grid.nodes, SolverOptions())
         assert str(grid.nodes[bad].tolist()) in str(err.value)
         assert isinstance(err.value.__cause__, NonConvergenceError)
-        values, v0s, gaps, failures, _ = _solve_nodes(model, loss, grid.nodes,
-                                                      SolverOptions(), strict=False)
-        others = np.arange(len(grid.nodes)) != bad
-        assert failures == 1
-        assert np.array_equal(values[others], clean[0][others])
-        assert np.array_equal(gaps[others], clean[2][others])
-        assert np.array_equal(v0s[others], clean[1][others])
-        assert np.isinf(gaps[bad]) and np.all(np.isnan(v0s[bad]))
-        assert values[bad] == clean[0][bad]   # the best value found

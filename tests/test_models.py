@@ -15,7 +15,8 @@ from qbound import (Domain, DomainError, Povm, affine_model, basis_povm,
 from qbound.linalg import PAULI_X, PAULI_Z, haar_unitaries, haar_unitary, random_hermitian
 from qbound.models import FAMILIES
 
-from conftest import fd_jacobian, interior_points, random_mixed_model
+from conftest import (MALFORMED_SPECS, fd_jacobian, interior_points, malformed_spec,
+                      random_mixed_model)
 
 
 class TestBlochState:
@@ -323,6 +324,11 @@ class TestModelSpec:
         bad = random_hermitian(2, rng)  # not a state
         with pytest.raises(ValueError):
             affine_model(bad, [0.5 * PAULI_Z])
+
+    @pytest.mark.parametrize("name", list(MALFORMED_SPECS))
+    def test_malformed_spec_rejected(self, name):
+        with pytest.raises(ValueError):
+            model_from_spec(malformed_spec(name))
 
     def test_pure_dim_requires_dim(self):
         with pytest.raises(ValueError):

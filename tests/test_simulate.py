@@ -6,8 +6,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from qbound import (Estimator, NumericalError, adapted_bases, alternating_scheme,
-                    bayes_mean_estimate, bayes_risk_mc, bump_prior,
+from qbound import (DimensionMismatchError, Estimator, NumericalError, adapted_bases,
+                    alternating_scheme, bayes_mean_estimate, bayes_risk_mc, bump_prior,
                     empirical_fisher, fixed_basis_scheme, helstrom_matrix,
                     mle_estimate, povm_fisher, random_basis_scheme,
                     sample_outcomes, two_step_scheme)
@@ -1108,9 +1108,9 @@ class TestTrialBlocks:
             assert np.array_equal(one_est[0], est[t])
             assert one_hit[0] == hits[t]
         est_kind = Estimator(estimator)
-        losses, boundary, errors = simulate._run_trials(model, prior, scheme, est_kind,
-                                                        n, 2024, trials)
-        singles = [simulate._run_trials(model, prior, scheme, est_kind, n, 2024, [t])
+        losses, boundary, errors = simulate._run_block(model, prior, scheme, est_kind,
+                                                       n, 2024, trials)
+        singles = [simulate._run_block(model, prior, scheme, est_kind, n, 2024, [t])
                    for t in trials]
         assert losses == [run[0][0] for run in singles]
         assert boundary == sum(run[1] for run in singles) == hits.sum()
@@ -1118,8 +1118,8 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("name", ["eq_two_step_mle_4000", "eq_alt_bayes_4000"])
     def test_workers_are_bit_identical(self, all_models, name):
-        # 300 trials: the pool's chunks of 38 trials are blocks of their own,
-        # which start at other trials than the serial run's blocks of 64
+        # 300 trials: the serial run's blocks of 64, and the pool's, whose
+        # task is a chunk of one block here
         model, prior, scheme, estimator, n = block_config(all_models, name)
         runs = [bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, trials=300,
                               seed=2024, workers=w) for w in (1, 2)]
@@ -1127,28 +1127,67 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
     def test_row_sized_blocks_equal_blocks_of_16(self, all_models, monkeypatch, name):
-        # the blocks _run_trials picks, run as they are and cut into blocks of
-        # 16: equal losses, boundary hits and errors
+        # the blocks bayes_risk_mc cuts, run as they are and cut into blocks
+        # of 16: equal per-trial losses, boundary hits and failures
         model, prior, scheme, estimator, n = block_config(all_models, name)
         sizes, real = [], simulate._trial_block
 
-        def blocks_of(split):
+        def blocks_of(split, losses):
             def run(*args):
                 *head, starts = args
                 sizes.append(len(starts))
                 step = split or len(starts)
                 runs = [real(*head, starts[lo:lo + step]) for lo in range(0, len(starts), step)]
-                return sum((vals for vals, _ in runs), []), sum(hits for _, hits in runs)
+                vals = sum((vals for vals, _ in runs), [])
+                losses.extend(vals)
+                return vals, sum(hits for _, hits in runs)
             return run
 
         results = []
         for split in (None, 16):
-            monkeypatch.setattr(simulate, "_trial_block", blocks_of(split))
-            results.append(simulate._run_trials(model, prior, scheme, Estimator(estimator),
-                                                n, 2024, range(100)))
+            losses = []
+            monkeypatch.setattr(simulate, "_trial_block", blocks_of(split, losses))
+            risk = bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, 100, seed=2024)
+            results.append((losses, risk.to_dict()))
         size = BLOCK_TRIALS[name]
         assert sizes == 2 * ([size] * (100 // size) + [100 % size])
+        assert len(results[0][0]) == 100 and results[0][1]["failures"] == 0
         assert results[0] == results[1]
+
+    def test_pool_maps_the_serial_blocks(self, all_models, monkeypatch):
+        # workers=2 hands pool.map exactly the blocks that workers=1 runs, in
+        # chunks of ceil(blocks / (4 workers)), and gets the serial result
+        model, prior, scheme, estimator, n = block_config(all_models, "eq_alt_mle_20")
+        serial, mapped, real = [], [], simulate._run_block
+
+        def recording(*args):
+            serial.append(args[-1])
+            return real(*args)
+
+        class InProcessPool:  # runs the tasks here and records what it is given
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                mapped.append((list(items), chunksize))
+                return map(fn, mapped[-1][0])
+
+        monkeypatch.setattr(simulate, "_run_block", recording)
+        one = bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, 1000, seed=2024)
+        blocks = serial[:]
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+        two = bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, 1000, seed=2024,
+                            workers=2)
+        assert [len(b) for b in blocks] == [64] * 15 + [40]
+        assert mapped == [(blocks, 2)]
+        assert serial[len(blocks):] == blocks
+        assert two.to_dict() == one.to_dict()
 
     @pytest.mark.parametrize("n", [300, 4000])
     def test_random_bases_keep_blocks_of_16(self, all_models, monkeypatch, n):
@@ -1160,8 +1199,8 @@ class TestTrialBlocks:
             return [0.0] * sizes[-1], 0
 
         monkeypatch.setattr(simulate, "_trial_block", no_work)
-        simulate._run_trials(all_models["pure_qubit"], bump_prior(2, 0.8), random_basis_scheme(),
-                             Estimator("mle"), n, 2024, range(40))
+        bayes_risk_mc(all_models["pure_qubit"], bump_prior(2, 0.8), random_basis_scheme(),
+                      Estimator("mle"), n, 40, seed=2024)
         assert sizes == [16, 16, 8]
 
     def test_failing_trial_is_charged_alone(self, all_models, monkeypatch):
@@ -1178,10 +1217,10 @@ class TestTrialBlocks:
                 raise RuntimeError("trial 5 refused")
             return real(model, coeffs, counts_, *rest)
 
-        clean = simulate._run_trials(model, prior, scheme, Estimator("mle"), n, 2024, range(32))
+        clean = simulate._run_block(model, prior, scheme, Estimator("mle"), n, 2024, range(32))
         monkeypatch.setattr(simulate, "_mle_block", refuses_trial_5)
-        losses, boundary, errors = simulate._run_trials(model, prior, scheme,
-                                                        Estimator("mle"), n, 2024, range(32))
+        losses, boundary, errors = simulate._run_block(model, prior, scheme,
+                                                       Estimator("mle"), n, 2024, range(32))
         assert errors == [repr(RuntimeError("trial 5 refused"))]
         assert np.isnan(losses[5])
         assert losses[:5] + losses[6:] == clean[0][:5] + clean[0][6:]
@@ -1293,17 +1332,21 @@ class TestEmpiricalFisher:
         for stack in (us, np.ascontiguousarray(us), tuple(us)):
             assert np.array_equal(povm_fisher(model, theta, basis_povm(stack)).matrix, singles)
 
-    def test_non_unitary_scheme_basis_rejected(self, all_models):
-        model = all_models["bloch_full"]
-        theta = np.array([0.1, 0.2, -0.3])
+    def test_non_unitary_scheme_basis_rejected(self):
+        # refused when the scheme is made, before any information or trial
         skewed = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
-        for scheme in (fixed_basis_scheme(skewed),
-                       alternating_scheme((PAULI_BASES[0], 1.01 * PAULI_BASES[1])),
-                       MeasurementScheme("two_step_adaptive", (PAULI_BASES[0], skewed), 0.5)):
-            with pytest.raises(ValueError, match="sum to the identity"):
-                empirical_fisher(model, theta, scheme)
+        for make in (lambda: fixed_basis_scheme(skewed),
+                     lambda: fixed_basis_scheme([[1.0, 1.0], [0.0, 1.0]]),
+                     lambda: fixed_basis_scheme(PAULI_BASES[2][:, :1]),
+                     lambda: fixed_basis_scheme(np.full((2, 2), np.nan)),
+                     lambda: alternating_scheme((PAULI_BASES[0], 1.01 * PAULI_BASES[1])),
+                     lambda: MeasurementScheme("two_step_adaptive",
+                                               (PAULI_BASES[0], skewed), 0.5)):
+            with pytest.raises(ValueError, match="not a square unitary within 1e-10"):
+                make()
         with pytest.raises(ValueError, match="sum to the identity"):
             basis_povm(skewed)  # the per-basis POVM says the same
+        fixed_basis_scheme(PAULI_BASES[2] * (1.0 + 4e-11))  # inside the tolerance
 
 
 class TestBayesRisk:
@@ -1353,7 +1396,7 @@ class TestBayesRisk:
         model = all_models["bloch_equatorial"]
         prior = bump_prior(2, 0.8)
         scheme = alternating_scheme(PAULI_BASES[:2])
-        losses, boundary, errors = simulate._run_trials(
+        losses, boundary, errors = simulate._run_block(
             model, prior, scheme, Estimator("mle"), 500, 14, [0])
         assert errors == [] and boundary == 0
         rng = np.random.default_rng(np.random.SeedSequence(entropy=14, spawn_key=(0,)))
@@ -1391,6 +1434,22 @@ class TestBayesRisk:
         # bayes_mean_estimate; the risk harness runs their defaults
         with pytest.raises(TypeError):
             Estimator("mle", options={"n_samples": 64})
+
+    def test_basis_of_another_dimension_raises_before_any_trial(self, all_models,
+                                                                monkeypatch):
+        # a qubit basis on a qutrit and qutrit bases on a qubit
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulate, "_trial_block", no_trial)
+        qutrit_bases = haar_unitaries(3, 2, np.random.default_rng(0))
+        for model, scheme in ((all_models["pure_dim_3"], fixed_basis_scheme(PAULI_BASES[2])),
+                              (all_models["bloch_equatorial"], alternating_scheme(qutrit_bases))):
+            prior = bump_prior(model.num_params, 0.5)
+            with pytest.raises(DimensionMismatchError, match="scheme bases must be"):
+                bayes_risk_mc(model, prior, scheme, Estimator("mle"), 10, 4)
+            with pytest.raises(DimensionMismatchError, match="scheme bases must be"):
+                sample_outcomes(model, model.domain.reference_point, scheme, 10)
 
     def test_unknown_scheme_kind(self):
         # refused when the scheme is made, before any sampling or risk run
