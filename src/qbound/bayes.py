@@ -8,6 +8,7 @@ Every Holevo solve goes through ``_solve_nodes``: a stack of nodes, each
 solved cold from its SLD start, in batches of ``_NODE_BATCH`` nodes.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -122,18 +123,18 @@ def _ball_volume(p, r):
     return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * r ** p
 
 
-def _radial_mass(p, r0, radial_fn, n=128):
-    """integral over the ball of radial_fn(r/r0), one call on Gauss-Legendre nodes."""
-    x, w = np.polynomial.legendre.leggauss(n)
+@functools.cache  # once per process, not per unpickled prior; not at import (peak RSS)
+def _radial_rule():
+    return np.polynomial.legendre.leggauss(128)
+
+
+def _radial_mass(p, r0, radial_fn):
+    """integral over the ball of radial_fn(r/r0), one call on _radial_rule's nodes."""
+    x, w = _radial_rule()
     r = 0.5 * r0 * (x + 1.0)
     wr = 0.5 * r0 * w
     surf = _ball_volume(p, 1.0) * p  # surface area of the unit sphere in R^p
     return float(np.sum(wr * surf * r ** (p - 1) * radial_fn(r / r0)))
-
-
-def _check_radius(r0):
-    if not 0.0 < r0 < math.inf:
-        raise ValueError(f"prior radius must be positive and finite, got {r0}")
 
 
 def bump_prior(p, r0=0.9):
@@ -141,9 +142,8 @@ def bump_prior(p, r0=0.9):
 
     Smooth, zero on the boundary, with analytic gradient.
     """
-    _check_radius(r0)
-    mass = _radial_mass(p, r0, lambda u: (1.0 - u * u) ** 2)
-    c = 1.0 / mass
+    dom = Domain("ball", radius=r0, dim=p)  # ValueError unless 0 < r0 < inf
+    c = 1.0 / _radial_mass(p, r0, lambda u: (1.0 - u * u) ** 2)
 
     def dens(theta):
         u2 = _squared_norms(theta) / (r0 * r0)
@@ -153,17 +153,15 @@ def bump_prior(p, r0=0.9):
         u2 = _squared_norms(theta)[:, None] / (r0 * r0)
         return np.where(u2 < 1.0, -4.0 * c * (1.0 - u2) / (r0 * r0) * theta, 0.0)
 
-    return Prior(Domain("ball", radius=r0, dim=p), dens, grad,
-                 family="bump", peak=c,
+    return Prior(dom, dens, grad, family="bump", peak=c,
                  spec={"family": "bump", "dim": p, "radius": r0})
 
 
 def uniform_ball_prior(p, r0=1.0):
     """Uniform density on the ball; not boundary-zero (taper before use)."""
-    _check_radius(r0)
+    dom = Domain("ball", radius=r0, dim=p)  # ValueError unless 0 < r0 < inf
     c = 1.0 / _ball_volume(p, r0)
-    return Prior(Domain("ball", radius=r0, dim=p),
-                 lambda theta: c, np.zeros_like,
+    return Prior(dom, lambda theta: c, np.zeros_like,
                  family="uniform_ball", peak=c,
                  spec={"family": "uniform_ball", "dim": p, "radius": r0})
 

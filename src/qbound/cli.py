@@ -81,11 +81,15 @@ def _parse_weight(spec, model, theta):
     if spec == "identity":
         return np.eye(model.num_params)
     if spec.startswith("file:"):
+        p = model.num_params
         with open(spec[5:], encoding="utf-8") as fh:
-            mat = np.array(json.load(fh), dtype=float)
-        if mat.shape != (model.num_params, model.num_params):
-            raise UsageError("weight matrix has the wrong shape")
-        return mat  # solve_holevo checks it is finite, symmetric and positive-definite
+            try:
+                mat = np.array(json.load(fh))
+            except ValueError:  # not JSON, or ragged lists
+                mat = np.array(None)
+        if mat.dtype.kind not in "iuf" or mat.shape != (p, p):
+            raise UsageError(f"weight file must hold a {p} x {p} array of numbers")
+        return mat.astype(float)  # solve_holevo checks it is finite, symmetric and PD
     raise UsageError(f"unknown weight {spec!r}")
 
 

@@ -57,13 +57,25 @@ class Domain:
     bounds: Optional[tuple] = None  # box: ((lo, hi), ...) per coordinate
     dim: int = 0
 
+    def __post_init__(self):  # a ball of radius in (0, inf), or a box of dim pairs lo < hi
+        if self.kind == "ball":
+            radius = _json_array(self.radius, lambda r: r.ndim == 0 and 0.0 < r < np.inf,
+                                 "ball radius must be positive and finite")
+            object.__setattr__(self, "radius", float(radius))
+        elif self.kind == "box":
+            bounds = _json_array(self.bounds, lambda b: b.shape == (self.dim, 2) and np.all(
+                np.isfinite(b) & (b[:, :1] < b[:, 1:])), f"box bounds must be {self.dim} "
+                "pairs [lo, hi] of finite numbers with lo < hi")
+            object.__setattr__(self, "bounds", tuple(map(tuple, bounds.tolist())))
+        else:
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+
     def contains(self, theta):
         """Membership of one point (p,), or of each point of a stack (n, p)."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "ball":
             return np.add.reduce(theta * theta, axis=-1) <= (self.radius + _DOMAIN_TOL) ** 2
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
+        lo, hi = np.array(self.bounds).T
         return np.all((theta >= lo - _DOMAIN_TOL) & (theta <= hi + _DOMAIN_TOL), axis=-1)
 
     def project(self, theta):
@@ -73,8 +85,7 @@ class Domain:
         if self.kind == "ball":
             r = np.sqrt(_squared_norms(theta))[..., None]
             return theta * (self.radius / np.maximum(r, self.radius))
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
+        lo, hi = np.array(self.bounds).T
         return np.clip(theta, lo, hi)
 
     @property
@@ -497,15 +508,5 @@ def model_from_spec(spec):
         unknown = set(dd) - {"kind", "radius", "bounds"}
         if unknown:
             raise ValueError(f"unknown domain keys: {sorted(unknown)}")
-        if dd.get("kind") == "ball":
-            radius = _json_array(dd.get("radius", 1.0), lambda r: r.ndim == 0 and 0.0 < r < np.inf,
-                                 "ball radius must be positive and finite")
-            domain = Domain("ball", radius=float(radius), dim=p)
-        elif dd.get("kind") == "box":
-            bounds = _json_array(dd.get("bounds"), lambda b: b.shape == (p, 2) and np.all(
-                np.isfinite(b) & (b[:, :1] < b[:, 1:])),
-                f"box bounds must be {p} pairs [lo, hi] of finite numbers with lo < hi")
-            domain = Domain("box", bounds=tuple(map(tuple, bounds.tolist())), dim=p)
-        else:
-            raise ValueError(f"unknown domain kind {dd.get('kind')!r}")
+        domain = Domain(**{"kind": None, **dd}, dim=p)  # Domain checks the kind and values
     return affine_model(rho0, basis, domain)

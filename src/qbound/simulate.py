@@ -154,17 +154,16 @@ class SampleData:
 
 
 def _thresholds(rhos, bases):
-    """Inverse-CDF thresholds (T, d-1, K) of the Born probabilities of each
-    state of rhos (T, d, d) in bases (K, d, d) or (T, K, d, d).  A uniform u
-    falls on the outcome that counts the thresholds of its basis below u;
-    the last CDF entry is 1, above every uniform, and is left out."""
-    k, d = bases.shape[-3:-1]
-    ut = np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d)
-    rho_ut = rhos @ ut  # <e|rho|e> of every basis vector e: one product with rho
-    probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=-2).reshape(-1, k, d)
-    cum = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
-    cum /= cum[..., -1:]
-    return np.swapaxes(cum[..., :-1], -1, -2)
+    """Inverse-CDF thresholds (T, d-1, K) of the Born probabilities <e|rho|e> of rhos (T, d, d)
+    or (d, d) in bases (K, d, d) or (T, K, d, d), outcome j's (d, K) vectors e (Haar: a row of
+    their array) at a time.  A uniform u falls on the outcome counting its thresholds below u."""
+    d, cum = bases.shape[-1], []
+    for j in range(d):
+        e = np.swapaxes(bases[..., j], -1, -2)
+        rho_e = np.reshape(rhos, (-1, d, d)) @ e
+        prob = np.clip(np.sum(e.real * rho_e.real + e.imag * rho_e.imag, axis=-2), 0.0, None)
+        cum.append(cum[-1] + prob if cum else prob)
+    return np.stack([c / cum[-1] for c in cum[:-1]], axis=-2)
 
 
 def _draw_stage(u, rngs, rhos, bases):
@@ -211,6 +210,12 @@ def _random_trial(dim, n_copies, rho, rng):
     return bases, np.arange(n_copies), (rng.random(n_copies) > _thresholds(rho, bases)[0]).sum(0)
 
 
+def _copy_table(bases, idx, outcomes):
+    """(cols, counts), a row per copy i in basis i of bases (N, d, d): a gather from bases.T."""
+    cols = np.take_along_axis(bases.T, outcomes[None, None], 0)[0]
+    return np.conjugate(cols, order="C"), np.ones(idx.size)
+
+
 def _columns(bases):
     """Conjugated vectors of bases (..., K, d, d), C-ordered columns (..., d, K d)."""
     k, d = bases.shape[-3:-1]
@@ -223,7 +228,7 @@ def _sample_block(model, scheme, n_copies, rhos, rngs):
     rhos[t] drawn with generators rngs[t]: counted from the uniforms, or a
     row per copy of random bases, taken from its basis (bases are not kept)."""
     if scheme.kind == "random_basis_covariant":
-        cols = [_table(*_random_trial(model.dim, n_copies, rho, rng), per_copy=True)[0]
+        cols = [_copy_table(*_random_trial(model.dim, n_copies, rho, rng))[0]
                 for rho, rng in zip(rhos, rngs)]
         return _table_block(model, cols, np.ones((len(rngs), n_copies)))
     bases, _, _, _, counts = _cycle_draws(model, scheme, n_copies, rhos, rngs)
@@ -247,13 +252,10 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
     return SampleData(bases, idx, outcomes, scheme.kind)
 
 
-def _table(bases, idx, outcomes, per_copy=False):
+def _table(bases, idx, outcomes):
     """(cols, counts): conjugated outcome vectors as columns (d, rows), a
     row per (basis, outcome) pair of bases (K, d, d), zero counts kept so
-    that a block's tables share one shape; per_copy, a row per copy."""
-    if per_copy:
-        return (np.conjugate(np.swapaxes(bases, 0, 1)[:, idx, outcomes], order="C"),
-                np.ones(idx.size))
+    that a block's tables share one shape."""
     k, d = bases.shape[:2]
     counts = np.bincount(idx * d + outcomes, minlength=k * d).astype(float)
     return _columns(bases), counts
@@ -278,8 +280,8 @@ def _table_block(model, cols, counts):
 
 def _likelihood_table(data: SampleData, model: ParametricModel):
     """The count likelihood of sampled data, a block of one table."""
-    cols, counts = _table(data.bases, data.basis_index, data.outcomes,
-                          data.scheme_kind == "random_basis_covariant")
+    table = _copy_table if data.scheme_kind == "random_basis_covariant" else _table
+    cols, counts = table(data.bases, data.basis_index, data.outcomes)
     return _table_block(model, cols[None], counts[None])
 
 
@@ -757,6 +759,17 @@ class RiskEstimate:
 _TRIAL_BLOCK = 16
 
 
+def _keep_heap():
+    """Pool initializer: glibc keeps freed arrays for the next trial instead of unmapping them."""
+    import ctypes
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError):
+        pass
+
+
 def _run_block(model, prior, scheme, estimator, n_copies, seed, trials):
     """(losses, boundary hits, errors) of a block of trials (see _trial_block),
     trial t started from a generator from (seed, spawn_key=t) and its prior
@@ -806,10 +819,10 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     _STACKED_ROWS // rows trials, at least _TRIAL_BLOCK, for tables of K d
     rows (two-step: of stage 1) or N (random bases).  Aborts if more than 1%
     of the trials fail in the estimator.  With workers=1 the blocks run on
-    the caller's objects.  A pool of workers > 1 maps the same blocks; it
-    pickles the model and the prior through their JSON specs, so an object
-    without a spec (a custom prior, a ParametricModel of a family that
-    model_to_spec cannot describe) raises ValueError there.
+    the caller's objects.  A pool of workers > 1 maps the same blocks, a task
+    each (see _keep_heap); it pickles the model and the prior through their
+    JSON specs, so an object without a spec (a custom prior, a ParametricModel
+    of a family that model_to_spec cannot describe) raises ValueError there.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -822,10 +835,9 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     run = functools.partial(_run_block, model, prior, scheme, estimator, int(n_copies), seed)
     if workers <= 1:
         results = list(map(run, blocks))
-    else:  # about 4 tasks per worker: a task per block ran slower
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks,  # in block order
-                                    chunksize=math.ceil(len(blocks) / (4 * workers))))
+    else:  # a task per block, results in block order
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
+            results = list(pool.map(run, blocks))
     losses = np.array([loss for vals, _, _ in results for loss in vals])
     boundary = sum(bnd for _, bnd, _ in results)
     errors = [err for _, _, errs in results for err in errs]

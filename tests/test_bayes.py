@@ -513,6 +513,19 @@ class TestSerialization:
             assert np.array_equal(again.density(pts), prior.density(pts))
             assert np.array_equal(again.density_grad(pts), prior.density_grad(pts))
 
+    def test_unpickled_bump_prior_builds_no_quadrature_rule(self, monkeypatch):
+        # a pool task unpickles its prior: the radial rule is built once per
+        # process, not once per task, and the density stays bit for bit
+        prior, pts = bump_prior(2, 0.8), np.random.default_rng(23).uniform(-0.6, 0.6, (32, 2))
+        blob = pickle.dumps(prior)
+
+        def no_rule(n):
+            raise AssertionError("leggauss called while unpickling")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+        again = pickle.loads(blob)
+        assert np.array_equal(again.density(pts), prior.density(pts))
+
 
 def per_node_van_trees_parts(prior, loss, info_fn, c_fn, quad):
     """numerator_mean and info_mean of van_trees_parts with every term

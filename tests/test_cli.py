@@ -99,6 +99,17 @@ class TestHolevoCommand:
         assert_usage_error(res)
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', '"abc"', "[[1, [2]], [3, 4]]"])
+    def test_weight_file_not_a_matrix_rejected(self, tmp_path, content):
+        # JSON that is not a p x p array of numbers exits 2, not with a traceback
+        bad = tmp_path / "w.json"
+        bad.write_text(content)
+        res = run_cli("holevo", "--model", "bloch_equatorial", "--theta", "0.1,0.1",
+                      "--weight", f"file:{bad}")
+        assert_usage_error(res)
+        assert "2 x 2 array of numbers" in res.stderr
+        assert res.stdout == ""
+
     def test_nonconvergence_exit_code(self, tmp_path):
         # builtin families certify at the SLD start and never ascend the
         # dual; this random mixed model does, and one Newton step does not
@@ -441,6 +452,39 @@ def test_library_loads_only_numpy_and_the_standard_library():
                          text=True, env=cli_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+_HEAP_PROBE = """
+import ctypes                      # numpy imports it too, so whether it is loaded tells nothing
+opened, init = [], ctypes.CDLL.__init__
+
+def recording(self, name, *args, **kwargs):
+    opened.append(name)
+    init(self, name, *args, **kwargs)
+
+ctypes.CDLL.__init__ = recording
+import numpy as np
+import qbound
+from qbound import simulate
+model = qbound.bloch_equatorial()
+theta = np.array([0.3, 0.1])
+qbound.solve_holevo(model, theta, qbound.quarter_helstrom_weight(model, theta))
+for scheme in (qbound.random_basis_scheme(), qbound.alternating_scheme(simulate.PAULI_BASES[:2])):
+    qbound.bayes_risk_mc(model, qbound.bump_prior(2, 0.8), scheme, qbound.Estimator("mle"), 50, 2)
+print(len(opened))
+simulate._keep_heap()              # what each pool worker runs first
+print(len(opened))
+"""
+
+
+def test_heap_setting_stays_in_pool_workers():
+    # glibc's malloc settings change only in the pool workers that
+    # bayes_risk_mc starts: the caller's process opens no C library through
+    # ctypes on import, in a Holevo solve or in a serial risk run
+    res = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True,
+                         text=True, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "1"]
 
 
 def test_library_lines_fit_99_columns():

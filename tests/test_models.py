@@ -72,6 +72,32 @@ class TestDomainProject:
         assert np.array_equal(dom.project(rows[2]), expected[2])
 
 
+class TestDomainChecks:
+    # a domain that would contain nothing, or that later code cannot read,
+    # is refused where it is built
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan, "0.5x", [0.5]])
+    def test_ball_radius_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="ball radius"):
+            Domain("ball", radius=radius, dim=1)
+
+    @pytest.mark.parametrize("bounds", [((0.5, -0.5),), ((0.2, 0.2),), ((-np.inf, 1.0),),
+                                        ((0.0, 1.0), (0.0, 1.0)), None, ((0.0,),)])
+    def test_box_bounds_finite_and_increasing(self, bounds):
+        with pytest.raises(ValueError, match="box bounds"):
+            Domain("box", bounds=bounds, dim=1)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown domain kind 'sphere'"):
+            Domain("sphere", radius=1.0, dim=2)
+
+    def test_valid_domains_keep_their_values(self):
+        ball = Domain("ball", radius=np.float64(0.7), dim=2)
+        box = Domain("box", bounds=[[-1, 0.5]], dim=1)
+        assert ball.radius == 0.7 and type(ball.radius) is float
+        assert box.bounds == ((-1.0, 0.5),)
+        assert ball.contains([0.7, 0.0]) and not ball.contains([0.71, 0.0])
+
+
 class TestPovm:
     def test_elements_must_sum_to_identity(self):
         proj = np.diag([1.0, 0.0])

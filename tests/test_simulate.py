@@ -23,8 +23,8 @@ from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 def outcome_table(data):
     """(vecs, counts): the count table of sampled data, its rows the outcome
     vectors (the conjugate transpose of the table's columns)."""
-    cols, counts = _table(data.bases, data.basis_index, data.outcomes,
-                          data.scheme_kind == "random_basis_covariant")
+    table = simulate._copy_table if data.scheme_kind == "random_basis_covariant" else _table
+    cols, counts = table(data.bases, data.basis_index, data.outcomes)
     return cols.T.conj(), counts
 
 
@@ -185,6 +185,37 @@ class TestSampling:
             thr = simulate._thresholds(rhos, per_copy)
             for t in range(n):
                 assert np.array_equal(thr[t], simulate._thresholds(rhos[t], per_copy)[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_thresholds_match_one_interleaved_product(self, d):
+        # an outcome at a time gives the thresholds of one (d, K d) product:
+        # bit for bit on per-copy bases, within an ulp on shared and
+        # per-trial ones (zgemm over K columns, not K d), same outcomes
+        rng = np.random.default_rng(40 + d)
+        model = pure_state_model(d)
+        rhos = model.state(bump_prior(model.num_params, 0.9).sample(rng, 16))
+        for rho in rhos[:4]:
+            per_copy = haar_unitaries(d, 500, rng)
+            assert np.array_equal(simulate._thresholds(rho, per_copy),
+                                  interleaved_thresholds(rho, per_copy))
+        u, idx = rng.random((16, 1, 150)), np.arange(150) % 3  # copy i in basis i % 3
+        for bases in (haar_unitaries(d, 3, rng), haar_unitaries(d, 48, rng).reshape(16, 3, d, d)):
+            thr, ref = simulate._thresholds(rhos, bases), interleaved_thresholds(rhos, bases)
+            assert thr.shape == ref.shape == (16, d - 1, 3)
+            assert np.max(np.abs(thr - ref)) <= 4.4e-16
+            assert np.array_equal((u > thr[..., idx]).sum(1), (u > ref[..., idx]).sum(1))
+
+
+def interleaved_thresholds(rhos, bases):
+    """The Born thresholds of every basis vector in one (d, K d) product
+    with rho and a cumulative sum along the outcomes, as a reference."""
+    k, d = bases.shape[-3:-1]
+    ut = np.swapaxes(bases, -3, -2).reshape(*bases.shape[:-3], d, k * d)
+    rho_ut = rhos @ ut
+    probs = np.sum(ut.real * rho_ut.real + ut.imag * rho_ut.imag, axis=-2).reshape(-1, k, d)
+    cum = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
+    cum /= cum[..., -1:]
+    return np.swapaxes(cum[..., :-1], -1, -2)
 
 
 def per_basis_outcomes(rho, bases, idx, u):
@@ -1155,8 +1186,8 @@ class TestTrialBlocks:
         assert results[0] == results[1]
 
     def test_pool_maps_the_serial_blocks(self, all_models, monkeypatch):
-        # workers=2 hands pool.map exactly the blocks that workers=1 runs, in
-        # chunks of ceil(blocks / (4 workers)), and gets the serial result
+        # workers=2 hands pool.map exactly the blocks that workers=1 runs, a
+        # task each, to workers that keep their heap, and gets the serial result
         model, prior, scheme, estimator, n = block_config(all_models, "eq_alt_mle_20")
         serial, mapped, real = [], [], simulate._run_block
 
@@ -1165,8 +1196,8 @@ class TestTrialBlocks:
             return real(*args)
 
         class InProcessPool:  # runs the tasks here and records what it is given
-            def __init__(self, max_workers):
-                assert max_workers == 2
+            def __init__(self, max_workers, initializer):
+                assert max_workers == 2 and initializer is simulate._keep_heap
 
             def __enter__(self):
                 return self
@@ -1185,9 +1216,19 @@ class TestTrialBlocks:
         two = bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, 1000, seed=2024,
                             workers=2)
         assert [len(b) for b in blocks] == [64] * 15 + [40]
-        assert mapped == [(blocks, 2)]
+        assert mapped == [(blocks, 1)]
         assert serial[len(blocks):] == blocks
         assert two.to_dict() == one.to_dict()
+
+    def test_keep_heap_skips_without_glibc(self, monkeypatch):
+        # off glibc the worker initializer does nothing and raises nothing
+        import ctypes
+
+        def no_libc(name, *args, **kwargs):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert simulate._keep_heap() is None
 
     @pytest.mark.parametrize("n", [300, 4000])
     def test_random_bases_keep_blocks_of_16(self, all_models, monkeypatch, n):
