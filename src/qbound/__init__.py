@@ -16,17 +16,15 @@ from .errors import (DimensionMismatchError, DivergentIntegralError,
                      DomainError, InfeasibleTaperError, IrregularModelError,
                      NonConvergenceError, NumericalError, RankDeficiencyError)
 from .holevo import (EmbeddingStep, HolevoSolution, SolverOptions, check_dual,
-                     check_x_collection, dual_bound, embedding_sequence,
-                     full_model_collection, holevo_objective,
-                     quarter_helstrom_weight, recover_v0, solve_holevo, z_matrix)
+                     dual_bound, embedding_sequence, full_model_collection,
+                     quarter_helstrom_weight, solve_holevo, z_matrix)
 from .information import (InfoMatrix, classical_fisher, helstrom_matrix,
-                          povm_fisher, sld, sld_residual)
+                          povm_fisher, sld)
 from .models import (Domain, ParametricModel, Povm, affine_model, basis_povm,
-                     bloch_equatorial, bloch_full, bloch_state,
-                     born_distribution, builtin_model, check_density_matrix,
-                     embedding_loss_scale, fidelity, fidelity_embedding,
-                     model_from_spec, model_to_spec, pauli_basis_povm,
-                     pure_qubit, pure_state_model)
+                     bloch_equatorial, bloch_full, born_distribution,
+                     builtin_model, check_density_matrix, embedding_loss_scale,
+                     fidelity, fidelity_embedding, model_from_spec,
+                     model_to_spec, pure_qubit, pure_state_model)
 from .simulate import (Estimator, MeasurementScheme, MleResult, RiskEstimate,
                        SampleData, adapted_bases, alternating_scheme,
                        bayes_mean_estimate, bayes_risk_mc, empirical_fisher,

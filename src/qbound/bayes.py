@@ -10,7 +10,7 @@ solved cold from its SLD start, in batches of ``_NODE_BATCH`` nodes.
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -340,9 +340,6 @@ class BayesBoundResult:
     levels: tuple = ()
     mass: float = 1.0
     iterations: int = 0    # dual-ascent Newton steps summed over all nodes and levels
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _grid_levels(prior: Prior, quad: Optional[QuadratureOptions], node_fn, levels):

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -186,7 +187,7 @@ def cmd_bayes(args):
     quad = QuadratureOptions(n_radial=args.n_radial, n_angular=args.n_angular,
                              levels=args.levels)
     res = integrated_holevo(model, loss, prior, quad)
-    payload = res.to_dict()
+    payload = asdict(res)
     payload.update({"model": model.family, "prior": args.prior})
     _emit(payload, args)
     return EXIT_OK
@@ -225,12 +226,8 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _verify_rows(seed, n_bases, quick=False, closed_tol=1e-3):
-    """(claim, expected, computed, tolerance) regression rows."""
-    return list(_row_stream(seed, n_bases, quick, closed_tol))
-
-
-def _row_stream(seed, n_bases, quick, closed_tol):  # yields each row once computed
+def _row_stream(seed, n_bases, quick, closed_tol):
+    """(claim, expected, computed, tolerance) regression rows, each yielded once computed."""
     bf = builtin_model("bloch_full")
     for r in (0.0, 0.5, 0.8):
         theta = np.array([0.0, 0.0, r])

@@ -157,36 +157,11 @@ def _sign_weight(w, v):
     return 0.5 * (b - np.swapaxes(b, -1, -2))
 
 
-def holevo_objective(g, z):
-    """trace Re(G^1/2 Z G^1/2) + trace abs Im(G^1/2 Z G^1/2)."""
-    return float(_exact_terms(*sym_sqrt_and_inv_sqrt(g), z)[0])
-
-
-def recover_v0(g, z):
-    """The unique real symmetric minimizer V0 of trace(GV) over V >= Z.
-
-    V0 = G^{-1/2}(Re(G^{1/2} Z G^{1/2}) + abs Im(G^{1/2} Z G^{1/2}))G^{-1/2};
-    trace(G V0) equals the objective value at Z.
-    """
-    return _exact_terms(*sym_sqrt_and_inv_sqrt(g), z)[1]
-
-
 def constraint_residual(drho, xs):
     """max |trace(drho_i X_j) - delta_ij| over all i, j; one value per point
     for stacks drho (n, p, d, d) and xs (n, p, d, d)."""
     c = np.einsum("...iab,...jba->...ij", np.asarray(drho), np.asarray(xs))
     return np.max(np.abs(c - np.eye(c.shape[-1])), axis=(-2, -1))
-
-
-def check_x_collection(rho, drho, xs):
-    """Validate a candidate X collection (feasibility and rho-centering)."""
-    res = constraint_residual(drho, xs)
-    if res > CONSTRAINT_TOL:
-        raise ValueError(f"constraint residual {res:.3e} exceeds tolerance")
-    centering = float(np.max(np.abs(np.einsum("ab,jba->j", rho, np.asarray(xs)))))
-    if centering > CONSTRAINT_TOL:
-        raise ValueError(f"X collection not rho-centered (|trace(rho X)| = {centering:.3e})")
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +287,17 @@ def _barrier(b, basis):
             (_flat(se) @ _flat(np.swapaxes(se, 2, 3)).swapaxes(1, 2)).real)
 
 
+def _newton_steps(hess, grad):
+    """H^-1 g of each row of stacks (k, n, n) and (k, n) in one solve; if a
+    row is singular, row by row, with a row of NaN (which _rise skips) there."""
+    try:
+        return np.linalg.solve(hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # near ||B|| = 1 the barrier's Hessian can swamp D's
+        if len(hess) == 1:
+            return np.full_like(grad, np.nan)
+        return np.concatenate([_newton_steps(h, r) for h, r in zip(hess[:, None], grad[:, None])])
+
+
 def _ascend(dual: _Dual, xs, m, idx, max_iters):
     """Maximize D over ||B|| <= 1 at the points idx, each from B = 0; xs
     and m as in ``_Dual.terms``.  Returns (s, D(b), Newton steps) per
@@ -344,8 +330,7 @@ def _ascend(dual: _Dual, xs, m, idx, max_iters):
     while live.any():
         d_b, _, grad_d, hess_d, log_det, grad_b, hess_b = kept
         grad, step = grad_d + mu[:, None] * grad_b, np.zeros_like(b)
-        step[live] = np.linalg.solve((hess_d + mu[:, None, None] * hess_b)[live],
-                                     grad[live][..., None])[..., 0]
+        step[live] = _newton_steps((hess_d + mu[:, None, None] * hess_b)[live], grad[live])
         decrement = (grad[:, None] @ step[..., None])[:, 0, 0]
         steps += live
         f = np.where(decrement < 1e-9 * np.maximum(1.0, np.abs(d_b)), -np.inf, d_b + mu * log_det)

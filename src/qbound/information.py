@@ -62,12 +62,6 @@ def sld(model: ParametricModel, theta):
     return sld_from_state(model.state(theta), model.derivs(theta), model.is_pure)
 
 
-def sld_residual(rho, drho, lams):
-    """max-entry residual of rho L + L rho - 2 drho over the collection."""
-    lams = np.asarray(lams)
-    return float(np.max(np.abs(rho @ lams + lams @ rho - 2.0 * np.asarray(drho))))
-
-
 def helstrom_matrix(model: ParametricModel, theta) -> InfoMatrix:
     """Helstrom information H_ij = Re trace(rho L_i L_j) at a point or a stack (n, p)."""
     rho = model.state(theta)

@@ -61,15 +61,9 @@ def hermitian_basis(d):
     as a (d^2, d, d) array.
 
     Ordering: identity/sqrt(d), then the generalized Gell-Mann family
-    (symmetric pairs, antisymmetric pairs, diagonal).
+    (symmetric pairs, antisymmetric pairs, diagonal), which is traceless.
     """
-    return np.stack([np.eye(d, dtype=complex) / np.sqrt(d)]
-                    + traceless_hermitian_basis(d))
-
-
-def traceless_hermitian_basis(d):
-    """The d^2 - 1 generalized Gell-Mann matrices, orthonormal and traceless."""
-    mats = []
+    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for i in range(d):
         for j in range(i + 1, d):
             m = np.zeros((d, d), dtype=complex)
@@ -84,12 +78,7 @@ def traceless_hermitian_basis(d):
         diag[:k] = 1.0
         diag[k] = -k
         mats.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
-    return mats
-
-
-def haar_unitary(d, rng):
-    """One Haar-distributed unitary, the d x d case of :func:`haar_unitaries`."""
-    return haar_unitaries(d, 1, rng)[0]
+    return np.stack(mats)
 
 
 def haar_unitaries(d, n, rng):
@@ -110,14 +99,6 @@ def haar_unitaries(d, n, rng):
                 v -= q * np.sum(q.conj() * v, axis=0)
         v /= np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=0))
     return cols.T
-
-
-def random_hermitian(d, rng, traceless=False):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    a = hermitize(a)
-    if traceless:
-        a -= np.trace(a).real / d * np.eye(d)
-    return a
 
 
 # step halvings before an ascent counts a point as a maximum

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import PAULI_BASES, PAULIS, check_hermitian, hermitize, psd_sqrt
+from .linalg import PAULIS, check_hermitian, hermitize, psd_sqrt
 
 FAMILIES = ("bloch_full", "bloch_equatorial", "pure_qubit", "pure_dim_d", "affine_custom")
 
@@ -46,6 +46,13 @@ def check_density_matrix(rho):
     if np.any(bad):
         raise ValueError(f"density matrix trace {float(tr[bad].flat[0])!r} != 1")
     return rho
+
+
+def _count(name, value, least):
+    """value as an int if it is an integer (not a bool) >= least; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,6 @@ def basis_povm(u):
     stacked POVM of the bases of a stack of unitaries (..., d, d)."""
     cols = np.swapaxes(np.asarray(u, dtype=complex), -1, -2)[..., None]
     return Povm(cols * np.swapaxes(cols, -1, -2).conj())
-
-
-def pauli_basis_povm(axis):
-    """Eigenbasis POVM of sigma_1, sigma_2 or sigma_3 (axis = 0, 1, 2), "+1" first."""
-    return basis_povm(PAULI_BASES[axis])
 
 
 def _real_traces(mats, elems):
@@ -261,11 +263,6 @@ class ParametricModel:
         return (model_from_spec, (model_to_spec(self),))
 
 
-def bloch_state(theta):
-    """Qubit state (1 + theta.sigma)/2 for theta in the unit ball: bloch_full().state."""
-    return bloch_full().state(theta)
-
-
 def _affine_model(rho0, basis, domain, family, dim):
     rho0 = np.asarray(rho0, dtype=complex)
     basis = tuple(np.asarray(b, dtype=complex) for b in basis)
@@ -345,8 +342,7 @@ def pure_state_model(d):
     Chart gauge: first amplitude real and positive.  phi(theta) has first
     amplitude sqrt(1 - |theta|^2) and the rest theta[2k] + i theta[2k+1].
     """
-    if d < 2:
-        raise ValueError("pure-state model needs d >= 2")
+    d = _count("pure-state model dimension d", d, 2)
     p = 2 * (d - 1)
     dom = Domain("ball", radius=1.0, dim=p)
     # d phi / d theta_j: 1 or i in amplitude 1 + j // 2, plus the first
@@ -386,7 +382,7 @@ def builtin_model(family, dim=None):
     if family == "pure_dim_d":
         if dim is None:
             raise ValueError("pure_dim_d requires dim")
-        return pure_state_model(int(dim))
+        return pure_state_model(dim)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -443,12 +439,13 @@ def _matrix_to_json(a):
 
 
 def _json_array(obj, valid, what):
-    """obj as a C-ordered float array if valid(array) holds; else ValueError: must be what."""
+    """obj as a C-ordered float array if it holds numbers (not strings or
+    bools) and valid(array) holds; else ValueError: must be what."""
     try:
-        a = np.array(obj, dtype=float, order="C")
-    except (TypeError, ValueError):
-        a = None
-    if a is None or not valid(a):
+        a = np.array(obj, order="C")
+    except ValueError:  # ragged lists
+        a = np.array(None)
+    if a.dtype.kind not in "iuf" or not valid(a := a.astype(float)):
         raise ValueError(f"{what}, got {obj!r}")
     return a
 

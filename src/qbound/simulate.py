@@ -2,8 +2,8 @@
 
 Schemes draw one projective basis per copy (fixed, alternating, uniformly
 random, or two-step adaptive), sample outcomes through the Born rule, and
-feed estimators (maximum likelihood, posterior mean, or a test-only oracle)
-outcome count tables; one count log-likelihood sum c log p serves them all.
+feed estimators (maximum likelihood or posterior mean) outcome count
+tables; one count log-likelihood sum c log p serves them all.
 A risk run takes its trials in blocks sized by the rows of a table (see
 bayes_risk_mc).  Per trial only its RNG, from (seed, spawn_key=t), is called:
 the prior's rejection draws and the uniforms (and Haar bases).  The rest
@@ -20,7 +20,7 @@ priors through their JSON specs, so an object without a spec needs workers=1.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .bayes import Prior
 from .errors import DimensionMismatchError, NumericalError
 from .information import InfoMatrix, povm_fisher
 from .linalg import PAULI_BASES, PAULIS, _rise, haar_unitaries
-from .models import ParametricModel, basis_povm, fidelity
+from .models import ParametricModel, _count, basis_povm, fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,7 @@ def sample_outcomes(model: ParametricModel, theta, scheme: MeasurementScheme,
                     n_copies, seed=0) -> SampleData:
     """i.i.d. Born sampling of a scheme; reproducible for a fixed seed: the
     draws of a block of one of the risk harness (see _sample_block)."""
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    n_copies = _count("n_copies", n_copies, 1)
     _check_dim(model, scheme)
     rng = np.random.default_rng(seed)  # a Generator is used as it is
     rho = model.state(theta)[None]
@@ -301,12 +300,12 @@ class MleResult:
 
 @dataclass(frozen=True)
 class Estimator:
-    """mle | bayes_mean (posterior mean) | oracle (test-only, returns truth)."""
+    """mle | bayes_mean (posterior mean)."""
 
     kind: str = "mle"
 
     def __post_init__(self):
-        if self.kind not in ("mle", "bayes_mean", "oracle"):
+        if self.kind not in ("mle", "bayes_mean"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
 
 
@@ -751,9 +750,6 @@ class RiskEstimate:
     failures: int = 0
     boundary_hits: int = 0
 
-    def to_dict(self):
-        return asdict(self)
-
 
 # the fewest trials per block, kept by random bases (a row per copy; fewer ran slower)
 _TRIAL_BLOCK = 16
@@ -795,13 +791,12 @@ def _trial_block(model, prior, scheme, estimator, n_copies, starts):
     thetas = np.array([theta for _, theta in starts])
     rhos = model.state(thetas)
     coeffs, counts = _sample_block(model, scheme, n_copies, rhos, [rng for rng, _ in starts])
-    theta_hat, hits = thetas, 0  # the oracle's
     if estimator.kind == "mle":
         res = _mle_block(model, coeffs, counts)
-        theta_hat, hits = res.theta, int(res.boundary.sum())
-    elif estimator.kind == "bayes_mean":
+        theta_hat = res.theta
+    else:
         theta_hat, res = _bayes_mean_block(model, coeffs, counts, prior)
-        hits = int(res.boundary.sum())
+    hits = int(res.boundary.sum())
     safe = model.domain.project(theta_hat)
     if model.is_pure:
         safe = np.where(np.linalg.norm(safe, axis=-1, keepdims=True) >= 1.0,
@@ -824,15 +819,12 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     JSON specs, so an object without a spec (a custom prior, a ParametricModel
     of a family that model_to_spec cannot describe) raises ValueError there.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    trials, n_copies = _count("trials", trials, 2), _count("n_copies", n_copies, 1)
     _check_dim(model, scheme)
     rows = n_copies if scheme.kind == "random_basis_covariant" else len(scheme.bases) * model.dim
     size = max(_TRIAL_BLOCK, _STACKED_ROWS // rows)
     blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    run = functools.partial(_run_block, model, prior, scheme, estimator, int(n_copies), seed)
+    run = functools.partial(_run_block, model, prior, scheme, estimator, n_copies, seed)
     if workers <= 1:
         results = list(map(run, blocks))
     else:  # a task per block, results in block order
@@ -853,5 +845,5 @@ def bayes_risk_mc(model: ParametricModel, prior: Prior, scheme: MeasurementSchem
     qs = np.quantile(ok, [0.0, 0.25, 0.5, 0.75, 1.0])
     summary = {"min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
                "q75": float(qs[3]), "max": float(qs[4])}
-    return RiskEstimate(int(n_copies), int(trials), value, std_error, summary,
+    return RiskEstimate(n_copies, trials, value, std_error, summary,
                         failures=failures, boundary_hits=int(boundary))

@@ -7,8 +7,9 @@ import pytest
 
 from qbound import (Domain, affine_model, bloch_equatorial, bloch_full,
                     model_to_spec, pure_qubit, pure_state_model)
+from qbound.holevo import CONSTRAINT_TOL, constraint_residual
 from qbound.information import sld_from_state
-from qbound.linalg import PAULI_X, PAULI_Y, haar_unitary, random_hermitian
+from qbound.linalg import PAULI_X, PAULI_Y, haar_unitaries, hermitize
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -41,6 +42,8 @@ MALFORMED_SPECS = {
     "entry a string": (("rho0", 0, 0), "a"),
     "entry not a pair": (("rho0", 0, 0), [0.5]),
     "entry NaN": (("basis", 0, 0, 1), ["NaN", 0]),
+    "entry real NaN": (("basis", 0, 0, 1), [math.nan, 0]),
+    "entry a numeric string": (("rho0", 0, 0), ["0.5", 0]),
     "basis not a list": (("basis",), 5),
     "basis empty": (("basis",), []),
     "dim not an integer": (("dim",), [3]),
@@ -52,6 +55,8 @@ MALFORMED_SPECS = {
     "box bound infinite": (("domain",), {"kind": "box", "bounds": [[-math.inf, 1], [-1, 1]]}),
     "ball radius negative": (("domain", "radius"), -1),
     "ball radius infinite": (("domain", "radius"), math.inf),
+    "ball radius a string": (("domain", "radius"), "0.5"),
+    "box bounds strings": (("domain",), {"kind": "box", "bounds": [["-1", "1"], [-1, 1]]}),
 }
 
 
@@ -64,6 +69,41 @@ def malformed_spec(name):
         entry = entry[key]
     entry[last] = value
     return spec
+
+
+def random_hermitian(d, rng, traceless=False):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = hermitize(a)
+    if traceless:
+        a -= np.trace(a).real / d * np.eye(d)
+    return a
+
+
+def holevo_objective(g, z):
+    """trace Re M + trace abs Im M, M = G^1/2 Z G^1/2, from the definition
+    (reference): trace abs of the Hermitian i Im M is the sum of the
+    absolute values of its eigenvalues."""
+    w, v = np.linalg.eigh(np.asarray(g, dtype=float))
+    gh = (v * np.sqrt(w)) @ v.T
+    m = gh @ np.asarray(z, dtype=complex) @ gh
+    return float(np.trace(m).real + np.sum(np.abs(np.linalg.eigvalsh(1j * m.imag))))
+
+
+def check_x_collection(rho, drho, xs):
+    """Validate a candidate X collection (feasibility and rho-centering)."""
+    res = constraint_residual(drho, xs)
+    if res > CONSTRAINT_TOL:
+        raise ValueError(f"constraint residual {res:.3e} exceeds tolerance")
+    centering = float(np.max(np.abs(np.einsum("ab,jba->j", rho, np.asarray(xs)))))
+    if centering > CONSTRAINT_TOL:
+        raise ValueError(f"X collection not rho-centered (|trace(rho X)| = {centering:.3e})")
+    return res
+
+
+def sld_residual(rho, drho, lams):
+    """max-entry residual of rho L + L rho - 2 drho over the collection."""
+    lams = np.asarray(lams)
+    return float(np.max(np.abs(rho @ lams + lams @ rho - 2.0 * np.asarray(drho))))
 
 
 def interior_points(model, n, rng, radius=0.6):
@@ -81,7 +121,7 @@ def random_mixed_model(rng, d, p):
     """Random affine family around a random full-rank state."""
     w = rng.random(d) + 0.3
     w /= w.sum()
-    u = haar_unitary(d, rng)
+    u = haar_unitaries(d, 1, rng)[0]
     rho0 = (u * w) @ u.conj().T
     basis = []
     for _ in range(p):
@@ -94,7 +134,7 @@ def random_qubit_pair_model(rng, scale, radius):
     """Random affine two-parameter qubit family: rho0 of spectrum w + 0.2
     (normalized) in a Haar basis, directions scale * random traceless."""
     w = rng.random(2) + 0.2
-    u = haar_unitary(2, rng)
+    u = haar_unitaries(2, 1, rng)[0]
     return affine_model((u * (w / w.sum())) @ u.conj().T,
                         [scale * random_hermitian(2, rng, traceless=True) for _ in range(2)],
                         Domain("ball", radius=radius, dim=2))

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,14 +23,14 @@ from qbound import (Domain, Estimator, IrregularModelError, QuadratureOptions,
                     check_density_matrix, classical_fisher, dual_bound, empirical_fisher,
                     fidelity, fidelity_loss, helstrom_matrix, integrated_holevo,
                     prior_expectation, pure_qubit, pure_state_model,
-                    quarter_helstrom_weight, random_basis_scheme, sld, sld_residual,
+                    quarter_helstrom_weight, random_basis_scheme, sld,
                     solve_holevo, two_step_scheme, z_matrix)
 from qbound.information import sld_from_state
-from qbound.linalg import haar_unitary, random_hermitian, sym_sqrt_and_inv_sqrt
-from qbound.cli import _verify_rows
+from qbound.linalg import haar_unitaries, sym_sqrt_and_inv_sqrt
+from qbound.cli import _row_stream
 from qbound.simulate import PAULI_BASES
 
-from conftest import cli_env, interior_points
+from conftest import cli_env, interior_points, random_hermitian, sld_residual
 
 SEED = 2024
 WORKERS = min(4, os.cpu_count() or 1)
@@ -252,7 +253,7 @@ class TestCriterion3DualDominance:
             k0, ck = dual_bound(sol, g)
             for _ in range(100):
                 info = povm_fisher(model, theta,
-                                   basis_povm(haar_unitary(model.dim, rng)))
+                                   basis_povm(haar_unitaries(model.dim, 1, rng)[0]))
                 holds, slack = check_dual(k0, info, ck)
                 worst = min(worst, slack)
                 violations += 0 if holds else 1
@@ -423,7 +424,7 @@ class TestHardLimits:
         for risk in runs:
             assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
             assert (risk.failures, risk.boundary_hits) == (failures, hits)
-        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+        assert asdict(runs[0]) == asdict(runs[1])  # bit for bit
 
     @pytest.mark.parametrize("name", list(BAYES_MEAN_LIMITS))
     def test_bayes_mean_values(self, name):
@@ -437,7 +438,7 @@ class TestHardLimits:
         for risk in runs:
             assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
             assert (risk.failures, risk.boundary_hits) == (failures, hits)
-        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+        assert asdict(runs[0]) == asdict(runs[1])  # bit for bit
 
     def test_pure_dim_3_value(self):
         model = builtin_model("pure_dim_d", dim=3)
@@ -448,12 +449,12 @@ class TestHardLimits:
         for risk in runs:
             assert risk.value == pytest.approx(value, rel=HARD_LIMIT_RTOL)
             assert (risk.failures, risk.boundary_hits) == (failures, hits)
-        assert runs[0].to_dict() == runs[1].to_dict()  # bit for bit
+        assert asdict(runs[0]) == asdict(runs[1])  # bit for bit
 
     def test_verify_paper_quick_rows(self):
         # pytest.approx keeps its 1e-12 absolute floor, so a row whose value
         # is rounding noise about 0 (the Bloch fidelity deviation) may move
-        rows = _verify_rows(SEED, 2000, quick=True)
+        rows = list(_row_stream(SEED, 2000, True, 1e-3))
         assert [row[:2] for row in rows] == [row[:2] for row in VERIFY_QUICK_ROWS]
         for row, pinned in zip(rows, VERIFY_QUICK_ROWS):
             assert row[2:] == pytest.approx(pinned[2:], rel=1e-9), row[0]
@@ -476,7 +477,7 @@ class TestCriterion9ConvexityMachinery:
             p = 2 if k % 3 else 3
             w = rng.random(d) + 0.1
             w /= w.sum()
-            u = haar_unitary(d, rng)
+            u = haar_unitaries(d, 1, rng)[0]
             rho = (u * w) @ u.conj().T
             xs = np.stack([random_hermitian(d, rng) for _ in range(p)])
             ys = np.stack([random_hermitian(d, rng) for _ in range(p)])

@@ -54,6 +54,12 @@ def _at(fn, theta):
 
 
 class TestPriors:
+    @pytest.mark.parametrize("make", [bump_prior, uniform_ball_prior])
+    def test_radius_must_be_a_number(self, make):
+        # "0.5" passed the domain and raised TypeError in the normalisation
+        with pytest.raises(ValueError, match="ball radius"):
+            make(2, "0.5")
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bump_mass_and_boundary(self, p):
         prior = bump_prior(p, 0.8)
@@ -732,10 +738,11 @@ def _random_affine_case():
     """Random mixed d = 3, p = 2 affine model with a quadratic loss whose
     weight is a fixed random SPD matrix."""
     from qbound import Domain, affine_model
-    from qbound.linalg import haar_unitary, random_hermitian
+    from qbound.linalg import haar_unitaries
+    from conftest import random_hermitian
     rng = np.random.default_rng(21)
     w = rng.random(3) + 0.3
-    u = haar_unitary(3, rng)
+    u = haar_unitaries(3, 1, rng)[0]
     rho0 = (u * (w / w.sum())) @ u.conj().T
     basis = [0.05 * b / np.linalg.norm(b)
              for b in (random_hermitian(3, rng, traceless=True) for _ in range(2))]

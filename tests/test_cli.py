@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbound import check_dual, povm_fisher, bloch_equatorial
-from qbound.cli import _verify_rows, main
+from qbound.cli import _row_stream, main
 from qbound.models import basis_povm
 from qbound.simulate import PAULI_BASES
 
@@ -258,7 +258,7 @@ class TestVerifyPaper:
         code, out, err = _run_main(["verify-paper", "--quick", "--n-bases", "60",
                                     "--seed", "11"])
         assert code == 0
-        claims = [row[0] for row in _verify_rows(11, 60, quick=True)]
+        claims = [row[0] for row in _row_stream(11, 60, True, 1e-3)]
         lines = err.splitlines()
         assert [line.rsplit(": ", 1)[0] for line in lines] == claims
         assert all(float(line.rsplit(": ", 1)[1].removesuffix(" s")) >= 0.0 for line in lines)
@@ -511,3 +511,33 @@ def test_library_uses_every_name_it_imports():
                    for name in ((a.asname or a.name).partition(".")[0] for a in node.names)
                    if name not in used]
     assert unused == _KEPT_FOR_THE_TRACER
+
+
+# exported, and called by no library code: the paper's dual bounds,
+# full-model embedding and van Trees bound, and the single-sample API
+_EXPORT_ONLY = ["bayes_mean_estimate", "check_dual", "embedding_sequence",
+                "full_model_collection", "j_functional", "mle_estimate", "sample_outcomes",
+                "sld", "van_trees_rhs"]
+
+
+def test_every_library_name_is_used_or_exported():
+    # a module-level name that no library code reads and the package does
+    # not export is a test fixture or dead code
+    defined, read, exported = {}, set(), set()
+    for path in sorted((Path(SRC) / "qbound").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            exported = {a.asname or a.name for node in tree.body
+                        if isinstance(node, ast.ImportFrom) for a in node.names}
+            continue
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.stem
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    defined[target.id] = path.stem
+    assert [f"{mod}.{name}" for name, mod in defined.items()
+            if name not in read | exported] == []
+    assert sorted(exported - read) == _EXPORT_ONLY

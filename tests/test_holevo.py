@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qbound import (Domain, NonConvergenceError, NumericalError,
                     RankDeficiencyError, SolverOptions, affine_model,
-                    basis_povm, check_dual, check_x_collection, dual_bound,
+                    basis_povm, bloch_full, check_dual, dual_bound,
                     embedding_sequence, full_model_collection,
-                    helstrom_matrix, holevo_objective, povm_fisher,
-                    quarter_helstrom_weight, recover_v0, sld, solve_holevo,
-                    z_matrix)
-from qbound.holevo import CERTIFY_RTOL, _Dual, _FeasibleSet, _barrier, _solve_batch
-from qbound.linalg import (PAULIS, PAULI_Z, haar_unitary, hermitize,
-                           random_hermitian)
+                    helstrom_matrix, povm_fisher, quarter_helstrom_weight,
+                    sld, solve_holevo, z_matrix)
+from qbound.holevo import (CERTIFY_RTOL, _Dual, _FeasibleSet, _barrier, _exact_terms,
+                           _solve_batch)
+from qbound.linalg import PAULIS, PAULI_Z, haar_unitaries, hermitize, sym_sqrt_and_inv_sqrt
 
-from conftest import (interior_points, random_mixed_model, random_qubit_pair_model,
+from conftest import (check_x_collection, holevo_objective, interior_points,
+                      random_hermitian, random_mixed_model, random_qubit_pair_model,
                       suzuki_bound)
 
 # The certificate bounds the error of the exact-arithmetic value; the
@@ -23,8 +23,7 @@ ROUNDING = 1e-14
 
 def axis_submodel(t):
     """One-parameter submodel along the third Bloch axis, based at radius t."""
-    from qbound import bloch_state
-    return affine_model(bloch_state([0, 0, t]), [0.5 * PAULI_Z],
+    return affine_model(bloch_full().state([0, 0, t]), [0.5 * PAULI_Z],
                         Domain("box", bounds=((-0.9 - t, 0.9 - t),), dim=1))
 
 
@@ -51,7 +50,7 @@ class TestZMatrix:
             p = 2 if k % 3 else 3
             w = rng.random(d) + 0.1
             w /= w.sum()
-            u = haar_unitary(d, rng)
+            u = haar_unitaries(d, 1, rng)[0]
             rho = (u * w) @ u.conj().T
             xs = np.stack([random_hermitian(d, rng) for _ in range(p)])
             ys = np.stack([random_hermitian(d, rng) for _ in range(p)])
@@ -60,13 +59,19 @@ class TestZMatrix:
             assert np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0] > -1e-10
 
 
+def _exact(g, z):
+    """(objective value, V0) at Z from the solver's evaluator."""
+    value, v0 = _exact_terms(*sym_sqrt_and_inv_sqrt(g), z)[:2]
+    return float(value), v0
+
+
 class TestObjective:
     def test_real_diagonal(self):
-        assert holevo_objective(np.eye(2), np.diag([0.3, 0.7])) == pytest.approx(1.0)
+        assert _exact(np.eye(2), np.diag([0.3, 0.7]))[0] == pytest.approx(1.0)
 
     def test_imaginary_part_contributes_abs_trace(self):
         z = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-        assert holevo_objective(np.eye(2), z) == pytest.approx(4.0)
+        assert _exact(np.eye(2), z)[0] == pytest.approx(4.0)
 
     def test_monotone_in_hermitian_order(self):
         rng = np.random.default_rng(2)
@@ -76,17 +81,19 @@ class TestObjective:
             bump = bump @ bump.conj().T  # PSD
             z2 = z1 + bump
             g = np.eye(3) + 0.2 * np.diag(rng.random(3))
-            assert holevo_objective(g, z1) <= holevo_objective(g, z2) + 1e-9
+            assert _exact(g, z1)[0] <= _exact(g, z2)[0] + 1e-9
+            assert _exact(g, z1)[0] == pytest.approx(holevo_objective(g, z1), rel=1e-12)
 
     def test_recover_v0_real_z(self):
         z = np.diag([0.2, 0.5]).astype(complex)
-        assert np.allclose(recover_v0(np.eye(2), z), z.real)
+        assert np.allclose(_exact(np.eye(2), z)[1], z.real)
 
     def test_recover_v0_imaginary_block(self):
         z = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-        v0 = recover_v0(np.eye(2), z)
+        value, v0 = _exact(np.eye(2), z)
         assert np.allclose(v0, 2 * np.eye(2), atol=1e-12)
         assert np.trace(np.eye(2) @ v0) == pytest.approx(holevo_objective(np.eye(2), z))
+        assert value == pytest.approx(holevo_objective(np.eye(2), z))
 
 
 class TestSolver:
@@ -242,20 +249,15 @@ class TestSolver:
 
     def test_one_weight_root_per_solve(self, all_models, monkeypatch):
         # G^1/2 and G^-1/2 are computed once; the exact objective and V0 at
-        # the end come from the same roots, not from holevo_objective
+        # the end come from the same roots
         import qbound.holevo
-        from qbound.linalg import sym_sqrt_and_inv_sqrt
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return sym_sqrt_and_inv_sqrt(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("holevo_objective called inside solve_holevo")
-
         monkeypatch.setattr(qbound.holevo, "sym_sqrt_and_inv_sqrt", counted)
-        monkeypatch.setattr(qbound.holevo, "holevo_objective", forbidden)
         model = all_models["bloch_equatorial"]
         theta = np.array([0.3, 0.1])
         g = quarter_helstrom_weight(model, theta)
@@ -542,7 +544,7 @@ class TestSolverAgainstIndependentOracle:
         rng = np.random.default_rng(20 + p)
         for _ in range(3):
             model, theta, g = self._random_case(rng, p)
-            u = haar_unitary(model.rho0.shape[0], rng)
+            u = haar_unitaries(model.rho0.shape[0], 1, rng)[0]
             rotated = affine_model(u @ model.rho0 @ u.conj().T,
                                    [u @ b @ u.conj().T for b in model.basis], model.domain)
             a = solve_holevo(model, theta, g).value
@@ -578,7 +580,7 @@ class TestSolverAgainstIndependentOracle:
             assert sol.diagnostics["constraint_residual"] < 1e-8
             k0, ck = dual_bound(sol, g)
             for _ in range(10):
-                info = povm_fisher(model, theta, basis_povm(haar_unitary(d, rng)))
+                info = povm_fisher(model, theta, basis_povm(haar_unitaries(d, 1, rng)[0]))
                 ok, _ = check_dual(k0, info, ck)
                 assert ok
 
@@ -642,7 +644,7 @@ class TestCertificate:
         # k = 0, 1, 2, 3, 6 and on ||B|| = 1 for the others
         rng = np.random.default_rng(11)
         for k in range(12):
-            u = haar_unitary(3, rng)
+            u = haar_unitaries(3, 1, rng)[0]
             rho0 = (u * np.array([0.5, 0.3, 0.2])) @ u.conj().T
             basis = [random_hermitian(3, rng, traceless=True) for _ in range(3)]
             model = affine_model(rho0, [0.05 * b / np.linalg.norm(b) for b in basis],
@@ -650,9 +652,14 @@ class TestCertificate:
             sol = solve_holevo(model, np.zeros(3), _spd(rng, 3))
             assert sol.diagnostics["gap_estimate"] <= CERTIFY_RTOL * max(1.0, sol.value), k
 
+    # families on which a Newton matrix of the ascent was singular
+    ASCENT_SINGULAR = ((983177, 3, 4), (1947492540, 4, 4))
+
     @settings(max_examples=24, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3, 4]),
            p=st.sampled_from([2, 3, 4, 5]))
+    @example(*ASCENT_SINGULAR[0])
+    @example(*ASCENT_SINGULAR[1])
     def test_dual_bounds_on_random_families(self, seed, d, p):
         assume(p <= d * d - 1)
         rng = np.random.default_rng(seed)
@@ -681,6 +688,17 @@ class TestCertificate:
         d_sol = point.dual_value(point.coords(batch.x_star[0]), b)
         assert point.dual_value(t, b) == pytest.approx(d_sol, rel=1e-9)
         assert d_sol <= value + tol
+
+    @pytest.mark.parametrize("seed, d, p", ASCENT_SINGULAR)
+    def test_singular_newton_matrix_is_certified(self, seed, d, p):
+        # near ||B|| = 1 the barrier's Hessian made one Newton matrix
+        # singular; its row takes no step there and the solve certifies
+        rng = np.random.default_rng(seed)
+        model = random_mixed_model(rng, d, p)
+        theta = model.domain.project(0.05 * rng.standard_normal(p))
+        sol = solve_holevo(model, theta, _spd(rng, p))
+        assert 0 < sol.diagnostics["iterations"] < SolverOptions().max_iters
+        assert sol.diagnostics["gap_estimate"] <= CERTIFY_RTOL * max(1.0, sol.value)
 
 
 class TestDualBound:
@@ -711,7 +729,7 @@ class TestDualBound:
         sol = solve_holevo(model, theta, g)
         k0, ck = dual_bound(sol, g)
         for _ in range(100):
-            info = povm_fisher(model, theta, basis_povm(haar_unitary(2, rng)))
+            info = povm_fisher(model, theta, basis_povm(haar_unitaries(2, 1, rng)[0]))
             ok, slack = check_dual(k0, info, ck)
             assert ok
 
@@ -739,7 +757,7 @@ class TestDualBound:
         hinv = np.linalg.inv(helstrom_matrix(model, theta).matrix)
         rng = np.random.default_rng(6)
         for _ in range(25):
-            info = povm_fisher(model, theta, basis_povm(haar_unitary(2, rng)))
+            info = povm_fisher(model, theta, basis_povm(haar_unitaries(2, 1, rng)[0]))
             ok, _ = check_dual(hinv, info, 1.0)
             assert ok
 
@@ -765,7 +783,7 @@ class TestFullModel:
         rng = np.random.default_rng(7)
         w = rng.random(3) + 0.2
         w /= w.sum()
-        u = haar_unitary(3, rng)
+        u = haar_unitaries(3, 1, rng)[0]
         rho = (u * w) @ u.conj().T
         zf = full_model_collection(rho)[1]
         diag = np.diag(zf)

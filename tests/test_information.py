@@ -3,18 +3,17 @@ import pytest
 
 from qbound import (Domain, IrregularModelError, RankDeficiencyError,
                     affine_model, basis_povm, classical_fisher, fidelity,
-                    helstrom_matrix, pauli_basis_povm, povm_fisher,
-                    pure_state_model, sld, sld_residual)
-from qbound.linalg import PAULIS, PAULI_Z, haar_unitary, random_hermitian
+                    helstrom_matrix, povm_fisher, pure_state_model, sld)
+from qbound.linalg import PAULI_BASES, PAULIS, PAULI_Z, haar_unitaries
 
-from conftest import interior_points
+from conftest import interior_points, random_hermitian, sld_residual
 
 
 def _random_mixed_affine(d, rng):
     """Affine family through a random full-rank state, with d^2 - 1 random
     traceless directions scaled to keep the unit-radius domain mixed."""
     w = rng.uniform(0.5, 1.0, d)
-    u = haar_unitary(d, rng)
+    u = haar_unitaries(d, 1, rng)[0]
     rho0 = (u * (w / w.sum())) @ u.conj().T
     basis = [random_hermitian(d, rng, traceless=True) for _ in range(d * d - 1)]
     scale = 0.5 * np.min(w / w.sum()) / sum(np.linalg.norm(b, 2) for b in basis)
@@ -124,7 +123,7 @@ class TestPovmFisher:
     def test_bernoulli_closed_form(self, all_models):
         model = all_models["bloch_full"]
         for t in (0.0, 0.5):
-            info = povm_fisher(model, [0, 0, t], pauli_basis_povm(2)).matrix
+            info = povm_fisher(model, [0, 0, t], basis_povm(PAULI_BASES[2])).matrix
             assert np.allclose(info, np.diag([0, 0, 1 / (1 - t * t)]), atol=1e-10)
 
     def test_matches_finite_differences(self, all_models):
@@ -132,7 +131,7 @@ class TestPovmFisher:
         rng = np.random.default_rng(4)
         model = all_models["bloch_full"]
         theta = np.array([0.1, -0.2, 0.3])
-        povm = basis_povm(haar_unitary(2, rng))
+        povm = basis_povm(haar_unitaries(2, 1, rng)[0])
         probs = born_distribution(model.state(theta), povm)
         step = 1e-6
         dprobs = np.empty((3, len(povm)))
@@ -152,7 +151,7 @@ class TestPovmFisher:
             theta = interior_points(model, 1, rng)[0]
             h = helstrom_matrix(model, theta).matrix
             for _ in range(20):
-                info = povm_fisher(model, theta, basis_povm(haar_unitary(model.dim, rng)))
+                info = povm_fisher(model, theta, basis_povm(haar_unitaries(model.dim, 1, rng)[0]))
                 assert np.linalg.eigvalsh(h - info.matrix)[0] > -1e-8
 
     def test_zero_probability_outcome_skipped(self):
@@ -189,12 +188,12 @@ class TestPovmFisher:
         rng = np.random.default_rng(9)
         for name, model in all_models.items():
             pts = np.array(interior_points(model, 40, rng))
-            for u in [haar_unitary(model.dim, rng) for _ in range(2)]:
+            for u in [haar_unitaries(model.dim, 1, rng)[0] for _ in range(2)]:
                 stacked = povm_fisher(model, pts, basis_povm(u)).matrix
                 assert stacked.shape == (40,) + 2 * (model.num_params,)
                 assert np.array_equal(stacked, [povm_fisher(model, t, basis_povm(u)).matrix
                                                 for t in pts]), name
-            us = np.stack([haar_unitary(model.dim, rng) for _ in pts])
+            us = np.stack([haar_unitaries(model.dim, 1, rng)[0] for _ in pts])
             assert np.array_equal(povm_fisher(model, pts, basis_povm(us)).matrix,
                                   [povm_fisher(model, t, basis_povm(u)).matrix
                                    for t, u in zip(pts, us)]), name
@@ -214,7 +213,7 @@ class TestPovmFisher:
         rho, drho = model.state(theta), model.derivs(theta)
         dists, ddists = [], []
         for axis in (0, 2):
-            povm = pauli_basis_povm(axis)
+            povm = basis_povm(PAULI_BASES[axis])
             dists.append(born_distribution(rho, povm))
             ddists.append(np.array([[np.trace(dr @ e).real for e in povm.elements]
                                     for dr in drho]))

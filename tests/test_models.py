@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbound import (Domain, DomainError, Povm, affine_model, basis_povm,
-                    bloch_state, born_distribution, builtin_model,
+                    bloch_full, born_distribution, builtin_model,
                     check_density_matrix, embedding_loss_scale, fidelity,
-                    fidelity_embedding, model_from_spec, model_to_spec,
-                    pauli_basis_povm)
-from qbound.linalg import PAULI_X, PAULI_Z, haar_unitaries, haar_unitary, random_hermitian
+                    fidelity_embedding, model_from_spec, model_to_spec)
+from qbound.linalg import PAULI_BASES, PAULI_X, PAULI_Z, haar_unitaries
 from qbound.models import FAMILIES
 
 from conftest import (MALFORMED_SPECS, fd_jacobian, interior_points, malformed_spec,
-                      random_mixed_model)
+                      random_hermitian, random_mixed_model)
+
+bloch_state = bloch_full().state
 
 
 class TestBlochState:
@@ -75,13 +76,14 @@ class TestDomainProject:
 class TestDomainChecks:
     # a domain that would contain nothing, or that later code cannot read,
     # is refused where it is built
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan, "0.5x", [0.5]])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan, "0.5x", [0.5], "0.5", True])
     def test_ball_radius_positive_and_finite(self, radius):
         with pytest.raises(ValueError, match="ball radius"):
             Domain("ball", radius=radius, dim=1)
 
     @pytest.mark.parametrize("bounds", [((0.5, -0.5),), ((0.2, 0.2),), ((-np.inf, 1.0),),
-                                        ((0.0, 1.0), (0.0, 1.0)), None, ((0.0,),)])
+                                        ((0.0, 1.0), (0.0, 1.0)), None, ((0.0,),),
+                                        (("0", "1"),)])
     def test_box_bounds_finite_and_increasing(self, bounds):
         with pytest.raises(ValueError, match="box bounds"):
             Domain("box", bounds=bounds, dim=1)
@@ -111,7 +113,7 @@ class TestPovm:
     def test_basis_povm_is_valid(self):
         rng = np.random.default_rng(1)
         for d in (2, 3, 4):
-            u = haar_unitary(d, rng)
+            u = haar_unitaries(d, 1, rng)[0]
             m = basis_povm(u)
             assert len(m) == d
             assert m.dim == d
@@ -143,13 +145,13 @@ class TestPovm:
 
 class TestBornDistribution:
     def test_eigenstate_measurement(self):
-        p = born_distribution(np.diag([1.0, 0.0]), pauli_basis_povm(2))
+        p = born_distribution(np.diag([1.0, 0.0]), basis_povm(PAULI_BASES[2]))
         assert np.allclose(p, [1.0, 0.0])
 
     def test_maximally_mixed_any_basis(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            p = born_distribution(0.5 * np.eye(2), basis_povm(haar_unitary(2, rng)))
+            p = born_distribution(0.5 * np.eye(2), basis_povm(haar_unitaries(2, 1, rng)[0]))
             assert np.allclose(p, [0.5, 0.5])
 
     def test_pure_state_overlap_rule(self):
@@ -158,13 +160,13 @@ class TestBornDistribution:
         for _ in range(10):
             phi = rng.normal(size=3) + 1j * rng.normal(size=3)
             phi /= np.linalg.norm(phi)
-            u = haar_unitary(3, rng)
+            u = haar_unitaries(3, 1, rng)[0]
             p = born_distribution(np.outer(phi, phi.conj()), basis_povm(u))
             assert np.allclose(p, np.abs(u.conj().T @ phi) ** 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            born_distribution(np.eye(3) / 3, pauli_basis_povm(0))
+            born_distribution(np.eye(3) / 3, basis_povm(PAULI_BASES[0]))
 
     @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -174,7 +176,7 @@ class TestBornDistribution:
         if n > 1.0:
             theta /= n * (1 + 1e-9)
         rng = np.random.default_rng(seed)
-        p = born_distribution(bloch_state(theta), basis_povm(haar_unitary(2, rng)))
+        p = born_distribution(bloch_state(theta), basis_povm(haar_unitaries(2, 1, rng)[0]))
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) < 1e-9
 
@@ -208,7 +210,7 @@ class TestFidelity:
         # and a trial's loss must not depend on its block
         rng = np.random.default_rng(8)
         d = 3 if kind == "dim_3" else 2
-        u = np.stack([haar_unitary(d, rng) for _ in range(24)])
+        u = np.stack([haar_unitaries(d, 1, rng)[0] for _ in range(24)])
         if kind == "mixed_qubit":
             w = rng.dirichlet(np.ones(d), 24)
         else:  # rank one, with pure and near-pure pairs for d = 3
@@ -240,7 +242,7 @@ class TestFidelity:
         for a, b in pairs:
             fid = fidelity(a, b)
             for _ in range(4):
-                m = basis_povm(haar_unitary(2, rng))
+                m = basis_povm(haar_unitaries(2, 1, rng)[0])
                 pa, pb = born_distribution(a, m), born_distribution(b, m)
                 affinity = float(np.sum(np.sqrt(pa * pb)) ** 2)
                 assert fid <= affinity + 1e-9
@@ -359,3 +361,9 @@ class TestModelSpec:
     def test_pure_dim_requires_dim(self):
         with pytest.raises(ValueError):
             builtin_model("pure_dim_d")
+
+    @pytest.mark.parametrize("dim", [2.5, True, "3", 1])
+    def test_pure_dim_must_be_an_integer_of_at_least_2(self, dim):
+        # 2.5 built d = 2 and "3" built d = 3
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            builtin_model("pure_dim_d", dim=dim)

@@ -19,6 +19,8 @@ from qbound.simulate import (PAULI_BASES, MeasurementScheme, SampleData, _CERT_M
                              _pure_probs, _table)
 from qbound.linalg import PAULI_Z, PAULIS, haar_unitaries
 
+from conftest import interior_points
+
 
 def outcome_table(data):
     """(vecs, counts): the count table of sampled data, its rows the outcome
@@ -1154,7 +1156,7 @@ class TestTrialBlocks:
         model, prior, scheme, estimator, n = block_config(all_models, name)
         runs = [bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, trials=300,
                               seed=2024, workers=w) for w in (1, 2)]
-        assert runs[0].to_dict() == runs[1].to_dict()
+        assert dataclasses.asdict(runs[0]) == dataclasses.asdict(runs[1])
 
     @pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
     def test_row_sized_blocks_equal_blocks_of_16(self, all_models, monkeypatch, name):
@@ -1179,7 +1181,7 @@ class TestTrialBlocks:
             losses = []
             monkeypatch.setattr(simulate, "_trial_block", blocks_of(split, losses))
             risk = bayes_risk_mc(model, prior, scheme, Estimator(estimator), n, 100, seed=2024)
-            results.append((losses, risk.to_dict()))
+            results.append((losses, dataclasses.asdict(risk)))
         size = BLOCK_TRIALS[name]
         assert sizes == 2 * ([size] * (100 // size) + [100 % size])
         assert len(results[0][0]) == 100 and results[0][1]["failures"] == 0
@@ -1218,7 +1220,22 @@ class TestTrialBlocks:
         assert [len(b) for b in blocks] == [64] * 15 + [40]
         assert mapped == [(blocks, 1)]
         assert serial[len(blocks):] == blocks
-        assert two.to_dict() == one.to_dict()
+        assert dataclasses.asdict(two) == dataclasses.asdict(one)
+
+    def test_true_estimates_lose_nothing(self, all_models, monkeypatch):
+        # an estimator that returns each trial's true theta has zero loss on
+        # every builtin family, through the pure families' shrink of the rim
+        rng = np.random.default_rng(10)
+        for model in all_models.values():
+            thetas = np.stack(interior_points(model, 6, rng, radius=0.8))
+            starts = [(np.random.default_rng(t), theta) for t, theta in enumerate(thetas)]
+            flags = np.zeros(len(thetas), dtype=bool)
+            monkeypatch.setattr(simulate, "_mle_block", lambda *args: simulate.MleResult(
+                thetas, flags, ~flags, np.zeros(len(thetas))))
+            losses, hits = simulate._trial_block(model, None, random_basis_scheme(),
+                                                 Estimator("mle"), 100, starts)
+            assert losses == pytest.approx([0.0] * len(thetas), abs=1e-12), model.family
+            assert hits == 0
 
     def test_keep_heap_skips_without_glibc(self, monkeypatch):
         # off glibc the worker initializer does nothing and raises nothing
@@ -1391,13 +1408,19 @@ class TestEmpiricalFisher:
 
 
 class TestBayesRisk:
-    def test_oracle_estimator_has_zero_risk(self, all_models):
+    def test_counts_must_be_integers(self, all_models):
+        # n_copies=2.5 ran N = 2 and reported 1.25 times its risk, and
+        # trials=2.5 raised TypeError
         model = all_models["bloch_equatorial"]
-        r = bayes_risk_mc(model, bump_prior(2, 0.8),
-                          alternating_scheme(PAULI_BASES[:2]),
-                          Estimator("oracle"), 100, trials=50, seed=10)
-        assert r.value == pytest.approx(0.0, abs=1e-12)
-        assert r.loss_summary["max"] == pytest.approx(0.0, abs=1e-12)
+        scheme = alternating_scheme(PAULI_BASES[:2])
+        args = (model, bump_prior(2, 0.8), scheme, Estimator("mle"))
+        for n_copies, trials in ((2.5, 40), (2, 2.5), (True, 40), (2, 1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                bayes_risk_mc(*args, n_copies, trials)
+        with pytest.raises(ValueError, match="n_copies must be an integer"):
+            sample_outcomes(model, [0.1, 0.2], scheme, 2.5)
+        run = bayes_risk_mc(*args, np.int64(2), np.int64(40))
+        assert run == bayes_risk_mc(*args, 2, 40) and type(run.n_copies) is int
 
     def test_seeded_reproducibility_and_workers(self, all_models):
         model = all_models["pure_qubit"]
@@ -1461,7 +1484,7 @@ class TestBayesRisk:
         kwargs = dict(n_copies=200, trials=40, seed=17)
         twin = bayes_risk_mc(model, prior, scheme, Estimator("mle"), **kwargs)
         run = bayes_risk_mc(*custom, scheme, Estimator("mle"), **kwargs)
-        assert run.to_dict() == twin.to_dict()
+        assert dataclasses.asdict(run) == dataclasses.asdict(twin)
         with pytest.raises(ValueError, match="my_family"):
             bayes_risk_mc(*custom, scheme, Estimator("mle"), workers=2, **kwargs)
         assert multiprocessing.active_children() == []
